@@ -61,14 +61,8 @@ def pairwise_distances(items) -> np.ndarray:
     n = len(values)
     if n < 2:
         raise ValueError(f"need at least 2 items, got {n}")
-    out = np.empty(n * (n - 1) // 2, dtype=np.int64)
-    pos = 0
-    for j in range(n):
-        vj = values[j]
-        for i in range(j + 1, n):
-            out[pos] = (values[i] ^ vj).bit_count()
-            pos += 1
-    return out
+    return np.array([(values[i] ^ values[j]).bit_count()
+                     for j in range(n) for i in range(j + 1, n)], dtype=np.int64)
 
 
 # --- Pearson -----------------------------------------------------------------
@@ -162,53 +156,54 @@ class SvfResult:
         return ".".join(self.module_path)
 
 
-def _signal_value_array(col, width: int):
-    """(d, words) uint64 values of one signal column plus its x/z bit count."""
-    from .vcd import XzCell
-
-    words = (width + 63) // 64
-    xz = 0
-    if any(type(c) is XzCell for c in col):
-        vals = []
-        for c in col:
-            if type(c) is XzCell:
-                xz += (c.xmask | c.zmask).bit_count()
-                vals.append(c.value)
-            else:
-                vals.append(c)
-    else:
-        vals = col
-    buf = b"".join(v.to_bytes(words * 8, "little") for v in vals)
-    return np.frombuffer(buf, dtype=np.uint64).reshape(len(col), words), xz
+_PAIR_BLOCK_WORDS = 1 << 18  # per temporary while XORing a block of pairs
 
 
 def _module_distance_matrix(runs: RunSet, node: ModuleNode, window):
     """Per-cycle pairwise Hamming distances of the module word.
 
-    The distance of a concatenated word decomposes into the sum of per-signal
-    distances, so this accumulates signal by signal without materializing the
-    concatenation. Returns (ds (d_win, n_pairs) int64, width, xz_ratio).
+    The word's distance is the sum of its 64-bit word columns' distances. A
+    column with one value in every run and cycle of the window adds 0 to all
+    of them, so only the other columns are packed into one (n, d_win, k)
+    array. (Constant here means no run changes the column between the
+    window's first and last edge and all runs agree on its value there.)
+    Returns (ds (d_win, n_pairs) int64, xz_ratio).
     """
-    if not node.signals:
-        raise ValueError(f"module '{node.name}' owns no signals")
     start, end = window
-    n = runs.n_runs
+    d_win = end - start
+    cols = runs.runs[0].module_columns(node)
+    width = sum(s.width for s in node.signals)
+
+    first = [m.rows(cols, start, start + 1)[:, 0] for m in runs.runs]
+    last = [m.rows(cols, end - 1, end)[:, 0] for m in runs.runs]
+    v0 = np.stack([m.values[r] for m, r in zip(runs.runs, first)])
+    const = (v0 == v0[0]).all(axis=0)
+    for f, l in zip(first, last):
+        const &= f == l
+    xz_bits = d_win * sum(int(np.bitwise_count(m.xmask[r] | m.zmask[r]).sum())
+                          for m, r in zip(runs.runs, (f[const] for f in first)))
+
+    varying = cols[~const]
+    packed = np.empty((runs.n_runs, d_win, len(varying)), dtype=np.uint64)
+    for m, out in zip(runs.runs, packed):
+        rows = m.rows(varying, start, end).T
+        out[...] = m.values[rows]
+        xz_bits += int(np.bitwise_count(m.xmask[rows] | m.zmask[rows]).sum())
+    return _pair_distances(packed), xz_bits / (width * d_win * runs.n_runs)
+
+
+def _pair_distances(packed: np.ndarray) -> np.ndarray:
+    """(d, n_pairs) summed popcount of x ^ y over the last axis of (n, d, k)."""
+    n, d, k = packed.shape
     i_idx, j_idx = pair_order(n)
-    ds = np.zeros((len(i_idx), end - start), dtype=np.int64)
-    width = 0
-    xz_total = 0
-    for sig in node.signals:
-        width += sig.width
-        cols = []
-        for m in runs.runs:
-            arr, xz = _signal_value_array(m.cells[sig.id_code][start:end], sig.width)
-            cols.append(arr)
-            xz_total += xz
-        stacked = np.stack(cols)  # (n, d_win, words)
-        diff = stacked[i_idx] ^ stacked[j_idx]
-        ds += np.bitwise_count(diff).sum(axis=-1, dtype=np.int64)
-    xz_ratio = xz_total / (width * (end - start) * n)
-    return ds.T.copy(), width, xz_ratio
+    ds = np.zeros((d, len(i_idx)), dtype=np.int64)
+    if k:
+        step = max(1, _PAIR_BLOCK_WORDS // (d * k))
+        for lo in range(0, len(i_idx), step):
+            hi = lo + step
+            x = np.bitwise_count(packed[i_idx[lo:hi]] ^ packed[j_idx[lo:hi]])
+            ds[:, lo:hi] = x.sum(axis=2, dtype=np.int64).T
+    return ds
 
 
 def _normalize_window(window, d):
@@ -223,42 +218,40 @@ def _normalize_window(window, d):
     return start - 1, end
 
 
-def _oracle_distances(oracle: OracleTrace) -> np.ndarray:
-    return pairwise_distances(oracle.values)
+def _oracle_moments(oracles):
+    """Pair distances of each oracle, with their sums and sums of squares."""
+    d_o = np.stack([pairwise_distances(o.values) for o in oracles])
+    return d_o, d_o.sum(axis=1).astype(object), (d_o * d_o).sum(axis=1).astype(object)
 
 
-def _scores_from_ds(ds: np.ndarray, d_o: np.ndarray) -> np.ndarray:
-    """Per-cycle |Pearson| between oracle distances and ds rows, exact moments."""
-    n = len(d_o)
-    sx = int(d_o.sum())
-    sxx = int(np.dot(d_o, d_o))
-    sy = ds.sum(axis=1)
-    syy = (ds * ds).sum(axis=1)
-    sxy = ds @ d_o
-    scores = np.empty(ds.shape[0], dtype=np.float64)
-    for c in range(ds.shape[0]):
-        a = n * sxx - sx * sx
-        b = n * int(syy[c]) - int(sy[c]) ** 2
-        if a == 0 or b == 0:
-            scores[c] = 0.0
-        else:
-            num = n * int(sxy[c]) - sx * int(sy[c])
-            scores[c] = min(1.0, abs(num) / math.sqrt(a * b))
-    return scores
+def _score(runs, node, oracles, moments, start, end):
+    """Score one module against the oracle it matches best (the first on ties).
 
-
-def _result_from_ds(runs, node, oracle, ds, width, xz_ratio, start) -> SvfResult:
-    d_o = _oracle_distances(oracle)
-    scores = _scores_from_ds(ds, d_o)
-    peak = int(np.argmax(scores))
+    Returns (result, ds, that oracle). The Pearson moments are exact Python
+    ints, and each float step (int to float, sqrt, divide, clip at 1) is the
+    IEEE operation a per-cycle scalar evaluation would make, so the scores
+    are bit-exact.
+    """
+    ds, xz_ratio = _module_distance_matrix(runs, node, (start, end))
+    d_o, sx, sxx = moments
+    n = ds.shape[1]
+    sy = ds.sum(axis=1).astype(object)
+    b = n * (ds * ds).sum(axis=1).astype(object) - sy * sy
+    num = n * (ds @ d_o.T).astype(object) - sy[:, None] * sx[None, :]
+    ab = (b[:, None] * (n * sxx - sx * sx)[None, :]).astype(np.float64)
+    scores = np.zeros(ab.shape, dtype=np.float64)
+    np.divide(np.abs(num).astype(np.float64), np.sqrt(ab), out=scores, where=ab > 0)
+    scores = np.minimum(scores, 1.0).T  # (n_oracles, d_win)
+    best = int(np.argmax(scores.max(axis=1)))
+    peak = int(np.argmax(scores[best]))
     return SvfResult(
         module_path=_path_of(runs.hierarchy, node),
-        svf=float(scores[peak]),
+        svf=float(scores[best, peak]),
         peak_cycle=start + peak + 1,
-        per_cycle_scores=scores,
-        oracle_label=oracle.label,
+        per_cycle_scores=scores[best].copy(),
+        oracle_label=oracles[best].label,
         xz_ratio=xz_ratio,
-    )
+    ), ds, oracles[best]
 
 
 def svf_module(runs: RunSet, node: ModuleNode, oracle: OracleTrace,
@@ -269,12 +262,9 @@ def svf_module(runs: RunSet, node: ModuleNode, oracle: OracleTrace,
     restricting the analysis; cycle numbering in the result stays absolute.
     """
     if len(oracle) != runs.n_runs:
-        raise ValueError(
-            f"oracle has {len(oracle)} values but run set has {runs.n_runs} runs"
-        )
+        raise ValueError(f"oracle has {len(oracle)} values but run set has {runs.n_runs} runs")
     start, end = _normalize_window(window, runs.n_cycles)
-    ds, width, xz_ratio = _module_distance_matrix(runs, node, (start, end))
-    return _result_from_ds(runs, node, oracle, ds, width, xz_ratio, start)
+    return _score(runs, node, [oracle], _oracle_moments([oracle]), start, end)[0]
 
 
 def _path_of(root: ModuleNode, node: ModuleNode) -> tuple[str, ...]:
@@ -290,7 +280,7 @@ def permutation_floor(runs: RunSet, node: ModuleNode, oracle: OracleTrace,
     """Noise floor: high percentile of the module score under oracle shuffles."""
     start, end = _normalize_window(window, runs.n_cycles)
     if ds is None:
-        ds, _, _ = _module_distance_matrix(runs, node, (start, end))
+        ds, _ = _module_distance_matrix(runs, node, (start, end))
     i_idx, j_idx = pair_order(runs.n_runs)
     n_runs = runs.n_runs
 
@@ -302,7 +292,7 @@ def permutation_floor(runs: RunSet, node: ModuleNode, oracle: OracleTrace,
     ds[~good] = 0.0
 
     dist = np.zeros((n_runs, n_runs), dtype=np.float64)
-    d_o = _oracle_distances(oracle)
+    d_o = pairwise_distances(oracle.values)
     dist[i_idx, j_idx] = d_o
     dist[j_idx, i_idx] = d_o
 
@@ -325,19 +315,6 @@ class SvfReport:
 
     results: list[SvfResult] = field(default_factory=list)
 
-    def to_json_obj(self):
-        return [
-            {
-                "module_path": list(r.module_path),
-                "svf": r.svf,
-                "peak_cycle": r.peak_cycle,
-                "oracle_label": r.oracle_label,
-                "noise_floor": r.noise_floor,
-                "xz_ratio": r.xz_ratio,
-            }
-            for r in self.results
-        ]
-
     def rank_of(self, module_path) -> int:
         """0-based rank; raises KeyError when the module is absent."""
         want = tuple(module_path)
@@ -355,32 +332,23 @@ def svf_all(runs: RunSet, hierarchy: ModuleNode, oracles, window=None,
     Results are sorted by descending score (ties by module path) so the
     outcome does not depend on evaluation order or thread scheduling.
     """
-    if isinstance(oracles, OracleTrace):
-        oracles = [oracles]
-    oracles = list(oracles)
+    oracles = [oracles] if isinstance(oracles, OracleTrace) else list(oracles)
     if not oracles:
         raise ValueError("need at least one oracle")
     for o in oracles:
         if len(o) != runs.n_runs:
             raise ValueError(
-                f"oracle '{o.label}' has {len(o)} values but run set has {runs.n_runs} runs"
-            )
-
+                f"oracle '{o.label}' has {len(o)} values but run set has {runs.n_runs} runs")
     nodes = [node for _, node in hierarchy.walk() if node.signals]
     start, end = _normalize_window(window, runs.n_cycles)
+    moments = _oracle_moments(oracles)
 
     def score(node):
-        ds, width, xz_ratio = _module_distance_matrix(runs, node, (start, end))
-        best = None
-        for oracle in oracles:
-            res = _result_from_ds(runs, node, oracle, ds, width, xz_ratio, start)
-            if best is None or res.svf > best.svf:
-                best = res
+        best, ds, oracle = _score(runs, node, oracles, moments, start, end)
         if noise_floor_shuffles:
             best.noise_floor = permutation_floor(
-                runs, node, _best_oracle(oracles, best.oracle_label),
-                window=window, shuffles=noise_floor_shuffles, seed=floor_seed,
-                ds=ds,
+                runs, node, oracle, window=window, shuffles=noise_floor_shuffles,
+                seed=floor_seed, ds=ds,
             )
         return best
 
@@ -392,13 +360,6 @@ def svf_all(runs: RunSet, hierarchy: ModuleNode, oracles, window=None,
 
     results.sort(key=lambda r: (-r.svf, r.module_path))
     return SvfReport(results=results)
-
-
-def _best_oracle(oracles, label):
-    for o in oracles:
-        if o.label == label:
-            return o
-    return oracles[0]
 
 
 # --- Welch t-tests -------------------------------------------------------------

@@ -270,7 +270,14 @@ def write_trace_csv(path, traces) -> None:
 
 
 def read_trace_csv(path) -> np.ndarray:
-    rows: dict[int, dict[int, float]] = {}
+    """Read a power trace CSV into an (n_runs, n_cycles) array.
+
+    Run indices count from 0 and cycles from 1, and every (run, cycle) cell
+    must appear exactly once; a missing, repeated or out-of-range cell is an
+    error that names the file and a line.
+    """
+    cells: dict[tuple[int, int], tuple[float, int]] = {}
+    lineno = 1
     with open(path) as f:
         header = f.readline().strip().split(",")
         if header != ["run_index", "cycle", "sample"]:
@@ -284,13 +291,24 @@ def read_trace_csv(path) -> np.ndarray:
                 r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
             except (IndexError, ValueError):
                 raise ValueError(f"{path}: malformed trace row at line {lineno}") from None
-            rows.setdefault(r, {})[c] = v
-    n = max(rows) + 1
-    d = max(max(cols) for cols in rows.values())
-    out = np.zeros((n, d), dtype=np.float64)
-    for r, cols in rows.items():
-        for c, v in cols.items():
-            out[r, c - 1] = v
+            if r < 0 or c < 1:
+                raise ValueError(f"{path}: line {lineno}: run_index must be >= 0 and "
+                                 f"cycle >= 1, got run_index {r}, cycle {c}")
+            if (r, c) in cells:
+                raise ValueError(f"{path}: line {lineno}: duplicate row for run_index {r}, "
+                                 f"cycle {c} (first at line {cells[r, c][1]})")
+            cells[r, c] = (v, lineno)
+    if not cells:
+        raise ValueError(f"{path}: no trace rows after the header (line 1)")
+    n = max(r for r, _ in cells) + 1
+    d = max(c for _, c in cells)
+    if len(cells) != n * d:
+        r, c = next((r, c) for r in range(n) for c in range(1, d + 1) if (r, c) not in cells)
+        raise ValueError(f"{path}: no row for run_index {r}, cycle {c} "
+                         f"(the rows up to line {lineno} span {n} runs x {d} cycles)")
+    out = np.empty((n, d), dtype=np.float64)
+    for (r, c), (v, _) in cells.items():
+        out[r, c - 1] = v
     return out
 
 

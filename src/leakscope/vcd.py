@@ -4,19 +4,23 @@ Supports the RTL behavioral-simulation subset of VCD: ``$timescale``,
 ``$scope module``, ``$var wire|reg``, ``$upscope``, ``$enddefinitions``,
 ``$dumpvars``, scalar changes (``0/1/x/z`` + id code) and binary vector
 changes (``b...``). Real-valued and event vars are skipped along with their
-value changes. Unknown bits are preserved as distinct x/z marks all the way
+value changes. Unknown bits are preserved as distinct x/z masks all the way
 through resampling; downstream metrics treat them as zero and report an
 occupancy ratio per module.
 
 The resampled view is sample-and-hold at rising clock edges: a cycle column
-holds, for every signal, the last value written at or before that edge.
+holds, for every signal, the last value written at or before that edge. It is
+columnar (see ``CycleMatrix``), not one Python object per cell.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 
 class VcdParseError(ValueError):
@@ -25,14 +29,6 @@ class VcdParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class XzCell(NamedTuple):
-    """A sampled value with unknown-bit masks; value bits under a mask are 0."""
-
-    value: int
-    xmask: int
-    zmask: int
 
 
 class Change(NamedTuple):
@@ -84,18 +80,11 @@ class ModuleNode:
             yield from c.walk(path)
 
     def find(self, path: Iterable[str]) -> "ModuleNode":
-        parts = list(path)
-        if not parts or parts[0] != self.name:
-            raise KeyError(f"no module at path {'.'.join(parts)}")
-        node = self
-        for part in parts[1:]:
-            for c in node.children:
-                if c.name == part:
-                    node = c
-                    break
-            else:
-                raise KeyError(f"no module at path {'.'.join(parts)}")
-        return node
+        parts = tuple(path)
+        for p, node in self.walk():
+            if p == parts:
+                return node
+        raise KeyError(f"no module at path {'.'.join(parts)}")
 
 
 @dataclass
@@ -104,9 +93,6 @@ class WaveDump:
     declarations: list[SignalDecl]
     hierarchy: ModuleNode
     changes: list[Change]
-
-    def __post_init__(self):
-        self.by_code = {d.id_code: d for d in self.declarations}
 
     def structurally_equal(self, other: "WaveDump") -> bool:
         return (
@@ -122,13 +108,35 @@ def _tree_equal(a: ModuleNode, b: ModuleNode) -> bool:
     return all(_tree_equal(x, y) for x, y in zip(a.children, b.children))
 
 
-_SCALAR_CHARS = frozenset("01xXzZ")
+_NOT_BITS = str.maketrans("", "", "01xXzZ")
+_VALUE_BITS = str.maketrans("01xXzZ", "010000")
+_X_BITS = str.maketrans("01xXzZ", "001100")
+_Z_BITS = str.maketrans("01xXzZ", "000011")
 
 
-def _tokens_with_lines(text: str):
+def _line_of(text: str, index: int) -> int:
+    """1-based line of the ``index``-th whitespace-separated token of ``text``."""
+    lineno = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
-        for tok in line.split():
-            yield tok, lineno
+        index -= len(line.split())
+        if index < 0:
+            break
+    return lineno
+
+
+def _parse_bits(bits: str, width: int) -> tuple[int, int, int]:
+    """(value, xmask, zmask) of a binary value; raises ValueError naming the fault."""
+    if len(bits) > width:
+        raise ValueError(f"vector value '{bits}' wider than declared width {width}")
+    if not bits:
+        raise ValueError("empty vector value")
+    bad = bits.translate(_NOT_BITS)
+    if bad:
+        raise ValueError(f"bad bit character '{bad[0]}'")
+    if len(bits) < width and bits[0] in "xXzZ":  # x/z extend with themselves
+        bits = bits[0] * (width - len(bits)) + bits
+    return (int(bits.translate(_VALUE_BITS), 2), int(bits.translate(_X_BITS), 2),
+            int(bits.translate(_Z_BITS), 2))
 
 
 def parse_vcd(data: bytes | str) -> WaveDump:
@@ -136,186 +144,163 @@ def parse_vcd(data: bytes | str) -> WaveDump:
     if isinstance(data, bytes):
         data = data.decode("ascii", errors="replace")
 
-    toks = _tokens_with_lines(data)
+    toks = data.split()
+    n_toks = len(toks)
+    pos = 0
     timescale = ""
     declarations: list[SignalDecl] = []
     ignored_codes: set[str] = set()
     root: ModuleNode | None = None
     scope_stack: list[ModuleNode] = []
+    scope_paths: list[tuple[str, ...]] = []  # names along scope_stack
     by_code: dict[str, SignalDecl] = {}
 
-    def take():
-        try:
-            return next(toks)
-        except StopIteration:
-            return None, None
+    def fail(message, index=None):  # lines are counted only on this error path
+        line = None if index is None else _line_of(data, index)
+        raise VcdParseError(message, line) from None
 
-    def read_until_end(lineno, what):
-        parts = []
-        while True:
-            tok, ln = take()
-            if tok is None:
-                raise VcdParseError(f"unexpected end of stream inside {what}", lineno)
-            if tok == "$end":
-                return parts
-            parts.append(tok)
+    def read_until_end(at, what):
+        nonlocal pos
+        try:
+            end = toks.index("$end", pos)
+        except ValueError:
+            fail(f"unexpected end of stream inside {what}", at)
+        parts = toks[pos:end]
+        pos = end + 1
+        return parts
 
     # --- definitions -------------------------------------------------------
     while True:
-        tok, ln = take()
-        if tok is None:
-            raise VcdParseError("stream ended before $enddefinitions")
+        if pos >= n_toks:
+            fail("stream ended before $enddefinitions")
+        at = pos
+        tok = toks[pos]
+        pos += 1
         if tok == "$enddefinitions":
-            read_until_end(ln, "$enddefinitions")
+            read_until_end(at, "$enddefinitions")
             break
         if tok in ("$date", "$version", "$comment"):
-            read_until_end(ln, tok)
+            read_until_end(at, tok)
         elif tok == "$timescale":
-            timescale = " ".join(read_until_end(ln, "$timescale"))
+            timescale = " ".join(read_until_end(at, "$timescale"))
         elif tok == "$scope":
-            parts = read_until_end(ln, "$scope")
+            parts = read_until_end(at, "$scope")
             if len(parts) != 2:
-                raise VcdParseError(f"malformed $scope: {' '.join(parts)}", ln)
+                fail(f"malformed $scope: {' '.join(parts)}", at)
             scope_type, name = parts
             if scope_type != "module":
-                raise VcdParseError(f"unsupported scope type '{scope_type}'", ln)
+                fail(f"unsupported scope type '{scope_type}'", at)
             if not scope_stack:
                 if root is None:
                     root = ModuleNode(name=name)
-                    scope_stack.append(root)
-                elif root.name == name:
-                    scope_stack.append(root)
-                else:
-                    raise VcdParseError("multiple top-level scopes are not supported", ln)
+                elif root.name != name:
+                    fail("multiple top-level scopes are not supported", at)
+                scope_stack.append(root)
+                scope_paths.append((name,))
             else:
                 scope_stack.append(scope_stack[-1].child(name))
+                scope_paths.append(scope_paths[-1] + (name,))
         elif tok == "$upscope":
-            read_until_end(ln, "$upscope")
+            read_until_end(at, "$upscope")
             if not scope_stack:
-                raise VcdParseError("$upscope without matching $scope", ln)
+                fail("$upscope without matching $scope", at)
             scope_stack.pop()
+            scope_paths.pop()
         elif tok == "$var":
-            parts = read_until_end(ln, "$var")
+            parts = read_until_end(at, "$var")
             if len(parts) < 4:
-                raise VcdParseError(f"malformed $var: {' '.join(parts)}", ln)
+                fail(f"malformed $var: {' '.join(parts)}", at)
             var_type, width_s, code, name = parts[0], parts[1], parts[2], parts[3]
             # trailing tokens like "[31:0]" are part of the reference; ignored
             if var_type in ("real", "realtime", "event"):
                 ignored_codes.add(code)
                 continue
             if var_type not in ("wire", "reg", "integer", "logic"):
-                raise VcdParseError(f"unsupported var type '{var_type}'", ln)
+                fail(f"unsupported var type '{var_type}'", at)
             try:
                 width = int(width_s)
             except ValueError:
-                raise VcdParseError(f"bad width '{width_s}' in $var", ln) from None
+                fail(f"bad width '{width_s}' in $var", at)
             if width < 1:
-                raise VcdParseError(f"bad width {width} in $var", ln)
+                fail(f"bad width {width} in $var", at)
             if not scope_stack:
-                raise VcdParseError(f"$var '{name}' outside any scope", ln)
+                fail(f"$var '{name}' outside any scope", at)
             if code in by_code:
-                raise VcdParseError(f"duplicate id code '{code}'", ln)
-            decl = SignalDecl(
-                id_code=code,
-                name=name,
-                width=width,
-                scope_path=tuple(n.name for n in scope_stack),
-                var_type=var_type,
-            )
+                fail(f"duplicate id code '{code}'", at)
+            decl = SignalDecl(code, name, width, scope_paths[-1], var_type)
             by_code[code] = decl
             declarations.append(decl)
             scope_stack[-1].signals.append(decl)
         else:
-            raise VcdParseError(f"unexpected token '{tok}' in definitions", ln)
+            fail(f"unexpected token '{tok}' in definitions", at)
 
     if root is None:
-        raise VcdParseError("no $scope found in definitions")
+        fail("no $scope found in definitions")
 
     # --- value changes -----------------------------------------------------
+    # Fast path: plain 0/1 values go straight through int(bits, 2); only
+    # values with x/z bits (or faults) take _parse_bits.
+    widths = {code: d.width for code, d in by_code.items() if code not in ignored_codes}
     changes: list[Change] = []
+    append = changes.append
+    make = tuple.__new__
     cur_time = 0
     have_time = False
-    last_good = 0
-
-    def parse_bits(bits: str, width: int, ln: int) -> tuple[int, int, int]:
-        if len(bits) > width:
-            raise VcdParseError(
-                f"vector value '{bits}' wider than declared width {width}", ln
-            )
-        if len(bits) < width:  # left-extend; x/z extend with themselves
-            lead = bits[0]
-            pad = lead if lead in "xXzZ" else "0"
-            bits = pad * (width - len(bits)) + bits
-        value = xmask = zmask = 0
-        for ch in bits:
-            value <<= 1
-            xmask <<= 1
-            zmask <<= 1
-            if ch == "1":
-                value |= 1
-            elif ch == "0":
-                pass
-            elif ch in "xX":
-                xmask |= 1
-            elif ch in "zZ":
-                zmask |= 1
-            else:
-                raise VcdParseError(f"bad bit character '{ch}'", ln)
-        return value, xmask, zmask
-
-    while True:
-        tok, ln = take()
-        if tok is None:
-            break
-        if tok.startswith("#"):
-            try:
-                t = int(tok[1:])
-            except ValueError:
-                raise VcdParseError(f"bad timestamp '{tok}'", ln) from None
-            if have_time and t < cur_time:
-                raise VcdParseError(f"timestamp {t} goes backwards", ln)
-            cur_time = t
-            have_time = True
-            last_good = t
-        elif tok in ("$dumpvars", "$dumpall", "$dumpon", "$dumpoff", "$end"):
-            continue
-        elif tok == "$comment":
-            read_until_end(ln, "$comment")
-        elif tok[0] in _SCALAR_CHARS and len(tok) > 1:
-            code = tok[1:]
-            if code in ignored_codes:
-                continue
-            decl = by_code.get(code)
-            if decl is None:
-                raise VcdParseError(f"value change for undeclared id code '{code}'", ln)
-            value, xmask, zmask = parse_bits(tok[0], decl.width, ln)
-            changes.append(Change(cur_time, code, value, xmask, zmask))
-        elif tok[0] in "bB":
-            bits = tok[1:]
-            nxt, ln2 = take()
-            if nxt is None:
-                raise VcdParseError(
-                    f"truncated stream: vector value without id code "
-                    f"(last good timestamp {last_good})", ln
-                )
-            code = nxt
-            if code in ignored_codes:
-                continue
-            decl = by_code.get(code)
-            if decl is None:
-                raise VcdParseError(f"value change for undeclared id code '{code}'", ln2)
-            value, xmask, zmask = parse_bits(bits, decl.width, ln)
-            changes.append(Change(cur_time, code, value, xmask, zmask))
-        elif tok[0] in "rR":
-            nxt, _ = take()  # real value for an ignored var
-            if nxt is None:
-                raise VcdParseError(
-                    f"truncated stream (last good timestamp {last_good})", ln
-                )
-            if nxt not in ignored_codes:
-                raise VcdParseError(f"real value change for non-real id '{nxt}'", ln)
+    i = pos
+    while i < n_toks:
+        tok = toks[i]
+        i += 1
+        lead = tok[0]
+        if lead == "b" or lead == "B":
+            if i >= n_toks:
+                fail(f"truncated stream: vector value without id code "
+                     f"(last good timestamp {cur_time})", i - 1)
+            at, code, bits = i - 1, toks[i], tok[1:]
+            i += 1
+        elif lead in "01xXzZ" and len(tok) > 1:
+            at, code, bits = i - 1, tok[1:], lead
         else:
-            raise VcdParseError(f"unexpected token '{tok}' in value changes", ln)
+            if lead == "#":
+                try:
+                    t = int(tok[1:])
+                except ValueError:
+                    fail(f"bad timestamp '{tok}'", i - 1)
+                if have_time and t < cur_time:
+                    fail(f"timestamp {t} goes backwards", i - 1)
+                cur_time = t
+                have_time = True
+            elif tok == "$comment":
+                pos = i
+                read_until_end(i - 1, "$comment")
+                i = pos
+            elif lead in "rR":
+                if i >= n_toks:  # real value for an ignored var
+                    fail(f"truncated stream (last good timestamp {cur_time})", i - 1)
+                if toks[i] not in ignored_codes:
+                    fail(f"real value change for non-real id '{toks[i]}'", i - 1)
+                i += 1
+            elif tok not in ("$dumpvars", "$dumpall", "$dumpon", "$dumpoff", "$end"):
+                fail(f"unexpected token '{tok}' in value changes", i - 1)
+            continue
+        width = widths.get(code)
+        if width is None:
+            if code in ignored_codes:
+                continue
+            fail(f"value change for undeclared id code '{code}'", i - 1)
+        try:
+            value = int(bits, 2)
+        except ValueError:
+            value = -1
+        # int() also takes a sign, '_', a 0b prefix and non-ASCII digits;
+        # those fall through to _parse_bits, which rejects them.
+        if (value >= 0 and len(bits) <= width and bits[0] in "01" and bits.isascii()
+                and "_" not in bits and "b" not in bits and "B" not in bits):
+            append(make(Change, (cur_time, code, value, 0, 0)))
+            continue
+        try:
+            append(make(Change, (cur_time, code, *_parse_bits(bits, width))))
+        except ValueError as e:
+            fail(str(e), at)
 
     return WaveDump(
         timescale=timescale,
@@ -330,30 +315,96 @@ def load_vcd_file(path) -> WaveDump:
         return parse_vcd(f.read())
 
 
+def _column_layout(declarations) -> tuple[dict[str, range], np.ndarray]:
+    """Word columns of every signal (declaration order, low word first), and
+    each column's all-bits mask, which is also its pre-dump x mask."""
+    widths = np.array([d.width for d in declarations], dtype=np.int64)
+    n_words = (widths + 63) // 64
+    stops = np.cumsum(n_words)
+    signal_cols = {d.id_code: range(b - w, b) for d, b, w in
+                   zip(declarations, stops.tolist(), n_words.tolist())}
+    masks = np.full(int(stops[-1]) if len(stops) else 0, ~np.uint64(0))
+    masks[stops - 1] >>= (64 * n_words - widths).astype(np.uint64)
+    return signal_cols, masks
+
+
 @dataclass
 class CycleMatrix:
-    """Per-cycle sampled values, one column per rising clock edge."""
+    """Per-cycle samples of one dump, held as change rows per word column.
 
-    cells: dict[str, list]  # id_code -> d cells (int | XzCell)
-    n_cycles: int
+    Signal ``code`` owns the uint64 word columns ``signal_cols[code]``, low
+    word first. ``values``, ``xmask`` and ``zmask`` hold one row per column
+    and change, sorted by ``keys = column * stride + time rank``: rank 0 is
+    each column's pre-dump row (all bits x), changes rank their timestamps
+    1, 2, ... A column's sample at edge ``k`` is its last row with ``key <=
+    column * stride + edge_ranks[k]``, which one ``searchsorted`` finds.
+    """
+
+    signal_cols: dict[str, range]
+    keys: np.ndarray
+    values: np.ndarray
+    xmask: np.ndarray
+    zmask: np.ndarray
+    stride: int
+    edge_ranks: np.ndarray
     edge_times: list[int]
-    clock_code: str
+
+    @classmethod
+    def from_rows(cls, layout, cols, ranks, values, xmask, zmask, n_ranks,
+                  edge_ranks, edge_times):
+        """Assemble from change rows in time order (rank 1 .. ``n_ranks``);
+        ``layout`` is ``_column_layout`` of the declarations."""
+        signal_cols, full = layout
+        n_cols = len(full)
+        cols = np.concatenate([np.arange(n_cols), cols])
+        order = np.argsort(cols, kind="stable")  # keeps time order per column
+        stride = n_ranks + 1
+        ranks = np.concatenate([np.zeros(n_cols, dtype=np.int64), ranks])
+        zero = np.zeros(n_cols, dtype=np.uint64)
+        return cls(
+            signal_cols=signal_cols,
+            keys=(cols * stride + ranks)[order],
+            values=np.concatenate([zero, values])[order],
+            xmask=np.concatenate([full, xmask])[order],
+            zmask=np.concatenate([zero, zmask])[order],
+            stride=stride,
+            edge_ranks=np.asarray(edge_ranks, dtype=np.int64),
+            edge_times=list(edge_times),
+        )
 
     @property
-    def cycle_period(self) -> int:
-        if len(self.edge_times) >= 2:
-            return self.edge_times[1] - self.edge_times[0]
-        return self.edge_times[0] if self.edge_times else 0
+    def n_cycles(self) -> int:
+        return len(self.edge_times)
 
     def truncated(self, d: int) -> "CycleMatrix":
         if d == self.n_cycles:
             return self
-        return CycleMatrix(
-            cells={k: v[:d] for k, v in self.cells.items()},
-            n_cycles=d,
-            edge_times=self.edge_times[:d],
-            clock_code=self.clock_code,
-        )
+        return replace(self, edge_ranks=self.edge_ranks[:d], edge_times=self.edge_times[:d])
+
+    def rows(self, cols, start: int = 0, end: int | None = None) -> np.ndarray:
+        """(len(cols), end - start) row index of each column's sample at each
+        edge in ``[start, end)``."""
+        cols = np.asarray(cols, dtype=np.int64)
+        queries = cols[:, None] * self.stride + self.edge_ranks[None, start:end]
+        return np.searchsorted(self.keys, queries, side="right") - 1
+
+    def module_columns(self, node: ModuleNode) -> np.ndarray:
+        """Word columns of the signals a module owns, in declaration order."""
+        if not node.signals:
+            raise ValueError(f"module '{node.name}' owns no signals")
+        return np.array([c for s in node.signals for c in self.signal_cols[s.id_code]])
+
+    @functools.cached_property
+    def cells(self) -> dict[str, list]:
+        """id code -> per-cycle Python ints (None where a cell has x/z bits),
+        a view for comparisons; scoring reads the arrays."""
+        out = {}
+        for code, cols in self.signal_cols.items():
+            rows = self.rows(cols)
+            known = ((self.xmask[rows] | self.zmask[rows]) == 0).all(axis=0)
+            ints = [int.from_bytes(w.tobytes(), "little") for w in self.values[rows].T.astype("<u8")]
+            out[code] = [v if k else None for v, k in zip(ints, known)]
+        return out
 
 
 def _resolve_signal(dump: WaveDump, name: str) -> SignalDecl:
@@ -367,6 +418,27 @@ def _resolve_signal(dump: WaveDump, name: str) -> SignalDecl:
     return matches[0]
 
 
+def _rising_edges(clock_changes) -> list[int]:
+    """Times where the clock goes from a known 0 to a known 1; of several
+    changes at one timestamp, the last one counts."""
+    edges = []
+    before = None  # clock state after the previous timestamp; None is x/z
+    for k, ch in enumerate(clock_changes):
+        if k + 1 < len(clock_changes) and clock_changes[k + 1].time == ch.time:
+            continue
+        now = None if ch.xmask or ch.zmask else ch.value
+        if before == 0 and now == 1:
+            edges.append(ch.time)
+        before = now
+    return edges
+
+
+def _pack_words(ints, n_words) -> np.ndarray:
+    """Little-endian uint64 words of each int, ``n_words[i]`` words for int i."""
+    buf = b"".join([v.to_bytes(8 * w, "little") for v, w in zip(ints, n_words)])
+    return np.frombuffer(buf, dtype="<u8")
+
+
 def resample_per_cycle(dump: WaveDump, clock_name: str) -> CycleMatrix:
     """Sample every signal at each rising edge of the named 1-bit clock.
 
@@ -376,72 +448,28 @@ def resample_per_cycle(dump: WaveDump, clock_name: str) -> CycleMatrix:
     clock = _resolve_signal(dump, clock_name)
     if clock.width != 1:
         raise VcdParseError(f"clock '{clock_name}' is {clock.width} bits wide, need 1")
-
-    cur: dict[str, object] = {}
-    for decl in dump.declarations:
-        full = (1 << decl.width) - 1
-        cur[decl.id_code] = XzCell(0, full, 0)  # pre-dump values are all-x
-
-    columns: dict[str, list] = {d.id_code: [] for d in dump.declarations}
-    edge_times: list[int] = []
-
-    idx = 0
     changes = dump.changes
-    n = len(changes)
-    clock_prev = cur[clock.id_code]
-    while idx < n:
-        t = changes[idx].time
-        while idx < n and changes[idx].time == t:
-            ch = changes[idx]
-            if ch.xmask or ch.zmask:
-                cur[ch.id_code] = XzCell(ch.value, ch.xmask, ch.zmask)
-            else:
-                cur[ch.id_code] = ch.value
-            idx += 1
-        clock_now = cur[clock.id_code]
-        if clock_prev == 0 and clock_now == 1:
-            edge_times.append(t)
-            for code, col in columns.items():
-                col.append(cur[code])
-        clock_prev = clock_now
-
+    edge_times = _rising_edges([c for c in changes if c.id_code == clock.id_code])
     if not edge_times:
         raise VcdParseError(f"clock '{clock_name}' has no rising edges")
 
-    return CycleMatrix(
-        cells=columns,
-        n_cycles=len(edge_times),
-        edge_times=edge_times,
-        clock_code=clock.id_code,
-    )
-
-
-@dataclass
-class WordSeries:
-    """Per-cycle concatenation of a module's own signals (x/z bits as 0)."""
-
-    words: list[int]
-    width: int
-    xz_bits: int  # total count of x/z bits across all cells
-
-
-def module_word_series(matrix: CycleMatrix, node: ModuleNode) -> WordSeries:
-    if not node.signals:
-        raise ValueError(f"module '{node.name}' owns no signals")
-    width = sum(s.width for s in node.signals)
-    words = []
-    xz_bits = 0
-    sig_cols = [(matrix.cells[s.id_code], s.width) for s in node.signals]
-    for c in range(matrix.n_cycles):
-        word = 0
-        for col, w in sig_cols:
-            cell = col[c]
-            if type(cell) is XzCell:
-                xz_bits += (cell.xmask | cell.zmask).bit_count()
-                cell = cell.value
-            word = (word << w) | cell
-        words.append(word)
-    return WordSeries(words=words, width=width, xz_bits=xz_bits)
+    # one row per word of each change: row r of a change that starts at row
+    # first and column start sits in column start + (r - first)
+    layout = _column_layout(dump.declarations)
+    spans = [layout[0][c.id_code] for c in changes]
+    n_words = np.array([len(s) for s in spans], dtype=np.int64)
+    offsets = np.array([s.start for s in spans], dtype=np.int64) - (np.cumsum(n_words) - n_words)
+    cols = np.repeat(offsets, n_words) + np.arange(n_words.sum())
+    times, ranks = np.unique(np.array([c.time for c in changes], dtype=np.int64),
+                             return_inverse=True)
+    values = _pack_words([c.value for c in changes], n_words.tolist())
+    if any(c.xmask or c.zmask for c in changes):
+        xmask, zmask = (_pack_words([c[k] for c in changes], n_words.tolist()) for k in (3, 4))
+    else:
+        xmask = zmask = np.zeros(len(cols), dtype=np.uint64)
+    return CycleMatrix.from_rows(
+        layout, cols, np.repeat(ranks, n_words) + 1, values, xmask, zmask, len(times),
+        np.searchsorted(times, edge_times, side="right"), edge_times)
 
 
 @dataclass
@@ -450,7 +478,6 @@ class RunSet:
 
     runs: list[CycleMatrix]
     n_cycles: int
-    signal_order: list[str]
     hierarchy: ModuleNode
     declarations: list[SignalDecl]
     labels: list[str]
@@ -461,7 +488,8 @@ class RunSet:
 
     @property
     def cycle_period(self) -> int:
-        return self.runs[0].cycle_period if self.runs else 0
+        edges = self.runs[0].edge_times if self.runs else []
+        return edges[1] - edges[0] if len(edges) >= 2 else (edges[0] if edges else 0)
 
 
 def read_manifest(path) -> tuple[list[str], list[str]]:
@@ -487,7 +515,8 @@ def read_manifest(path) -> tuple[list[str], list[str]]:
 
 def load_run_set(paths, clock_name: str, alignment: str = "truncate-to-min",
                  labels=None) -> RunSet:
-    """Parse and resample several dumps of the same design into a RunSet."""
+    """Parse and resample several dumps of the same design into a RunSet,
+    holding one parsed dump at a time."""
     if alignment not in ("truncate-to-min", "error-on-mismatch"):
         raise ValueError(f"unknown alignment policy '{alignment}'")
     paths = list(paths)
@@ -496,13 +525,16 @@ def load_run_set(paths, clock_name: str, alignment: str = "truncate-to-min",
     if labels is None:
         labels = [str(p) for p in paths]
 
-    dumps = [load_vcd_file(p) for p in paths]
-    first = dumps[0]
-    for p, d in zip(paths[1:], dumps[1:]):
-        if d.declarations != first.declarations or not _tree_equal(d.hierarchy, first.hierarchy):
+    first = None
+    matrices = []
+    for p in paths:
+        dump = load_vcd_file(p)
+        if first is None:
+            first = dump
+        elif (dump.declarations != first.declarations
+              or not _tree_equal(dump.hierarchy, first.hierarchy)):
             raise ValueError(f"hierarchy mismatch: '{p}' does not match '{paths[0]}'")
-
-    matrices = [resample_per_cycle(d, clock_name) for d in dumps]
+        matrices.append(resample_per_cycle(dump, clock_name))
     lengths = [m.n_cycles for m in matrices]
     if alignment == "error-on-mismatch" and len(set(lengths)) > 1:
         raise ValueError(f"run lengths differ: {lengths}")
@@ -512,7 +544,6 @@ def load_run_set(paths, clock_name: str, alignment: str = "truncate-to-min",
     return RunSet(
         runs=matrices,
         n_cycles=d_min,
-        signal_order=[s.id_code for s in first.declarations],
         hierarchy=first.hierarchy,
         declarations=first.declarations,
         labels=list(labels),

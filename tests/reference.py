@@ -1,0 +1,125 @@
+"""Naive per-cell reference implementations, kept as test oracles.
+
+These are the straightforward versions of the VCD value parser, the per-cycle
+resampler and the module distance matrix: Python ints per cell, one signal
+and one pair at a time. The columnar code in ``leakscope.vcd`` and
+``leakscope.metrics`` must agree with them exactly.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from leakscope.vcd import CycleMatrix, VcdParseError, _column_layout
+
+
+def naive_parse_bits(bits: str, width: int) -> tuple[int, int, int]:
+    """(value, xmask, zmask) of a VCD binary value, one character at a time."""
+    if len(bits) < width:  # left-extend; x/z extend with themselves
+        pad = bits[0] if bits[0] in "xXzZ" else "0"
+        bits = pad * (width - len(bits)) + bits
+    value = xmask = zmask = 0
+    for ch in bits:
+        value, xmask, zmask = value << 1, xmask << 1, zmask << 1
+        if ch == "1":
+            value |= 1
+        elif ch in "xX":
+            xmask |= 1
+        elif ch in "zZ":
+            zmask |= 1
+    return value, xmask, zmask
+
+
+def naive_resample(dump, clock_code: str):
+    """(edge_times, {id_code: [(value, xmask, zmask) per cycle]}).
+
+    Sample-and-hold at each rising edge (known 0 -> known 1) of the clock;
+    all changes at an edge's timestamp apply before sampling, and a signal
+    reads as all-x until its first change.
+    """
+    cur = {d.id_code: (0, (1 << d.width) - 1, 0) for d in dump.declarations}
+    cells = {d.id_code: [] for d in dump.declarations}
+    edges = []
+    changes = dump.changes
+    idx = 0
+    clock_prev = cur[clock_code]
+    while idx < len(changes):
+        t = changes[idx].time
+        while idx < len(changes) and changes[idx].time == t:
+            ch = changes[idx]
+            cur[ch.id_code] = (ch.value, ch.xmask, ch.zmask)
+            idx += 1
+        clock_now = cur[clock_code]
+        if clock_prev == (0, 0, 0) and clock_now == (1, 0, 0):
+            edges.append(t)
+            for code, col in cells.items():
+                col.append(cur[code])
+        clock_prev = clock_now
+    if not edges:
+        raise VcdParseError("clock has no rising edges")
+    return edges, cells
+
+
+def matrix_cells(mat, code: str) -> list[tuple[int, int, int]]:
+    """Per-cycle (value, xmask, zmask) of one signal, read from a CycleMatrix."""
+    cols = mat.signal_cols[code]
+    rows = mat.rows(np.arange(cols.start, cols.stop))
+
+    def ints(arr):
+        return [int.from_bytes(w.astype("<u8").tobytes(), "little") for w in arr[rows].T]
+
+    return list(zip(ints(mat.values), ints(mat.xmask), ints(mat.zmask)))
+
+
+def to_columns(declarations, cells: dict, d: int):
+    """(values, xmask, zmask) as (d, n_cols) uint64 in the column layout.
+
+    ``cells`` maps id code -> d cells, each an int or a (value, xmask,
+    zmask) tuple.
+    """
+    planes = []
+    for k in range(3):
+        blocks = []
+        for decl in declarations:
+            n_words = (decl.width + 63) // 64
+            raw = b"".join((c if isinstance(c, tuple) else (c, 0, 0))[k]
+                           .to_bytes(8 * n_words, "little") for c in cells[decl.id_code])
+            blocks.append(np.frombuffer(raw, dtype="<u8").reshape(d, n_words))
+        planes.append(np.concatenate(blocks, axis=1).astype(np.uint64))
+    return tuple(planes)
+
+
+def from_samples(declarations, values, xmask=None, zmask=None) -> CycleMatrix:
+    """CycleMatrix whose word columns hold ``values[k]`` at edge ``k``.
+
+    ``values`` and the optional masks are (d, n_cols) uint64 in the column
+    layout of ``declarations``; edges fall at times 10, 20, ...
+    """
+    values = np.asarray(values, dtype=np.uint64)
+    d, n_cols = values.shape
+    xmask, zmask = (np.zeros_like(values) if m is None else np.asarray(m, dtype=np.uint64)
+                    for m in (xmask, zmask))
+    ranks = np.arange(1, d + 1)
+    return CycleMatrix.from_rows(
+        _column_layout(declarations), np.repeat(np.arange(n_cols), d), np.tile(ranks, n_cols),
+        values.T.ravel(), xmask.T.ravel(), zmask.T.ravel(), d, ranks, (10 * ranks).tolist())
+
+
+def naive_distance_matrix(cells_per_run, signals, window):
+    """Per-cycle pairwise Hamming distances of a module's signals, one signal
+    and one pair at a time, x/z bits as 0. Returns (ds (d_win, n_pairs),
+    xz_ratio); ``cells_per_run`` holds per-run {code: [(v, x, z), ...]}."""
+    start, end = window
+    n = len(cells_per_run)
+    pairs = [(i, j) for j in range(n) for i in range(j + 1, n)]
+    ds = np.zeros((end - start, len(pairs)), dtype=np.int64)
+    xz = width = 0
+    for sig in signals:
+        width += sig.width
+        cols = [run[sig.id_code] for run in cells_per_run]
+        for col in cols:
+            xz += sum(bin(x | z).count("1") for _, x, z in col[start:end])
+        for c in range(start, end):
+            for p, (i, j) in enumerate(pairs):
+                ds[c - start, p] += bin(cols[i][c][0] ^ cols[j][c][0]).count("1")
+    return ds, xz / (width * (end - start) * n)

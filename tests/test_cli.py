@@ -248,3 +248,23 @@ def test_bad_key_is_usage_error(tmp_path, capsys):
     code = run_cli("simulate", "--key", "abc", "--out", str(tmp_path / "o"))
     assert code == 2
     assert "key" in capsys.readouterr().err
+
+
+def test_analyze_threads_write_identical_reports(tmp_path):
+    cfg = tmp_path / "config"
+    cfg.write_text("mode = baseline\nnoise_sigma = 0.0\nrounds = 1\nseed = 7\n")
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--key", KEY_HEX, "--gen", "6", "--config", str(cfg),
+                   "--vcd", "--out", str(sim)) == 0
+    pts = aes.read_blocks_hex(sim / "plaintexts.txt")
+    metrics.write_oracle_csv(tmp_path / "oracle.csv", aes.all_first_round_oracles(
+        pts, bytes.fromhex(KEY_HEX)))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report{threads}.json"
+        assert run_cli("analyze", "--runs", str(sim / "runs.txt"), "--oracle",
+                       str(tmp_path / "oracle.csv"), "--floor-shuffles", "40",
+                       "--window", "3:40", "--threads", threads, "--out", str(out)) == 0
+        reports.append(out.read_bytes())
+    assert len(json.loads(reports[0])["modules"]) > 10
+    assert reports[0] == reports[1]

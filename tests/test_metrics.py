@@ -1,8 +1,11 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakscope import metrics
 from leakscope.metrics import (
@@ -22,14 +25,16 @@ from leakscope.metrics import (
     write_oracle_csv,
     write_tmatrix_csv,
 )
-from leakscope.vcd import CycleMatrix, ModuleNode, RunSet, SignalDecl
+from leakscope.vcd import ModuleNode, RunSet, SignalDecl
+from reference import from_samples, naive_distance_matrix, to_columns
 
 
 def make_runset(words_per_run, width, signal_specs=None):
     """RunSet over a synthetic single-module (or multi-signal) hierarchy.
 
     ``signal_specs``: optional list of (code, width); words_per_run then maps
-    code -> per-cycle ints per run via dicts.
+    code -> per-cycle cells per run via dicts. A cell is an int or a
+    (value, xmask, zmask) tuple.
     """
     if signal_specs is None:
         signal_specs = [("!", width)]
@@ -40,19 +45,11 @@ def make_runset(words_per_run, width, signal_specs=None):
     ]
     root = ModuleNode(name="top", signals=list(decls))
     d = len(next(iter(words_per_run[0].values())))
-    runs = [
-        CycleMatrix(
-            cells={c: list(run[c]) for c, _ in signal_specs},
-            n_cycles=d,
-            edge_times=[10 * (i + 1) for i in range(d)],
-            clock_code="clk",
-        )
-        for run in words_per_run
-    ]
+    runs = [from_samples(decls, *to_columns(decls, run, d))
+            for run in words_per_run]
     return RunSet(
         runs=runs,
         n_cycles=d,
-        signal_order=[c for c, _ in signal_specs],
         hierarchy=root,
         declarations=decls,
         labels=[str(i) for i in range(len(runs))],
@@ -284,13 +281,12 @@ def test_svf_window_restriction():
 
 
 def test_svf_xz_bits_count_as_zero_and_are_reported():
-    from leakscope.vcd import XzCell
-
     values = [1, 2, 3, 250, 97, 18]
     words = [[v, v] for v in values]
-    rs = make_runset(words, width=8)
     # first run, first cycle: value bits x-ed out
-    rs.runs[0].cells["!"][0] = XzCell(0, 0b1111, 0)
+    words[0][0] = (0, 0b1111, 0)
+    rs = make_runset(words, width=8)
+    words[0][0] = values[0]
     oracle = metrics.OracleTrace(values=tuple(values), width=8)
     res = svf_module(rs, rs.hierarchy, oracle)
     # cell behaves as value 0 for distances
@@ -371,6 +367,173 @@ def test_svf_all_threads_deterministic():
     r2 = svf_all(rs, rs.hierarchy, oracle, noise_floor_shuffles=20, threads=4)
     assert [(r.module_path, r.svf, r.noise_floor) for r in r1.results] == \
            [(r.module_path, r.svf, r.noise_floor) for r in r2.results]
+
+
+# --- columnar scoring against the naive per-signal reference --------------------
+
+@st.composite
+def _mixed_runsets(draw):
+    """Per-run cells for one module whose signals are constant (some all-x),
+    or vary with occasional x/z cells; widths span 1 to 9 words."""
+    n = draw(st.integers(2, 9))
+    d = draw(st.integers(1, 6))
+    specs = []
+    for k in range(draw(st.integers(1, 5))):
+        width = draw(st.sampled_from([1, 7, 64, 65, 130, 512]))
+        kind = draw(st.sampled_from(["const", "const-x", "vary", "vary"]))
+        specs.append((chr(ord("a") + k), width, kind))
+    runs = [dict() for _ in range(n)]
+    for code, width, kind in specs:
+        full = (1 << width) - 1
+        if kind == "const":
+            v = draw(st.integers(0, full))
+            cells = [[v] * d for _ in range(n)]
+        elif kind == "const-x":
+            cells = [[(0, full, 0)] * d for _ in range(n)]
+        else:
+            cells = [[draw(st.one_of(
+                st.integers(0, full), st.integers(0, full),
+                st.tuples(st.integers(0, full), st.integers(0, full)).map(
+                    lambda vx: (vx[0] & ~vx[1], vx[1], 0)),
+                st.just((0, 0, full))))
+                for _ in range(d)] for _ in range(n)]
+        for run, col in zip(runs, cells):
+            run[code] = col
+    start = draw(st.integers(1, d))
+    window = (start, draw(st.integers(start, d)))
+    return [(c, w) for c, w, _ in specs], runs, window
+
+
+def _as_tuples(runs):
+    return [{c: [v if isinstance(v, tuple) else (v, 0, 0) for v in col]
+             for c, col in run.items()} for run in runs]
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_mixed_runsets(), st.sampled_from([1, 7, 50, metrics._PAIR_BLOCK_WORDS]))
+def test_module_distance_matrix_matches_naive_reference(case, block_words):
+    specs, runs, window = case
+    rs = make_runset(runs, width=None, signal_specs=specs)
+    start, end = metrics._normalize_window(window, rs.n_cycles)
+    want_ds, want_xz = naive_distance_matrix(_as_tuples(runs), rs.declarations,
+                                             (start, end))
+    with mock.patch.object(metrics, "_PAIR_BLOCK_WORDS", block_words):
+        ds, xz_ratio = metrics._module_distance_matrix(rs, rs.hierarchy, (start, end))
+    assert ds.dtype == np.int64 and ds.flags.c_contiguous
+    assert np.array_equal(ds, want_ds)
+    assert xz_ratio == want_xz
+
+
+def test_pair_blocks_with_a_remainder():
+    rng = np.random.default_rng(5)
+    n, d, k = 7, 3, 5  # 21 pairs in blocks of 4: five full blocks and one pair
+    packed = rng.integers(0, 2**64, size=(n, d, k), dtype=np.uint64)
+    with mock.patch.object(metrics, "_PAIR_BLOCK_WORDS", 4 * d * k):
+        blocked = metrics._pair_distances(packed)
+    i_idx, j_idx = metrics.pair_order(n)
+    assert len(i_idx) % 4 == 1
+    want = np.array([[sum(bin(int(a) ^ int(b)).count("1")
+                          for a, b in zip(packed[i, c], packed[j, c]))
+                      for i, j in zip(i_idx, j_idx)] for c in range(d)])
+    assert np.array_equal(blocked, want)
+    assert np.array_equal(metrics._pair_distances(packed), want)
+
+
+def test_constant_signals_are_skipped_exactly():
+    rng = random.Random(71)
+    n, d = 8, 4
+    runs = [{"c": [0xAB] * d, "k": [(0, 0xF, 0)] * d,
+             "v": [rng.getrandbits(8) for _ in range(d)]} for _ in range(n)]
+    specs = [("c", 8), ("k", 4), ("v", 8)]
+    rs = make_runset(runs, width=None, signal_specs=specs)
+    ds, xz_ratio = metrics._module_distance_matrix(rs, rs.hierarchy, (0, d))
+    want_ds, want_xz = naive_distance_matrix(_as_tuples(runs), rs.declarations, (0, d))
+    assert np.array_equal(ds, want_ds)
+    # the all-x constant signal still counts toward the x/z ratio
+    assert xz_ratio == want_xz == (4 * d * n) / (20 * d * n)
+    only_v = make_runset([{"v": r["v"]} for r in runs], width=None,
+                         signal_specs=[("v", 8)])
+    assert np.array_equal(
+        ds, metrics._module_distance_matrix(only_v, only_v.hierarchy, (0, d))[0])
+
+
+def test_svf_all_picks_each_modules_worst_oracle_exactly():
+    rng = random.Random(99)
+    n, d = 9, 5
+    runs = [{"a": [rng.getrandbits(8) for _ in range(d)], "b": [0x3C] * d,
+             "c": [rng.getrandbits(70) for _ in range(d)]} for _ in range(n)]
+    rs = make_runset(runs, width=None, signal_specs=[("a", 8), ("b", 8), ("c", 70)])
+    decl_a, decl_b, decl_c = rs.declarations
+    rs.hierarchy.signals = []
+    rs.hierarchy.children = [ModuleNode(name="ab", signals=[decl_a, decl_b]),
+                             ModuleNode(name="c", signals=[decl_c])]
+    oracles = [OracleTrace(values=tuple(r["a"][k] for r in runs), width=8, label=f"a{k}")
+               for k in range(d)]
+    oracles.append(OracleTrace(values=tuple(rng.getrandbits(8) for _ in range(n)),
+                               width=8, label="noise"))
+    report = svf_all(rs, rs.hierarchy, oracles, window=(2, 5), noise_floor_shuffles=0)
+    for res in report.results:
+        node = rs.hierarchy.find(res.module_path)
+        singles = [svf_module(rs, node, o, window=(2, 5)) for o in oracles]
+        best = max(range(len(oracles)), key=lambda k: (singles[k].svf, -k))
+        assert res.oracle_label == oracles[best].label
+        assert res.svf == singles[best].svf
+        assert res.peak_cycle == singles[best].peak_cycle
+        assert list(res.per_cycle_scores) == list(singles[best].per_cycle_scores)
+        words = [[sum(r[s.id_code][c] << (8 * i) for i, s in enumerate(node.signals))
+                  for c in range(1, 5)] for r in runs]
+        if node.name == "ab":
+            assert list(res.per_cycle_scores) == naive_svf(words, oracles[best].values)
+
+
+_MEMORY_PROBE = """
+import json, resource
+import numpy as np
+from leakscope import metrics
+from leakscope.vcd import ModuleNode, RunSet, SignalDecl
+from reference import from_samples
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+n, d = 200, 64
+decl = SignalDecl("!", "line", 512, ("top",))
+root = ModuleNode("top", signals=[decl])
+rng = np.random.default_rng(0)
+runs = [from_samples([decl], rng.integers(0, 2**64, (d, 8), dtype=np.uint64))
+        for _ in range(n)]
+rs = RunSet(runs, d, root, [decl], [str(i) for i in range(n)])
+oracle = metrics.OracleTrace(tuple(int(v) for v in rng.integers(0, 256, n)), 8)
+before = peak_mb()
+report = metrics.svf_all(rs, root, [oracle], noise_floor_shuffles=0)
+print(json.dumps({"before": before, "peak": peak_mb(), "svf": report.results[0].svf}))
+"""
+
+# 200 runs give 19 900 pairs. Their distance matrix (pairs x 64 cycles, int64)
+# is 10 MB, and the scoring moments need one more array of that size. XORing
+# all pairs at once would take 19 900 x 64 x 8 words = 81 MB per temporary,
+# and several such temporaries are live at the same time. The permutation
+# floor is off: its (shuffles x pairs) arrays are not covered by this bound.
+SCORING_RSS_GROWTH_MB = 48
+
+
+def test_scoring_memory_is_bounded():
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import leakscope
+
+    src = os.path.dirname(os.path.dirname(leakscope.__file__))
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, here] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", _MEMORY_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    probe = json.loads(out.splitlines()[-1])
+    assert 0.0 < probe["svf"] <= 1.0
+    assert probe["peak"] - probe["before"] <= SCORING_RSS_GROWTH_MB, probe
 
 
 # --- Welch t ---------------------------------------------------------------------

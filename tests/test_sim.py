@@ -20,7 +20,7 @@ from leakscope.sim import (
 from leakscope.sim.config import ConfigError, parse_config_file
 from leakscope.sim.cyclelog import CycleLog
 from leakscope.sim.program import STATE_ADDR, alu, build_aes_program, load, store
-from leakscope.sim.run import _per_lane_keys
+from leakscope.sim.run import _per_lane_keys, read_trace_csv, write_trace_csv
 from leakscope.vcd import parse_vcd, resample_per_cycle
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -473,3 +473,49 @@ def test_store_data_rides_pipeline_buffers():
     assert vals[(1, "core.id_exe.payload")] == 0xEE
     assert vals[(2, "core.exe_mem.payload")] == 0xEE
     assert vals[(3, "core.mem_wb.payload")] == 0xEE
+
+
+# --- trace CSV ------------------------------------------------------------------
+
+TRACE_HEADER = "run_index,cycle,sample\n"
+
+
+def test_trace_csv_roundtrip_any_row_order(tmp_path):
+    traces = np.arange(6, dtype=np.float64).reshape(2, 3) / 4
+    path = tmp_path / "t.csv"
+    write_trace_csv(path, traces)
+    assert np.array_equal(read_trace_csv(path), traces)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + rows[::-1]) + "\n")
+    assert np.array_equal(read_trace_csv(path), traces)
+
+
+def test_trace_csv_rejects_missing_cell(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(TRACE_HEADER + "0,1,1.0\n0,2,2.0\n1,1,3.0\n")
+    with pytest.raises(ValueError, match=r"t\.csv: no row for run_index 1, cycle 2 "
+                                         r"\(the rows up to line 4"):
+        read_trace_csv(path)
+
+
+def test_trace_csv_rejects_duplicate_row(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(TRACE_HEADER + "0,1,1.0\n0,2,2.0\n0,1,9.0\n")
+    with pytest.raises(ValueError, match=r"t\.csv: line 4: duplicate row for run_index 0, "
+                                         r"cycle 1 \(first at line 2\)"):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("row", ["0,0,1.0", "-1,1,1.0"])
+def test_trace_csv_rejects_out_of_range_index(tmp_path, row):
+    path = tmp_path / "t.csv"
+    path.write_text(TRACE_HEADER + "0,1,1.0\n" + row + "\n")
+    with pytest.raises(ValueError, match=r"t\.csv: line 3: run_index must be >= 0"):
+        read_trace_csv(path)
+
+
+def test_trace_csv_rejects_empty_body(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(TRACE_HEADER + "\n")
+    with pytest.raises(ValueError, match=r"t\.csv: no trace rows after the header"):
+        read_trace_csv(path)

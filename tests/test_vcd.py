@@ -1,16 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakscope.vcd import (
     VcdParseError,
-    XzCell,
     load_run_set,
-    module_word_series,
     parse_vcd,
     read_manifest,
     resample_per_cycle,
 )
+from reference import matrix_cells, naive_parse_bits, naive_resample
 
 MINIMAL = """\
 $timescale 1ns $end
@@ -103,6 +104,15 @@ def test_parse_errors_name_lines():
     with pytest.raises(VcdParseError, match="width"):
         parse_vcd("$scope module t $end\n$var wire 4 ! v $end\n$upscope $end\n"
                   "$enddefinitions $end\n#0\nb10101 !\n")
+
+
+@pytest.mark.parametrize("value", ["1_0", "+1", "-1", "0b1", "0B1", "12", "1\u0661", ""])
+def test_vector_values_reject_int_syntax(value):
+    # int(s, 2) takes these; a VCD binary value does not
+    text = ("$scope module t $end\n$var wire 8 ! v $end\n$upscope $end\n"
+            f"$enddefinitions $end\n#0\nb101 !\nb{value} !\n")
+    with pytest.raises(VcdParseError, match="^line 7: (bad bit character|empty)"):
+        parse_vcd(text)
 
 
 def test_truncated_stream_names_last_timestamp():
@@ -241,8 +251,8 @@ $enddefinitions $end
 b1001 "
 """
     mat = resample_per_cycle(parse_vcd(text), "clk")
-    assert mat.cells['"'][0] == XzCell(0, 0b1111, 0)
-    assert mat.cells['"'][1] == 0b1001
+    assert matrix_cells(mat, '"') == [(0, 0b1111, 0), (0b1001, 0, 0)]
+    assert mat.cells['"'] == [None, 0b1001]
 
 
 def test_word_series_concatenation():
@@ -269,9 +279,11 @@ b0110 "
     dump = parse_vcd(text)
     mat = resample_per_cycle(dump, "clk")
     m = dump.hierarchy.find(["top", "m"])
-    ws = module_word_series(mat, m)
-    assert ws.width == 8
-    assert ws.words == [0b10100110]
+    cols = mat.module_columns(m)
+    # one word column per 4-bit signal, in declaration order
+    a, b = mat.values[mat.rows(cols)][:, 0].tolist()
+    assert sum(s.width for s in m.signals) == 8
+    assert (a << 4) | b == 0b10100110
 
 
 def test_word_series_single_signal_identity():
@@ -280,9 +292,9 @@ def test_word_series_single_signal_identity():
     node = dump.hierarchy
     sub = [s for s in node.signals if s.name == "sig"]
     node_only = type(node)(name="only", signals=sub)
-    ws = module_word_series(mat, node_only)
-    assert ws.words == [1, 1, 0b101, 0b101, 0b101]
-    assert ws.width == 4
+    cols = mat.module_columns(node_only)
+    assert mat.values[mat.rows(cols)][0].tolist() == [1, 1, 0b101, 0b101, 0b101]
+    assert sub[0].width == 4
 
 
 def test_word_series_rejects_empty_module():
@@ -290,7 +302,7 @@ def test_word_series_rejects_empty_module():
     mat = resample_per_cycle(dump, "clk")
     empty = type(dump.hierarchy)(name="leaf")
     with pytest.raises(ValueError, match="owns no signals"):
-        module_word_series(mat, empty)
+        mat.module_columns(empty)
 
 
 def _fuzz_dump(rng):
@@ -341,9 +353,10 @@ def test_fuzzed_width_additivity():
         for _, node in dump.hierarchy.walk():
             if not node.signals:
                 continue
-            ws = module_word_series(mat, node)
-            assert ws.width == sum(s.width for s in node.signals)
-            assert all(0 <= w < (1 << ws.width) for w in ws.words)
+            cols = mat.module_columns(node)
+            assert len(cols) == sum((s.width + 63) // 64 for s in node.signals)
+            for s in node.signals:
+                assert all(0 <= w < (1 << s.width) for w in mat.cells[s.id_code])
 
 
 def test_load_run_set_identical_dumps(tmp_path):
@@ -391,3 +404,73 @@ def test_manifest_reader(tmp_path):
     assert labels[0] == "first"
     rs = load_run_set(paths, "clk", labels=labels)
     assert rs.labels[0] == "first"
+
+
+# --- properties: emit -> parse_vcd -> resample_per_cycle ----------------------
+
+_BITS = st.sampled_from("0101xXzZ")
+
+
+@st.composite
+def _clocked_streams(draw):
+    """A VCD text with random widths (1-600 bits), x/z bits, short values that
+    left-extend, and several changes (clock included) at one timestamp.
+    Returns (text, {code: width}, [(time, code, bits)] in stream order)."""
+    widths = {"!": 1}
+    for k in range(draw(st.integers(1, 4))):
+        widths[chr(ord('"') + k)] = draw(st.integers(1, 600))
+    lines = ["$scope module top $end"]
+    lines += [f"$var wire {w} {code} {'clk' if code == '!' else 's' + code} $end"
+              for code, w in widths.items()]
+    lines += ["$upscope $end", "$enddefinitions $end"]
+    expected = []
+    t = 0
+    for _ in range(draw(st.integers(1, 10))):
+        t += draw(st.sampled_from([0, 1, 5]))  # 0 repeats a timestamp
+        lines.append(f"#{t}")
+        codes = draw(st.lists(st.sampled_from(sorted(widths)), max_size=6))
+        if draw(st.booleans()):
+            codes.append("!")
+        for code in codes:
+            if code == "!":
+                bits = draw(st.sampled_from("0011xz"))
+            else:
+                bits = draw(st.text(_BITS, min_size=1, max_size=widths[code]))
+            scalar = len(bits) == 1 and draw(st.booleans())
+            lines.append(f"{bits}{code}" if scalar else f"b{bits} {code}")
+            expected.append((t, code, bits))
+    return "\n".join(lines) + "\n", widths, expected
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_clocked_streams())
+def test_parse_and_resample_match_naive_reference(stream):
+    text, widths, expected = stream
+    dump = parse_vcd(text)
+    assert [tuple(c) for c in dump.changes] == [
+        (t, code, *naive_parse_bits(bits, widths[code])) for t, code, bits in expected]
+    try:
+        edges, cells = naive_resample(dump, "!")
+    except VcdParseError:
+        with pytest.raises(VcdParseError, match="no rising edges"):
+            resample_per_cycle(dump, "clk")
+        return
+    mat = resample_per_cycle(dump, "clk")
+    assert mat.edge_times == edges
+    for code in widths:
+        assert matrix_cells(mat, code) == cells[code]
+        assert mat.cells[code] == [v if not (x or z) else None for v, x, z in cells[code]]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_clocked_streams(), st.data())
+def test_parse_errors_name_the_line(stream, data):
+    text, _, _ = stream
+    lines = text.splitlines()
+    body = [k for k, line in enumerate(lines) if line.startswith(("b", "0", "1", "x", "z"))]
+    if not body:
+        return
+    k = data.draw(st.sampled_from(body))
+    lines[k] = "b1q2 !" if lines[k].startswith("b") else "q" + lines[k]
+    with pytest.raises(VcdParseError, match=f"^line {k + 1}: "):
+        parse_vcd("\n".join(lines) + "\n")
