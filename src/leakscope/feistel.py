@@ -8,9 +8,17 @@ over GF(2): ``Y = A @ (R || K) xor C`` where ``A`` is a 16x32 binary matrix and
 only; cache line offset bits pass through unchanged so line-internal layout is
 preserved.
 
-Scalar entry points operate on plain ints; ``*_vec`` variants operate on numpy
-arrays and accept per-element key material, which is what the batch simulator
-uses.
+Every round is affine over GF(2) in the word and the keys jointly, so the
+network has the closed form ``obfuscate32(x, k) = L·x ⊕ K(k)``: a fixed
+invertible 32x32 matrix ``L`` and the key constant ``K(k) = N·k ⊕ c``. Within
+one key epoch ``obfuscate32(x1) ⊕ obfuscate32(x2) = L·(x1 ⊕ x2)`` does not
+depend on the key, and re-keying any stored word from ``k`` to ``k'`` is one
+XOR with ``K(k) ⊕ K(k')``.
+
+Scalar entry points run the rounds one by one on plain ints; they are the
+reference. The ``*_vec`` variants take numpy arrays and per-element keys (the
+batch simulator's path) and evaluate the closed form by table lookups, with
+tables read off the scalar reference the first time a spec is used.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +88,7 @@ class AffineSpec:
     const: int
     version: str = AFFINE_VERSION
     _tables: tuple = field(default=None, repr=False, compare=False)
+    _closed: "_ClosedForm" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.rows) != 16:
@@ -113,23 +123,14 @@ class AffineSpec:
 
 
 def _build_byte_tables(rows):
-    """Per-byte lookup tables for the linear part of the affine map.
+    """Per-byte lookup tables (Python ints) for the linear part of the affine map.
 
     A @ v over GF(2) decomposes as the xor of four byte-indexed tables, which
-    turns the map into 4 gathers + xors in both the scalar and numpy paths.
+    turns the map into 4 lookups + xors. Column b of A has bit i set when row
+    i has bit b.
     """
-    tables = []
-    for byte_pos in range(4):
-        tab = np.zeros(256, dtype=np.uint32)
-        for byte_val in range(256):
-            out = 0
-            for i, row in enumerate(rows):
-                seg = (row >> (8 * byte_pos)) & 0xFF
-                if (seg & byte_val).bit_count() & 1:
-                    out |= 1 << i
-            tab[byte_val] = out
-        tables.append(tab)
-    return tuple(tables)
+    columns = [sum(((row >> b) & 1) << i for i, row in enumerate(rows)) for b in range(32)]
+    return tuple(tab.tolist() for tab in _span_tables(columns, np.uint32))
 
 
 _DEFAULT_SPEC = None
@@ -204,13 +205,7 @@ def affine_f(r: int, k: int, spec: AffineSpec) -> int:
     """Round function: 16-bit output of A @ ((r<<16)|k) xor C."""
     v = ((r & MASK16) << 16) | (k & MASK16)
     t0, t1, t2, t3 = spec._tables
-    out = (
-        int(t0[v & 0xFF])
-        ^ int(t1[(v >> 8) & 0xFF])
-        ^ int(t2[(v >> 16) & 0xFF])
-        ^ int(t3[v >> 24])
-    )
-    return out ^ spec.const
+    return t0[v & 0xFF] ^ t1[(v >> 8) & 0xFF] ^ t2[(v >> 16) & 0xFF] ^ t3[v >> 24] ^ spec.const
 
 
 def obfuscate32(x: int, keys: RoundKeys, spec: AffineSpec | None = None) -> int:
@@ -306,20 +301,74 @@ def lfsr_from_seed(seed: int, taps: int = DEFAULT_TAPS) -> Lfsr:
 
 
 # ---------------------------------------------------------------------------
-# vectorized variants (per-element keys supported)
+# vectorized variants (per-element keys supported): the closed form
 
 
-def _affine_f_vec(r, k, spec):
-    """Vectorized round function on uint32 arrays."""
-    t0, t1, t2, t3 = spec._tables
-    v = ((r & MASK16) << np.uint32(16)) | (k & MASK16)
-    out = (
-        t0[v & np.uint32(0xFF)]
-        ^ t1[(v >> np.uint32(8)) & np.uint32(0xFF)]
-        ^ t2[(v >> np.uint32(16)) & np.uint32(0xFF)]
-        ^ t3[v >> np.uint32(24)]
-    )
-    return out ^ np.uint32(spec.const)
+class _ClosedForm(NamedTuple):
+    """Tables of ``obfuscate32(x, k) = L·x ⊕ N·k ⊕ c`` for one spec.
+
+    Row j of a word table maps byte j of a little-endian word, and a matrix
+    product is the XOR of the rows' lookups. Row r of ``key`` maps round key r+1.
+    """
+
+    fwd32: np.ndarray   # (4, 256) uint32: L
+    fwd64: np.ndarray   # (8, 256) uint64: L on both halves
+    inv32: np.ndarray   # (4, 256) uint32: L⁻¹
+    inv64: np.ndarray   # (8, 256) uint64: L⁻¹ on both halves
+    key: np.ndarray     # (4, 65536) uint32: N
+    const: int          # c = obfuscate32(0, 0)
+
+
+def _span_tables(columns, dtype, bits=8):
+    """Row j, entry v: XOR of ``columns[bits*j + t]`` over the set bits t of v."""
+    tabs = np.zeros((len(columns) // bits, 1 << bits), dtype=dtype)
+    for j in range(len(tabs)):
+        for t in range(bits):
+            tabs[j, 1 << t:2 << t] = tabs[j, :1 << t] ^ dtype(columns[bits * j + t])
+    return tabs
+
+
+def _derive_closed_form(spec: AffineSpec) -> _ClosedForm:
+    """Read L, L⁻¹ and N off the scalar reference at unit vectors.
+
+    With ``obf(x, k) = L·x ⊕ N·k ⊕ c``: ``L·eᵢ = obf(eᵢ, 0) ⊕ c`` and
+    ``N·eⱼ = obf(0, eⱼ) ⊕ c``; likewise ``L⁻¹·eᵢ = deobf(eᵢ, 0) ⊕ deobf(0, 0)``.
+    """
+    zero = RoundKeys((0, 0, 0, 0))
+    c = obfuscate32(0, zero, spec)
+    c_inv = deobfuscate32(0, zero, spec)
+    lin = [obfuscate32(1 << i, zero, spec) ^ c for i in range(32)]
+    lin_inv = [deobfuscate32(1 << i, zero, spec) ^ c_inv for i in range(32)]
+    # unit key vector j: bit j % 16 of round key j // 16
+    key = [obfuscate32(0, RoundKeys(tuple((1 << j >> 16 * r) & MASK16 for r in range(4))),
+                       spec) ^ c
+           for j in range(64)]
+
+    def both_halves(cols):
+        tabs = _span_tables(cols, np.uint64)
+        return np.concatenate([tabs, tabs << np.uint64(32)])
+
+    return _ClosedForm(fwd32=_span_tables(lin, np.uint32), fwd64=both_halves(lin),
+                      inv32=_span_tables(lin_inv, np.uint32), inv64=both_halves(lin_inv),
+                      key=_span_tables(key, np.uint32, bits=16), const=c)
+
+
+def _closed_form(spec: AffineSpec | None) -> _ClosedForm:
+    """The spec's closed form, derived on first use and kept on the spec."""
+    spec = spec or default_spec()
+    if spec._closed is None:
+        object.__setattr__(spec, "_closed", _derive_closed_form(spec))
+    return spec._closed
+
+
+def _apply(tables, words):
+    """XOR of ``tables[j][byte j of each word]`` over words of len(tables) bytes."""
+    words = np.asarray(words, dtype=f"<u{len(tables)}")
+    by = np.ascontiguousarray(words).view(np.uint8).reshape(words.shape + (len(tables),))
+    out = tables[0][by[..., 0]]
+    for j in range(1, len(tables)):
+        out ^= tables[j][by[..., j]]
+    return out
 
 
 def _as_key_arrays(keys):
@@ -333,38 +382,40 @@ def _as_key_arrays(keys):
     return [np.asarray(k, dtype=np.uint32) for k in ks]
 
 
+def key_constant_vec(keys, spec: AffineSpec | None = None):
+    """``K(k) = N·k ⊕ c = obfuscate32(0, k)`` per element, as uint32.
+
+    Round keys are taken modulo 2^16; per-element key arrays broadcast.
+    """
+    cf = _closed_form(spec)
+    out = np.uint32(cf.const)
+    for table, k in zip(cf.key, _as_key_arrays(keys)):
+        out = out ^ table[k & np.uint32(MASK16)]
+    return out
+
+
+def _key_constant64(keys, spec):
+    """K(k) in both 32-bit halves of a uint64."""
+    return key_constant_vec(keys, spec).astype(np.uint64) * np.uint64(0x1_0000_0001)
+
+
 def obfuscate32_vec(x, keys, spec: AffineSpec | None = None):
     """obfuscate32 on a uint32 numpy array; keys may be per-element arrays."""
-    spec = spec or default_spec()
-    x = np.asarray(x, dtype=np.uint32)
-    ks = _as_key_arrays(keys)
-    left = x >> np.uint32(16)
-    right = x & np.uint32(MASK16)
-    for k in ks:
-        left, right = right, left ^ _affine_f_vec(right, k, spec)
-    return (left << np.uint32(16)) | right
+    return _apply(_closed_form(spec).fwd32, x) ^ key_constant_vec(keys, spec)
 
 
 def deobfuscate32_vec(y, keys, spec: AffineSpec | None = None):
-    spec = spec or default_spec()
-    y = np.asarray(y, dtype=np.uint32)
-    ks = _as_key_arrays(keys)
-    left = y & np.uint32(MASK16)
-    right = y >> np.uint32(16)
-    for k in reversed(ks):
-        left, right = right, left ^ _affine_f_vec(right, k, spec)
-    return (right << np.uint32(16)) | left
+    """Inverse of obfuscate32_vec: ``L⁻¹·(y ⊕ K(k))``."""
+    y = np.asarray(y, dtype=np.uint32) ^ key_constant_vec(keys, spec)
+    return _apply(_closed_form(spec).inv32, y)
 
 
 def obfuscate64_vec(x, keys, spec: AffineSpec | None = None):
-    x = np.asarray(x, dtype=np.uint64)
-    hi = obfuscate32_vec((x >> np.uint64(32)).astype(np.uint32), keys, spec)
-    lo = obfuscate32_vec(x.astype(np.uint32), keys, spec)
-    return (hi.astype(np.uint64) << np.uint64(32)) | lo.astype(np.uint64)
+    """obfuscate64 (two independent 32-bit halves) on a uint64 array."""
+    return _apply(_closed_form(spec).fwd64, x) ^ _key_constant64(keys, spec)
 
 
 def deobfuscate64_vec(y, keys, spec: AffineSpec | None = None):
-    y = np.asarray(y, dtype=np.uint64)
-    hi = deobfuscate32_vec((y >> np.uint64(32)).astype(np.uint32), keys, spec)
-    lo = deobfuscate32_vec(y.astype(np.uint32), keys, spec)
-    return (hi.astype(np.uint64) << np.uint64(32)) | lo.astype(np.uint64)
+    """Inverse of obfuscate64_vec."""
+    y = np.asarray(y, dtype=np.uint64) ^ _key_constant64(keys, spec)
+    return _apply(_closed_form(spec).inv64, y)

@@ -31,6 +31,7 @@ from ..feistel import (
     deobfuscate32_vec,
     deobfuscate64_vec,
     default_spec,
+    key_constant_vec,
     obfuscate32_vec,
     obfuscate64_vec,
 )
@@ -197,11 +198,11 @@ class Machine:
 
     # --- backing memory -------------------------------------------------------
 
-    def _backing_entry(self, line_addr: int) -> np.ndarray:
-        arr = self.backing.get(line_addr)
+    def _line_entry(self, image: dict, line_addr: int) -> np.ndarray:
+        """The (n_lanes, 8) line at ``line_addr`` of an image; zeros if absent."""
+        arr = image.get(line_addr)
         if arr is None:
-            arr = np.zeros((self.n, 8), dtype=np.uint64)
-            self.backing[line_addr] = arr
+            arr = image[line_addr] = np.zeros((self.n, 8), dtype=np.uint64)
         return arr
 
     def _backing_lines(self, line_addr) -> np.ndarray:
@@ -230,23 +231,17 @@ class Machine:
             line_addr = (addr + pos) >> 6 << 6
             off = addr + pos - line_addr
             take = min(64 - off, k - pos)
-            entry = self._backing_entry(line_addr)
+            entry = self._line_entry(self.backing, line_addr)
             view = entry.view(np.uint8).reshape(self.n, 64)
             view[:, off:off + take] = arr[:, pos:pos + take]
             self._invalidate_line(line_addr)
             pos += take
 
     def _invalidate_line(self, line_addr: int) -> None:
-        tagset = np.full(self.n, line_addr >> 6, dtype=np.uint32)
-        tdp = self.dp_tagset(tagset)
-        set_idx = (tdp & np.uint32(self.geom.sets - 1)).astype(np.intp)
-        tag = (tdp >> np.uint32(self.geom.set_bits)).astype(np.uint64)
-        for w in range(self.geom.ways):
-            m = (self.valid[set_idx, w, self._lanes] != 0) & \
-                (self.tags[set_idx, w, self._lanes] == tag)
-            if m.any():
-                self.valid[set_idx[m], w, self._lanes[m]] = 0
-                self.dirty[set_idx[m], w, self._lanes[m]] = 0
+        _, set_idx, _, way = self._lookup(np.full(self.n, line_addr >> 6, dtype=np.uint32))
+        hit = way >= 0
+        self.valid[set_idx[hit], way[hit], self._lanes[hit]] = 0
+        self.dirty[set_idx[hit], way[hit], self._lanes[hit]] = 0
 
     def preset_register(self, idx: int, values) -> None:
         """Boot-time register preset: no power or log event is recorded."""
@@ -272,24 +267,52 @@ class Machine:
         return out
 
     def _peek_line(self, line_addr: int) -> np.ndarray:
-        raw = self._backing_lines(np.full(self.n, line_addr, dtype=np.uint64)).copy()
-        tagset = np.full(self.n, line_addr >> 6, dtype=np.uint32)
-        tdp = self.dp_tagset(tagset)
-        set_idx = (tdp & np.uint32(self.geom.sets - 1)).astype(np.intp)
-        tag = (tdp >> np.uint32(self.geom.set_bits)).astype(np.uint64)
-        for w in range(self.geom.ways):
-            m = (self.valid[set_idx, w, self._lanes] != 0) & \
-                (self.tags[set_idx, w, self._lanes] == tag)
-            if m.any():
-                cached = self.data[set_idx[m], w, self._lanes[m], :]
-                if self.keys is None:
-                    raw[m] = cached
-                else:
-                    ks = [k_[m][:, None] for k_ in self.keys]
-                    raw[m] = deobfuscate64_vec(cached, ks, self.spec)
+        raw = self._backing_lines(np.full(self.n, line_addr, dtype=np.uint64))
+        _, set_idx, _, way = self._lookup(np.full(self.n, line_addr >> 6, dtype=np.uint32))
+        hit = way >= 0
+        if hit.any():
+            lanes = self._lanes[hit]
+            raw[hit] = self._raw_lines(self.data[set_idx[hit], way[hit], lanes, :], lanes)
         return raw
 
+    def _raw_lines(self, lines, lanes):
+        """Deobfuscate (k, 8) cached lines, row i held by lane ``lanes[i]``."""
+        if self.keys is None:
+            return lines
+        return deobfuscate64_vec(lines, [k_[lanes][:, None] for k_ in self.keys], self.spec)
+
     # --- the data cache ----------------------------------------------------------
+
+    def _lookup(self, tagset):
+        """Per-lane lookup of architectural tag/set values.
+
+        Returns (lookup tag/set, set index, tag, way); way is -1 on a miss.
+        """
+        g = self.geom
+        tdp = self.dp_tagset(tagset)
+        set_idx = (tdp & np.uint32(g.sets - 1)).astype(np.intp)
+        tag = (tdp >> np.uint32(g.set_bits)).astype(np.uint64)
+        way = np.full(self.n, -1, dtype=np.intp)
+        for w in range(g.ways):
+            m = (self.valid[set_idx, w, self._lanes] != 0) & \
+                (self.tags[set_idx, w, self._lanes] == tag)
+            way = np.where((way < 0) & m, w, way)
+        return tdp, set_idx, tag, way
+
+    def _scatter_lines(self, s, w, lanes, image: dict) -> None:
+        """Write the raw lines cached at (s, w, lanes) into a memory image,
+        at the line address their tag and set bits deobfuscate to."""
+        if not lanes.size:
+            return
+        tagset = ((self.tags[s, w, lanes] << np.uint64(self.geom.set_bits))
+                  | s.astype(np.uint64)).astype(np.uint32)
+        if self.keys is not None:
+            tagset = deobfuscate32_vec(tagset, [k_[lanes] for k_ in self.keys], self.spec)
+        lines = self._raw_lines(self.data[s, w, lanes, :], lanes)
+        addrs = tagset.astype(np.uint64) << np.uint64(6)
+        for u in np.unique(addrs):
+            sel = addrs == u
+            self._line_entry(image, int(u))[lanes[sel]] = lines[sel]
 
     def cache_access(self, addr, op: str, data=None, size: int = 8, cycle: int = 0):
         """One lookup per lane; returns (hit mask, loaded raw value).
@@ -311,20 +334,13 @@ class Machine:
             raise SimError("unaligned 8-byte access")
 
         tagset = (addr >> np.uint64(g.offset_bits)).astype(np.uint32)
-        tdp = self.dp_tagset(tagset)
-        set_idx = (tdp & np.uint32(g.sets - 1)).astype(np.intp)
-        tag = (tdp >> np.uint32(g.set_bits)).astype(np.uint64)
+        tdp, set_idx, tag, way = self._lookup(tagset)
 
         # the request-address latch holds the (possibly obfuscated) lookup
         # address; offset bits pass through unprotected by construction
         addr_latched = ((tdp.astype(np.uint64) << np.uint64(g.offset_bits))
                         | (addr & np.uint64(g.line_bytes - 1)))
         self._latch("dcache.arrays.addr", addr_latched, cycle)
-
-        way = np.full(self.n, -1, dtype=np.intp)
-        for w in range(g.ways):
-            m = (self.valid[set_idx, w, lanes] != 0) & (self.tags[set_idx, w, lanes] == tag)
-            way = np.where((way < 0) & m, w, way)
         miss = way < 0
 
         if miss.any():
@@ -333,8 +349,10 @@ class Machine:
             self.repl[set_idx, lanes] = np.where(miss, ctr + np.uint8(1), ctr)
             victim_dirty = miss & (self.valid[set_idx, way, lanes] != 0) & \
                 (self.dirty[set_idx, way, lanes] != 0)
-            if victim_dirty.any():
-                self._write_back_lines(set_idx, way, victim_dirty)
+            # the victim's dirty flag is rewritten by the fill path; clearing it
+            # here would hide the flag toggle from the power/log sampling
+            self._scatter_lines(set_idx[victim_dirty], way[victim_dirty],
+                                lanes[victim_dirty], self.backing)
 
         old_tag = self.tags[set_idx, way, lanes]
         old_flags = (self.valid[set_idx, way, lanes] |
@@ -408,90 +426,42 @@ class Machine:
             return ~miss, value
         return ~miss, None
 
-    def _write_back_lines(self, set_idx, way, mask) -> None:
-        lanes = self._lanes[mask]
-        s = set_idx[mask]
-        w = way[mask]
-        tags = self.tags[s, w, lanes]
-        tagset_dp = ((tags << np.uint64(self.geom.set_bits)) |
-                     s.astype(np.uint64)).astype(np.uint32)
-        if self.keys is not None:
-            ks = [k_[mask] for k_ in self.keys]
-            tagset = deobfuscate32_vec(tagset_dp, ks, self.spec)
-            lines = deobfuscate64_vec(
-                self.data[s, w, lanes, :], [k_[:, None] for k_ in ks], self.spec
-            )
-        else:
-            tagset = tagset_dp
-            lines = self.data[s, w, lanes, :]
-        addrs = tagset.astype(np.uint64) << np.uint64(6)
-        for u in np.unique(addrs):
-            entry = self._backing_entry(int(u))
-            sel = addrs == u
-            entry[lanes[sel]] = lines[sel]
-        # the victim's dirty flag is rewritten by the fill path; clearing it
-        # here would hide the flag toggle from the power/log sampling
-
     # --- re-keying ------------------------------------------------------------
 
     def rekey_flush(self, new_keys) -> None:
         """Rotate obfuscation keys: write back dirty lines with the old keys,
-        invalidate the cache, and re-encrypt every datapath register."""
+        invalidate the cache, and re-encrypt every datapath register.
+
+        Obfuscation is ``L·x ⊕ K(k)``, so re-encrypting any stored word from
+        the old key to the new one xors in ``K(old) ⊕ K(new)``: one mask per
+        lane, applied to both 32-bit halves of each 64-bit word.
+        """
         if self.keys is None:
             raise SimError("rekey_flush is only meaningful in param mode")
         new_keys = [np.asarray(k, dtype=np.uint32) for k in new_keys]
         if len(new_keys) != 4 or any(k.shape != (self.n,) for k in new_keys):
             raise SimError("keys must be four arrays of shape (n_lanes,)")
 
-        for s in range(self.geom.sets):
-            for w in range(self.geom.ways):
-                mask = (self.valid[s, w] != 0) & (self.dirty[s, w] != 0)
-                if mask.any():
-                    lanes = self._lanes[mask]
-                    ks = [k_[mask] for k_ in self.keys]
-                    tagset_dp = ((self.tags[s, w, lanes] << np.uint64(self.geom.set_bits))
-                                 | np.uint64(s)).astype(np.uint32)
-                    tagset = deobfuscate32_vec(tagset_dp, ks, self.spec)
-                    lines = deobfuscate64_vec(
-                        self.data[s, w, lanes, :], [k_[:, None] for k_ in ks], self.spec
-                    )
-                    addrs = tagset.astype(np.uint64) << np.uint64(6)
-                    for u in np.unique(addrs):
-                        entry = self._backing_entry(int(u))
-                        sel = addrs == u
-                        entry[lanes[sel]] = lines[sel]
+        self._scatter_lines(*np.nonzero(self.valid & self.dirty), self.backing)
         self.valid[:] = 0
         self.dirty[:] = 0
 
-        old_keys = self.keys
-
-        def remap64(v):
-            raw = deobfuscate64_vec(v, old_keys, self.spec)
-            return obfuscate64_vec(raw, new_keys, self.spec)
-
-        for i in range(32):
-            self.rf[i] = remap64(self.rf[i])
-        for i in range(N_PRF):
-            self.prf[i] = remap64(self.prf[i])
+        mask = (key_constant_vec(self.keys, self.spec)
+                ^ key_constant_vec(new_keys, self.spec)).astype(np.uint64)
+        mask64 = mask * np.uint64(0x1_0000_0001)
+        self.rf ^= mask64
+        self.prf ^= mask64
         skip = {"dcache.arrays.addr"}
         if self.cfg.eda_fix_on:
             # shadow registers hold the hardwired constant, not datapath data
             skip |= {"core.fpu.shadow", "core.muldiv.shadow", "core.bpu.shadow"}
         for name in self.scalars:
             if name not in skip:
-                self.scalars[name] = remap64(self.scalars[name])
-        off_bits = np.uint64(self.geom.offset_bits)
-        a = self.scalars["dcache.arrays.addr"]
-        tagset = deobfuscate32_vec((a >> off_bits).astype(np.uint32), old_keys, self.spec)
-        tagset = obfuscate32_vec(tagset, new_keys, self.spec)
+                self.scalars[name] = self.scalars[name] ^ mask64
+        # the address latch holds obfuscated tag/set bits above clear offset bits
         self.scalars["dcache.arrays.addr"] = (
-            (tagset.astype(np.uint64) << off_bits) | (a & np.uint64(self.geom.line_bytes - 1))
-        )
-        old_line_keys = [k_[:, None] for k_ in old_keys]
-        new_line_keys = [k_[:, None] for k_ in new_keys]
-        self.lb = obfuscate64_vec(
-            deobfuscate64_vec(self.lb, old_line_keys, self.spec), new_line_keys, self.spec
-        )
+            self.scalars["dcache.arrays.addr"] ^ (mask << np.uint64(self.geom.offset_bits)))
+        self.lb = self.lb ^ mask64[:, None]
         self.keys = new_keys
 
     # --- program execution ------------------------------------------------------
@@ -612,31 +582,7 @@ class Machine:
     def memory_image(self) -> dict[int, np.ndarray]:
         """Raw (deobfuscated) view of memory: backing overlaid with the cache."""
         image = {a: v.copy() for a, v in self.backing.items()}
-        g = self.geom
-        for s in range(g.sets):
-            for w in range(g.ways):
-                mask = self.valid[s, w] != 0
-                if not mask.any():
-                    continue
-                lanes = self._lanes[mask]
-                tagset_dp = ((self.tags[s, w, lanes] << np.uint64(g.set_bits))
-                             | np.uint64(s)).astype(np.uint32)
-                if self.keys is not None:
-                    ks = [k_[mask] for k_ in self.keys]
-                    tagset = deobfuscate32_vec(tagset_dp, ks, self.spec)
-                    lines = deobfuscate64_vec(
-                        self.data[s, w, lanes, :], [k_[:, None] for k_ in ks], self.spec
-                    )
-                else:
-                    tagset = tagset_dp
-                    lines = self.data[s, w, lanes, :]
-                addrs = tagset.astype(np.uint64) << np.uint64(6)
-                for u in np.unique(addrs):
-                    entry = image.get(int(u))
-                    if entry is None:
-                        entry = image[int(u)] = np.zeros((self.n, 8), dtype=np.uint64)
-                    sel = addrs == u
-                    entry[lanes[sel]] = lines[sel]
+        self._scatter_lines(*np.nonzero(self.valid), image)
         return image
 
     def functional_registers(self) -> dict[str, np.ndarray]:

@@ -57,10 +57,21 @@ def _run_epochs(cfg: SimConfig, run_indices: np.ndarray) -> np.ndarray:
     return run_indices // cfg.rekey_interval_runs
 
 
-def _per_lane_keys(cfg: SimConfig, run_indices: np.ndarray):
-    """Four (N,) uint32 key arrays plus per-lane epoch ids."""
+def _key_table(cfg: SimConfig, last_run: int) -> np.ndarray:
+    """(E, 4) uint32 round keys of every epoch up to the one of ``last_run``."""
+    n_epochs = int(_run_epochs(cfg, np.array([last_run]))[0]) + 1
+    return np.array(epoch_keys(cfg, n_epochs), dtype=np.uint32)
+
+
+def _per_lane_keys(cfg: SimConfig, run_indices: np.ndarray, table=None):
+    """Four (N,) uint32 key arrays plus per-lane epoch ids.
+
+    A batch passes one ``_key_table`` covering all its runs, so the LFSR is
+    not redrawn from epoch 0 for every chunk.
+    """
     epochs = _run_epochs(cfg, run_indices)
-    table = np.array(epoch_keys(cfg, int(epochs.max()) + 1), dtype=np.uint32)
+    if table is None:
+        table = _key_table(cfg, int(run_indices.max()))
     ks = table[epochs]  # (N, 4)
     return [ks[:, i].copy() for i in range(4)], epochs
 
@@ -103,6 +114,8 @@ def run_aes_batch(cfg: SimConfig, plaintexts, key: bytes, *,
     traces = np.empty((n_total, d), dtype=np.float64)
     cts = np.empty((n_total, 16), dtype=np.uint8) if cfg.rounds == 10 else None
     logs: list[CycleLog] | None = [] if collect_logs else None
+    if cfg.param_mode and n_total:
+        table = _key_table(cfg, run_offset + n_total - 1)
 
     for base in range(0, n_total, max_lanes):
         chunk = plaintexts[base:base + max_lanes]
@@ -110,7 +123,7 @@ def run_aes_batch(cfg: SimConfig, plaintexts, key: bytes, *,
         run_idx = np.arange(base, base + lanes) + run_offset
         keys = None
         if cfg.param_mode:
-            keys, _ = _per_lane_keys(cfg, run_idx)
+            keys, _ = _per_lane_keys(cfg, run_idx, table)
         machine = Machine(cfg, lanes, keys=keys)
         for addr, blob in init_mem.items():
             machine.poke_bytes(addr, blob)
@@ -205,6 +218,9 @@ def cache_set_experiment(cfg: SimConfig, reps: int, rekey_every: int = 1,
              for _ in range(g.sets)]
 
     samples = np.empty(total, dtype=np.float64)
+    if cfg.param_mode and total:
+        sweep_cfg = with_overrides(cfg, rekey_interval_runs=rekey_every)
+        table = _key_table(sweep_cfg, reps - 1)
     for base in range(0, total, max_lanes):
         lanes = min(max_lanes, total - base)
         lane_idx = np.arange(base, base + lanes)
@@ -212,8 +228,7 @@ def cache_set_experiment(cfg: SimConfig, reps: int, rekey_every: int = 1,
         rep_of = lane_idx // g.sets
         keys = None
         if cfg.param_mode:
-            sweep_cfg = with_overrides(cfg, rekey_interval_runs=rekey_every)
-            keys, _ = _per_lane_keys(sweep_cfg, rep_of)
+            keys, _ = _per_lane_keys(sweep_cfg, rep_of, table)
         machine = Machine(cfg, lanes, keys=keys)
         for s in range(g.sets):
             machine.poke_bytes(SWEEP_ADDR + s * g.line_bytes, lines[s])

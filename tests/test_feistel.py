@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakscope import feistel
 from leakscope.feistel import (
@@ -14,10 +16,13 @@ from leakscope.feistel import (
     deobfuscate32,
     deobfuscate32_vec,
     deobfuscate64,
+    deobfuscate64_vec,
+    key_constant_vec,
     next_round_keys,
     obfuscate32,
     obfuscate32_vec,
     obfuscate64,
+    obfuscate64_vec,
     obfuscate_address,
     remap,
 )
@@ -316,3 +321,108 @@ def test_spec_validation_errors():
         AffineSpec(rows=tuple([1] * 16), const=0x10000)
     with pytest.raises(ObfuscationError):
         AffineSpec.from_json("{}")
+
+
+# --- properties: the vector closed form against the round-by-round reference --
+
+def _edgy(bits):
+    """Integers of a width, with 0 and all-ones drawn often."""
+    return st.one_of(st.sampled_from([0, (1 << bits) - 1]), st.integers(0, (1 << bits) - 1))
+
+
+_KEYS = st.tuples(*[_edgy(16)] * 4)
+_SPECS = st.one_of(
+    st.just(None),
+    st.builds(AffineSpec, rows=st.tuples(*[_edgy(32)] * 16), const=_edgy(16)),
+)
+
+
+def _key_arrays(keys, shape=None):
+    """Per-element key arrays from a list of 4-tuples."""
+    arrs = [np.array([k[r] for k in keys], dtype=np.uint32) for r in range(4)]
+    return arrs if shape is None else [a.reshape(shape) for a in arrs]
+
+
+def _ref64(x, keys, spec):
+    """obfuscate64 from the naive round-by-round reference, half by half."""
+    spec = spec or default_spec()
+    return (ref_obfuscate32(x >> 32, keys, spec.rows, spec.const) << 32) | \
+        ref_obfuscate32(x & 0xFFFFFFFF, keys, spec.rows, spec.const)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.tuples(_edgy(32), _KEYS, _KEYS), min_size=1, max_size=12), _SPECS)
+def test_vec32_forward_inverse_and_rekey_match_scalar_reference(cases, spec):
+    xs = np.array([x for x, _, _ in cases], dtype=np.uint32)
+    old = _key_arrays([k for _, k, _ in cases])
+    new = _key_arrays([k for _, _, k in cases])
+    ys = obfuscate32_vec(xs, old, spec)
+    back = deobfuscate32_vec(ys, old, spec)
+    rekeyed = ys ^ key_constant_vec(old, spec) ^ key_constant_vec(new, spec)
+    rows, const = (spec or default_spec()).rows, (spec or default_spec()).const
+    for i, (x, ko, kn) in enumerate(cases):
+        want = ref_obfuscate32(x, ko, rows, const)
+        assert int(ys[i]) == want == obfuscate32(x, RoundKeys(ko), spec)
+        assert int(back[i]) == x == deobfuscate32(want, RoundKeys(ko), spec)
+        assert int(rekeyed[i]) == remap(want, RoundKeys(ko), RoundKeys(kn), spec) \
+            == ref_obfuscate32(x, kn, rows, const)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(st.tuples(_edgy(64), _KEYS), min_size=1, max_size=8), _SPECS)
+def test_vec64_matches_scalar_reference(cases, spec):
+    xs = np.array([x for x, _ in cases], dtype=np.uint64)
+    ks = _key_arrays([k for _, k in cases])
+    ys = obfuscate64_vec(xs, ks, spec)
+    assert [int(y) for y in ys] == [_ref64(x, k, spec) for x, k in cases]
+    assert np.array_equal(deobfuscate64_vec(ys, ks, spec), xs)
+    for (x, k), y in zip(cases, ys):
+        assert deobfuscate64(int(y), RoundKeys(k), spec) == x
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(st.tuples(st.lists(_edgy(64), min_size=8, max_size=8), _KEYS, _KEYS),
+                min_size=1, max_size=5))
+def test_vec64_line_keys_broadcast_matches_scalar_reference(lines):
+    # cache lines: (n, 8) words, one key set per row given as (n, 1) arrays
+    xs = np.array([words for words, _, _ in lines], dtype=np.uint64)
+    old = _key_arrays([k for _, k, _ in lines], shape=(-1, 1))
+    new = _key_arrays([k for _, _, k in lines], shape=(-1, 1))
+    ys = obfuscate64_vec(xs, old)
+    assert ys.shape == xs.shape
+    assert np.array_equal(deobfuscate64_vec(ys, old), xs)
+    mask = (key_constant_vec(old) ^ key_constant_vec(new)).astype(np.uint64)
+    rekeyed = ys ^ (mask | (mask << np.uint64(32)))
+    for (words, ko, kn), row, rk_row in zip(lines, ys, rekeyed):
+        assert [int(y) for y in row] == [_ref64(w, ko, None) for w in words]
+        assert [int(y) for y in rk_row] == [_ref64(w, kn, None) for w in words]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(_KEYS, _SPECS)
+def test_key_constant_is_the_image_of_zero(keys, spec):
+    assert int(key_constant_vec(RoundKeys(keys), spec)) == obfuscate32(0, RoundKeys(keys), spec)
+    assert int(obfuscate32_vec(np.uint32(0), keys, spec)) == obfuscate32(0, RoundKeys(keys), spec)
+
+
+# --- the security consequence of the closed form ----------------------------------
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_edgy(32), _edgy(32), _KEYS, _KEYS, _SPECS)
+def test_within_an_epoch_the_obfuscated_distance_does_not_depend_on_the_key(x1, x2, ka, kb, spec):
+    # obf(x1) ^ obf(x2) = L(x1 ^ x2): the same under every key, so the Hamming
+    # distance between two words stored in one key epoch is key-independent
+    da = obfuscate32(x1, RoundKeys(ka), spec) ^ obfuscate32(x2, RoundKeys(ka), spec)
+    db = obfuscate32(x1, RoundKeys(kb), spec) ^ obfuscate32(x2, RoundKeys(kb), spec)
+    assert da == db
+    assert da.bit_count() == db.bit_count()
+    assert da == obfuscate32(x1 ^ x2, RoundKeys((0, 0, 0, 0)), spec) ^ \
+        obfuscate32(0, RoundKeys((0, 0, 0, 0)), spec)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(_edgy(32), min_size=2, max_size=10), _KEYS, _KEYS, _SPECS)
+def test_rekeying_xors_every_word_with_one_key_dependent_constant(xs, ka, kb, spec):
+    old, new = RoundKeys(ka), RoundKeys(kb)
+    shifts = {obfuscate32(x, new, spec) ^ obfuscate32(x, old, spec) for x in xs}
+    assert shifts == {obfuscate32(0, old, spec) ^ obfuscate32(0, new, spec)}
