@@ -1,11 +1,16 @@
 """First-order correlation power analysis against the AES first round.
 
 For every key-byte guess the hypothesis is the Hamming weight of a chosen
-first-round intermediate (S-box output by default); the attack correlates the
-hypothesis vector with every trace sample column and ranks guesses by their
-best absolute correlation. Traces-to-disclosure re-runs the attack on growing
-prefixes and reports the earliest checkpoint from which the true byte stays
-rank 1.
+first-round intermediate (S-box output by default), and guesses rank by their
+best absolute Pearson correlation with any trace sample column. A hypothesis
+depends only on the target plaintext byte, so an attack reads the traces once
+into per-byte counts and (256, d) sums of the mean-centred traces; every
+guess's covariance is then one row of a (256 guesses x 256 bytes) product
+with those sums. Hypotheses are centred exactly in integers
+(``n*H - H @ counts``), so mirrored guesses (``xor_key`` g and g ^ 0xFF)
+score bit-identically and ties go to the lower guess. Traces-to-disclosure
+re-runs the attack on growing prefixes and reports the earliest checkpoint
+from which the true byte stays rank 1.
 """
 
 from __future__ import annotations
@@ -17,30 +22,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .aes import POINT_FUNCTIONS, SBOX
+from .aes import POINT_FUNCTIONS
 
-_HW8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.float64)
-_SBOX_ARR = np.frombuffer(SBOX, dtype=np.uint8)
+_HW8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
 
 
 @lru_cache(maxsize=8)
-def _point_table(point: str) -> np.ndarray:
-    """(guess, plaintext byte) -> intermediate value, as a 256x256 table."""
+def _hw_table(point: str) -> np.ndarray:
+    """(guess, plaintext byte) -> Hamming weight of the intermediate, int64."""
     try:
         fn = POINT_FUNCTIONS[point]
     except KeyError:
         raise ValueError(
             f"unknown interesting point '{point}', expected one of {sorted(POINT_FUNCTIONS)}"
         ) from None
-    if point == "sbox_out":  # fast path for the default
-        g, p = np.meshgrid(np.arange(256, dtype=np.uint8),
-                           np.arange(256, dtype=np.uint8), indexing="ij")
-        return _SBOX_ARR[g ^ p]
-    table = np.empty((256, 256), dtype=np.uint8)
-    for g in range(256):
-        for p in range(256):
-            table[g, p] = fn(p, g)
-    return table
+    return _HW8[[[fn(p, g) for p in range(256)] for g in range(256)]]
 
 
 @dataclass
@@ -80,7 +76,8 @@ def cpa_attack(traces, plaintexts, target_byte: int,
     """Correlate keyed hypotheses against every sample column.
 
     Degenerate columns (constant traces) and degenerate hypothesis rows
-    (constant plaintext byte) score 0 rather than raising.
+    (constant plaintext byte) score 0 rather than raising; a non-finite
+    sample is an error naming its trace row and cycle.
     """
     traces = np.asarray(traces, dtype=np.float64)
     plaintexts = np.asarray(plaintexts, dtype=np.uint8)
@@ -90,22 +87,26 @@ def cpa_attack(traces, plaintexts, target_byte: int,
     if n < 2:
         raise ValueError(f"need at least 2 traces, got {n}")
     if plaintexts.shape[0] != n:
-        raise ValueError(
-            f"{n} traces but {plaintexts.shape[0]} plaintexts"
-        )
+        raise ValueError(f"{n} traces but {plaintexts.shape[0]} plaintexts")
     if not 0 <= target_byte < 16:
         raise ValueError(f"target_byte {target_byte} out of range")
+    bad = ~np.isfinite(traces)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(f"trace row {row}, cycle {col + 1}: sample is {traces[row, col]}")
 
-    pbytes = plaintexts[:, target_byte]
-    hyp = _HW8[_point_table(point)[:, pbytes]]        # (256, n)
-
-    hc = hyp - hyp.mean(axis=1, keepdims=True)
-    hnorm = np.sqrt((hc * hc).sum(axis=1))            # (256,)
+    table = _hw_table(point)
+    pbytes = plaintexts[:, target_byte].astype(np.intp)
+    counts = np.bincount(pbytes, minlength=256)                  # (256,)
     tc = traces - traces.mean(axis=0, keepdims=True)
-    tnorm = np.sqrt((tc * tc).sum(axis=0))            # (d,)
+    tnorm = np.sqrt(np.einsum("ij,ij->j", tc, tc))               # (d,)
+    cells = (pbytes[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(cells, weights=tc.ravel(), minlength=256 * d).reshape(256, d)
 
+    hc = (n * table - (table @ counts)[:, None]).astype(np.float64)   # n * centred, exact
+    hnorm = np.sqrt((hc * hc) @ counts)                          # (256,)
     denom = hnorm[:, None] * tnorm[None, :]
-    corr = hc @ tc
+    corr = hc @ sums
     np.divide(corr, denom, out=corr, where=denom > 0)
     corr[:, tnorm == 0] = 0.0
     corr[hnorm == 0, :] = 0.0
@@ -114,15 +115,9 @@ def cpa_attack(traces, plaintexts, target_byte: int,
     order = np.lexsort((np.arange(256), -scores))
     best_guess = int(order[0])
     best_sample = int(np.abs(corr[best_guess]).argmax()) + 1
-    return AttackResult(
-        target_byte=target_byte,
-        point=point,
-        correlations=corr,
-        best_guess=best_guess,
-        best_sample=best_sample,
-        ranks=order,
-        n_traces=n,
-    )
+    return AttackResult(target_byte=target_byte, point=point, correlations=corr,
+                        best_guess=best_guess, best_sample=best_sample,
+                        ranks=order, n_traces=n)
 
 
 def _checkpoints(n: int, step: int) -> list[int]:
@@ -146,23 +141,26 @@ class MtdCurve:
         }
 
 
+def _prefix_attacks(traces, plaintexts, target_byte, checkpoint_step, point):
+    """Yield (checkpoint, attack on the first checkpoint traces) per checkpoint."""
+    traces = np.asarray(traces, dtype=np.float64)
+    for cp in _checkpoints(traces.shape[0], checkpoint_step):
+        yield cp, cpa_attack(traces[:cp], plaintexts[:cp], target_byte, point=point)
+
+
 def mtd(traces, plaintexts, target_byte: int, true_key_byte: int,
         checkpoint_step: int, point: str = "sbox_out") -> MtdCurve:
     """Stabilized traces-to-disclosure: rank 1 at a checkpoint and at every
     later checkpoint within the budget; re-runs the attack on each prefix."""
     if not 0 <= true_key_byte <= 0xFF:
         raise ValueError(f"true_key_byte {true_key_byte} out of range")
-    traces = np.asarray(traces, dtype=np.float64)
-    n = traces.shape[0]
-    points = []
-    for cp in _checkpoints(n, checkpoint_step):
-        res = cpa_attack(traces[:cp], plaintexts[:cp], target_byte, point=point)
-        points.append((cp, res.rank_of(true_key_byte)))
+    points = [(cp, res.rank_of(true_key_byte)) for cp, res in
+              _prefix_attacks(traces, plaintexts, target_byte, checkpoint_step, point)]
     disclosed = None
-    for i in range(len(points)):
-        if all(rank == 1 for _, rank in points[i:]):
-            disclosed = points[i][0]
+    for cp, rank in reversed(points):
+        if rank != 1:
             break
+        disclosed = cp
     return MtdCurve(checkpoints=points, mtd=disclosed)
 
 
@@ -172,17 +170,14 @@ def correlation_evolution(traces, plaintexts, target_byte: int,
     """Per-guess max |rho| at growing trace counts.
 
     Returns (checkpoints, series) where series[i, g] is guess g's best score
-    using the first checkpoints[i] traces.
+    using the first checkpoints[i] traces. Without a step the one checkpoint
+    is the full trace count.
     """
-    traces = np.asarray(traces, dtype=np.float64)
-    n = traces.shape[0]
-    step = checkpoint_step or n
-    cps = _checkpoints(n, step)
-    series = np.empty((len(cps), 256), dtype=np.float64)
-    for i, cp in enumerate(cps):
-        res = cpa_attack(traces[:cp], plaintexts[:cp], target_byte, point=point)
-        series[i] = res.guess_scores
-    return cps, series
+    if checkpoint_step is None:
+        checkpoint_step = len(traces)
+    rows = [(cp, res.guess_scores) for cp, res in
+            _prefix_attacks(traces, plaintexts, target_byte, checkpoint_step, point)]
+    return [cp for cp, _ in rows], np.array([s for _, s in rows]).reshape(-1, 256)
 
 
 def write_evolution_csv(path, checkpoints, series) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -116,8 +117,15 @@ def write_oracle_csv(path, oracles) -> None:
                 w.writerow([i, o.label, format(v, f"0{digits}x")])
 
 
+_ORACLE_FIELDS = {"run_index": re.compile(r"[0-9]+"), "value_hex": re.compile(r"[0-9a-fA-F]+")}
+
+
 def read_oracle_csv(path) -> list[OracleTrace]:
-    """Read oracle traces grouped by point label, run_index order enforced."""
+    """Read oracle traces grouped by point label, run_index order enforced.
+
+    A run_index that is not a decimal integer or a value_hex that is not
+    plain hex digits is an error naming the file and line.
+    """
     groups: dict[str, list[tuple[int, str]]] = {}
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -125,6 +133,10 @@ def read_oracle_csv(path) -> list[OracleTrace]:
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
             raise ValueError(f"oracle csv {path}: header must contain {sorted(need)}")
         for row in reader:
+            for name, pattern in _ORACLE_FIELDS.items():
+                if not pattern.fullmatch(row[name] or ""):
+                    raise ValueError(f"oracle csv {path}: line {reader.line_num}: "
+                                     f"bad {name} {row[name]!r}")
             groups.setdefault(row["point_label"], []).append(
                 (int(row["run_index"]), row["value_hex"])
             )
@@ -415,15 +427,23 @@ def write_tmatrix_csv(path, labels, mat) -> None:
 
 
 def read_class_samples_csv(path) -> dict[str, np.ndarray]:
-    """Read power samples grouped by class label (columns: class, sample)."""
+    """Read power samples grouped by class label (columns: class, sample).
+
+    A sample that is missing, not a number or not finite is an error naming
+    the file and line.
+    """
     groups: dict[str, list[float]] = {}
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None or not {"class", "sample"}.issubset(reader.fieldnames):
             raise ValueError(f"class csv {path}: header must contain class, sample")
-        for i, row in enumerate(reader, start=2):
+        for row in reader:
             try:
-                groups.setdefault(row["class"], []).append(float(row["sample"]))
+                value = float(row["sample"])
             except (TypeError, ValueError):
-                raise ValueError(f"class csv {path}: bad sample at row {i}") from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"class csv {path}: bad sample {row['sample']!r} "
+                                 f"at row {reader.line_num}")
+            groups.setdefault(row["class"], []).append(value)
     return {k: np.array(v) for k, v in groups.items()}

@@ -3,13 +3,16 @@
 These are the straightforward versions of the VCD value parser, the per-cycle
 resampler and the module distance matrix: Python ints per cell, one signal
 and one pair at a time. The columnar code in ``leakscope.vcd`` and
-``leakscope.metrics`` must agree with them exactly.
+``leakscope.metrics`` must agree with them exactly. ``two_pass_cpa`` is the
+textbook CPA with one hypothesis per guess and trace, the oracle for the
+class-sum ``leakscope.cpa.cpa_attack``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from leakscope.aes import POINT_FUNCTIONS
 from leakscope.vcd import CycleMatrix, VcdParseError, _column_layout
 
 
@@ -123,3 +126,30 @@ def naive_distance_matrix(cells_per_run, signals, window):
             for p, (i, j) in enumerate(pairs):
                 ds[c - start, p] += bin(cols[i][c][0] ^ cols[j][c][0]).count("1")
     return ds, xz / (width * (end - start) * n)
+
+
+_HW8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.float64)
+
+
+def two_pass_cpa(traces, plaintexts, target_byte: int, point: str = "sbox_out"):
+    """(correlations (256, d), ranks) of first-order CPA, two passes over a
+    (256 guesses, N traces) hypothesis matrix; degenerate rows and columns
+    score 0 and ties rank by lower guess."""
+    traces = np.asarray(traces, dtype=np.float64)
+    fn = POINT_FUNCTIONS[point]
+    table = np.array([[fn(p, g) for p in range(256)] for g in range(256)], dtype=np.uint8)
+    pbytes = np.asarray(plaintexts, dtype=np.uint8)[:, target_byte]
+    hyp = _HW8[table[:, pbytes]]                      # (256, n)
+
+    hc = hyp - hyp.mean(axis=1, keepdims=True)
+    hnorm = np.sqrt((hc * hc).sum(axis=1))
+    tc = traces - traces.mean(axis=0, keepdims=True)
+    tnorm = np.sqrt((tc * tc).sum(axis=0))
+
+    denom = hnorm[:, None] * tnorm[None, :]
+    corr = hc @ tc
+    np.divide(corr, denom, out=corr, where=denom > 0)
+    corr[:, tnorm == 0] = 0.0
+    corr[hnorm == 0, :] = 0.0
+    scores = np.abs(corr).max(axis=1)
+    return corr, np.lexsort((np.arange(256), -scores))

@@ -5,6 +5,7 @@ import pytest
 
 from leakscope import aes, metrics
 from leakscope.cli import main
+from leakscope.sim import write_trace_csv
 
 KEY_HEX = "2b7e151628aed2a6abf7158809cf4f3c"
 
@@ -217,6 +218,34 @@ def test_dpa_malformed_csv_names_row(tmp_path, capsys):
                    "--out", str(tmp_path / "o"))
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def _dpa_csv_inputs(tmp_path, traces):
+    path = tmp_path / "traces.csv"
+    write_trace_csv(path, traces)
+    pts = tmp_path / "pts.txt"
+    aes.write_blocks_hex(pts, [bytes([i] * 16) for i in range(len(traces))])
+    return ["--traces", str(path), "--plaintexts", str(pts)]
+
+
+def test_dpa_non_finite_trace_names_row_and_cycle(tmp_path, capsys):
+    traces = np.random.default_rng(2).normal(0, 1, size=(6, 3))
+    traces[4, 1] = np.nan
+    code = run_cli("dpa", *_dpa_csv_inputs(tmp_path, traces), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "trace row 4, cycle 2: sample is nan" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "attack.json").exists()
+
+
+@pytest.mark.parametrize("with_key", [False, True])
+def test_dpa_checkpoint_zero_is_an_error(tmp_path, capsys, with_key):
+    # CSV traces carry no key: without --key only the evolution sees the step
+    traces = np.random.default_rng(3).normal(0, 1, size=(6, 3))
+    key = ["--key", KEY_HEX] if with_key else []
+    code = run_cli("dpa", *_dpa_csv_inputs(tmp_path, traces), "--checkpoint", "0",
+                   *key, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "checkpoint_step must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_ttest_from_class_csv(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import two_pass_cpa
 
-from leakscope.aes import SBOX, first_round_value
+from leakscope.aes import POINT_FUNCTIONS, SBOX, first_round_value
 from leakscope.cpa import (
     correlation_evolution,
     cpa_attack,
@@ -166,3 +169,76 @@ def test_artifact_writers(tmp_path):
     lines = (tmp_path / "evo.csv").read_text().splitlines()
     assert lines[0] == "trace_count,guess,max_abs_rho"
     assert len(lines) == 1 + 2 * 256
+
+
+def test_xor_key_complement_guesses_tie_exactly():
+    # xor_key hypotheses of g and g ^ 0xFF are h and 8 - h: equal |rho| in
+    # exact arithmetic, so ties must go to the lower guess, not to float noise
+    rng = np.random.default_rng(1)
+    pts = rng.integers(0, 256, size=(1000, 16), dtype=np.uint8)
+    for d in (1, 8, 40):
+        traces = rng.normal(500, 80, size=(1000, d))
+        res = cpa_attack(traces, pts, 0, point="xor_key")
+        scores = res.guess_scores
+        assert (scores == scores[np.arange(256) ^ 0xFF]).all()
+        for k in range(0x80, 0x100):
+            assert res.rank_of(k) == res.rank_of(k ^ 0xFF) + 1
+
+
+def test_non_finite_sample_names_row_and_cycle():
+    traces, pts = synthetic_traces(20, key_byte=0x05)
+    traces[12, 1] = np.nan
+    # the first prefix (10 traces) is clean; the second reaches the NaN
+    with pytest.raises(ValueError, match=r"trace row 12, cycle 2: sample is nan"):
+        mtd(traces, pts, 0, 0x05, checkpoint_step=10)
+    traces[7, 3] = np.inf
+    with pytest.raises(ValueError, match=r"trace row 7, cycle 4: sample is inf"):
+        cpa_attack(traces, pts, 0)
+
+
+def test_checkpoint_step_zero_is_an_error():
+    traces, pts = synthetic_traces(40, key_byte=0x05)
+    with pytest.raises(ValueError, match="checkpoint_step must be >= 1, got 0"):
+        correlation_evolution(traces, pts, 0, checkpoint_step=0)
+    with pytest.raises(ValueError, match="checkpoint_step must be >= 1, got 0"):
+        mtd(traces, pts, 0, 0x05, checkpoint_step=0)
+
+
+def _assert_matches_oracle(traces, pts, target_byte, point):
+    want_corr, want_ranks = two_pass_cpa(traces, pts, target_byte, point)
+    res = cpa_attack(traces, pts, target_byte, point=point)
+    assert np.abs(res.correlations - want_corr).max() <= 1e-9
+    # guesses the oracle separates by more than 1e-9 keep the oracle's order
+    ordered = np.abs(want_corr).max(axis=1)[res.ranks]
+    later_best = np.maximum.accumulate(ordered[::-1])[::-1]
+    assert (later_best[1:] <= ordered[:-1] + 1e-9).all()
+    assert sorted(res.ranks.tolist()) == list(range(256))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    point=st.sampled_from(sorted(POINT_FUNCTIONS)),
+    n=st.integers(2, 300),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    byte_values=st.one_of(st.just(256), st.integers(1, 4)),
+    leak=st.booleans(),
+    const_col=st.one_of(st.none(), st.tuples(st.integers(0, 5),
+                                             st.floats(-1e3, 1e3, allow_nan=False))),
+    scale=st.sampled_from([1.0, -1.0, 1e-3, 3.7, 1e4]),
+    offset=st.sampled_from([0.0, 11.0, -250.5, 1e5]),
+)
+def test_class_sums_match_two_pass_oracle(point, n, d, seed, byte_values, leak,
+                                          const_col, scale, offset):
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
+    # few byte values: most of the 256 never occur (one value: every row degenerate)
+    present = rng.choice(256, size=byte_values, replace=False)
+    pts[:, 2] = present[rng.integers(0, byte_values, n)]
+    traces = rng.normal(0, 1, size=(n, d))
+    if leak:
+        key = int(rng.integers(0, 256))
+        traces[:, 0] += HW[[first_round_value(int(p), key, point) for p in pts[:, 2]]]
+    if const_col is not None:
+        traces[:, const_col[0] % d] = const_col[1]
+    _assert_matches_oracle(traces * scale + offset, pts, 2, point)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -623,6 +624,30 @@ def test_oracle_csv_errors(tmp_path):
     path.write_text("run_index,point_label,value_hex\n0,a,00\n2,a,01\n")
     with pytest.raises(ValueError, match="not contiguous"):
         read_oracle_csv(path)
+
+
+@pytest.mark.parametrize("row, what", [
+    ("1,a,zz", "bad value_hex 'zz'"),
+    ("1,a,", "bad value_hex ''"),
+    ("1,a,-1", "bad value_hex '-1'"),
+    ("1,a,0x1", "bad value_hex '0x1'"),
+    ("x,a,01", "bad run_index 'x'"),
+    (",a,01", "bad run_index ''"),
+    ("1,a", "bad value_hex None"),
+])
+def test_oracle_csv_bad_cell_names_file_and_line(tmp_path, row, what):
+    path = tmp_path / "oracle.csv"
+    path.write_text(f"run_index,point_label,value_hex\n0,a,00\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {what}")):
+        read_oracle_csv(path)
+
+
+@pytest.mark.parametrize("sample", ["nan", "inf", "-Infinity", "", "1e999"])
+def test_class_csv_rejects_non_finite_sample_with_line(tmp_path, sample):
+    path = tmp_path / "classes.csv"
+    path.write_text(f"class,sample\ns0,1.5\ns1,2.0\ns0,{sample}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad sample ") + ".* at row 4"):
+        read_class_samples_csv(path)
 
 
 def test_tmatrix_and_class_csv(tmp_path):
