@@ -200,6 +200,8 @@ def _load_traces(args):
 
 
 def cmd_dpa(args) -> int:
+    if args.checkpoint < 1:
+        raise UsageError(f"--checkpoint: checkpoint_step must be >= 1, got {args.checkpoint}")
     traces, pts, key = _load_traces(args)
     if pts is None or pts.shape[0] != traces.shape[0]:
         raise UsageError(

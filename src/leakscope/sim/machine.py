@@ -217,15 +217,19 @@ class Machine:
     def poke_bytes(self, addr: int, data) -> None:
         """Write raw bytes into backing memory; stale cached copies dropped.
 
-        ``data`` is bytes (same for every lane) or a (n_lanes, k) uint8 array.
+        ``data`` is bytes (broadcast to every lane, not copied per lane) or a
+        (n_lanes, k) uint8 array. Whether the cache holds any valid line is
+        checked once per call: on a cold cache no copy can be stale, so no
+        line is looked up and the cache state is left as it is.
         """
         if isinstance(data, (bytes, bytearray)):
-            arr = np.tile(np.frombuffer(bytes(data), dtype=np.uint8), (self.n, 1))
+            arr = np.frombuffer(data, dtype=np.uint8)[None, :]
         else:
             arr = np.asarray(data, dtype=np.uint8)
             if arr.shape[0] != self.n:
                 raise SimError(f"per-lane poke needs {self.n} rows, got {arr.shape[0]}")
         k = arr.shape[1]
+        warm = bool(self.valid.any())
         pos = 0
         while pos < k:
             line_addr = (addr + pos) >> 6 << 6
@@ -234,7 +238,8 @@ class Machine:
             entry = self._line_entry(self.backing, line_addr)
             view = entry.view(np.uint8).reshape(self.n, 64)
             view[:, off:off + take] = arr[:, pos:pos + take]
-            self._invalidate_line(line_addr)
+            if warm:
+                self._invalidate_line(line_addr)
             pos += take
 
     def _invalidate_line(self, line_addr: int) -> None:

@@ -3,15 +3,25 @@ the cache-set sweep experiment.
 
 All randomness (plaintexts, Gaussian noise, key material) flows from the
 config seed through labeled substreams, so any artifact is reproducible from
-its manifest regardless of batch sizes or evaluation order. Re-keying for
-independent batch runs assigns run ``r`` the key epoch ``r // interval``;
-epochs are consecutive LFSR draws.
+its manifest. Most of it is also independent of batch sizes (``max_lanes``)
+and evaluation order, with two exceptions:
+
+- the cache-set sweep draws its noise per chunk (substream keyed by the
+  chunk's first lane), so with ``noise_sigma > 0`` its samples change with
+  ``max_lanes``;
+- ``Machine`` draws its replacement counters with shape (sets, n_lanes), so
+  which way a miss evicts, and with it the cycle logs and VCD bytes, can
+  change with ``max_lanes``.
+
+Re-keying for independent batch runs assigns run ``r`` the key epoch
+``r // interval``; epochs are consecutive LFSR draws.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,8 +224,9 @@ def cache_set_experiment(cfg: SimConfig, reps: int, rekey_every: int = 1,
     d = len(program) + 3
     total = reps * g.sets
     mem_rng = sub_rng(cfg.seed, "sweep-memory")
-    lines = [mem_rng.integers(0, 256, size=64, dtype=np.uint8).tobytes()
-             for _ in range(g.sets)]
+    # set s's line sits at SWEEP_ADDR + 64*s, so the region is one contiguous poke
+    sweep_image = b"".join(mem_rng.integers(0, 256, size=64, dtype=np.uint8).tobytes()
+                           for _ in range(g.sets))
 
     samples = np.empty(total, dtype=np.float64)
     if cfg.param_mode and total:
@@ -230,8 +241,7 @@ def cache_set_experiment(cfg: SimConfig, reps: int, rekey_every: int = 1,
         if cfg.param_mode:
             keys, _ = _per_lane_keys(sweep_cfg, rep_of, table)
         machine = Machine(cfg, lanes, keys=keys)
-        for s in range(g.sets):
-            machine.poke_bytes(SWEEP_ADDR + s * g.line_bytes, lines[s])
+        machine.poke_bytes(SWEEP_ADDR, sweep_image)
         machine.preset_register(1, (np.uint64(SWEEP_ADDR)
                                     + set_of.astype(np.uint64) * np.uint64(g.line_bytes)))
         toggles, _ = machine.run_program(program)
@@ -288,8 +298,8 @@ def read_trace_csv(path) -> np.ndarray:
     """Read a power trace CSV into an (n_runs, n_cycles) array.
 
     Run indices count from 0 and cycles from 1, and every (run, cycle) cell
-    must appear exactly once; a missing, repeated or out-of-range cell is an
-    error that names the file and a line.
+    must appear exactly once; a missing, repeated or out-of-range cell, or a
+    sample that is not finite, is an error that names the file and a line.
     """
     cells: dict[tuple[int, int], tuple[float, int]] = {}
     lineno = 1
@@ -306,6 +316,9 @@ def read_trace_csv(path) -> np.ndarray:
                 r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
             except (IndexError, ValueError):
                 raise ValueError(f"{path}: malformed trace row at line {lineno}") from None
+            if not math.isfinite(v):
+                raise ValueError(f"{path}: line {lineno}: trace row {r}, cycle {c}: "
+                                 f"sample is {v} ({parts[2].strip()!r} is not finite)")
             if r < 0 or c < 1:
                 raise ValueError(f"{path}: line {lineno}: run_index must be >= 0 and "
                                  f"cycle >= 1, got run_index {r}, cycle {c}")

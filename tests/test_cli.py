@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from leakscope import aes, metrics
+from leakscope import aes, cpa, metrics
 from leakscope.cli import main
 from leakscope.sim import write_trace_csv
 
@@ -246,6 +246,35 @@ def test_dpa_checkpoint_zero_is_an_error(tmp_path, capsys, with_key):
                    *key, "--out", str(tmp_path / "o"))
     assert code == 2
     assert "checkpoint_step must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_key", [False, True])
+def test_dpa_checkpoint_zero_fails_before_any_work(tmp_path, capsys, monkeypatch, with_key):
+    def no_attack(*args, **kwargs):
+        raise AssertionError("attack ran with an invalid --checkpoint")
+
+    monkeypatch.setattr(cpa, "cpa_attack", no_attack)
+    traces = np.random.default_rng(3).normal(0, 1, size=(6, 3))
+    key = ["--key", KEY_HEX] if with_key else []
+    code = run_cli("dpa", *_dpa_csv_inputs(tmp_path, traces), "--checkpoint", "0",
+                   *key, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "--checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_dpa_non_finite_csv_sample_names_file_and_line(tmp_path, capsys):
+    traces = np.random.default_rng(2).normal(0, 1, size=(3, 2))
+    args = _dpa_csv_inputs(tmp_path, traces)
+    path = tmp_path / "traces.csv"
+    lines = path.read_text().splitlines()
+    lines[4] = "1,2,1e999"
+    path.write_text("\n".join(lines) + "\n")
+    code = run_cli("dpa", *args, "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line 5: trace row 1, cycle 2: sample is inf" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_ttest_from_class_csv(tmp_path, capsys):

@@ -19,6 +19,7 @@ from leakscope.sim import (
     SimConfig,
     SimError,
     build_fuzz_program,
+    cache_set_experiment,
     emit_vcd,
     random_plaintexts,
     run_aes_batch,
@@ -27,7 +28,7 @@ from leakscope.sim import (
 )
 from leakscope.sim.config import ConfigError, parse_config_file
 from leakscope.sim.cyclelog import CycleLog
-from leakscope.sim.program import STATE_ADDR, alu, build_aes_program, load, store
+from leakscope.sim.program import STATE_ADDR, SWEEP_ADDR, alu, build_aes_program, load, store
 from leakscope.sim.run import _per_lane_keys, read_trace_csv, write_trace_csv
 from leakscope.vcd import parse_vcd, resample_per_cycle
 
@@ -267,6 +268,64 @@ def test_power_log_consistent_across_dirty_eviction(mode):
         log = extract_cycle_log(blog, lane)
         assert np.array_equal(synth_power(log), toggles[lane])
     assert int(m.arch_rf[4][0]) == 0x1234FEDC
+
+
+@pytest.mark.parametrize("mode", ["baseline", "param"])
+def test_poke_drops_exactly_the_lanes_that_cached_the_line(mode):
+    lanes = 6
+    _, m = mk(mode, lanes=lanes)
+    line, other = 0x2000, 0x4000
+    m.poke_bytes(line, bytes(range(64)))
+    m.poke_bytes(other, bytes(range(64, 128)))
+    cached = np.array([True, False, True, False, False, True])
+    # cached lanes hold `line` dirty; the rest hold `other`, which must survive
+    m.cache_access(np.where(cached, line, other).astype(np.uint64), "store",
+                   data=np.full(lanes, 0xDEAD, dtype=np.uint64))
+    _, set_idx, _, way = m._lookup(np.full(lanes, line >> 6, dtype=np.uint32))
+    assert np.array_equal(way >= 0, cached)
+    at = (set_idx[cached], way[cached], np.nonzero(cached)[0])
+    assert m.valid[at].all() and m.dirty[at].all()
+
+    new = bytes(range(100, 164))
+    m.poke_bytes(line, new)
+    assert not m.valid[at].any() and not m.dirty[at].any()
+    hit, _ = m.cache_access(np.where(cached, line, other).astype(np.uint64), "load")
+    assert np.array_equal(hit, ~cached)
+    assert np.array_equal(m.peek_bytes(line, 64),
+                          np.tile(np.frombuffer(new, dtype=np.uint8), (lanes, 1)))
+    _, val = m.cache_access(np.uint64(line + 8), "load")
+    assert np.all(val == int.from_bytes(new[8:16], "little"))
+
+
+@pytest.mark.parametrize("mode", ["baseline", "param"])
+def test_poke_bytes_and_per_lane_array_write_the_same_backing(mode):
+    data = bytes(random.Random(4).randrange(256) for _ in range(150))
+    _, a = mk(mode, lanes=3)
+    _, b = mk(mode, lanes=3)
+    a.poke_bytes(0x2030, data)  # unaligned, spans four lines
+    b.poke_bytes(0x2030, np.tile(np.frombuffer(data, dtype=np.uint8), (3, 1)))
+    assert sorted(a.backing) == sorted(b.backing) == [0x2000, 0x2040, 0x2080, 0x20C0]
+    for addr in a.backing:
+        assert np.array_equal(a.backing[addr], b.backing[addr])
+
+
+def test_poke_on_a_cold_cache_looks_nothing_up(monkeypatch):
+    import leakscope.sim.machine as machine_mod
+
+    _, m = mk("param", lanes=4)
+    state = (m.valid.copy(), m.dirty.copy(), m.repl.copy())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cold poke looked up the cache")
+
+    monkeypatch.setattr(Machine, "_lookup", forbidden)
+    monkeypatch.setattr(machine_mod, "obfuscate32_vec", forbidden)
+    m.poke_bytes(0x2010, bytes(range(64)))
+    written = np.concatenate([m.backing[0x2000].view(np.uint8)[:, 16:],
+                              m.backing[0x2040].view(np.uint8)[:, :16]], axis=1)
+    assert np.array_equal(written, np.tile(np.arange(64, dtype=np.uint8), (4, 1)))
+    for before, after in zip(state, (m.valid, m.dirty, m.repl)):
+        assert np.array_equal(before, after)
 
 
 # --- re-keying -------------------------------------------------------------------------
@@ -578,3 +637,42 @@ def test_trace_csv_rejects_empty_body(tmp_path):
     path.write_text(TRACE_HEADER + "\n")
     with pytest.raises(ValueError, match=r"t\.csv: no trace rows after the header"):
         read_trace_csv(path)
+
+
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_trace_csv_rejects_non_finite_sample(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(TRACE_HEADER + f"0,1,1.0\n0,2,{text}\n")
+    with pytest.raises(ValueError, match=r"t\.csv: line 3: trace row 0, cycle 2: sample is "
+                                         rf".*\('{text}' is not finite\)"):
+        read_trace_csv(path)
+
+
+# --- cache-set sweep ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["baseline", "param"])
+@pytest.mark.parametrize("rekey_every", [1, 2])
+def test_sweep_samples_do_not_depend_on_chunk_size(mode, rekey_every):
+    # 5 reps x 64 sets = 320 lanes: one chunk, 100-lane chunks that cut reps
+    # apart, and 64-lane chunks of one rep each
+    cfg = SimConfig(mode=mode, noise_sigma=0.0, seed=11)
+    runs = [cache_set_experiment(cfg, reps=5, rekey_every=rekey_every, max_lanes=lanes)
+            for lanes in (8192, 100, 64)]
+    for other in runs[1:]:
+        assert list(other) == list(runs[0])
+        for label, samples in runs[0].items():
+            assert np.array_equal(other[label], samples), label
+
+
+def test_sweep_pokes_its_memory_once_per_chunk(monkeypatch):
+    calls = []
+    poke = Machine.poke_bytes
+
+    def counting_poke(self, addr, data):
+        calls.append((addr, len(data)))
+        return poke(self, addr, data)
+
+    monkeypatch.setattr(Machine, "poke_bytes", counting_poke)
+    cfg = SimConfig(mode="param", noise_sigma=0.0, seed=11)
+    cache_set_experiment(cfg, reps=3, max_lanes=100)  # 192 lanes: two chunks
+    assert calls == [(SWEEP_ADDR, 64 * cfg.cache.sets)] * 2
