@@ -42,10 +42,6 @@ class CacheGeometry:
         return 32 + self.offset_bits
 
     @property
-    def total_bytes(self) -> int:
-        return self.sets * self.ways * self.line_bytes
-
-    @property
     def address_geometry(self) -> AddressGeometry:
         return AddressGeometry(address_width=self.address_width,
                                offset_bits=self.offset_bits)

@@ -28,10 +28,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..feistel import (
+    KeyConstant,
     deobfuscate32_vec,
     deobfuscate64_vec,
     default_spec,
-    key_constant_vec,
     obfuscate32_vec,
     obfuscate64_vec,
 )
@@ -114,6 +114,8 @@ class Machine:
             self.keys = [np.asarray(k, dtype=np.uint32) for k in keys]
             if len(self.keys) != 4 or any(k.shape != (n_lanes,) for k in self.keys):
                 raise SimError("keys must be four arrays of shape (n_lanes,)")
+            # K(k) per lane, fixed until rekey_flush
+            self._kc = KeyConstant.of(self.keys, self.spec)
         else:
             self.keys = None
 
@@ -139,32 +141,33 @@ class Machine:
 
     # --- datapath-domain transforms ---------------------------------------
 
+    # A 0-d ``raw`` (an immediate, r0) costs one table lookup, broadcast
+    # against the per-lane key constant.
+
     def dp64(self, raw):
         if self.keys is None:
             return np.asarray(raw, dtype=np.uint64)
-        return obfuscate64_vec(raw, self.keys, self.spec)
+        return obfuscate64_vec(raw, self._kc, self.spec)
 
     def inv64(self, val):
         if self.keys is None:
             return np.asarray(val, dtype=np.uint64)
-        return deobfuscate64_vec(val, self.keys, self.spec)
+        return deobfuscate64_vec(val, self._kc, self.spec)
 
     def dp_line(self, raw):
         if self.keys is None:
             return np.asarray(raw, dtype=np.uint64)
-        ks = [k[:, None] for k in self.keys]
-        return obfuscate64_vec(raw, ks, self.spec)
+        return obfuscate64_vec(raw, self._kc[:, None], self.spec)
 
     def inv_line(self, val):
         if self.keys is None:
             return np.asarray(val, dtype=np.uint64)
-        ks = [k[:, None] for k in self.keys]
-        return deobfuscate64_vec(val, ks, self.spec)
+        return deobfuscate64_vec(val, self._kc[:, None], self.spec)
 
     def dp_tagset(self, tagset):
         if self.keys is None:
             return np.asarray(tagset, dtype=np.uint32)
-        return obfuscate32_vec(tagset, self.keys, self.spec)
+        return obfuscate32_vec(tagset, self._kc, self.spec)
 
     # --- power/log plumbing -------------------------------------------------
 
@@ -191,7 +194,7 @@ class Machine:
         bank[idx] = new
 
     def _latch_lb(self, new_line, cycle):
-        self._pw_add(cycle, np.bitwise_count(self.lb ^ new_line).sum(axis=1, dtype=np.int64))
+        self._pw_add(cycle, _row_toggles(self.lb, new_line))
         if self._log is not None:
             self._log.events.append(("lb", cycle, new_line.copy()))
         self.lb = new_line.copy()
@@ -243,7 +246,7 @@ class Machine:
             pos += take
 
     def _invalidate_line(self, line_addr: int) -> None:
-        _, set_idx, _, way = self._lookup(np.full(self.n, line_addr >> 6, dtype=np.uint32))
+        _, set_idx, _, way = self._lookup(np.uint32(line_addr >> 6))
         hit = way >= 0
         self.valid[set_idx[hit], way[hit], self._lanes[hit]] = 0
         self.dirty[set_idx[hit], way[hit], self._lanes[hit]] = 0
@@ -273,7 +276,7 @@ class Machine:
 
     def _peek_line(self, line_addr: int) -> np.ndarray:
         raw = self._backing_lines(np.full(self.n, line_addr, dtype=np.uint64))
-        _, set_idx, _, way = self._lookup(np.full(self.n, line_addr >> 6, dtype=np.uint32))
+        _, set_idx, _, way = self._lookup(np.uint32(line_addr >> 6))
         hit = way >= 0
         if hit.any():
             lanes = self._lanes[hit]
@@ -284,24 +287,33 @@ class Machine:
         """Deobfuscate (k, 8) cached lines, row i held by lane ``lanes[i]``."""
         if self.keys is None:
             return lines
-        return deobfuscate64_vec(lines, [k_[lanes][:, None] for k_ in self.keys], self.spec)
+        return deobfuscate64_vec(lines, self._kc[lanes, None], self.spec)
 
     # --- the data cache ----------------------------------------------------------
+
+    def _cells(self, set_idx, way):
+        """Flat index of each lane's (set, way) entry in the cache arrays.
+
+        ``tags``, ``valid`` and ``dirty`` are (sets, ways, n_lanes) and
+        ``data`` is (sets, ways, n_lanes, 8); one flat ``np.take`` or
+        assignment per array is much cheaper than indexing with three arrays.
+        """
+        return (set_idx * self.geom.ways + way) * self.n + self._lanes
 
     def _lookup(self, tagset):
         """Per-lane lookup of architectural tag/set values.
 
-        Returns (lookup tag/set, set index, tag, way); way is -1 on a miss.
+        ``tagset`` is per lane or one 0-d value for every lane. Returns
+        (lookup tag/set, set index, tag, way); way is -1 on a miss.
         """
         g = self.geom
-        tdp = self.dp_tagset(tagset)
+        tdp = np.broadcast_to(self.dp_tagset(tagset), (self.n,))
         set_idx = (tdp & np.uint32(g.sets - 1)).astype(np.intp)
         tag = (tdp >> np.uint32(g.set_bits)).astype(np.uint64)
-        way = np.full(self.n, -1, dtype=np.intp)
-        for w in range(g.ways):
-            m = (self.valid[set_idx, w, self._lanes] != 0) & \
-                (self.tags[set_idx, w, self._lanes] == tag)
-            way = np.where((way < 0) & m, w, way)
+        cells = self._cells(set_idx, np.arange(g.ways)[:, None])  # (ways, n)
+        match = (self.valid.reshape(-1).take(cells) != 0) & \
+            (self.tags.reshape(-1).take(cells) == tag)
+        way = np.where(match.any(axis=0), match.argmax(axis=0), -1)
         return tdp, set_idx, tag, way
 
     def _scatter_lines(self, s, w, lanes, image: dict) -> None:
@@ -312,7 +324,7 @@ class Machine:
         tagset = ((self.tags[s, w, lanes] << np.uint64(self.geom.set_bits))
                   | s.astype(np.uint64)).astype(np.uint32)
         if self.keys is not None:
-            tagset = deobfuscate32_vec(tagset, [k_[lanes] for k_ in self.keys], self.spec)
+            tagset = deobfuscate32_vec(tagset, self._kc[lanes], self.spec)
         lines = self._raw_lines(self.data[s, w, lanes, :], lanes)
         addrs = tagset.astype(np.uint64) << np.uint64(6)
         for u in np.unique(addrs):
@@ -331,15 +343,16 @@ class Machine:
         g = self.geom
         lanes = self._lanes
         addr = np.asarray(addr, dtype=np.uint64)
-        if addr.ndim == 0:
-            addr = np.full(self.n, addr, dtype=np.uint64)
         if int(addr.max(initial=0)) >= (1 << g.address_width):
             raise SimError(f"address beyond {g.address_width}-bit geometry")
         if size == 8 and (addr & np.uint64(7)).any():
             raise SimError("unaligned 8-byte access")
 
+        # a 0-d address (one for every lane) is obfuscated with one lookup
         tagset = (addr >> np.uint64(g.offset_bits)).astype(np.uint32)
         tdp, set_idx, tag, way = self._lookup(tagset)
+        if addr.ndim == 0:
+            addr = np.full(self.n, addr, dtype=np.uint64)
 
         # the request-address latch holds the (possibly obfuscated) lookup
         # address; offset bits pass through unprotected by construction
@@ -348,33 +361,35 @@ class Machine:
         self._latch("dcache.arrays.addr", addr_latched, cycle)
         miss = way < 0
 
-        if miss.any():
+        any_miss = bool(miss.any())
+        if any_miss:
             ctr = self.repl[set_idx, lanes]
             way = np.where(miss, (ctr % g.ways).astype(np.intp), way)
             self.repl[set_idx, lanes] = np.where(miss, ctr + np.uint8(1), ctr)
-            victim_dirty = miss & (self.valid[set_idx, way, lanes] != 0) & \
-                (self.dirty[set_idx, way, lanes] != 0)
+        cells = self._cells(set_idx, way)
+        tags_f, valid_f = self.tags.reshape(-1), self.valid.reshape(-1)
+        dirty_f, data_f = self.dirty.reshape(-1), self.data.reshape(-1, 8)
+        old_valid, old_dirty = valid_f.take(cells), dirty_f.take(cells)
+        if any_miss:
+            victim_dirty = miss & (old_valid != 0) & (old_dirty != 0)
             # the victim's dirty flag is rewritten by the fill path; clearing it
             # here would hide the flag toggle from the power/log sampling
             self._scatter_lines(set_idx[victim_dirty], way[victim_dirty],
                                 lanes[victim_dirty], self.backing)
 
-        old_tag = self.tags[set_idx, way, lanes]
-        old_flags = (self.valid[set_idx, way, lanes] |
-                     (self.dirty[set_idx, way, lanes] << 1)).astype(np.uint64)
-        old_line = self.data[set_idx, way, lanes, :]
+        old_tag = tags_f.take(cells)
+        old_flags = (old_valid | (old_dirty << 1)).astype(np.uint64)
+        old_line = data_f.take(cells, axis=0)
 
-        if miss.any():
+        if any_miss:
             line_addr = (addr >> np.uint64(6)) << np.uint64(6)
             raw_fill = self._backing_lines(line_addr)
             fill = self.dp_line(raw_fill) if self.keys is not None else raw_fill
             new_line = np.where(miss[:, None], fill, old_line)
             new_tag = np.where(miss, tag, old_tag)
-            new_dirty = np.where(miss, 0, self.dirty[set_idx, way, lanes]).astype(np.uint8)
+            new_dirty = np.where(miss, 0, old_dirty).astype(np.uint8)
         else:
-            new_line = old_line.copy()
-            new_tag = old_tag.copy()
-            new_dirty = self.dirty[set_idx, way, lanes].copy()
+            new_line, new_tag, new_dirty = old_line, old_tag, old_dirty
 
         wi = ((addr >> np.uint64(3)) & np.uint64(7)).astype(np.intp)
 
@@ -403,15 +418,15 @@ class Machine:
             raise SimError(f"bad cache op '{op}'")
 
         new_flags = (np.uint64(1) | (new_dirty.astype(np.uint64) << np.uint64(1)))
-        toggles = np.bitwise_count(old_line ^ new_line).sum(axis=1, dtype=np.int64)
+        toggles = _row_toggles(old_line, new_line)
         toggles += np.bitwise_count(old_tag ^ new_tag).astype(np.int64)
         toggles += np.bitwise_count(old_flags ^ new_flags).astype(np.int64)
         self._pw_add(cycle, toggles)
 
-        self.tags[set_idx, way, lanes] = new_tag
-        self.valid[set_idx, way, lanes] = 1
-        self.dirty[set_idx, way, lanes] = new_dirty
-        self.data[set_idx, way, lanes, :] = new_line
+        tags_f[cells] = new_tag
+        valid_f[cells] = 1
+        dirty_f[cells] = new_dirty
+        data_f[cells] = new_line
 
         if self._log is not None:
             self._log.events.append(
@@ -451,9 +466,9 @@ class Machine:
         self.valid[:] = 0
         self.dirty[:] = 0
 
-        mask = (key_constant_vec(self.keys, self.spec)
-                ^ key_constant_vec(new_keys, self.spec)).astype(np.uint64)
-        mask64 = mask * np.uint64(0x1_0000_0001)
+        new_kc = KeyConstant.of(new_keys, self.spec)
+        mask = (self._kc.k32 ^ new_kc.k32).astype(np.uint64)
+        mask64 = self._kc.k64 ^ new_kc.k64
         self.rf ^= mask64
         self.prf ^= mask64
         skip = {"dcache.arrays.addr"}
@@ -468,6 +483,7 @@ class Machine:
             self.scalars["dcache.arrays.addr"] ^ (mask << np.uint64(self.geom.offset_bits)))
         self.lb = self.lb ^ mask64[:, None]
         self.keys = new_keys
+        self._kc = new_kc
 
     # --- program execution ------------------------------------------------------
 
@@ -500,23 +516,26 @@ class Machine:
             t_id, t_ex, t_mem, t_wb = i + 1, i + 2, i + 3, i + 4
 
             a = self.arch_rf[mop.rs1]
-            b = self.arch_rf[mop.rs2] if mop.rs2 is not None else \
-                np.full(self.n, np.uint64(mop.imm & 0xFFFFFFFFFFFFFFFF))
+            a_dp = self._dp_operand(mop.rs1)
+            reads = [(mop.rs1, a_dp)]
+            if mop.rs2 is not None:
+                b = self.arch_rf[mop.rs2]
+                b_dp = self._dp_operand(mop.rs2)
+                reads.append((mop.rs2, b_dp))
 
             # operand forwarding surface: reads of in-flight producers go
             # through the physical register file
-            reads = [mop.rs1]
-            if mop.rs2 is not None:
-                reads.append(mop.rs2)
-            for rs in reads:
+            for rs, rs_dp in reads:
                 if rs != 0 and i - last_writer[rs] <= 3:
-                    self._latch_row(self.prf, "core.prf.p", self._prf_ptr,
-                                    self.dp64(self.arch_rf[rs]), t_id)
+                    self._latch_row(self.prf, "core.prf.p", self._prf_ptr, rs_dp, t_id)
                     self._prf_ptr = (self._prf_ptr + 1) % N_PRF
 
             if mop.kind == "alu":
+                if mop.rs2 is None:
+                    b = np.uint64(mop.imm & 0xFFFFFFFFFFFFFFFF)
+                    b_dp = self.dp64(b)
                 res = _alu_eval(mop.op, a, b)
-                a_dp, b_dp, res_dp = self.dp64(a), self.dp64(b), self.dp64(res)
+                res_dp = self.dp64(res)
                 self._latch("core.id_exe.payload", a_dp, t_id)
                 self._latch("core.alu.op_a", a_dp, t_ex)
                 self._latch("core.alu.op_b", b_dp, t_ex)
@@ -541,13 +560,10 @@ class Machine:
                     last_writer[mop.rd] = i
 
             elif mop.kind == "load":
-                addr = (a + np.uint64(mop.imm)) & MASK64
-                a_dp = self.dp64(a)
-                addr_dp = self.dp64(addr)
+                addr, imm_dp, addr_dp = self._address(mop, a)
                 self._latch("core.id_exe.payload", a_dp, t_id)
                 self._latch("core.alu.op_a", a_dp, t_ex)
-                self._latch("core.alu.op_b", self.dp64(
-                    np.full(self.n, np.uint64(mop.imm))), t_ex)
+                self._latch("core.alu.op_b", imm_dp, t_ex)
                 self._latch("core.alu.res", addr_dp, t_ex)
                 self._latch("core.exe_mem.payload", addr_dp, t_ex)
                 hit, value = self.cache_access(addr, "load", size=mop.size, cycle=t_mem)
@@ -565,22 +581,36 @@ class Machine:
                     last_writer[mop.rd] = i
 
             else:  # store
-                addr = (a + np.uint64(mop.imm)) & MASK64
-                data = self.arch_rf[mop.rs2]
-                data_dp = self.dp64(data)
-                self._latch("core.id_exe.payload", data_dp, t_id)
-                self._latch("core.alu.op_a", self.dp64(a), t_ex)
-                self._latch("core.alu.op_b", self.dp64(
-                    np.full(self.n, np.uint64(mop.imm))), t_ex)
-                self._latch("core.alu.res", self.dp64(addr), t_ex)
-                self._latch("core.exe_mem.payload", data_dp, t_ex)
-                self.cache_access(addr, "store", data=data, size=mop.size, cycle=t_mem)
-                self._latch("core.mem_wb.payload", data_dp, t_mem)
+                addr, imm_dp, addr_dp = self._address(mop, a)
+                self._latch("core.id_exe.payload", b_dp, t_id)
+                self._latch("core.alu.op_a", a_dp, t_ex)
+                self._latch("core.alu.op_b", imm_dp, t_ex)
+                self._latch("core.alu.res", addr_dp, t_ex)
+                self._latch("core.exe_mem.payload", b_dp, t_ex)
+                self.cache_access(addr, "store", data=b, size=mop.size, cycle=t_mem)
+                self._latch("core.mem_wb.payload", b_dp, t_mem)
 
         toggles = self._pw[1:].T.copy()
         self._pw = None
         self._log = None
         return toggles, log
+
+    def _dp_operand(self, rs):
+        """Datapath form of register ``rs``; r0 reads the constant 0."""
+        if rs == 0:
+            return self.dp64(np.uint64(0))
+        return self.dp64(self.arch_rf[rs])
+
+    def _address(self, mop, a):
+        """Effective address ``R[rs1] + imm`` of a load or store, with the
+        datapath forms of ``imm`` and of the address. With rs1 = r0 the
+        address is the immediate, one constant for every lane."""
+        imm = np.uint64(mop.imm)
+        imm_dp = self.dp64(imm)
+        if mop.rs1 == 0:
+            return imm, imm_dp, imm_dp
+        addr = (a + imm) & MASK64
+        return addr, imm_dp, self.dp64(addr)
 
     # --- functional views ----------------------------------------------------------
 
@@ -607,13 +637,26 @@ class Machine:
         off_bits = np.uint64(self.geom.offset_bits)
         if self.keys is not None:
             tagset = deobfuscate32_vec((a >> off_bits).astype(np.uint32),
-                                       self.keys, self.spec).astype(np.uint64)
+                                       self._kc, self.spec).astype(np.uint64)
             out["dcache.arrays.addr"] = (tagset << off_bits) | \
                 (a & np.uint64(self.geom.line_bytes - 1))
         else:
             out["dcache.arrays.addr"] = a.copy()
         out["dcache.lb.line"] = self.inv_line(self.lb)
         return out
+
+
+def _row_toggles(old, new):
+    """Toggled bits per row of two (n, k) word arrays, as int64.
+
+    Summed column by column: ``sum(axis=1)`` over eight columns takes more than
+    twice as long on 8192 rows.
+    """
+    pc = np.bitwise_count(old ^ new)
+    out = pc[:, 0].astype(np.int64)
+    for j in range(1, pc.shape[1]):
+        out += pc[:, j]
+    return out
 
 
 def _alu_eval(op, a, b):

@@ -32,6 +32,8 @@ class MicroOp:
             raise ValueError(f"bad alu op '{self.op}'")
         if self.size not in (1, 8):
             raise ValueError(f"bad access size {self.size}")
+        if self.kind == "store" and self.rs2 is None:
+            raise ValueError("store needs rs2, the register it writes to memory")
         for r in (self.rd, self.rs1, self.rs2 or 0):
             if not 0 <= r < 32:
                 raise ValueError(f"register {r} out of range")

@@ -209,6 +209,20 @@ def test_dpa_on_simulated_traces(sim_dir, tmp_path, capsys):
     assert evo[0] == "trace_count,guess,max_abs_rho"
 
 
+def test_dpa_reads_a_compressed_traces_npz(sim_dir, tmp_path, capsys):
+    # traces.npz files written before the archive was stored uncompressed
+    packed = tmp_path / "packed.npz"
+    with np.load(sim_dir / "a" / "traces.npz") as z:
+        np.savez_compressed(packed, **{name: z[name] for name in z.files})
+    outs = {}
+    for label, path in (("plain", sim_dir / "a" / "traces.npz"), ("packed", packed)):
+        outs[label] = tmp_path / label
+        assert run_cli("dpa", "--traces", str(path), "--out", str(outs[label]),
+                       "--checkpoint", "2", "--target-byte", "0") == 0
+    for name in ("attack.json", "evolution.csv"):
+        assert (outs["packed"] / name).read_bytes() == (outs["plain"] / name).read_bytes()
+
+
 def test_dpa_malformed_csv_names_row(tmp_path, capsys):
     bad = tmp_path / "traces.csv"
     bad.write_text("run_index,cycle,sample\n0,1,3.0\n0,two,4\n")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from leakscope import feistel
 from leakscope.feistel import (
+    KeyConstant,
     AddressGeometry,
     AffineSpec,
     Lfsr,
@@ -403,6 +404,37 @@ def test_vec64_line_keys_broadcast_matches_scalar_reference(lines):
 def test_key_constant_is_the_image_of_zero(keys, spec):
     assert int(key_constant_vec(RoundKeys(keys), spec)) == obfuscate32(0, RoundKeys(keys), spec)
     assert int(obfuscate32_vec(np.uint32(0), keys, spec)) == obfuscate32(0, RoundKeys(keys), spec)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(st.tuples(_edgy(64), _KEYS), min_size=1, max_size=8), _edgy(64), _SPECS)
+def test_key_constant_stands_in_for_the_keys(cases, const, spec):
+    xs = np.array([x for x, _ in cases], dtype=np.uint64)
+    ks = _key_arrays([k for _, k in cases])
+    kc = KeyConstant.of(ks, spec)
+    x32 = (xs >> np.uint64(16)).astype(np.uint32)
+    for fn, x in ((obfuscate64_vec, xs), (deobfuscate64_vec, xs),
+                  (obfuscate32_vec, x32), (deobfuscate32_vec, x32)):
+        assert np.array_equal(fn(x, kc, spec), fn(x, ks, spec)), fn.__name__
+    # a 0-d word is one lookup, broadcast against the per-element K
+    assert np.array_equal(obfuscate64_vec(np.uint64(const), kc, spec),
+                          obfuscate64_vec(np.full(len(xs), const, dtype=np.uint64), ks, spec))
+    # indexing selects elements, here as (n, 1) columns for cache lines
+    lines = np.stack([xs, ~xs], axis=1)
+    col = [k[:, None] for k in ks]
+    assert np.array_equal(obfuscate64_vec(lines, kc[:, None], spec),
+                          obfuscate64_vec(lines, col, spec))
+    assert np.array_equal(deobfuscate64_vec(lines[::-1], kc[::-1, None], spec),
+                          deobfuscate64_vec(lines[::-1], [c[::-1] for c in col], spec))
+
+
+def test_key_constant_refuses_another_spec():
+    kc = KeyConstant.of(RoundKeys((1, 2, 3, 4)))
+    other = AffineSpec(rows=tuple(range(1, 17)), const=5)
+    assert np.array_equal(obfuscate32_vec(np.uint32(9), kc, default_spec()),
+                          obfuscate32_vec(np.uint32(9), (1, 2, 3, 4)))
+    with pytest.raises(ObfuscationError, match="another spec"):
+        obfuscate32_vec(np.uint32(9), kc, other)
 
 
 # --- the security consequence of the closed form ----------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import zipfile
 
 import numpy as np
 import pytest
@@ -6,8 +8,11 @@ import pytest
 from leakscope import aes
 from leakscope.feistel import (
     RoundKeys,
+    deobfuscate64_vec,
     deobfuscate_address,
+    obfuscate32_vec,
     obfuscate64,
+    obfuscate64_vec,
     obfuscate_address,
     remap,
 )
@@ -28,8 +33,22 @@ from leakscope.sim import (
 )
 from leakscope.sim.config import ConfigError, parse_config_file
 from leakscope.sim.cyclelog import CycleLog
-from leakscope.sim.program import STATE_ADDR, SWEEP_ADDR, alu, build_aes_program, load, store
-from leakscope.sim.run import _per_lane_keys, read_trace_csv, write_trace_csv
+from leakscope.sim.program import (
+    STATE_ADDR,
+    SWEEP_ADDR,
+    MicroOp,
+    alu,
+    build_aes_program,
+    load,
+    store,
+)
+from leakscope.sim.run import (
+    _per_lane_keys,
+    load_traces_npz,
+    read_trace_csv,
+    save_traces_npz,
+    write_trace_csv,
+)
 from leakscope.vcd import parse_vcd, resample_per_cycle
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -413,6 +432,45 @@ def test_rekey_flush_remaps_every_stored_word_like_the_scalar_reference(eda_fix)
                 assert int(arr[lane]) == _remap64(before, ko, kn), (name, lane)
 
 
+def _datapath_transforms(m, keys, rng):
+    """Each key-dependent Machine transform next to the vector function called
+    with ``keys`` (four per-lane arrays) on the same random input."""
+    n = m.n
+    words = rng.integers(0, 1 << 63, size=n, dtype=np.uint64)
+    lines = rng.integers(0, 1 << 63, size=(n, 8), dtype=np.uint64)
+    tagsets = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
+    lanes = np.array([2, 0, 3, 2])
+    col = [k[:, None] for k in keys]
+    return {
+        "dp64": (m.dp64(words), obfuscate64_vec(words, keys)),
+        "dp64 of a constant": (m.dp64(np.uint64(0x1234)),
+                               obfuscate64_vec(np.full(n, 0x1234, dtype=np.uint64), keys)),
+        "inv64": (m.inv64(words), deobfuscate64_vec(words, keys)),
+        "dp_line": (m.dp_line(lines), obfuscate64_vec(lines, col)),
+        "dp_tagset": (m.dp_tagset(tagsets), obfuscate32_vec(tagsets, keys)),
+        "_raw_lines": (m._raw_lines(lines[:4], lanes),
+                       deobfuscate64_vec(lines[:4], [k[lanes][:, None] for k in keys])),
+    }
+
+
+@pytest.mark.parametrize("eda_fix", ["on", "off"])
+def test_datapath_transforms_follow_the_keys_across_rekey_flush(eda_fix):
+    # the Machine keeps K(k) per key epoch; a stale one would obfuscate with
+    # the old keys after the flush
+    lanes = 4
+    cfg = SimConfig(mode="param", eda_fix=eda_fix, noise_sigma=0.0, seed=5)
+    keys, _ = _per_lane_keys(cfg, np.arange(lanes))
+    m = Machine(cfg, lanes, keys=keys)
+    rng = np.random.default_rng(5)
+    for name, (got, want) in _datapath_transforms(m, keys, rng).items():
+        assert np.array_equal(got, want), f"before the flush: {name}"
+
+    new_keys = [rng.integers(0, 1 << 16, size=lanes, dtype=np.uint32) for _ in range(4)]
+    m.rekey_flush(new_keys)
+    for name, (got, want) in _datapath_transforms(m, new_keys, rng).items():
+        assert np.array_equal(got, want), f"after the flush: {name}"
+
+
 def test_sequential_session_rekey_straddles_runs():
     cfg = SimConfig(mode="param", noise_sigma=0.0, seed=31, rekey_interval_runs=2)
     ses = SequentialSession(cfg, KEY, lanes=3)
@@ -558,6 +616,11 @@ def test_vcd_round_trip_fuzzed_programs():
 
 # --- misc -------------------------------------------------------------------------------
 
+def test_store_without_data_register_is_rejected():
+    with pytest.raises(ValueError, match="store needs rs2"):
+        MicroOp(kind="store", imm=STATE_ADDR)
+
+
 def test_preset_register_rejects_r0():
     _, m = mk()
     with pytest.raises(SimError):
@@ -646,6 +709,80 @@ def test_trace_csv_rejects_non_finite_sample(tmp_path, text):
     with pytest.raises(ValueError, match=r"t\.csv: line 3: trace row 0, cycle 2: sample is "
                                          rf".*\('{text}' is not finite\)"):
         read_trace_csv(path)
+
+
+# --- trace archives ------------------------------------------------------------------------
+
+def test_traces_npz_roundtrip_is_exact_and_uncompressed(tmp_path):
+    rng = np.random.default_rng(3)
+    traces = rng.normal(0.0, 80.0, size=(7, 5))
+    pts = rng.integers(0, 256, size=(7, 16), dtype=np.uint8)
+    meta = {"mode": "param", "n_cycles": 5, "rekey_runs": [2, 4]}
+    path = tmp_path / "traces.npz"
+    save_traces_npz(path, traces, pts, key=KEY, meta=meta)
+
+    got, got_pts, got_key, got_meta = load_traces_npz(path)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, traces.astype(np.float32).astype(np.float64))
+    assert np.array_equal(got_pts, pts) and got_pts.dtype == np.uint8
+    assert got_key == KEY and got_meta == meta
+    with zipfile.ZipFile(path) as z:
+        assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_STORED}
+
+    save_traces_npz(path, traces, pts)
+    assert load_traces_npz(path)[2:] == (None, {})
+
+
+def test_compressed_traces_npz_still_loads(tmp_path):
+    # archives written before traces were stored uncompressed
+    rng = np.random.default_rng(4)
+    traces = rng.normal(0.0, 80.0, size=(6, 3))
+    pts = rng.integers(0, 256, size=(6, 16), dtype=np.uint8)
+    plain, packed = tmp_path / "plain.npz", tmp_path / "packed.npz"
+    save_traces_npz(plain, traces, pts, key=KEY, meta={"seed": 4})
+    with np.load(plain) as z:
+        np.savez_compressed(packed, **{name: z[name] for name in z.files})
+    with zipfile.ZipFile(packed) as z:
+        assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_DEFLATED}
+
+    want, got = load_traces_npz(plain), load_traces_npz(packed)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2:] == want[2:]
+
+
+# --- golden simulator outputs ------------------------------------------------------------
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of simulator outputs for fixed inputs. A speed-up must leave them
+# unchanged; a change that alters simulated outputs on purpose re-records them
+# and says why.
+GOLDEN_BATCH = {
+    "param": "ca0bf78aed349bfdb67db8ab9bd50b6eec11b832715ef47ee48a5113b7b0ae88",
+    "baseline": "394c8c2c1972b1d03d83388e01e3a4f6292167a0a36d0f6780c38f550661e49c",
+}
+GOLDEN_SWEEP = "f97c34397268922d733746e5f032fafa71235b1a021bd4f17ba8d91775607046"
+
+
+@pytest.mark.parametrize("mode", ["param", "baseline"])
+def test_aes_batch_matches_golden_hashes(mode):
+    # 600 runs in 256-lane chunks: three machines, six key epochs in param mode
+    cfg = SimConfig(mode=mode, rounds=10, noise_sigma=80.0, rekey_interval_runs=100, seed=7)
+    res = run_aes_batch(cfg, random_plaintexts(cfg, 600), KEY, max_lanes=256)
+    assert _digest(res.traces, res.ciphertexts) == GOLDEN_BATCH[mode]
+
+
+def test_param_sweep_matches_golden_hash():
+    cfg = SimConfig(mode="param", noise_sigma=0.0, seed=7)
+    out = cache_set_experiment(cfg, reps=5, rekey_every=2, max_lanes=96)
+    assert _digest(*(out[k] for k in sorted(out))) == GOLDEN_SWEEP
 
 
 # --- cache-set sweep ---------------------------------------------------------------------
