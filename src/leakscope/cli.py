@@ -39,14 +39,14 @@ class UsageError(ValueError):
 
 
 def _load_config(args) -> SimConfig:
-    if getattr(args, "config", None):
+    if args.config:
         cfg = parse_config_file(args.config)
     else:
         cfg = config_from_dict(
             {k[len("LEAKSCOPE_"):].lower(): v for k, v in os.environ.items()
              if k.startswith("LEAKSCOPE_")}
         )
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = with_overrides(cfg, seed=args.seed)
     return cfg
 
@@ -140,6 +140,8 @@ def _parse_window(text):
 def cmd_analyze(args) -> int:
     from .vcd import read_manifest
 
+    if args.floor_shuffles < 0:
+        raise UsageError(f"--floor-shuffles: must be >= 0, got {args.floor_shuffles}")
     paths, labels = read_manifest(args.runs)
     if len(paths) < 2:
         raise UsageError(f"run manifest {args.runs}: need at least 2 runs")
@@ -202,6 +204,8 @@ def _load_traces(args):
 def cmd_dpa(args) -> int:
     if args.checkpoint < 1:
         raise UsageError(f"--checkpoint: checkpoint_step must be >= 1, got {args.checkpoint}")
+    if not 0 <= args.target_byte < 16:
+        raise UsageError(f"--target-byte: must be in 0..15, got {args.target_byte}")
     traces, pts, key = _load_traces(args)
     if pts is None or pts.shape[0] != traces.shape[0]:
         raise UsageError(
@@ -241,6 +245,8 @@ def cmd_dpa(args) -> int:
 # --- ttest ------------------------------------------------------------------------
 
 def cmd_ttest(args) -> int:
+    if args.rekey_every < 1:
+        raise UsageError(f"--rekey-every: must be >= 1, got {args.rekey_every}")
     if args.classes:
         groups = metrics.read_class_samples_csv(args.classes)
     else:
@@ -294,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    # only the commands that simulate read a config
+    simcfg = argparse.ArgumentParser(add_help=False)
+    simcfg.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    common.add_argument("--config", default=None,
+    simcfg.add_argument("--config", default=None,
                         help="key = value config file (env LEAKSCOPE_* overrides)")
-    common.add_argument("--threads", type=int, default=1)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[simcfg],
                        help="run the AES workload and write traces")
     p.add_argument("--plaintexts", default=None,
                    help="hex block file; omit to generate --gen random blocks")
@@ -313,18 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("npz", "csv"), default="npz")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="per-module leakage scores from VCD runs")
+    p = sub.add_parser("analyze", help="per-module leakage scores from VCD runs")
     p.add_argument("--runs", required=True, help="manifest: one VCD path per line")
     p.add_argument("--oracle", required=True, help="oracle CSV")
     p.add_argument("--clock", default="clk")
     p.add_argument("--window", default=None, help="restrict analysis to START:END cycles")
     p.add_argument("--floor-shuffles", type=int, default=1000)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("dpa", parents=[common],
-                       help="correlation power analysis on recorded traces")
+    p = sub.add_parser("dpa", help="correlation power analysis on recorded traces")
     p.add_argument("--traces", required=True, help="traces .npz or .csv")
     p.add_argument("--plaintexts", default=None, help="hex block file (for CSV traces)")
     p.add_argument("--target-byte", type=int, default=0)
@@ -336,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_dpa)
 
-    p = sub.add_parser("ttest", parents=[common],
+    p = sub.add_parser("ttest", parents=[simcfg],
                        help="pairwise Welch t-matrix over trace classes")
     p.add_argument("--classes", default=None,
                    help="CSV of class,sample rows; omit to run the cache-set sweep")
@@ -346,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(fn=cmd_ttest)
 
-    p = sub.add_parser("obfuscate", parents=[common],
-                       help="apply the 32-bit obfuscation to a value")
+    p = sub.add_parser("obfuscate", help="apply the 32-bit obfuscation to a value")
     p.add_argument("value", help="32-bit value, hex")
     p.add_argument("--keys", required=True, help="four round keys k1,k2,k3,k4 (hex)")
     p.add_argument("--inverse", action="store_true")

@@ -16,11 +16,11 @@ depend on the key, and re-keying any stored word from ``k`` to ``k'`` is one
 XOR with ``K(k) ⊕ K(k')``.
 
 Scalar entry points run the rounds one by one on plain ints; they are the
-reference. The ``*_vec`` variants take numpy arrays and per-element keys (the
-batch simulator's path) and evaluate the closed form by table lookups, with
-tables read off the scalar reference the first time a spec is used. A caller
-whose keys stay fixed over many calls passes a ``KeyConstant`` instead, so
-``K(k)`` is computed once per key epoch and not once per call.
+reference. The ``*_vec`` variants (the batch simulator's path) evaluate the
+closed form on numpy arrays by table lookups, with tables read off the scalar
+reference the first time a spec is used. They take the key only as a
+``KeyConstant``: ``K(k)`` per element, computed once per key epoch by
+``KeyConstant.of`` from the round keys, and carrying its spec's tables.
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ def lfsr_from_seed(seed: int, taps: int = DEFAULT_TAPS) -> Lfsr:
 
 
 # ---------------------------------------------------------------------------
-# vectorized variants (per-element keys supported): the closed form
+# vectorized variants (per-element key constants): the closed form
 
 
 class _ClosedForm(NamedTuple):
@@ -374,82 +374,51 @@ def _apply(tables, words):
     return out
 
 
-def _as_key_arrays(keys):
-    """Normalize RoundKeys | 4-seq of ints | 4-seq of arrays to 4 arrays."""
-    if isinstance(keys, RoundKeys):
-        ks = keys.keys
-    else:
-        ks = keys
-        if len(ks) != 4:
-            raise ObfuscationError("exactly 4 round keys required")
-    return [np.asarray(k, dtype=np.uint32) for k in ks]
-
-
-def key_constant_vec(keys, spec: AffineSpec | None = None):
-    """``K(k) = N·k ⊕ c = obfuscate32(0, k)`` per element, as uint32.
-
-    Round keys are taken modulo 2^16; per-element key arrays broadcast.
-    """
-    cf = _closed_form(spec)
-    out = np.uint32(cf.const)
-    for table, k in zip(cf.key, _as_key_arrays(keys)):
-        out = out ^ table[k & np.uint32(MASK16)]
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class KeyConstant:
-    """``K(k)`` of one key epoch, computed once.
+    """``K(k) = N·k ⊕ c = obfuscate32(0, k)`` of one key epoch, computed once,
+    with the closed-form tables of the spec it was computed under.
 
-    Every ``*_vec`` function takes it in place of the round keys it was
-    computed from. Indexing selects elements like the arrays it holds.
+    This is the only key form the ``*_vec`` functions take. Indexing selects
+    elements like the arrays it holds.
     """
 
     k32: np.ndarray     # K(k), uint32
     k64: np.ndarray     # K(k) in both 32-bit halves, uint64
-    spec: AffineSpec
+    cf: _ClosedForm
 
     @classmethod
     def of(cls, keys, spec: AffineSpec | None = None) -> "KeyConstant":
-        spec = spec or default_spec()
-        k32 = key_constant_vec(keys, spec)
-        return cls(k32, k32.astype(np.uint64) * np.uint64(0x1_0000_0001), spec)
+        """From ``RoundKeys`` or four round keys (ints or arrays, taken modulo
+        2^16); per-element key arrays broadcast."""
+        ks = keys.keys if isinstance(keys, RoundKeys) else keys
+        if len(ks) != 4:
+            raise ObfuscationError("exactly 4 round keys required")
+        cf = _closed_form(spec)
+        k32 = np.uint32(cf.const)
+        for table, k in zip(cf.key, ks):
+            k32 = k32 ^ table[np.asarray(k, dtype=np.uint32) & np.uint32(MASK16)]
+        return cls(k32, k32.astype(np.uint64) * np.uint64(0x1_0000_0001), cf)
 
     def __getitem__(self, index) -> "KeyConstant":
-        return KeyConstant(self.k32[index], self.k64[index], self.spec)
+        return KeyConstant(self.k32[index], self.k64[index], self.cf)
 
 
-def _key_constant(keys, spec, width):
-    """K for the ``*_vec`` functions: given as a KeyConstant or computed."""
-    if isinstance(keys, KeyConstant):
-        if keys.spec != (spec or default_spec()):
-            raise ObfuscationError("key constant was computed under another spec")
-        return keys.k32 if width == 32 else keys.k64
-    if width == 32:
-        return key_constant_vec(keys, spec)
-    return key_constant_vec(keys, spec).astype(np.uint64) * np.uint64(0x1_0000_0001)
+def obfuscate32_vec(x, kc: KeyConstant):
+    """obfuscate32 on a uint32 numpy array: ``L·x ⊕ K(k)``."""
+    return _apply(kc.cf.fwd32, x) ^ kc.k32
 
 
-def obfuscate32_vec(x, keys, spec: AffineSpec | None = None):
-    """obfuscate32 on a uint32 numpy array.
-
-    ``keys`` are round keys (per-element arrays allowed) or a KeyConstant.
-    """
-    return _apply(_closed_form(spec).fwd32, x) ^ _key_constant(keys, spec, 32)
-
-
-def deobfuscate32_vec(y, keys, spec: AffineSpec | None = None):
+def deobfuscate32_vec(y, kc: KeyConstant):
     """Inverse of obfuscate32_vec: ``L⁻¹·(y ⊕ K(k))``."""
-    y = np.asarray(y, dtype=np.uint32) ^ _key_constant(keys, spec, 32)
-    return _apply(_closed_form(spec).inv32, y)
+    return _apply(kc.cf.inv32, np.asarray(y, dtype=np.uint32) ^ kc.k32)
 
 
-def obfuscate64_vec(x, keys, spec: AffineSpec | None = None):
+def obfuscate64_vec(x, kc: KeyConstant):
     """obfuscate64 (two independent 32-bit halves) on a uint64 array."""
-    return _apply(_closed_form(spec).fwd64, x) ^ _key_constant(keys, spec, 64)
+    return _apply(kc.cf.fwd64, x) ^ kc.k64
 
 
-def deobfuscate64_vec(y, keys, spec: AffineSpec | None = None):
+def deobfuscate64_vec(y, kc: KeyConstant):
     """Inverse of obfuscate64_vec."""
-    y = np.asarray(y, dtype=np.uint64) ^ _key_constant(keys, spec, 64)
-    return _apply(_closed_form(spec).inv64, y)
+    return _apply(kc.cf.inv64, np.asarray(y, dtype=np.uint64) ^ kc.k64)

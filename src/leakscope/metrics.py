@@ -344,6 +344,8 @@ def svf_all(runs: RunSet, hierarchy: ModuleNode, oracles, window=None,
     Results are sorted by descending score (ties by module path) so the
     outcome does not depend on evaluation order or thread scheduling.
     """
+    if noise_floor_shuffles < 0:
+        raise ValueError(f"noise_floor_shuffles must be >= 0, got {noise_floor_shuffles}")
     oracles = [oracles] if isinstance(oracles, OracleTrace) else list(oracles)
     if not oracles:
         raise ValueError("need at least one oracle")

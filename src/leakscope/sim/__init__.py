@@ -24,7 +24,6 @@ from .run import (
     random_plaintexts,
     read_trace_csv,
     run_aes_batch,
-    run_workload,
     save_traces_npz,
     sub_rng,
     write_manifest,
@@ -37,7 +36,7 @@ __all__ = [
     "build_fuzz_program", "build_single_access_program", "cache_set_experiment",
     "element_catalog", "emit_vcd", "epoch_keys", "extract_cycle_log",
     "load_traces_npz", "parse_config_file", "random_plaintexts",
-    "read_trace_csv", "run_aes_batch", "run_workload", "save_traces_npz",
+    "read_trace_csv", "run_aes_batch", "save_traces_npz",
     "sub_rng", "synth_power", "with_overrides", "write_manifest",
     "write_trace_csv",
 ]

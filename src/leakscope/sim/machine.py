@@ -31,7 +31,6 @@ from ..feistel import (
     KeyConstant,
     deobfuscate32_vec,
     deobfuscate64_vec,
-    default_spec,
     obfuscate32_vec,
     obfuscate64_vec,
 )
@@ -101,23 +100,13 @@ def _words_to_int(words) -> int:
 
 
 class Machine:
-    def __init__(self, cfg: SimConfig, n_lanes: int, keys=None, spec=None):
+    def __init__(self, cfg: SimConfig, n_lanes: int, kc: KeyConstant | None = None):
         self.cfg = cfg
         self.n = n_lanes
-        self.spec = spec or default_spec()
         self.geom = cfg.cache
         self._lanes = np.arange(n_lanes)
-
-        if cfg.param_mode:
-            if keys is None:
-                raise SimError("param mode needs per-lane round keys")
-            self.keys = [np.asarray(k, dtype=np.uint32) for k in keys]
-            if len(self.keys) != 4 or any(k.shape != (n_lanes,) for k in self.keys):
-                raise SimError("keys must be four arrays of shape (n_lanes,)")
-            # K(k) per lane, fixed until rekey_flush
-            self._kc = KeyConstant.of(self.keys, self.spec)
-        else:
-            self.keys = None
+        # K(k) per lane in param mode, fixed until rekey_flush; None in baseline
+        self.kc = self._lane_constant(kc) if cfg.param_mode else None
 
         n = n_lanes
         g = self.geom
@@ -139,35 +128,41 @@ class Machine:
         self._pw = None   # (d+1, n) toggle accumulator while a program runs
         self._log = None
 
+    def _lane_constant(self, kc):
+        if not isinstance(kc, KeyConstant) or np.shape(kc.k32) != (self.n,):
+            raise SimError("param mode needs a KeyConstant of the per-lane round keys, "
+                           f"shape ({self.n},)")
+        return kc
+
     # --- datapath-domain transforms ---------------------------------------
 
     # A 0-d ``raw`` (an immediate, r0) costs one table lookup, broadcast
     # against the per-lane key constant.
 
     def dp64(self, raw):
-        if self.keys is None:
+        if self.kc is None:
             return np.asarray(raw, dtype=np.uint64)
-        return obfuscate64_vec(raw, self._kc, self.spec)
+        return obfuscate64_vec(raw, self.kc)
 
     def inv64(self, val):
-        if self.keys is None:
+        if self.kc is None:
             return np.asarray(val, dtype=np.uint64)
-        return deobfuscate64_vec(val, self._kc, self.spec)
+        return deobfuscate64_vec(val, self.kc)
 
     def dp_line(self, raw):
-        if self.keys is None:
+        if self.kc is None:
             return np.asarray(raw, dtype=np.uint64)
-        return obfuscate64_vec(raw, self._kc[:, None], self.spec)
+        return obfuscate64_vec(raw, self.kc[:, None])
 
     def inv_line(self, val):
-        if self.keys is None:
+        if self.kc is None:
             return np.asarray(val, dtype=np.uint64)
-        return deobfuscate64_vec(val, self._kc[:, None], self.spec)
+        return deobfuscate64_vec(val, self.kc[:, None])
 
     def dp_tagset(self, tagset):
-        if self.keys is None:
+        if self.kc is None:
             return np.asarray(tagset, dtype=np.uint32)
-        return obfuscate32_vec(tagset, self._kc, self.spec)
+        return obfuscate32_vec(tagset, self.kc)
 
     # --- power/log plumbing -------------------------------------------------
 
@@ -285,9 +280,9 @@ class Machine:
 
     def _raw_lines(self, lines, lanes):
         """Deobfuscate (k, 8) cached lines, row i held by lane ``lanes[i]``."""
-        if self.keys is None:
+        if self.kc is None:
             return lines
-        return deobfuscate64_vec(lines, self._kc[lanes, None], self.spec)
+        return deobfuscate64_vec(lines, self.kc[lanes, None])
 
     # --- the data cache ----------------------------------------------------------
 
@@ -323,8 +318,8 @@ class Machine:
             return
         tagset = ((self.tags[s, w, lanes] << np.uint64(self.geom.set_bits))
                   | s.astype(np.uint64)).astype(np.uint32)
-        if self.keys is not None:
-            tagset = deobfuscate32_vec(tagset, self._kc[lanes], self.spec)
+        if self.kc is not None:
+            tagset = deobfuscate32_vec(tagset, self.kc[lanes])
         lines = self._raw_lines(self.data[s, w, lanes, :], lanes)
         addrs = tagset.astype(np.uint64) << np.uint64(6)
         for u in np.unique(addrs):
@@ -384,8 +379,7 @@ class Machine:
         if any_miss:
             line_addr = (addr >> np.uint64(6)) << np.uint64(6)
             raw_fill = self._backing_lines(line_addr)
-            fill = self.dp_line(raw_fill) if self.keys is not None else raw_fill
-            new_line = np.where(miss[:, None], fill, old_line)
+            new_line = np.where(miss[:, None], self.dp_line(raw_fill), old_line)
             new_tag = np.where(miss, tag, old_tag)
             new_dirty = np.where(miss, 0, old_dirty).astype(np.uint8)
         else:
@@ -448,27 +442,25 @@ class Machine:
 
     # --- re-keying ------------------------------------------------------------
 
-    def rekey_flush(self, new_keys) -> None:
+    def rekey_flush(self, new_kc: KeyConstant) -> None:
         """Rotate obfuscation keys: write back dirty lines with the old keys,
         invalidate the cache, and re-encrypt every datapath register.
 
         Obfuscation is ``L·x ⊕ K(k)``, so re-encrypting any stored word from
         the old key to the new one xors in ``K(old) ⊕ K(new)``: one mask per
-        lane, applied to both 32-bit halves of each 64-bit word.
+        lane, applied to both 32-bit halves of each 64-bit word. ``new_kc``
+        must come from the same affine spec as the current constant.
         """
-        if self.keys is None:
+        if self.kc is None:
             raise SimError("rekey_flush is only meaningful in param mode")
-        new_keys = [np.asarray(k, dtype=np.uint32) for k in new_keys]
-        if len(new_keys) != 4 or any(k.shape != (self.n,) for k in new_keys):
-            raise SimError("keys must be four arrays of shape (n_lanes,)")
+        new_kc = self._lane_constant(new_kc)
 
         self._scatter_lines(*np.nonzero(self.valid & self.dirty), self.backing)
         self.valid[:] = 0
         self.dirty[:] = 0
 
-        new_kc = KeyConstant.of(new_keys, self.spec)
-        mask = (self._kc.k32 ^ new_kc.k32).astype(np.uint64)
-        mask64 = self._kc.k64 ^ new_kc.k64
+        mask = (self.kc.k32 ^ new_kc.k32).astype(np.uint64)
+        mask64 = self.kc.k64 ^ new_kc.k64
         self.rf ^= mask64
         self.prf ^= mask64
         skip = {"dcache.arrays.addr"}
@@ -482,8 +474,7 @@ class Machine:
         self.scalars["dcache.arrays.addr"] = (
             self.scalars["dcache.arrays.addr"] ^ (mask << np.uint64(self.geom.offset_bits)))
         self.lb = self.lb ^ mask64[:, None]
-        self.keys = new_keys
-        self._kc = new_kc
+        self.kc = new_kc
 
     # --- program execution ------------------------------------------------------
 
@@ -635,9 +626,9 @@ class Machine:
             out[name] = arr.copy() if name in raw_const else self.inv64(arr)
         a = self.scalars["dcache.arrays.addr"]
         off_bits = np.uint64(self.geom.offset_bits)
-        if self.keys is not None:
+        if self.kc is not None:
             tagset = deobfuscate32_vec((a >> off_bits).astype(np.uint32),
-                                       self._kc, self.spec).astype(np.uint64)
+                                       self.kc).astype(np.uint64)
             out["dcache.arrays.addr"] = (tagset << off_bits) | \
                 (a & np.uint64(self.geom.line_bytes - 1))
         else:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import __version__
-from ..feistel import lfsr_from_seed, next_round_keys
-from .config import SimConfig, with_overrides
+from ..feistel import KeyConstant, lfsr_from_seed, next_round_keys
+from .config import SimConfig
 from .cyclelog import CycleLog, extract_cycle_log
 from .machine import Machine
 from .program import (
@@ -61,29 +61,10 @@ def epoch_keys(cfg: SimConfig, n_epochs: int) -> list[tuple[int, int, int, int]]
     return out
 
 
-def _run_epochs(cfg: SimConfig, run_indices: np.ndarray) -> np.ndarray:
-    if cfg.rekey_interval_runs is None:
-        return np.zeros(len(run_indices), dtype=np.int64)
-    return run_indices // cfg.rekey_interval_runs
-
-
-def _key_table(cfg: SimConfig, last_run: int) -> np.ndarray:
-    """(E, 4) uint32 round keys of every epoch up to the one of ``last_run``."""
-    n_epochs = int(_run_epochs(cfg, np.array([last_run]))[0]) + 1
-    return np.array(epoch_keys(cfg, n_epochs), dtype=np.uint32)
-
-
-def _per_lane_keys(cfg: SimConfig, run_indices: np.ndarray, table=None):
-    """Four (N,) uint32 key arrays plus per-lane epoch ids.
-
-    A batch passes one ``_key_table`` covering all its runs, so the LFSR is
-    not redrawn from epoch 0 for every chunk.
-    """
-    epochs = _run_epochs(cfg, run_indices)
-    if table is None:
-        table = _key_table(cfg, int(run_indices.max()))
-    ks = table[epochs]  # (N, 4)
-    return [ks[:, i].copy() for i in range(4)], epochs
+def _epoch_constants(cfg: SimConfig, n_epochs: int) -> KeyConstant:
+    """``K(k)`` of epochs 0..n_epochs-1, one element per epoch; a batch
+    computes it once and indexes it by each lane's epoch."""
+    return KeyConstant.of(np.array(epoch_keys(cfg, n_epochs), dtype=np.uint32).T)
 
 
 def _noise_rows(cfg: SimConfig, run_indices, d: int) -> np.ndarray:
@@ -124,17 +105,20 @@ def run_aes_batch(cfg: SimConfig, plaintexts, key: bytes, *,
     traces = np.empty((n_total, d), dtype=np.float64)
     cts = np.empty((n_total, 16), dtype=np.uint8) if cfg.rounds == 10 else None
     logs: list[CycleLog] | None = [] if collect_logs else None
+    # run r is in key epoch r // interval; "never" re-keying keeps every run in epoch 0
+    interval = cfg.rekey_interval_runs
     if cfg.param_mode and n_total:
-        table = _key_table(cfg, run_offset + n_total - 1)
+        last_run = run_offset + n_total - 1
+        table = _epoch_constants(cfg, last_run // interval + 1 if interval else 1)
 
     for base in range(0, n_total, max_lanes):
         chunk = plaintexts[base:base + max_lanes]
         lanes = chunk.shape[0]
         run_idx = np.arange(base, base + lanes) + run_offset
-        keys = None
+        kc = None
         if cfg.param_mode:
-            keys, _ = _per_lane_keys(cfg, run_idx, table)
-        machine = Machine(cfg, lanes, keys=keys)
+            kc = table[run_idx // interval if interval else np.zeros_like(run_idx)]
+        machine = Machine(cfg, lanes, kc)
         for addr, blob in init_mem.items():
             machine.poke_bytes(addr, blob)
         machine.poke_bytes(PT_ADDR, chunk)
@@ -158,15 +142,6 @@ def run_aes_batch(cfg: SimConfig, plaintexts, key: bytes, *,
                        rekey_runs=rekeys)
 
 
-def run_workload(cfg: SimConfig, plaintext: bytes, key: bytes,
-                 collect_log: bool = True):
-    """Single-run convenience wrapper: returns (CycleLog | None, trace)."""
-    pts = np.frombuffer(bytes(plaintext), dtype=np.uint8).reshape(1, 16)
-    res = run_aes_batch(cfg, pts, key, collect_logs=collect_log)
-    log = res.logs[0] if collect_log else None
-    return log, res.traces[0]
-
-
 class SequentialSession:
     """Persistent-state session: AES blocks back to back with re-keying.
 
@@ -181,16 +156,14 @@ class SequentialSession:
         self.lanes = lanes
         self.blocks_run = 0
         self._lfsr = lfsr_from_seed(cfg.seed)
-        keys = None
-        if cfg.param_mode:
-            keys = self._draw_keys()
-        self.machine = Machine(cfg, lanes, keys=keys)
+        self.machine = Machine(cfg, lanes, self._draw_keys() if cfg.param_mode else None)
         for addr, blob in aes_workload_memory(key).items():
             self.machine.poke_bytes(addr, blob)
 
-    def _draw_keys(self):
+    def _draw_keys(self) -> KeyConstant:
+        """``K(k)`` of the next LFSR epoch, the same on every lane."""
         rk, self._lfsr = next_round_keys(self._lfsr)
-        return [np.full(self.lanes, k, dtype=np.uint32) for k in rk.keys]
+        return KeyConstant.of([np.full(self.lanes, k, dtype=np.uint32) for k in rk.keys])
 
     def run_block(self, plaintexts) -> np.ndarray:
         """Run one AES block per lane; returns ciphertexts when rounds == 10."""
@@ -219,6 +192,8 @@ def cache_set_experiment(cfg: SimConfig, reps: int, rekey_every: int = 1,
     architectural set lands on fresh cache locations and freshly-mixed data
     over the course of the experiment.
     """
+    if rekey_every < 1:
+        raise ValueError(f"rekey_every must be >= 1, got {rekey_every}")
     g = cfg.cache
     program = build_single_access_program()
     d = len(program) + 3
@@ -230,17 +205,14 @@ def cache_set_experiment(cfg: SimConfig, reps: int, rekey_every: int = 1,
 
     samples = np.empty(total, dtype=np.float64)
     if cfg.param_mode and total:
-        sweep_cfg = with_overrides(cfg, rekey_interval_runs=rekey_every)
-        table = _key_table(sweep_cfg, reps - 1)
+        table = _epoch_constants(cfg, (reps - 1) // rekey_every + 1)
     for base in range(0, total, max_lanes):
         lanes = min(max_lanes, total - base)
         lane_idx = np.arange(base, base + lanes)
         set_of = lane_idx % g.sets
         rep_of = lane_idx // g.sets
-        keys = None
-        if cfg.param_mode:
-            keys, _ = _per_lane_keys(sweep_cfg, rep_of, table)
-        machine = Machine(cfg, lanes, keys=keys)
+        kc = table[rep_of // rekey_every] if cfg.param_mode else None
+        machine = Machine(cfg, lanes, kc)
         machine.poke_bytes(SWEEP_ADDR, sweep_image)
         machine.preset_register(1, (np.uint64(SWEEP_ADDR)
                                     + set_of.astype(np.uint64) * np.uint64(g.line_bytes)))

@@ -17,6 +17,7 @@ from leakscope import aes, feistel, metrics
 from leakscope.cpa import cpa_attack, mtd
 from leakscope.feistel import (
     AddressGeometry,
+    KeyConstant,
     RoundKeys,
     deobfuscate32,
     deobfuscate32_vec,
@@ -29,13 +30,13 @@ from leakscope.sim import (
     SimConfig,
     cache_set_experiment,
     emit_vcd,
+    epoch_keys,
     extract_cycle_log,
     random_plaintexts,
     run_aes_batch,
 )
 from leakscope.sim.machine import Machine
 from leakscope.sim.program import STATE_ADDR, build_fuzz_program
-from leakscope.sim.run import _per_lane_keys
 from leakscope.vcd import load_run_set, parse_vcd, resample_per_cycle
 
 from test_metrics import make_runset, naive_svf
@@ -58,7 +59,8 @@ def test_criterion_1_feistel_roundtrip_bulk():
     x = rng.integers(0, 2**32, size=n, dtype=np.uint64).astype(np.uint32)
     keys = [rng.integers(0, 2**16, size=n, dtype=np.uint32) for _ in range(4)]
     t0 = time.time()
-    back = deobfuscate32_vec(obfuscate32_vec(x, keys), keys)
+    kc = KeyConstant.of(keys)
+    back = deobfuscate32_vec(obfuscate32_vec(x, kc), kc)
     elapsed = time.time() - t0
     ok = bool(np.array_equal(back, x)) and elapsed < 10.0
     report(1, "forward/inverse identity on 10^6 random (value, keys) pairs",
@@ -88,9 +90,10 @@ def test_criterion_3_remap_identity():
     d = rng.integers(0, 2**32, size=n, dtype=np.uint64).astype(np.uint32)
     old = [rng.integers(0, 2**16, size=n, dtype=np.uint32) for _ in range(4)]
     new = [rng.integers(0, 2**16, size=n, dtype=np.uint32) for _ in range(4)]
-    remapped = obfuscate32_vec(deobfuscate32_vec(d, old), new)
-    lhs = deobfuscate32_vec(remapped, new)
-    rhs = deobfuscate32_vec(d, old)
+    kc_old, kc_new = KeyConstant.of(old), KeyConstant.of(new)
+    remapped = obfuscate32_vec(deobfuscate32_vec(d, kc_old), kc_new)
+    lhs = deobfuscate32_vec(remapped, kc_new)
+    rhs = deobfuscate32_vec(d, kc_old)
     ok = bool(np.array_equal(lhs, rhs))
     # scalar wrapper agrees on a spot sample
     for i in range(0, n, 25_000):
@@ -217,8 +220,7 @@ def test_criterion_7_functional_transparency_lockstep():
     rp = run_aes_batch(cfg_p, pts, KEY, collect_logs=True)
     cpi_ok = rb.n_cycles == rp.n_cycles
 
-    keys_arr, _ = _per_lane_keys(cfg_p, np.arange(1))
-    rkeys = RoundKeys(tuple(int(k[0]) for k in keys_arr))
+    rkeys = RoundKeys(epoch_keys(cfg_p, 1)[0])  # run 0 is in key epoch 0
     cols_b = rb.logs[0].value_columns()
     cols_p = rp.logs[0].value_columns()
     spec = feistel.default_spec()
@@ -392,10 +394,8 @@ def test_criterion_12_vcd_round_trip_fuzzed():
         cfg = SimConfig(mode=rng.choice(["baseline", "param"]),
                         eda_fix=rng.choice(["on", "off"]),
                         noise_sigma=0.0, seed=trial)
-        keys = None
-        if cfg.param_mode:
-            keys, _ = _per_lane_keys(cfg, np.arange(1))
-        m = Machine(cfg, 1, keys=keys)
+        kc = KeyConstant.of([[k] for k in epoch_keys(cfg, 1)[0]]) if cfg.param_mode else None
+        m = Machine(cfg, 1, kc)
         m.poke_bytes(STATE_ADDR + 0x100,
                      bytes(rng.getrandbits(8) for _ in range(64)))
         for r in range(1, 8):

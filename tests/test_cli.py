@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from leakscope import aes, cpa, metrics
+from leakscope import aes, cli, cpa, metrics
 from leakscope.cli import main
 from leakscope.sim import write_trace_csv
 
@@ -176,6 +176,24 @@ def test_analyze_window_and_threads(tmp_path):
     assert bad == 2
 
 
+def test_analyze_negative_floor_shuffles_fails_before_loading(tmp_path, capsys, monkeypatch):
+    def no_load(*args, **kwargs):
+        raise AssertionError("runs loaded with an invalid --floor-shuffles")
+
+    for i in range(2):
+        (tmp_path / f"r{i}.vcd").write_text(_fixture_vcd(i))
+    manifest = tmp_path / "runs.txt"
+    manifest.write_text("r0.vcd\nr1.vcd\n")
+    metrics.write_oracle_csv(tmp_path / "oracle.csv",
+                             metrics.OracleTrace(values=(1, 2), width=8, label="o"))
+    monkeypatch.setattr(cli, "load_run_set", no_load)
+    code = run_cli("analyze", "--runs", str(manifest), "--oracle", str(tmp_path / "oracle.csv"),
+                   "--floor-shuffles", "-5", "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "--floor-shuffles: must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_analyze_oracle_count_mismatch(tmp_path, capsys):
     for i in range(2):
         (tmp_path / f"r{i}.vcd").write_text(_fixture_vcd(i))
@@ -277,6 +295,20 @@ def test_dpa_checkpoint_zero_fails_before_any_work(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("byte", ["16", "-1"])
+def test_dpa_target_byte_out_of_range_fails_before_reading_traces(tmp_path, capsys,
+                                                                   monkeypatch, byte):
+    def no_read(*args, **kwargs):
+        raise AssertionError("traces read with an invalid --target-byte")
+
+    args = _dpa_csv_inputs(tmp_path, np.random.default_rng(3).normal(0, 1, size=(6, 3)))
+    monkeypatch.setattr(cli, "read_trace_csv", no_read)
+    code = run_cli("dpa", *args, "--target-byte", byte, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert f"--target-byte: must be in 0..15, got {byte}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_dpa_non_finite_csv_sample_names_file_and_line(tmp_path, capsys):
     traces = np.random.default_rng(2).normal(0, 1, size=(3, 2))
     args = _dpa_csv_inputs(tmp_path, traces)
@@ -305,6 +337,32 @@ def test_ttest_from_class_csv(tmp_path, capsys):
     assert lines[0] == "class,a,b"
     t_ab = float(lines[1].split(",")[2])
     assert t_ab > 4.5
+
+
+@pytest.mark.parametrize("mode", ["baseline", "param"])
+def test_ttest_rekey_every_zero_is_a_usage_error(tmp_path, capsys, mode):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"mode = {mode}\nnoise_sigma = 0.0\n")
+    code = run_cli("ttest", "--config", str(cfg), "--reps", "2", "--rekey-every", "0",
+                   "--out", str(tmp_path / "t.csv"))
+    assert code == 2
+    assert "--rekey-every: must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dpa", "--traces", "t.npz", "--out", "o", "--seed", "3"],
+    ["dpa", "--traces", "t.npz", "--out", "o", "--threads", "2"],
+    ["analyze", "--runs", "r", "--oracle", "o", "--out", "x", "--config", "c"],
+    ["obfuscate", "deadbeef", "--keys", "1,2,3,4", "--seed", "3"],
+    ["simulate", "--key", KEY_HEX, "--out", "o", "--threads", "2"],
+    ["ttest", "--out", "t.csv", "--threads", "2"],
+])
+def test_options_belong_only_to_the_commands_that_read_them(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bad_config_names_field(tmp_path, capsys):

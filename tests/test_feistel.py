@@ -18,7 +18,6 @@ from leakscope.feistel import (
     deobfuscate32_vec,
     deobfuscate64,
     deobfuscate64_vec,
-    key_constant_vec,
     next_round_keys,
     obfuscate32,
     obfuscate32_vec,
@@ -125,7 +124,8 @@ def test_roundtrip_fuzz():
 def test_roundtrip_vectorized_large():
     rng = np.random.default_rng(99)
     x = rng.integers(0, 2**32, size=200_000, dtype=np.uint64).astype(np.uint32)
-    ks = [rng.integers(0, 2**16, size=x.size, dtype=np.uint32) for _ in range(4)]
+    ks = KeyConstant.of([rng.integers(0, 2**16, size=x.size, dtype=np.uint32)
+                         for _ in range(4)])
     y = obfuscate32_vec(x, ks)
     back = deobfuscate32_vec(y, ks)
     assert np.array_equal(back, x)
@@ -134,7 +134,7 @@ def test_roundtrip_vectorized_large():
 def test_vec_matches_scalar():
     rng = random.Random(5)
     xs = [rng.getrandbits(32) for _ in range(64)]
-    ys = obfuscate32_vec(np.array(xs, dtype=np.uint32), KEYS)
+    ys = obfuscate32_vec(np.array(xs, dtype=np.uint32), KeyConstant.of(KEYS))
     for x, y in zip(xs, ys):
         assert obfuscate32(x, KEYS) == int(y)
 
@@ -142,7 +142,7 @@ def test_vec_matches_scalar():
 def test_bijection_on_low_half():
     # full 2^16 sweep of the low half with the high half fixed
     xs = np.arange(2**16, dtype=np.uint32) | np.uint32(0xABCD0000)
-    ys = obfuscate32_vec(xs, KEYS)
+    ys = obfuscate32_vec(xs, KeyConstant.of(KEYS))
     assert np.unique(ys).size == 2**16
 
 
@@ -172,8 +172,9 @@ def test_avalanche_diagnostic():
     rng = np.random.default_rng(17)
     x = rng.integers(0, 2**32, size=4000, dtype=np.uint64).astype(np.uint32)
     bits = rng.integers(0, 32, size=4000)
-    y0 = obfuscate32_vec(x, KEYS)
-    y1 = obfuscate32_vec(x ^ (np.uint32(1) << bits.astype(np.uint32)), KEYS)
+    kc = KeyConstant.of(KEYS)
+    y0 = obfuscate32_vec(x, kc)
+    y1 = obfuscate32_vec(x ^ (np.uint32(1) << bits.astype(np.uint32)), kc)
     flips = np.bitwise_count(y0 ^ y1)
     assert flips.mean() >= 8.0
 
@@ -344,6 +345,11 @@ def _key_arrays(keys, shape=None):
     return arrs if shape is None else [a.reshape(shape) for a in arrs]
 
 
+def _key_constant(keys, spec=None, shape=None):
+    """Per-element ``KeyConstant`` from a list of 4-tuples."""
+    return KeyConstant.of(_key_arrays(keys, shape), spec)
+
+
 def _ref64(x, keys, spec):
     """obfuscate64 from the naive round-by-round reference, half by half."""
     spec = spec or default_spec()
@@ -355,11 +361,11 @@ def _ref64(x, keys, spec):
 @given(st.lists(st.tuples(_edgy(32), _KEYS, _KEYS), min_size=1, max_size=12), _SPECS)
 def test_vec32_forward_inverse_and_rekey_match_scalar_reference(cases, spec):
     xs = np.array([x for x, _, _ in cases], dtype=np.uint32)
-    old = _key_arrays([k for _, k, _ in cases])
-    new = _key_arrays([k for _, _, k in cases])
-    ys = obfuscate32_vec(xs, old, spec)
-    back = deobfuscate32_vec(ys, old, spec)
-    rekeyed = ys ^ key_constant_vec(old, spec) ^ key_constant_vec(new, spec)
+    old = _key_constant([k for _, k, _ in cases], spec)
+    new = _key_constant([k for _, _, k in cases], spec)
+    ys = obfuscate32_vec(xs, old)
+    back = deobfuscate32_vec(ys, old)
+    rekeyed = ys ^ old.k32 ^ new.k32
     rows, const = (spec or default_spec()).rows, (spec or default_spec()).const
     for i, (x, ko, kn) in enumerate(cases):
         want = ref_obfuscate32(x, ko, rows, const)
@@ -373,10 +379,10 @@ def test_vec32_forward_inverse_and_rekey_match_scalar_reference(cases, spec):
 @given(st.lists(st.tuples(_edgy(64), _KEYS), min_size=1, max_size=8), _SPECS)
 def test_vec64_matches_scalar_reference(cases, spec):
     xs = np.array([x for x, _ in cases], dtype=np.uint64)
-    ks = _key_arrays([k for _, k in cases])
-    ys = obfuscate64_vec(xs, ks, spec)
+    ks = _key_constant([k for _, k in cases], spec)
+    ys = obfuscate64_vec(xs, ks)
     assert [int(y) for y in ys] == [_ref64(x, k, spec) for x, k in cases]
-    assert np.array_equal(deobfuscate64_vec(ys, ks, spec), xs)
+    assert np.array_equal(deobfuscate64_vec(ys, ks), xs)
     for (x, k), y in zip(cases, ys):
         assert deobfuscate64(int(y), RoundKeys(k), spec) == x
 
@@ -387,12 +393,12 @@ def test_vec64_matches_scalar_reference(cases, spec):
 def test_vec64_line_keys_broadcast_matches_scalar_reference(lines):
     # cache lines: (n, 8) words, one key set per row given as (n, 1) arrays
     xs = np.array([words for words, _, _ in lines], dtype=np.uint64)
-    old = _key_arrays([k for _, k, _ in lines], shape=(-1, 1))
-    new = _key_arrays([k for _, _, k in lines], shape=(-1, 1))
+    old = _key_constant([k for _, k, _ in lines], shape=(-1, 1))
+    new = _key_constant([k for _, _, k in lines], shape=(-1, 1))
     ys = obfuscate64_vec(xs, old)
     assert ys.shape == xs.shape
     assert np.array_equal(deobfuscate64_vec(ys, old), xs)
-    mask = (key_constant_vec(old) ^ key_constant_vec(new)).astype(np.uint64)
+    mask = (old.k32 ^ new.k32).astype(np.uint64)
     rekeyed = ys ^ (mask | (mask << np.uint64(32)))
     for (words, ko, kn), row, rk_row in zip(lines, ys, rekeyed):
         assert [int(y) for y in row] == [_ref64(w, ko, None) for w in words]
@@ -402,39 +408,36 @@ def test_vec64_line_keys_broadcast_matches_scalar_reference(lines):
 @settings(max_examples=30, deadline=None, database=None)
 @given(_KEYS, _SPECS)
 def test_key_constant_is_the_image_of_zero(keys, spec):
-    assert int(key_constant_vec(RoundKeys(keys), spec)) == obfuscate32(0, RoundKeys(keys), spec)
-    assert int(obfuscate32_vec(np.uint32(0), keys, spec)) == obfuscate32(0, RoundKeys(keys), spec)
+    assert int(KeyConstant.of(RoundKeys(keys), spec).k32) == obfuscate32(0, RoundKeys(keys), spec)
+    assert int(obfuscate32_vec(np.uint32(0), KeyConstant.of(keys, spec))) == \
+        obfuscate32(0, RoundKeys(keys), spec)
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.lists(st.tuples(_edgy(64), _KEYS), min_size=1, max_size=8), _edgy(64), _SPECS)
 def test_key_constant_stands_in_for_the_keys(cases, const, spec):
+    # a constant of per-element key arrays stands in for each element's round keys
     xs = np.array([x for x, _ in cases], dtype=np.uint64)
     ks = _key_arrays([k for _, k in cases])
     kc = KeyConstant.of(ks, spec)
     x32 = (xs >> np.uint64(16)).astype(np.uint32)
-    for fn, x in ((obfuscate64_vec, xs), (deobfuscate64_vec, xs),
-                  (obfuscate32_vec, x32), (deobfuscate32_vec, x32)):
-        assert np.array_equal(fn(x, kc, spec), fn(x, ks, spec)), fn.__name__
+    for fn, scalar, x in ((obfuscate64_vec, obfuscate64, xs),
+                          (deobfuscate64_vec, deobfuscate64, xs),
+                          (obfuscate32_vec, obfuscate32, x32),
+                          (deobfuscate32_vec, deobfuscate32, x32)):
+        want = [scalar(int(v), RoundKeys(k), spec) for v, (_, k) in zip(x, cases)]
+        assert [int(y) for y in fn(x, kc)] == want, fn.__name__
     # a 0-d word is one lookup, broadcast against the per-element K
-    assert np.array_equal(obfuscate64_vec(np.uint64(const), kc, spec),
-                          obfuscate64_vec(np.full(len(xs), const, dtype=np.uint64), ks, spec))
+    assert np.array_equal(obfuscate64_vec(np.uint64(const), kc),
+                          obfuscate64_vec(np.full(len(xs), const, dtype=np.uint64), kc))
     # indexing selects elements, here as (n, 1) columns for cache lines
     lines = np.stack([xs, ~xs], axis=1)
     col = [k[:, None] for k in ks]
-    assert np.array_equal(obfuscate64_vec(lines, kc[:, None], spec),
-                          obfuscate64_vec(lines, col, spec))
-    assert np.array_equal(deobfuscate64_vec(lines[::-1], kc[::-1, None], spec),
-                          deobfuscate64_vec(lines[::-1], [c[::-1] for c in col], spec))
-
-
-def test_key_constant_refuses_another_spec():
-    kc = KeyConstant.of(RoundKeys((1, 2, 3, 4)))
-    other = AffineSpec(rows=tuple(range(1, 17)), const=5)
-    assert np.array_equal(obfuscate32_vec(np.uint32(9), kc, default_spec()),
-                          obfuscate32_vec(np.uint32(9), (1, 2, 3, 4)))
-    with pytest.raises(ObfuscationError, match="another spec"):
-        obfuscate32_vec(np.uint32(9), kc, other)
+    assert np.array_equal(obfuscate64_vec(lines, kc[:, None]),
+                          obfuscate64_vec(lines, KeyConstant.of(col, spec)))
+    assert np.array_equal(deobfuscate64_vec(lines[::-1], kc[::-1, None]),
+                          deobfuscate64_vec(lines[::-1],
+                                            KeyConstant.of([c[::-1] for c in col], spec)))
 
 
 # --- the security consequence of the closed form ----------------------------------

@@ -348,6 +348,8 @@ def test_svf_all_ranks_carrier_first():
     ]
     assert report.results[0].svf == pytest.approx(1.0, abs=1e-9)
     assert report.results[1].svf == 0.0
+    with pytest.raises(ValueError, match="noise_floor_shuffles must be >= 0, got -5"):
+        svf_all(rs, rs.hierarchy, oracle, noise_floor_shuffles=-5)
     assert report.rank_of(("top", "carrier")) == 0
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from leakscope import aes
 from leakscope.feistel import (
+    KeyConstant,
     RoundKeys,
     deobfuscate64_vec,
     deobfuscate_address,
@@ -26,9 +27,9 @@ from leakscope.sim import (
     build_fuzz_program,
     cache_set_experiment,
     emit_vcd,
+    epoch_keys,
     random_plaintexts,
     run_aes_batch,
-    run_workload,
     synth_power,
 )
 from leakscope.sim.config import ConfigError, parse_config_file
@@ -43,7 +44,6 @@ from leakscope.sim.program import (
     store,
 )
 from leakscope.sim.run import (
-    _per_lane_keys,
     load_traces_npz,
     read_trace_csv,
     save_traces_npz,
@@ -54,13 +54,17 @@ from leakscope.vcd import parse_vcd, resample_per_cycle
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
 
+def epoch0_keys(cfg, lanes):
+    """Round keys of key epoch 0 on every lane, as four (lanes,) arrays: the
+    keys a batch gives runs 0..lanes-1 while lanes <= rekey_interval_runs."""
+    return [np.full(lanes, k, dtype=np.uint32) for k in epoch_keys(cfg, 1)[0]]
+
+
 def mk(mode="baseline", lanes=2, **kw):
     kw.setdefault("noise_sigma", 0.0)
     cfg = SimConfig(mode=mode, **kw)
-    keys = None
-    if cfg.param_mode:
-        keys, _ = _per_lane_keys(cfg, np.arange(lanes))
-    return cfg, Machine(cfg, lanes, keys=keys)
+    kc = KeyConstant.of(epoch0_keys(cfg, lanes)) if cfg.param_mode else None
+    return cfg, Machine(cfg, lanes, kc)
 
 
 # --- config -------------------------------------------------------------------
@@ -121,6 +125,18 @@ def test_determinism_across_batching():
     assert np.array_equal(whole.traces, split.traces)
 
 
+@pytest.mark.parametrize("interval", [2, None])
+def test_run_offset_continues_the_whole_batch(interval):
+    # run r is in key epoch r // interval (epoch 0 throughout when never
+    # re-keyed) and draws noise by r, wherever its batch starts
+    cfg = SimConfig(mode="param", noise_sigma=1.5, seed=23, rounds=1,
+                    rekey_interval_runs=interval)
+    pts = random_plaintexts(cfg, 9)
+    whole = run_aes_batch(cfg, pts, KEY, max_lanes=4)
+    tail = run_aes_batch(cfg, pts[5:], KEY, run_offset=5, max_lanes=3)
+    assert np.array_equal(tail.traces, whole.traces[5:])
+
+
 def test_cycle_count_mode_invariance():
     cfg_b = SimConfig(mode="baseline", noise_sigma=0.0, seed=1)
     cfg_p = SimConfig(mode="param", noise_sigma=0.0, seed=1)
@@ -129,9 +145,10 @@ def test_cycle_count_mode_invariance():
         run_aes_batch(cfg_p, pts, KEY).n_cycles == len(build_aes_program(10)) + 3
 
 
-def test_run_workload_wrapper():
+def test_single_run_batch_log_resynthesizes_its_trace():
     cfg = SimConfig(noise_sigma=0.0, seed=2, rounds=1)
-    log, trace = run_workload(cfg, bytes(16), KEY)
+    res = run_aes_batch(cfg, np.zeros((1, 16), dtype=np.uint8), KEY, collect_logs=True)
+    log, trace = res.logs[0], res.traces[0]
     assert log.n_cycles == trace.shape[0]
     assert np.array_equal(synth_power(log), trace)
 
@@ -178,7 +195,7 @@ def test_param_set_mapping_matches_offline_obfuscation():
     cfg, m = mk("param", lanes=3, seed=4)
     addr = 0x1540
     m.cache_access(np.uint64(addr), "load")
-    keys_arr, _ = _per_lane_keys(cfg, np.arange(3))
+    keys_arr = epoch0_keys(cfg, 3)
     geom = cfg.cache
     for lane in range(3):
         rk = RoundKeys(tuple(int(k[lane]) for k in keys_arr))
@@ -352,7 +369,7 @@ def test_poke_on_a_cold_cache_looks_nothing_up(monkeypatch):
 def test_rekey_flush_requires_param():
     _, m = mk("baseline")
     with pytest.raises(SimError, match="param"):
-        m.rekey_flush([np.zeros(2, dtype=np.uint32)] * 4)
+        m.rekey_flush(KeyConstant.of([np.zeros(2, dtype=np.uint32)] * 4))
 
 
 def test_rekey_flush_transparency_and_writeback():
@@ -366,7 +383,7 @@ def test_rekey_flush_transparency_and_writeback():
 
     new_keys = [np.full(2, k, dtype=np.uint32)
                 for k in (0x1234, 0x5678, 0x9ABC, 0xDEF0)]
-    m.rekey_flush(new_keys)
+    m.rekey_flush(KeyConstant.of(new_keys))
 
     # dirty line written back in the clear
     assert int(m.backing[0x5000][0, 0]) == 0xCAFEBABE
@@ -393,8 +410,8 @@ def _remap64(word, old, new):
 def test_rekey_flush_remaps_every_stored_word_like_the_scalar_reference(eda_fix):
     lanes = 3
     cfg = SimConfig(mode="param", eda_fix=eda_fix, noise_sigma=0.0, seed=21)
-    keys, _ = _per_lane_keys(cfg, np.arange(lanes))
-    m = Machine(cfg, lanes, keys=keys)
+    keys = epoch0_keys(cfg, lanes)
+    m = Machine(cfg, lanes, KeyConstant.of(keys))
     rng = random.Random(21)
     for r in range(1, 32):
         m.preset_register(r, [rng.getrandbits(64) for _ in range(lanes)])
@@ -406,7 +423,7 @@ def test_rekey_flush_remaps_every_stored_word_like_the_scalar_reference(eda_fix)
     new_keys = [np.array([rng.getrandbits(16) for _ in range(lanes)], dtype=np.uint32)
                 for _ in range(4)]
 
-    m.rekey_flush(new_keys)
+    m.rekey_flush(KeyConstant.of(new_keys))
 
     geom = cfg.cache.address_geometry
     for lane in range(lanes):
@@ -434,22 +451,24 @@ def test_rekey_flush_remaps_every_stored_word_like_the_scalar_reference(eda_fix)
 
 def _datapath_transforms(m, keys, rng):
     """Each key-dependent Machine transform next to the vector function called
-    with ``keys`` (four per-lane arrays) on the same random input."""
+    with the constant of ``keys`` (four per-lane arrays) on the same random input."""
     n = m.n
+    kc = KeyConstant.of(keys)
     words = rng.integers(0, 1 << 63, size=n, dtype=np.uint64)
     lines = rng.integers(0, 1 << 63, size=(n, 8), dtype=np.uint64)
     tagsets = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
     lanes = np.array([2, 0, 3, 2])
     col = [k[:, None] for k in keys]
     return {
-        "dp64": (m.dp64(words), obfuscate64_vec(words, keys)),
+        "dp64": (m.dp64(words), obfuscate64_vec(words, kc)),
         "dp64 of a constant": (m.dp64(np.uint64(0x1234)),
-                               obfuscate64_vec(np.full(n, 0x1234, dtype=np.uint64), keys)),
-        "inv64": (m.inv64(words), deobfuscate64_vec(words, keys)),
-        "dp_line": (m.dp_line(lines), obfuscate64_vec(lines, col)),
-        "dp_tagset": (m.dp_tagset(tagsets), obfuscate32_vec(tagsets, keys)),
+                               obfuscate64_vec(np.full(n, 0x1234, dtype=np.uint64), kc)),
+        "inv64": (m.inv64(words), deobfuscate64_vec(words, kc)),
+        "dp_line": (m.dp_line(lines), obfuscate64_vec(lines, KeyConstant.of(col))),
+        "dp_tagset": (m.dp_tagset(tagsets), obfuscate32_vec(tagsets, kc)),
         "_raw_lines": (m._raw_lines(lines[:4], lanes),
-                       deobfuscate64_vec(lines[:4], [k[lanes][:, None] for k in keys])),
+                       deobfuscate64_vec(lines[:4],
+                                         KeyConstant.of([k[lanes][:, None] for k in keys]))),
     }
 
 
@@ -459,14 +478,14 @@ def test_datapath_transforms_follow_the_keys_across_rekey_flush(eda_fix):
     # the old keys after the flush
     lanes = 4
     cfg = SimConfig(mode="param", eda_fix=eda_fix, noise_sigma=0.0, seed=5)
-    keys, _ = _per_lane_keys(cfg, np.arange(lanes))
-    m = Machine(cfg, lanes, keys=keys)
+    keys = epoch0_keys(cfg, lanes)
+    m = Machine(cfg, lanes, KeyConstant.of(keys))
     rng = np.random.default_rng(5)
     for name, (got, want) in _datapath_transforms(m, keys, rng).items():
         assert np.array_equal(got, want), f"before the flush: {name}"
 
     new_keys = [rng.integers(0, 1 << 16, size=lanes, dtype=np.uint32) for _ in range(4)]
-    m.rekey_flush(new_keys)
+    m.rekey_flush(KeyConstant.of(new_keys))
     for name, (got, want) in _datapath_transforms(m, new_keys, rng).items():
         assert np.array_equal(got, want), f"after the flush: {name}"
 
@@ -593,10 +612,8 @@ def test_vcd_round_trip_fuzzed_programs():
         mode = rng.choice(["baseline", "param"])
         cfg = SimConfig(mode=mode, noise_sigma=0.0, seed=trial,
                         eda_fix=rng.choice(["on", "off"]))
-        keys = None
-        if cfg.param_mode:
-            keys, _ = _per_lane_keys(cfg, np.arange(2))
-        m = Machine(cfg, 2, keys=keys)
+        kc = KeyConstant.of(epoch0_keys(cfg, 2)) if cfg.param_mode else None
+        m = Machine(cfg, 2, kc)
         m.poke_bytes(STATE_ADDR + 0x100, bytes(rng.getrandbits(8) for _ in range(64)))
         for r in range(1, 8):
             m.preset_register(r, np.uint64(rng.getrandbits(64)))
@@ -631,6 +648,21 @@ def test_param_machine_requires_keys():
     cfg = SimConfig(mode="param", noise_sigma=0.0)
     with pytest.raises(SimError, match="round keys"):
         Machine(cfg, 2)
+
+
+def test_param_machine_rejects_keys_not_given_as_one_constant_per_lane():
+    cfg = SimConfig(mode="param", noise_sigma=0.0)
+    keys = epoch0_keys(cfg, 3)
+    kc = KeyConstant.of(keys)
+    # raw round keys, a 0-d constant, (n, 1) columns, and the wrong lane count
+    for bad in (keys, KeyConstant.of(epoch_keys(cfg, 1)[0]), kc[:, None], kc[:2]):
+        with pytest.raises(SimError, match=r"KeyConstant .* shape \(3,\)"):
+            Machine(cfg, 3, bad)
+    m = Machine(cfg, 3, kc)
+    for bad in (keys, kc[:2]):
+        with pytest.raises(SimError, match=r"KeyConstant .* shape \(3,\)"):
+            m.rekey_flush(bad)
+    assert m.kc is kc
 
 
 def test_gfdbl_matches_xtime():
@@ -799,6 +831,13 @@ def test_sweep_samples_do_not_depend_on_chunk_size(mode, rekey_every):
         assert list(other) == list(runs[0])
         for label, samples in runs[0].items():
             assert np.array_equal(other[label], samples), label
+
+
+@pytest.mark.parametrize("mode", ["baseline", "param"])
+def test_sweep_rejects_a_rekey_interval_below_one(mode):
+    cfg = SimConfig(mode=mode, noise_sigma=0.0)
+    with pytest.raises(ValueError, match="rekey_every must be >= 1, got 0"):
+        cache_set_experiment(cfg, reps=2, rekey_every=0)
 
 
 def test_sweep_pokes_its_memory_once_per_chunk(monkeypatch):
