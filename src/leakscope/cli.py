@@ -74,6 +74,8 @@ def _severity(svf: float, floor: float | None, red_abs: float = 0.5,
 # --- simulate ----------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    if not args.plaintexts and args.gen < 1:
+        raise UsageError(f"--gen: must be >= 1, got {args.gen}")
     cfg = _load_config(args)
     key = _parse_key(args.key)
     os.makedirs(args.out, exist_ok=True)
@@ -247,6 +249,8 @@ def cmd_dpa(args) -> int:
 def cmd_ttest(args) -> int:
     if args.rekey_every < 1:
         raise UsageError(f"--rekey-every: must be >= 1, got {args.rekey_every}")
+    if args.reps < 2:
+        raise UsageError(f"--reps: must be >= 2, got {args.reps}")
     if args.classes:
         groups = metrics.read_class_samples_csv(args.classes)
     else:

@@ -8,8 +8,14 @@ is the maximum over cycles.
 
 Distances are integers, so the per-cycle Pearson is evaluated from exact
 integer moments; the result is bit-for-bit reproducible and independent of
-summation order. A permutation test (shuffling the oracle) provides a
-self-calibrating noise floor for reports.
+summation order. Dumps are sample-and-hold, so a module's distances are
+computed in full at the window's first cycle and then updated only at the
+(cycle, word) samples that change, and each distinct cycle is scored once.
+
+A permutation test (shuffling the oracle) provides a self-calibrating noise
+floor for reports. ``svf_all`` draws the permutations once and scores every
+module that shares a winning oracle against one block of its shuffles at a
+time, so memory stays bounded however many runs there are.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import csv
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,18 +175,26 @@ class SvfResult:
         return ".".join(self.module_path)
 
 
-_PAIR_BLOCK_WORDS = 1 << 18  # per temporary while XORing a block of pairs
+_PAIR_BLOCK_WORDS = 1 << 18  # words per temporary in a blocked loop over pairs or shuffles
 
 
 def _module_distance_matrix(runs: RunSet, node: ModuleNode, window):
-    """Per-cycle pairwise Hamming distances of the module word.
+    """Pairwise Hamming distances of the module word at its distinct cycles.
 
     The word's distance is the sum of its 64-bit word columns' distances. A
     column with one value in every run and cycle of the window adds 0 to all
-    of them, so only the other columns are packed into one (n, d_win, k)
-    array. (Constant here means no run changes the column between the
-    window's first and last edge and all runs agree on its value there.)
-    Returns (ds (d_win, n_pairs) int64, xz_ratio).
+    of them and is skipped. (Constant here means no run changes the column
+    between the window's first and last edge and all runs agree on its value
+    there.) Dumps are sample-and-hold, so a cycle's distances differ from the
+    previous cycle's only in the (cycle, word) events where some run's sample
+    row changes. The window's first cycle is computed in full; each event
+    cycle adds the exact change of its words' pair distances to the row
+    before it. Cycles without an event repeat the previous row.
+
+    Returns (ds, cycle_rows, xz_ratio): ds (n_rows, n_pairs) int64 holds
+    each distinct per-cycle row once, and cycle_rows (d_win,) maps each
+    cycle of the window to its row, so ``ds[cycle_rows]`` is the per-cycle
+    matrix.
     """
     start, end = window
     d_win = end - start
@@ -195,27 +210,95 @@ def _module_distance_matrix(runs: RunSet, node: ModuleNode, window):
     xz_bits = d_win * sum(int(np.bitwise_count(m.xmask[r] | m.zmask[r]).sum())
                           for m, r in zip(runs.runs, (f[const] for f in first)))
 
+    # One run at a time, from its rows between the window's first and last
+    # edge: which (cycle, word) samples change, and the x/z bits of each row
+    # times the cycles it is sampled.
     varying = cols[~const]
-    packed = np.empty((runs.n_runs, d_win, len(varying)), dtype=np.uint64)
-    for m, out in zip(runs.runs, packed):
-        rows = m.rows(varying, start, end).T
-        out[...] = m.values[rows]
-        xz_bits += int(np.bitwise_count(m.xmask[rows] | m.zmask[rows]).sum())
-    return _pair_distances(packed), xz_bits / (width * d_win * runs.n_runs)
+    k = len(varying)
+    changed = np.zeros((d_win, k), dtype=bool)
+    for m, f, l in zip(runs.runs, first, last):
+        lo = f[~const]
+        counts = l[~const] - lo + 1
+        ends = np.cumsum(counts)
+        word = np.repeat(np.arange(k), counts)
+        idx = np.arange(len(word)) + np.repeat(lo - ends + counts, counts)
+        pos = np.searchsorted(m.edge_ranks[start:end], m.keys[idx] - varying[word] * m.stride)
+        changed[pos, word] = True  # cycle 0 for the first rows, which change nothing
+        held = np.empty_like(pos)
+        held[:-1] = pos[1:]
+        held[ends - 1] = d_win
+        held -= pos  # 0 for a row overwritten before the next edge
+        xz_bits += int((np.bitwise_count(m.xmask[idx] | m.zmask[idx]) * held).sum())
+    ev_cycle, ev_word = np.nonzero(changed[1:])  # cycle-major order
+    ev_cycle += 1
+
+    # each run's samples at the first cycle, then at every event
+    samples = np.empty((runs.n_runs, k + len(ev_word)), dtype=np.uint64)
+    samples[:, :k] = v0[:, ~const]
+    for m, out in zip(runs.runs, samples):
+        out[k:] = m.values[m.rows_at(varying[ev_word], start + ev_cycle)]
+
+    cycles, starts = np.unique(ev_cycle, return_index=True)
+    step_rows = np.zeros(d_win, dtype=np.int64)
+    step_rows[cycles] = 1
+    np.cumsum(step_rows, out=step_rows)
+    ds, rows = _distinct_rows(_pair_distances(samples, _previous_samples(ev_word, k), starts))
+    return ds, rows[step_rows], xz_bits / (width * d_win * runs.n_runs)
 
 
-def _pair_distances(packed: np.ndarray) -> np.ndarray:
-    """(d, n_pairs) summed popcount of x ^ y over the last axis of (n, d, k)."""
-    n, d, k = packed.shape
+def _distinct_rows(ds: np.ndarray):
+    """(each distinct row of ds once, in first-seen order; index of each row
+    of ds in them). Words can change back, so rows can repeat."""
+    seen: dict[int, list[int]] = {}
+    keep: list[int] = []
+    rows = np.empty(len(ds), dtype=np.int64)
+    for r, row in enumerate(ds):
+        same = seen.setdefault(hash(row.tobytes()), [])
+        for k in same:
+            if np.array_equal(ds[keep[k]], row):
+                break
+        else:
+            k = len(keep)
+            keep.append(r)
+            same.append(k)
+        rows[r] = k
+    return (ds if len(keep) == len(ds) else ds[keep]), rows
+
+
+def _previous_samples(ev_word, k):
+    """Column of ``samples`` that holds each event word's sample before it:
+    the word's first-cycle column, or the column of its previous event."""
+    order = np.argsort(ev_word, kind="stable")  # each word's events, in cycle order
+    word = ev_word[order]
+    prev = np.empty(len(order), dtype=np.int64)
+    prev[order] = np.where(np.r_[True, word[1:] != word[:-1]], word,
+                           k + np.r_[0, order[:-1]])
+    return prev
+
+
+def _pair_distances(samples: np.ndarray, prev: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(1 + len(starts), n_pairs) summed pair distances of the first cycle
+    and of each event cycle.
+
+    ``samples`` is (n, k + e): k first-cycle words, then e event words whose
+    earlier sample sits in column ``prev``; the events of one cycle start at
+    ``starts``. Row 0 sums the first k columns' popcounts of x ^ y; each
+    later row adds its events' changes of popcount to the row before.
+    """
+    n, width = samples.shape
+    k = width - len(prev)
     i_idx, j_idx = pair_order(n)
-    ds = np.zeros((d, len(i_idx)), dtype=np.int64)
-    if k:
-        step = max(1, _PAIR_BLOCK_WORDS // (d * k))
-        for lo in range(0, len(i_idx), step):
-            hi = lo + step
-            x = np.bitwise_count(packed[i_idx[lo:hi]] ^ packed[j_idx[lo:hi]])
-            ds[:, lo:hi] = x.sum(axis=2, dtype=np.int64).T
-    return ds
+    ds = np.empty((1 + len(starts), len(i_idx)), dtype=np.int64)
+    step = max(1, _PAIR_BLOCK_WORDS // max(1, width))
+    for lo in range(0, len(i_idx), step):
+        hi = lo + step
+        pc = np.bitwise_count(samples[i_idx[lo:hi]] ^ samples[j_idx[lo:hi]])
+        block = ds[:, lo:hi]
+        block[0] = pc[:, :k].sum(axis=1, dtype=np.int64)
+        if len(starts):
+            delta = pc[:, k:].astype(np.int16) - pc[:, prev]
+            block[1:] = np.add.reduceat(delta, starts, axis=1, dtype=np.int64).T
+    return np.cumsum(ds, axis=0, out=ds)
 
 
 def _normalize_window(window, d):
@@ -239,12 +322,14 @@ def _oracle_moments(oracles):
 def _score(runs, node, oracles, moments, start, end):
     """Score one module against the oracle it matches best (the first on ties).
 
-    Returns (result, ds, that oracle). The Pearson moments are exact Python
-    ints, and each float step (int to float, sqrt, divide, clip at 1) is the
-    IEEE operation a per-cycle scalar evaluation would make, so the scores
-    are bit-exact.
+    Returns (result, ds, index of that oracle), ``ds`` as
+    ``_module_distance_matrix`` gives it. Only the distinct cycles are
+    scored; the per-cycle scores are expanded from them. The Pearson moments
+    are exact Python ints, and each float step (int to float, sqrt, divide,
+    clip at 1) is the IEEE operation a per-cycle scalar evaluation would
+    make, so the scores are bit-exact.
     """
-    ds, xz_ratio = _module_distance_matrix(runs, node, (start, end))
+    ds, cycle_rows, xz_ratio = _module_distance_matrix(runs, node, (start, end))
     d_o, sx, sxx = moments
     n = ds.shape[1]
     sy = ds.sum(axis=1).astype(object)
@@ -253,17 +338,18 @@ def _score(runs, node, oracles, moments, start, end):
     ab = (b[:, None] * (n * sxx - sx * sx)[None, :]).astype(np.float64)
     scores = np.zeros(ab.shape, dtype=np.float64)
     np.divide(np.abs(num).astype(np.float64), np.sqrt(ab), out=scores, where=ab > 0)
-    scores = np.minimum(scores, 1.0).T  # (n_oracles, d_win)
+    scores = np.minimum(scores, 1.0).T  # (n_oracles, n_rows)
     best = int(np.argmax(scores.max(axis=1)))
-    peak = int(np.argmax(scores[best]))
+    per_cycle = scores[best][cycle_rows]
+    peak = int(np.argmax(per_cycle))
     return SvfResult(
         module_path=_path_of(runs.hierarchy, node),
-        svf=float(scores[best, peak]),
+        svf=float(per_cycle[peak]),
         peak_cycle=start + peak + 1,
-        per_cycle_scores=scores[best].copy(),
+        per_cycle_scores=per_cycle,
         oracle_label=oracles[best].label,
         xz_ratio=xz_ratio,
-    ), ds, oracles[best]
+    ), ds, best
 
 
 def svf_module(runs: RunSet, node: ModuleNode, oracle: OracleTrace,
@@ -286,39 +372,63 @@ def _path_of(root: ModuleNode, node: ModuleNode) -> tuple[str, ...]:
     return (node.name,)
 
 
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Rows centred and scaled to unit norm (all-equal rows become 0), as float64."""
+    x = x.astype(np.float64)
+    x -= x.mean(axis=1, keepdims=True)
+    norms = np.sqrt((x * x).sum(axis=1))
+    good = norms > 0
+    x[good] /= norms[good, None]
+    x[~good] = 0.0
+    return x
+
+
+def _permutations(n_runs: int, shuffles: int, seed: int) -> np.ndarray:
+    """(shuffles, n_runs) run permutations of the floor, drawn in a fixed order."""
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.permutation(n_runs) for _ in range(shuffles)])
+
+
+def _shared_floors(oracle: OracleTrace, units, perms, percentile: float) -> list[float]:
+    """Noise floors of the modules that share one oracle.
+
+    ``units`` holds each module's ``_unit_rows`` distances. A shuffle permutes
+    the oracle's pair distances, which keeps their mean and norm, so they are
+    normalised once and each shuffle only gathers them. Each block of
+    shuffles is gathered once and scored against every module; the block is
+    sized by ``_PAIR_BLOCK_WORDS``, so one (shuffles, pairs) block is live at
+    a time however many runs there are.
+    """
+    n = perms.shape[1]
+    i_idx, j_idx = pair_order(n)
+    unit = np.zeros((n, n), dtype=np.float64)
+    d_o = _unit_rows(pairwise_distances(oracle.values)[None, :])[0]
+    unit[i_idx, j_idx] = d_o
+    unit[j_idx, i_idx] = d_o
+
+    maxima = np.empty((len(units), len(perms)), dtype=np.float64)
+    step = max(1, _PAIR_BLOCK_WORDS // len(i_idx))
+    for lo in range(0, len(perms), step):
+        p = perms[lo:lo + step]
+        po = unit[p[:, i_idx], p[:, j_idx]]  # (block, n_pairs)
+        for out, u in zip(maxima, units):
+            out[lo:lo + step] = np.abs(po @ u.T).max(axis=1)
+    return [float(np.percentile(m, percentile)) for m in maxima]
+
+
 def permutation_floor(runs: RunSet, node: ModuleNode, oracle: OracleTrace,
                       window=None, shuffles: int = 1000, percentile: float = 99.0,
                       seed: int = 0xF100D, ds=None) -> float:
-    """Noise floor: high percentile of the module score under oracle shuffles."""
-    start, end = _normalize_window(window, runs.n_cycles)
+    """Noise floor: high percentile of the module score under oracle shuffles.
+
+    ``ds`` is the module's distance matrix when already computed; any set of
+    its rows that holds every distinct cycle gives the same floor.
+    """
     if ds is None:
-        ds, _ = _module_distance_matrix(runs, node, (start, end))
-    i_idx, j_idx = pair_order(runs.n_runs)
-    n_runs = runs.n_runs
-
-    ds = ds.astype(np.float64)
-    ds -= ds.mean(axis=1, keepdims=True)
-    norms = np.sqrt((ds * ds).sum(axis=1))
-    good = norms > 0
-    ds[good] /= norms[good, None]
-    ds[~good] = 0.0
-
-    dist = np.zeros((n_runs, n_runs), dtype=np.float64)
-    d_o = pairwise_distances(oracle.values)
-    dist[i_idx, j_idx] = d_o
-    dist[j_idx, i_idx] = d_o
-
-    rng = np.random.default_rng(seed)
-    perms = np.stack([rng.permutation(n_runs) for _ in range(shuffles)])
-    po = dist[perms[:, i_idx], perms[:, j_idx]]  # (shuffles, n_pairs)
-    po -= po.mean(axis=1, keepdims=True)
-    pnorms = np.sqrt((po * po).sum(axis=1))
-    pgood = pnorms > 0
-    po[pgood] /= pnorms[pgood, None]
-    po[~pgood] = 0.0
-
-    maxima = np.abs(po @ ds.T).max(axis=1)
-    return float(np.percentile(maxima, percentile))
+        start, end = _normalize_window(window, runs.n_cycles)
+        ds = _module_distance_matrix(runs, node, (start, end))[0]
+    perms = _permutations(runs.n_runs, shuffles, seed)
+    return _shared_floors(oracle, [_unit_rows(ds)], perms, percentile)[0]
 
 
 @dataclass
@@ -358,20 +468,28 @@ def svf_all(runs: RunSet, hierarchy: ModuleNode, oracles, window=None,
     moments = _oracle_moments(oracles)
 
     def score(node):
-        best, ds, oracle = _score(runs, node, oracles, moments, start, end)
+        result, ds, best = _score(runs, node, oracles, moments, start, end)
+        return result, (_unit_rows(ds) if noise_floor_shuffles else None), best
+
+    def floors(group):
+        best, members = group
+        return members, _shared_floors(oracles[best], [scored[k][1] for k in members],
+                                       perms, 99.0)
+
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        scored = list(run(score, nodes))
         if noise_floor_shuffles:
-            best.noise_floor = permutation_floor(
-                runs, node, oracle, window=window, shuffles=noise_floor_shuffles,
-                seed=floor_seed, ds=ds,
-            )
-        return best
+            # one permutation draw per call; one shuffled oracle per winning oracle
+            perms = _permutations(runs.n_runs, noise_floor_shuffles, floor_seed)
+            groups: dict[int, list[int]] = {}
+            for k, (_, _, best) in enumerate(scored):
+                groups.setdefault(best, []).append(k)
+            for members, values in run(floors, groups.items()):
+                for k, value in zip(members, values):
+                    scored[k][0].noise_floor = value
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(score, nodes))
-    else:
-        results = [score(n) for n in nodes]
-
+    results = [result for result, _, _ in scored]
     results.sort(key=lambda r: (-r.svf, r.module_path))
     return SvfReport(results=results)
 

@@ -9,6 +9,7 @@ parsed back and resampled into exactly the original log.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,13 +91,15 @@ def extract_cycle_log(batch: BatchLog, lane: int, label: str = "") -> CycleLog:
     )
 
 
+_ID_CHARS = "".join(chr(c) for c in range(33, 127))
+
+
 def _vcd_id(index: int) -> str:
-    chars = "".join(chr(c) for c in range(33, 127))
     out = ""
     index += 1
     while index:
-        index, rem = divmod(index - 1, len(chars))
-        out = chars[rem] + out
+        index, rem = divmod(index - 1, len(_ID_CHARS))
+        out = _ID_CHARS[rem] + out
     return out
 
 
@@ -118,25 +121,23 @@ class _Scope:
 CLOCK_NAME = "clk"
 
 
-def emit_vcd(log: CycleLog, top: str = "soc", timescale: str = "1ns") -> bytes:
-    """Serialize a CycleLog as VCD; parseable by leakscope.vcd.parse_vcd.
+@functools.lru_cache(maxsize=8)
+def _vcd_header(elements: tuple, top: str, timescale: str) -> tuple[str, tuple[str, ...]]:
+    """(definitions text up to the #0 line, id code of each element).
 
-    The clock rises at t = 10*c for cycle c (1-based) and falls 5 ticks
-    later; all cycle-c changes are emitted at the rising-edge timestamp.
-    All elements are dumped at #0 so no signal is ever undefined.
+    Every run of one design shares its element catalog, so the header is
+    built once per catalog; the clock takes the first id code.
     """
     root = _Scope(top)
-    codes: dict[str, str] = {}
-    clock_code = _vcd_id(0)
-    root.signals.append((CLOCK_NAME, 1, clock_code))
-    for k, (name, width) in enumerate(log.elements):
+    root.signals.append((CLOCK_NAME, 1, _vcd_id(0)))
+    codes = []
+    for k, (name, width) in enumerate(elements):
         parts = name.split(".")
         node = root
         for part in parts[:-1]:
             node = node.child(part)
-        code = _vcd_id(k + 1)
-        codes[name] = code
-        node.signals.append((parts[-1], width, code))
+        codes.append(_vcd_id(k + 1))
+        node.signals.append((parts[-1], width, codes[-1]))
 
     out: list[str] = [f"$timescale {timescale} $end"]
 
@@ -150,6 +151,20 @@ def emit_vcd(log: CycleLog, top: str = "soc", timescale: str = "1ns") -> bytes:
 
     emit_scope(root)
     out.append("$enddefinitions $end")
+    return "\n".join(out), tuple(codes)
+
+
+def emit_vcd(log: CycleLog, top: str = "soc", timescale: str = "1ns") -> bytes:
+    """Serialize a CycleLog as VCD; parseable by leakscope.vcd.parse_vcd.
+
+    The clock rises at t = 10*c for cycle c (1-based) and falls 5 ticks
+    later; all cycle-c changes are emitted at the rising-edge timestamp.
+    All elements are dumped at #0 so no signal is ever undefined.
+    """
+    header, codes = _vcd_header(tuple(log.elements), top, timescale)
+    clock_code = _vcd_id(0)
+    codes = dict(zip((name for name, _ in log.elements), codes))
+    out: list[str] = [header]
 
     def fmt(value: int, width: int, code: str) -> str:
         if width == 1:

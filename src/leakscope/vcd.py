@@ -87,12 +87,32 @@ class ModuleNode:
         raise KeyError(f"no module at path {'.'.join(parts)}")
 
 
+class VcdHeader(NamedTuple):
+    """The parsed definitions of a dump, reusable for any stream that starts
+    with the same ``text``."""
+
+    text: str  # the stream up to its first value-change token
+    n_tokens: int
+    timescale: str
+    declarations: list[SignalDecl]
+    hierarchy: ModuleNode
+    widths: dict[str, int]  # id code -> width, ignored vars left out
+    ignored_codes: set[str]
+
+    def begins(self, data: str) -> bool:
+        """Whether ``data`` starts with this header's text, cut at a token end."""
+        n = len(self.text)
+        return data.startswith(self.text) and (
+            len(data) == n or self.text[-1].isspace() or data[n].isspace())
+
+
 @dataclass
 class WaveDump:
     timescale: str
     declarations: list[SignalDecl]
     hierarchy: ModuleNode
     changes: list[Change]
+    header: VcdHeader | None = field(default=None, repr=False, compare=False)
 
     def structurally_equal(self, other: "WaveDump") -> bool:
         return (
@@ -139,14 +159,17 @@ def _parse_bits(bits: str, width: int) -> tuple[int, int, int]:
             int(bits.translate(_Z_BITS), 2))
 
 
-def parse_vcd(data: bytes | str) -> WaveDump:
-    """Parse a VCD byte/text stream into a WaveDump."""
-    if isinstance(data, bytes):
-        data = data.decode("ascii", errors="replace")
+def _until_end(toks, pos, at, what, fail):
+    """(tokens from ``pos`` up to the next ``$end``, index after it)."""
+    try:
+        end = toks.index("$end", pos)
+    except ValueError:
+        fail(f"unexpected end of stream inside {what}", at)
+    return toks[pos:end], end + 1
 
-    toks = data.split()
-    n_toks = len(toks)
-    pos = 0
+
+def _parse_header(data: str, toks, fail) -> VcdHeader:
+    """Parse the definitions, from the first token up to $enddefinitions."""
     timescale = ""
     declarations: list[SignalDecl] = []
     ignored_codes: set[str] = set()
@@ -154,22 +177,14 @@ def parse_vcd(data: bytes | str) -> WaveDump:
     scope_stack: list[ModuleNode] = []
     scope_paths: list[tuple[str, ...]] = []  # names along scope_stack
     by_code: dict[str, SignalDecl] = {}
-
-    def fail(message, index=None):  # lines are counted only on this error path
-        line = None if index is None else _line_of(data, index)
-        raise VcdParseError(message, line) from None
+    n_toks = len(toks)
+    pos = 0
 
     def read_until_end(at, what):
         nonlocal pos
-        try:
-            end = toks.index("$end", pos)
-        except ValueError:
-            fail(f"unexpected end of stream inside {what}", at)
-        parts = toks[pos:end]
-        pos = end + 1
+        parts, pos = _until_end(toks, pos, at, what, fail)
         return parts
 
-    # --- definitions -------------------------------------------------------
     while True:
         if pos >= n_toks:
             fail("stream ended before $enddefinitions")
@@ -236,17 +251,43 @@ def parse_vcd(data: bytes | str) -> WaveDump:
 
     if root is None:
         fail("no $scope found in definitions")
+    # the text up to the first value change, with the whitespace before it
+    rest = data.split(None, pos)
+    text = data[:len(data) - len(rest[pos])] if len(rest) > pos else data
+    widths = {code: d.width for code, d in by_code.items() if code not in ignored_codes}
+    return VcdHeader(text, pos, timescale, declarations, root, widths, ignored_codes)
+
+
+def parse_vcd(data: bytes | str, header: VcdHeader | None = None) -> WaveDump:
+    """Parse a VCD byte/text stream into a WaveDump.
+
+    ``header``, the ``WaveDump.header`` of an earlier parse, is reused when
+    the stream starts with its text: only the value changes are parsed then,
+    with the same results and error lines as a full parse.
+    """
+    if isinstance(data, bytes):
+        data = data.decode("ascii", errors="replace")
+
+    toks = data.split()
+    n_toks = len(toks)
+
+    def fail(message, index=None):  # lines are counted only on this error path
+        line = None if index is None else _line_of(data, index)
+        raise VcdParseError(message, line) from None
+
+    if header is None or not header.begins(data):
+        header = _parse_header(data, toks, fail)
+    widths, ignored_codes = header.widths, header.ignored_codes
 
     # --- value changes -----------------------------------------------------
     # Fast path: plain 0/1 values go straight through int(bits, 2); only
     # values with x/z bits (or faults) take _parse_bits.
-    widths = {code: d.width for code, d in by_code.items() if code not in ignored_codes}
     changes: list[Change] = []
     append = changes.append
     make = tuple.__new__
     cur_time = 0
     have_time = False
-    i = pos
+    i = header.n_tokens
     while i < n_toks:
         tok = toks[i]
         i += 1
@@ -270,9 +311,7 @@ def parse_vcd(data: bytes | str) -> WaveDump:
                 cur_time = t
                 have_time = True
             elif tok == "$comment":
-                pos = i
-                read_until_end(i - 1, "$comment")
-                i = pos
+                i = _until_end(toks, i, i - 1, "$comment", fail)[1]
             elif lead in "rR":
                 if i >= n_toks:  # real value for an ignored var
                     fail(f"truncated stream (last good timestamp {cur_time})", i - 1)
@@ -303,16 +342,17 @@ def parse_vcd(data: bytes | str) -> WaveDump:
             fail(str(e), at)
 
     return WaveDump(
-        timescale=timescale,
-        declarations=declarations,
-        hierarchy=root,
+        timescale=header.timescale,
+        declarations=header.declarations,
+        hierarchy=header.hierarchy,
         changes=changes,
+        header=header,
     )
 
 
-def load_vcd_file(path) -> WaveDump:
+def load_vcd_file(path, header: VcdHeader | None = None) -> WaveDump:
     with open(path, "rb") as f:
-        return parse_vcd(f.read())
+        return parse_vcd(f.read(), header)
 
 
 def _column_layout(declarations) -> tuple[dict[str, range], np.ndarray]:
@@ -384,8 +424,13 @@ class CycleMatrix:
     def rows(self, cols, start: int = 0, end: int | None = None) -> np.ndarray:
         """(len(cols), end - start) row index of each column's sample at each
         edge in ``[start, end)``."""
-        cols = np.asarray(cols, dtype=np.int64)
-        queries = cols[:, None] * self.stride + self.edge_ranks[None, start:end]
+        edges = np.arange(self.n_cycles)[start:end]
+        return self.rows_at(np.asarray(cols, dtype=np.int64)[:, None], edges[None, :])
+
+    def rows_at(self, cols, edges) -> np.ndarray:
+        """Row index of column ``cols[i]``'s sample at edge ``edges[i]``
+        (the two broadcast)."""
+        queries = np.asarray(cols, dtype=np.int64) * self.stride + self.edge_ranks[edges]
         return np.searchsorted(self.keys, queries, side="right") - 1
 
     def module_columns(self, node: ModuleNode) -> np.ndarray:
@@ -528,11 +573,13 @@ def load_run_set(paths, clock_name: str, alignment: str = "truncate-to-min",
     first = None
     matrices = []
     for p in paths:
-        dump = load_vcd_file(p)
+        # a file whose header text matches the first file's reuses its parse
+        dump = load_vcd_file(p, first.header if first else None)
         if first is None:
             first = dump
-        elif (dump.declarations != first.declarations
-              or not _tree_equal(dump.hierarchy, first.hierarchy)):
+        elif dump.header is not first.header and (
+                dump.declarations != first.declarations
+                or not _tree_equal(dump.hierarchy, first.hierarchy)):
             raise ValueError(f"hierarchy mismatch: '{p}' does not match '{paths[0]}'")
         matrices.append(resample_per_cycle(dump, clock_name))
     lengths = [m.n_cycles for m in matrices]

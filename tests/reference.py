@@ -3,7 +3,9 @@
 These are the straightforward versions of the VCD value parser, the per-cycle
 resampler and the module distance matrix: Python ints per cell, one signal
 and one pair at a time. The columnar code in ``leakscope.vcd`` and
-``leakscope.metrics`` must agree with them exactly. ``two_pass_cpa`` is the
+``leakscope.metrics`` must agree with them exactly. ``naive_permutation_floor``
+is the per-module floor with every shuffle in one array, the oracle for the
+blocked floor shared by the modules of one oracle. ``two_pass_cpa`` is the
 textbook CPA with one hypothesis per guess and trace, the oracle for the
 class-sum ``leakscope.cpa.cpa_attack``.
 """
@@ -92,20 +94,27 @@ def to_columns(declarations, cells: dict, d: int):
     return tuple(planes)
 
 
-def from_samples(declarations, values, xmask=None, zmask=None) -> CycleMatrix:
+def from_samples(declarations, values, xmask=None, zmask=None, held=False) -> CycleMatrix:
     """CycleMatrix whose word columns hold ``values[k]`` at edge ``k``.
 
     ``values`` and the optional masks are (d, n_cols) uint64 in the column
-    layout of ``declarations``; edges fall at times 10, 20, ...
+    layout of ``declarations``; edges fall at times 10, 20, ... Every column
+    gets a change row at every edge, or with ``held`` only where its sample
+    differs from the edge before, as in a real dump.
     """
     values = np.asarray(values, dtype=np.uint64)
     d, n_cols = values.shape
     xmask, zmask = (np.zeros_like(values) if m is None else np.asarray(m, dtype=np.uint64)
                     for m in (xmask, zmask))
+    keep = np.ones((n_cols, d), dtype=bool)
+    if held:
+        planes = np.stack([values.T, xmask.T, zmask.T])
+        keep[:, 1:] = (planes[:, :, 1:] != planes[:, :, :-1]).any(axis=0)
+    cols, cycles = np.nonzero(keep)  # column-major, time order within a column
     ranks = np.arange(1, d + 1)
     return CycleMatrix.from_rows(
-        _column_layout(declarations), np.repeat(np.arange(n_cols), d), np.tile(ranks, n_cols),
-        values.T.ravel(), xmask.T.ravel(), zmask.T.ravel(), d, ranks, (10 * ranks).tolist())
+        _column_layout(declarations), cols, cycles + 1, values.T[keep], xmask.T[keep],
+        zmask.T[keep], d, ranks, (10 * ranks).tolist())
 
 
 def naive_distance_matrix(cells_per_run, signals, window):
@@ -126,6 +135,40 @@ def naive_distance_matrix(cells_per_run, signals, window):
             for p, (i, j) in enumerate(pairs):
                 ds[c - start, p] += bin(cols[i][c][0] ^ cols[j][c][0]).count("1")
     return ds, xz / (width * (end - start) * n)
+
+
+def naive_permutation_floor(ds, oracle_values, shuffles: int, percentile: float = 99.0,
+                            seed: int = 0xF100D) -> float:
+    """Noise floor of one module's (d, n_pairs) distances: the percentile of
+    its best |Pearson| under ``shuffles`` run permutations of the oracle,
+    every shuffled oracle held at once."""
+    n_runs = len(oracle_values)
+    i_idx, j_idx = np.triu_indices(n_runs, k=1)[::-1]
+
+    ds = np.asarray(ds).astype(np.float64)
+    ds -= ds.mean(axis=1, keepdims=True)
+    norms = np.sqrt((ds * ds).sum(axis=1))
+    good = norms > 0
+    ds[good] /= norms[good, None]
+    ds[~good] = 0.0
+
+    dist = np.zeros((n_runs, n_runs), dtype=np.float64)
+    d_o = np.array([bin(oracle_values[i] ^ oracle_values[j]).count("1")
+                    for i, j in zip(i_idx, j_idx)], dtype=np.int64)
+    dist[i_idx, j_idx] = d_o
+    dist[j_idx, i_idx] = d_o
+
+    rng = np.random.default_rng(seed)
+    perms = np.stack([rng.permutation(n_runs) for _ in range(shuffles)])
+    po = dist[perms[:, i_idx], perms[:, j_idx]]  # (shuffles, n_pairs)
+    po -= po.mean(axis=1, keepdims=True)
+    pnorms = np.sqrt((po * po).sum(axis=1))
+    pgood = pnorms > 0
+    po[pgood] /= pnorms[pgood, None]
+    po[~pgood] = 0.0
+
+    maxima = np.abs(po @ ds.T).max(axis=1)
+    return float(np.percentile(maxima, percentile))
 
 
 _HW8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.float64)

@@ -78,6 +78,31 @@ def test_simulate_reproducible_byte_for_byte(sim_dir):
     assert ma == mb
 
 
+# SHA-256 over runs.txt and every VCD of a 4-run baseline `simulate --vcd`
+# (rounds 1, sigma 0, seed 9), recorded before the VCD header was built once
+# per element catalog; it pins every byte of the dumps.
+GOLDEN_VCD_RUN_SET = "c6fdd3821aae380b2055270950908d469bf67bffdf8ff4c7cb69dd0648faf953"
+
+
+def test_simulate_vcd_run_set_matches_golden_hash(tmp_path):
+    import hashlib
+
+    cfg = tmp_path / "config"
+    cfg.write_text("mode = baseline\nnoise_sigma = 0.0\nrounds = 1\nseed = 9\n")
+    out = tmp_path / "v"
+    assert run_cli("simulate", "--key", KEY_HEX, "--gen", "4", "--vcd",
+                   "--config", str(cfg), "--out", str(out)) == 0
+    h = hashlib.sha256()
+    names = ["runs.txt"] + [line.split()[0] for line in
+                            (out / "runs.txt").read_text().splitlines()]
+    assert len(names) == 5
+    for name in names:
+        data = (out / name).read_bytes()
+        h.update(f"{name} {len(data)}\n".encode())
+        h.update(data)
+    assert h.hexdigest() == GOLDEN_VCD_RUN_SET
+
+
 def test_manifest_schema(sim_dir):
     import jsonschema
     from importlib import resources
@@ -348,6 +373,29 @@ def test_ttest_rekey_every_zero_is_a_usage_error(tmp_path, capsys, mode):
     assert code == 2
     assert "--rekey-every: must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("reps", ["0", "1", "-2"])
+def test_ttest_reps_below_two_fails_before_the_sweep(tmp_path, capsys, monkeypatch, reps):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran with an invalid --reps")
+
+    monkeypatch.setattr(cli, "cache_set_experiment", no_sweep)
+    code = run_cli("ttest", "--reps", reps, "--out", str(tmp_path / "t.csv"))
+    assert code == 2
+    assert f"--reps: must be >= 2, got {reps}" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_simulate_gen_below_one_fails_before_creating_out(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated with an invalid --gen")
+
+    monkeypatch.setattr(cli, "run_aes_batch", no_run)
+    code = run_cli("simulate", "--key", KEY_HEX, "--gen", "-3", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "--gen: must be >= 1, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [

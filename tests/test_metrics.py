@@ -27,15 +27,16 @@ from leakscope.metrics import (
     write_tmatrix_csv,
 )
 from leakscope.vcd import ModuleNode, RunSet, SignalDecl
-from reference import from_samples, naive_distance_matrix, to_columns
+from reference import from_samples, naive_distance_matrix, naive_permutation_floor, to_columns
 
 
-def make_runset(words_per_run, width, signal_specs=None):
+def make_runset(words_per_run, width, signal_specs=None, held=False):
     """RunSet over a synthetic single-module (or multi-signal) hierarchy.
 
     ``signal_specs``: optional list of (code, width); words_per_run then maps
     code -> per-cycle cells per run via dicts. A cell is an int or a
-    (value, xmask, zmask) tuple.
+    (value, xmask, zmask) tuple. ``held`` stores only the changes of each
+    word, as a dump does.
     """
     if signal_specs is None:
         signal_specs = [("!", width)]
@@ -46,7 +47,7 @@ def make_runset(words_per_run, width, signal_specs=None):
     ]
     root = ModuleNode(name="top", signals=list(decls))
     d = len(next(iter(words_per_run[0].values())))
-    runs = [from_samples(decls, *to_columns(decls, run, d))
+    runs = [from_samples(decls, *to_columns(decls, run, d), held=held)
             for run in words_per_run]
     return RunSet(
         runs=runs,
@@ -377,34 +378,43 @@ def test_svf_all_threads_deterministic():
 @st.composite
 def _mixed_runsets(draw):
     """Per-run cells for one module whose signals are constant (some all-x),
-    or vary with occasional x/z cells; widths span 1 to 9 words."""
+    vary with occasional x/z cells, or hold each cell for runs of cycles as
+    a dump does; widths span 1 to 9 words. Returns (specs, runs, window,
+    held), ``held`` when the matrices store only the changes."""
     n = draw(st.integers(2, 9))
-    d = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 10))
     specs = []
     for k in range(draw(st.integers(1, 5))):
         width = draw(st.sampled_from([1, 7, 64, 65, 130, 512]))
-        kind = draw(st.sampled_from(["const", "const-x", "vary", "vary"]))
+        kind = draw(st.sampled_from(["const", "const-x", "vary", "held", "held"]))
         specs.append((chr(ord("a") + k), width, kind))
     runs = [dict() for _ in range(n)]
     for code, width, kind in specs:
         full = (1 << width) - 1
+        cell = st.one_of(
+            st.integers(0, full), st.integers(0, full),
+            st.tuples(st.integers(0, full), st.integers(0, full)).map(
+                lambda vx: (vx[0] & ~vx[1], vx[1], 0)),
+            st.just((0, 0, full)))
         if kind == "const":
             v = draw(st.integers(0, full))
             cells = [[v] * d for _ in range(n)]
         elif kind == "const-x":
             cells = [[(0, full, 0)] * d for _ in range(n)]
-        else:
-            cells = [[draw(st.one_of(
-                st.integers(0, full), st.integers(0, full),
-                st.tuples(st.integers(0, full), st.integers(0, full)).map(
-                    lambda vx: (vx[0] & ~vx[1], vx[1], 0)),
-                st.just((0, 0, full))))
-                for _ in range(d)] for _ in range(n)]
+        elif kind == "vary":
+            cells = [[draw(cell) for _ in range(d)] for _ in range(n)]
+        else:  # a few changes per run, at random cycles
+            cells = []
+            for _ in range(n):
+                col = [draw(cell)]
+                for _ in range(d - 1):
+                    col.append(draw(cell) if draw(st.integers(0, 3)) == 0 else col[-1])
+                cells.append(col)
         for run, col in zip(runs, cells):
             run[code] = col
     start = draw(st.integers(1, d))
     window = (start, draw(st.integers(start, d)))
-    return [(c, w) for c, w, _ in specs], runs, window
+    return [(c, w) for c, w, _ in specs], runs, window, draw(st.booleans())
 
 
 def _as_tuples(runs):
@@ -412,34 +422,60 @@ def _as_tuples(runs):
              for c, col in run.items()} for run in runs]
 
 
-@settings(max_examples=120, deadline=None, database=None)
+@settings(max_examples=150, deadline=None, database=None)
 @given(_mixed_runsets(), st.sampled_from([1, 7, 50, metrics._PAIR_BLOCK_WORDS]))
 def test_module_distance_matrix_matches_naive_reference(case, block_words):
-    specs, runs, window = case
-    rs = make_runset(runs, width=None, signal_specs=specs)
+    specs, runs, window, held = case
+    rs = make_runset(runs, width=None, signal_specs=specs, held=held)
     start, end = metrics._normalize_window(window, rs.n_cycles)
-    want_ds, want_xz = naive_distance_matrix(_as_tuples(runs), rs.declarations,
-                                             (start, end))
+    cells = _as_tuples(runs)
+    want_ds, want_xz = naive_distance_matrix(cells, rs.declarations, (start, end))
     with mock.patch.object(metrics, "_PAIR_BLOCK_WORDS", block_words):
-        ds, xz_ratio = metrics._module_distance_matrix(rs, rs.hierarchy, (start, end))
+        ds, cycle_rows, xz_ratio = metrics._module_distance_matrix(
+            rs, rs.hierarchy, (start, end))
     assert ds.dtype == np.int64 and ds.flags.c_contiguous
-    assert np.array_equal(ds, want_ds)
+    assert np.array_equal(ds[cycle_rows], want_ds)
     assert xz_ratio == want_xz
+    # each distinct row once
+    assert len(ds) == len(np.unique(want_ds, axis=0))
+    assert sorted(set(cycle_rows.tolist())) == list(range(len(ds)))
+
+
+def test_distinct_rows_compare_rows_whose_hashes_collide():
+    ds = np.array([[1, 2], [3, 4], [1, 2], [3, 5], [3, 4]], dtype=np.int64)
+    for collide in (False, True):
+        with mock.patch.object(metrics, "hash", (lambda b: 0) if collide else hash,
+                               create=True):
+            rows, index = metrics._distinct_rows(ds)
+        assert rows.tolist() == [[1, 2], [3, 4], [3, 5]]
+        assert index.tolist() == [0, 1, 0, 2, 1]
 
 
 def test_pair_blocks_with_a_remainder():
     rng = np.random.default_rng(5)
-    n, d, k = 7, 3, 5  # 21 pairs in blocks of 4: five full blocks and one pair
-    packed = rng.integers(0, 2**64, size=(n, d, k), dtype=np.uint64)
-    with mock.patch.object(metrics, "_PAIR_BLOCK_WORDS", 4 * d * k):
-        blocked = metrics._pair_distances(packed)
+    n, k = 7, 3  # 21 pairs in blocks of 4: five full blocks and one pair
+    ev_word = np.array([0, 2, 2, 1, 0])  # events of cycles 1, 1, 2, 3, 3
+    starts = np.array([0, 2, 3])
+    prev = metrics._previous_samples(ev_word, k)
+    assert prev.tolist() == [0, 2, k + 1, 1, k + 0]
+    samples = rng.integers(0, 2**64, size=(n, k + len(ev_word)), dtype=np.uint64)
+    with mock.patch.object(metrics, "_PAIR_BLOCK_WORDS", 4 * samples.shape[1]):
+        blocked = metrics._pair_distances(samples, prev, starts)
     i_idx, j_idx = metrics.pair_order(n)
     assert len(i_idx) % 4 == 1
-    want = np.array([[sum(bin(int(a) ^ int(b)).count("1")
-                          for a, b in zip(packed[i, c], packed[j, c]))
-                      for i, j in zip(i_idx, j_idx)] for c in range(d)])
+
+    def distances(words):
+        return [sum(bin(int(a) ^ int(b)).count("1") for a, b in zip(words[i], words[j]))
+                for i, j in zip(i_idx, j_idx)]
+
+    words = samples[:, :k].copy()  # replay each event's sample, cycle by cycle
+    want = [distances(words)]
+    for lo, hi in zip(starts, [*starts[1:], len(ev_word)]):
+        for e in range(lo, hi):
+            words[:, ev_word[e]] = samples[:, k + e]
+        want.append(distances(words))
     assert np.array_equal(blocked, want)
-    assert np.array_equal(metrics._pair_distances(packed), want)
+    assert np.array_equal(metrics._pair_distances(samples, prev, starts), want)
 
 
 def test_constant_signals_are_skipped_exactly():
@@ -449,9 +485,9 @@ def test_constant_signals_are_skipped_exactly():
              "v": [rng.getrandbits(8) for _ in range(d)]} for _ in range(n)]
     specs = [("c", 8), ("k", 4), ("v", 8)]
     rs = make_runset(runs, width=None, signal_specs=specs)
-    ds, xz_ratio = metrics._module_distance_matrix(rs, rs.hierarchy, (0, d))
+    ds, cycle_rows, xz_ratio = metrics._module_distance_matrix(rs, rs.hierarchy, (0, d))
     want_ds, want_xz = naive_distance_matrix(_as_tuples(runs), rs.declarations, (0, d))
-    assert np.array_equal(ds, want_ds)
+    assert np.array_equal(ds[cycle_rows], want_ds)
     # the all-x constant signal still counts toward the x/z ratio
     assert xz_ratio == want_xz == (4 * d * n) / (20 * d * n)
     only_v = make_runset([{"v": r["v"]} for r in runs], width=None,
@@ -489,8 +525,44 @@ def test_svf_all_picks_each_modules_worst_oracle_exactly():
             assert list(res.per_cycle_scores) == naive_svf(words, oracles[best].values)
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_shared_floor_matches_the_per_module_oracle(data):
+    """Floors of modules scored one shuffle block at a time, several on one
+    oracle and some all-constant, against the per-module floor."""
+    n = data.draw(st.integers(3, 9))
+    d = data.draw(st.integers(1, 5))
+    kinds = data.draw(st.lists(st.sampled_from(["const", "vary", "vary"]), min_size=3,
+                               max_size=5))
+    runs = [{chr(ord("a") + m): [0x5A] * d if kind == "const"
+             else [data.draw(st.integers(0, 255)) for _ in range(d)]
+             for m, kind in enumerate(kinds)} for _ in range(n)]
+    specs = [(chr(ord("a") + m), 8) for m in range(len(kinds))]
+    rs = make_runset(runs, width=None, signal_specs=specs, held=data.draw(st.booleans()))
+    rs.hierarchy.children = [ModuleNode(name=f"m{k}", signals=[decl])
+                             for k, decl in enumerate(rs.declarations)]
+    rs.hierarchy.signals = []
+    oracles = [OracleTrace(values=tuple(data.draw(st.integers(0, 255)) for _ in range(n)),
+                           width=8, label=f"o{k}") for k in range(2)]
+    shuffles = data.draw(st.sampled_from([1, 2, 5, 13]))
+    per_block = data.draw(st.sampled_from([1, 2, 4, 1000]))  # shuffles per block
+    n_pairs = n * (n - 1) // 2
+    with mock.patch.object(metrics, "_PAIR_BLOCK_WORDS", per_block * n_pairs):
+        report = svf_all(rs, rs.hierarchy, oracles, noise_floor_shuffles=shuffles)
+    by_label = {o.label: o for o in oracles}
+    for res in report.results:
+        node = rs.hierarchy.find(res.module_path)
+        want_ds, _ = naive_distance_matrix(_as_tuples(runs), node.signals, (0, d))
+        oracle = by_label[res.oracle_label]
+        want = naive_permutation_floor(want_ds, oracle.values, shuffles)
+        assert abs(res.noise_floor - want) <= 1e-12
+        assert abs(permutation_floor(rs, node, oracle, shuffles=shuffles) - want) <= 1e-12
+        if not want_ds.any():
+            assert res.noise_floor == 0.0
+
+
 _MEMORY_PROBE = """
-import json, resource
+import json, resource, sys
 import numpy as np
 from leakscope import metrics
 from leakscope.vcd import ModuleNode, RunSet, SignalDecl
@@ -499,28 +571,24 @@ from reference import from_samples
 def peak_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
-n, d = 200, 64
-decl = SignalDecl("!", "line", 512, ("top",))
+n, d, words, shuffles = map(int, sys.argv[1:])
+decl = SignalDecl("!", "line", 64 * words, ("top",))
 root = ModuleNode("top", signals=[decl])
 rng = np.random.default_rng(0)
-runs = [from_samples([decl], rng.integers(0, 2**64, (d, 8), dtype=np.uint64))
+runs = [from_samples([decl], rng.integers(0, 2**64, (d, words), dtype=np.uint64))
         for _ in range(n)]
 rs = RunSet(runs, d, root, [decl], [str(i) for i in range(n)])
 oracle = metrics.OracleTrace(tuple(int(v) for v in rng.integers(0, 256, n)), 8)
 before = peak_mb()
-report = metrics.svf_all(rs, root, [oracle], noise_floor_shuffles=0)
-print(json.dumps({"before": before, "peak": peak_mb(), "svf": report.results[0].svf}))
+report = metrics.svf_all(rs, root, [oracle], noise_floor_shuffles=shuffles)
+r = report.results[0]
+print(json.dumps({"before": before, "peak": peak_mb(), "svf": r.svf, "floor": r.noise_floor}))
 """
 
-# 200 runs give 19 900 pairs. Their distance matrix (pairs x 64 cycles, int64)
-# is 10 MB, and the scoring moments need one more array of that size. XORing
-# all pairs at once would take 19 900 x 64 x 8 words = 81 MB per temporary,
-# and several such temporaries are live at the same time. The permutation
-# floor is off: its (shuffles x pairs) arrays are not covered by this bound.
-SCORING_RSS_GROWTH_MB = 48
 
-
-def test_scoring_memory_is_bounded():
+def _memory_probe(n, d, words, shuffles):
+    """Peak RSS before and after ``svf_all`` on n random runs of one
+    (64 * words)-bit signal over d cycles, in a fresh interpreter."""
     import json
     import os
     import subprocess
@@ -532,11 +600,41 @@ def test_scoring_memory_is_bounded():
     here = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, here] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", _MEMORY_PROBE], env=env, check=True,
-                         capture_output=True, text=True, timeout=300).stdout
-    probe = json.loads(out.splitlines()[-1])
+    argv = [sys.executable, "-c", _MEMORY_PROBE, *map(str, (n, d, words, shuffles))]
+    out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True,
+                         timeout=300).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+# 200 runs give 19 900 pairs. Their distance matrix (pairs x 64 cycles, int64)
+# is 10 MB, and the scoring moments need one more array of that size. XORing
+# all pairs at once would take 19 900 x 64 x 8 words = 81 MB per temporary,
+# and several such temporaries are live at the same time. The permutation
+# floor is off here; the next bound covers it.
+SCORING_RSS_GROWTH_MB = 48
+
+
+def test_scoring_memory_is_bounded():
+    probe = _memory_probe(200, 64, 8, 0)
     assert 0.0 < probe["svf"] <= 1.0
     assert probe["peak"] - probe["before"] <= SCORING_RSS_GROWTH_MB, probe
+
+
+# 1000 runs give 499 500 pairs, so one (8 cycles x pairs) matrix is 32 MB.
+# Scoring holds the int64 distances, their square and the unit-norm float
+# rows the floor keeps: 3 x 32 MB. The floor adds the 1000 x 1000 oracle
+# distance table and the two pair index arrays (8 MB each) and one block of
+# shuffled oracle distances with its two index arrays (one shuffle here, since
+# a shuffle is more than the block's word budget: 12 MB). Indexing every
+# shuffle at once, as one (shuffles x pairs) array with two int64 index arrays,
+# would take 100 x 499 500 x 24 bytes = 1.2 GB on top.
+FLOOR_RSS_GROWTH_MB = 160
+
+
+def test_floor_memory_is_bounded():
+    probe = _memory_probe(1000, 8, 1, 100)
+    assert 0.0 < probe["svf"] <= 1.0 and 0.0 < probe["floor"] <= 1.0
+    assert probe["peak"] - probe["before"] <= FLOOR_RSS_GROWTH_MB, probe
 
 
 # --- Welch t ---------------------------------------------------------------------

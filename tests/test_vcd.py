@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leakscope import vcd
 from leakscope.vcd import (
     VcdParseError,
     load_run_set,
@@ -121,8 +122,7 @@ def test_truncated_stream_names_last_timestamp():
         parse_vcd(truncated)
 
 
-def test_real_and_event_vars_ignored():
-    text = """\
+REAL_AND_EVENT = """\
 $scope module t $end
 $var wire 1 ! clk $end
 $var real 64 % temperature $end
@@ -135,7 +135,10 @@ r3.14 %
 #10
 1!
 """
-    dump = parse_vcd(text)
+
+
+def test_real_and_event_vars_ignored():
+    dump = parse_vcd(REAL_AND_EVENT)
     assert [d.name for d in dump.declarations] == ["clk"]
     assert [c.id_code for c in dump.changes] == ["!", "!"]
 
@@ -388,6 +391,57 @@ def test_load_run_set_hierarchy_mismatch(tmp_path):
         load_run_set([tmp_path / "a.vcd", tmp_path / "b.vcd"], "clk")
 
 
+@pytest.mark.parametrize("var", ['$var wire 5 " sig $end', '$var reg 4 " sig $end',
+                                 '$var wire 4 " sig2 $end'])
+def test_load_run_set_one_changed_var_is_a_hierarchy_mismatch(tmp_path, var):
+    (tmp_path / "a.vcd").write_text(CLOCKED)
+    (tmp_path / "b.vcd").write_text(CLOCKED.replace('$var wire 4 " sig $end', var))
+    with pytest.raises(ValueError, match="hierarchy mismatch"):
+        load_run_set([tmp_path / "a.vcd", tmp_path / "b.vcd"], "clk")
+
+
+def test_load_run_set_reuses_only_an_identical_header(tmp_path, monkeypatch):
+    # the same design under another $date is parsed in full and still matches
+    (tmp_path / "a.vcd").write_text(CLOCKED)
+    (tmp_path / "b.vcd").write_text(CLOCKED)
+    (tmp_path / "c.vcd").write_text("$date today $end\n" + CLOCKED)
+    seen = []
+    real = vcd.parse_vcd
+
+    def spy(data, header=None):
+        dump = real(data, header)
+        seen.append(dump.header is header)
+        return dump
+
+    monkeypatch.setattr(vcd, "parse_vcd", spy)
+    rs = load_run_set([tmp_path / n for n in ("a.vcd", "b.vcd", "c.vcd")], "clk")
+    assert seen == [False, True, False]
+    assert rs.runs[0].cells == rs.runs[1].cells == rs.runs[2].cells
+
+
+def test_load_run_set_body_error_names_the_full_parse_line(tmp_path):
+    bad = CLOCKED.replace("b101 \"", "b1q1 \"")
+    with pytest.raises(VcdParseError) as full:
+        parse_vcd(bad)
+    assert full.value.line == 21
+    (tmp_path / "a.vcd").write_text(CLOCKED)
+    (tmp_path / "b.vcd").write_text(bad)
+    with pytest.raises(VcdParseError) as reused:
+        load_run_set([tmp_path / "a.vcd", tmp_path / "b.vcd"], "clk")
+    assert str(reused.value) == str(full.value)
+
+
+def test_header_with_an_ignored_real_var_is_reused():
+    text = REAL_AND_EVENT + "r2.5 %\n#15\n0!\n"
+    first = parse_vcd(REAL_AND_EVENT)
+    again = parse_vcd(text, first.header)
+    assert again.header is first.header
+    assert again.structurally_equal(parse_vcd(text))
+    assert [c.id_code for c in again.changes] == ["!", "!", "!"]
+    with pytest.raises(VcdParseError, match="real value change for non-real id '!'"):
+        parse_vcd(REAL_AND_EVENT + "r2.5 !\n", first.header)
+
+
 def test_load_run_set_needs_two(tmp_path):
     (tmp_path / "a.vcd").write_text(CLOCKED)
     with pytest.raises(ValueError, match="at least 2"):
@@ -449,6 +503,8 @@ def test_parse_and_resample_match_naive_reference(stream):
     dump = parse_vcd(text)
     assert [tuple(c) for c in dump.changes] == [
         (t, code, *naive_parse_bits(bits, widths[code])) for t, code, bits in expected]
+    again = parse_vcd(text, dump.header)
+    assert again.header is dump.header and again.changes == dump.changes
     try:
         edges, cells = naive_resample(dump, "!")
     except VcdParseError:
@@ -472,5 +528,9 @@ def test_parse_errors_name_the_line(stream, data):
         return
     k = data.draw(st.sampled_from(body))
     lines[k] = "b1q2 !" if lines[k].startswith("b") else "q" + lines[k]
-    with pytest.raises(VcdParseError, match=f"^line {k + 1}: "):
-        parse_vcd("\n".join(lines) + "\n")
+    bad = "\n".join(lines) + "\n"
+    with pytest.raises(VcdParseError, match=f"^line {k + 1}: ") as full:
+        parse_vcd(bad)
+    with pytest.raises(VcdParseError) as reused:  # the header of the good stream
+        parse_vcd(bad, parse_vcd(text).header)
+    assert str(reused.value) == str(full.value)
