@@ -50,13 +50,14 @@ def extract_cycle_log(batch: BatchLog, lane: int, label: str = "") -> CycleLog:
         if name in batch.initial_scalar:
             initial[name] = int(batch.initial_scalar[name][lane])
     initial["dcache.lb.line"] = _words_to_int(batch.initial_lb[lane])
-    tags, valid, dirty, data = batch.initial_cache
+    tags, valid, dirty, slots, rows = batch.initial_cache
+    lines = rows[slots[:, :, lane]]
     g = batch.cfg.cache
     for s in range(g.sets):
         for w in range(g.ways):
             initial[f"dcache.arrays.t{s}_{w}"] = int(tags[s, w, lane])
             initial[f"dcache.arrays.f{s}_{w}"] = int(valid[s, w, lane] | (dirty[s, w, lane] << 1))
-            initial[f"dcache.arrays.d{s}_{w}"] = _words_to_int(data[s, w, lane])
+            initial[f"dcache.arrays.d{s}_{w}"] = _words_to_int(lines[s, w])
 
     cur = dict(initial)
     changes: list[tuple[int, str, int]] = []

@@ -21,6 +21,15 @@ In ``param`` mode every stored payload is in obfuscated form and cache
 lookups use the obfuscated address; deobfuscation happens only where an
 operation consumes the value, which in this model is the functional
 evaluation inside the execute/memory stages.
+
+Payload state grows with what the lanes touch, not with the lane count times
+the cache size. Each (set, way, lane) entry's 512-bit payload lives in a row
+of a line pool, found through the entry's slot; row 0 is the all-zero line of
+every entry that has never been written, and an entry keeps its row for the
+life of the machine, so an invalidated line's stale payload stays in place
+for the next refill to toggle against. Backing memory holds a line poked
+with the same bytes on every lane once, as a shared (1, 8) line, and gives it
+a per-lane (n_lanes, 8) copy on its first per-lane write.
 """
 
 from __future__ import annotations
@@ -87,7 +96,9 @@ class BatchLog:
         self.n_cycles = n_cycles
         self.initial_scalar: dict[str, np.ndarray] = {}
         self.initial_lb = None
-        self.initial_cache = None  # (tags, valid, dirty, data) copies
+        # (tags, valid, dirty, slots, rows) copies: entry (s, w, lane) held
+        # the payload rows[slots[s, w, lane]] at run start
+        self.initial_cache = None
         self.events: list = []     # ("s", cycle, name, values) | ("lb", ..) | ("cl", ..)
 
 
@@ -120,9 +131,20 @@ class Machine:
         self.tags = np.zeros((g.sets, g.ways, n), dtype=np.uint64)
         self.valid = np.zeros((g.sets, g.ways, n), dtype=np.uint8)
         self.dirty = np.zeros((g.sets, g.ways, n), dtype=np.uint8)
-        self.data = np.zeros((g.sets, g.ways, n, 8), dtype=np.uint64)
+        # payload of entry (s, w, lane): pool[slots[s, w, lane]]. Rows are
+        # handed out on an entry's first write and never freed, so at most
+        # one row per entry plus the zero row is ever needed.
+        self._max_rows = g.sets * g.ways * n + 1
+        if self._max_rows > np.iinfo(np.int32).max:
+            raise SimError(f"{n} lanes need more line-pool rows than int32 slots address")
+        self.slots = np.zeros((g.sets, g.ways, n), dtype=np.int32)
+        self.pool = np.zeros((n + 1, 8), dtype=np.uint64)
+        self._rows = 1  # rows in use; row 0 stays all zero
+        # line address -> raw line: (1, 8) when every lane holds the same
+        # bytes, else (n_lanes, 8)
         self.backing: dict[int, np.ndarray] = {}
         rng = np.random.default_rng(abs(cfg.seed) + 0x5EED)
+        # way the next miss in (set, lane) fills, always < ways
         self.repl = rng.integers(0, g.ways, size=(g.sets, n), dtype=np.uint8)
 
         self._pw = None   # (d+1, n) toggle accumulator while a program runs
@@ -196,45 +218,73 @@ class Machine:
 
     # --- backing memory -------------------------------------------------------
 
-    def _line_entry(self, image: dict, line_addr: int) -> np.ndarray:
-        """The (n_lanes, 8) line at ``line_addr`` of an image; zeros if absent."""
+    def _lane_line(self, image: dict, line_addr: int) -> np.ndarray:
+        """The per-lane (n_lanes, 8) line at ``line_addr`` of an image, made
+        from zeros or from the shared line there on first per-lane write."""
         arr = image.get(line_addr)
         if arr is None:
             arr = image[line_addr] = np.zeros((self.n, 8), dtype=np.uint64)
+        elif arr.shape[0] != self.n:
+            arr = image[line_addr] = np.repeat(arr, self.n, axis=0)
         return arr
 
     def _backing_lines(self, line_addr) -> np.ndarray:
-        out = np.zeros((self.n, 8), dtype=np.uint64)
-        for u in np.unique(line_addr):
+        """Raw (n_lanes, 8) backing line at each lane's ``line_addr``: one
+        gather over the distinct addresses' shared lines, then one masked
+        copy per per-lane line."""
+        uniq, inv = np.unique(line_addr, return_inverse=True)
+        shared = np.zeros((len(uniq), 8), dtype=np.uint64)
+        per_lane = []
+        for i, u in enumerate(uniq):
             entry = self.backing.get(int(u))
-            if entry is not None:
-                mask = line_addr == u
-                out[mask] = entry[mask]
+            if entry is None:
+                continue
+            if entry.shape[0] == 1:
+                shared[i] = entry[0]
+            else:
+                per_lane.append((i, entry))
+        out = shared[inv]
+        for i, entry in per_lane:
+            mask = inv == i
+            out[mask] = entry[mask]
         return out
+
+    def _check_span(self, addr: int, k: int) -> None:
+        width = self.geom.address_width
+        if addr < 0 or addr + k > 1 << width:
+            raise SimError(f"bytes {addr:#x}..{addr + k:#x} are outside the "
+                           f"{width}-bit address geometry")
 
     def poke_bytes(self, addr: int, data) -> None:
         """Write raw bytes into backing memory; stale cached copies dropped.
 
-        ``data`` is bytes (broadcast to every lane, not copied per lane) or a
-        (n_lanes, k) uint8 array. Whether the cache holds any valid line is
-        checked once per call: on a cold cache no copy can be stale, so no
+        ``data`` is bytes (stored once as shared lines, not copied per lane)
+        or a (n_lanes, k) uint8 array. Whether the cache holds any valid line
+        is checked once per call: on a cold cache no copy can be stale, so no
         line is looked up and the cache state is left as it is.
         """
-        if isinstance(data, (bytes, bytearray)):
+        shared = isinstance(data, (bytes, bytearray))
+        if shared:
             arr = np.frombuffer(data, dtype=np.uint8)[None, :]
         else:
             arr = np.asarray(data, dtype=np.uint8)
             if arr.shape[0] != self.n:
                 raise SimError(f"per-lane poke needs {self.n} rows, got {arr.shape[0]}")
         k = arr.shape[1]
+        self._check_span(addr, k)
         warm = bool(self.valid.any())
         pos = 0
         while pos < k:
             line_addr = (addr + pos) >> 6 << 6
             off = addr + pos - line_addr
             take = min(64 - off, k - pos)
-            entry = self._line_entry(self.backing, line_addr)
-            view = entry.view(np.uint8).reshape(self.n, 64)
+            if not shared:
+                entry = self._lane_line(self.backing, line_addr)
+            elif take == 64 or line_addr not in self.backing:
+                entry = self.backing[line_addr] = np.zeros((1, 8), dtype=np.uint64)
+            else:
+                entry = self.backing[line_addr]
+            view = entry.view(np.uint8).reshape(entry.shape[0], 64)
             view[:, off:off + take] = arr[:, pos:pos + take]
             if warm:
                 self._invalidate_line(line_addr)
@@ -258,6 +308,7 @@ class Machine:
 
     def peek_bytes(self, addr: int, k: int) -> np.ndarray:
         """Read k bytes per lane through the cache (deobfuscating) or backing."""
+        self._check_span(addr, k)
         out = np.zeros((self.n, k), dtype=np.uint8)
         pos = 0
         while pos < k:
@@ -275,7 +326,8 @@ class Machine:
         hit = way >= 0
         if hit.any():
             lanes = self._lanes[hit]
-            raw[hit] = self._raw_lines(self.data[set_idx[hit], way[hit], lanes, :], lanes)
+            raw[hit] = self._raw_lines(self._payload(self._cells(set_idx[hit], way[hit], lanes)),
+                                       lanes)
         return raw
 
     def _raw_lines(self, lines, lanes):
@@ -286,14 +338,49 @@ class Machine:
 
     # --- the data cache ----------------------------------------------------------
 
-    def _cells(self, set_idx, way):
+    def _cells(self, set_idx, way, lanes=None):
         """Flat index of each lane's (set, way) entry in the cache arrays.
 
-        ``tags``, ``valid`` and ``dirty`` are (sets, ways, n_lanes) and
-        ``data`` is (sets, ways, n_lanes, 8); one flat ``np.take`` or
-        assignment per array is much cheaper than indexing with three arrays.
+        ``tags``, ``valid``, ``dirty`` and ``slots`` are (sets, ways,
+        n_lanes); one flat ``np.take`` or assignment per array is much cheaper
+        than indexing with three arrays. ``lanes`` defaults to every lane.
         """
-        return (set_idx * self.geom.ways + way) * self.n + self._lanes
+        return (set_idx * self.geom.ways + way) * self.n + \
+            (self._lanes if lanes is None else lanes)
+
+    def _payload(self, cells):
+        """The (k, 8) payloads of the entries at flat indices ``cells``."""
+        return self.pool.take(self.slots.reshape(-1).take(cells), axis=0)
+
+    def _set_payload(self, cells, lines):
+        """Store (k, 8) payloads at distinct entries ``cells``; an entry still
+        on the zero row gets a fresh pool row first."""
+        slots_f = self.slots.reshape(-1)
+        slot = slots_f.take(cells)
+        fresh = np.flatnonzero(slot == 0)
+        if fresh.size:
+            slot[fresh] = self._new_rows(fresh.size)
+            slots_f[cells] = slot
+        self.pool[slot] = lines
+
+    def _new_rows(self, k: int) -> np.ndarray:
+        """Indices of k unused pool rows; the pool doubles, capped at one row
+        per entry plus the zero row, when they do not fit."""
+        start, end = self._rows, self._rows + k
+        cap = len(self.pool)
+        if end > cap:
+            while cap < end:
+                cap *= 2
+            grown = np.zeros((min(cap, self._max_rows), 8), dtype=np.uint64)
+            grown[:start] = self.pool[:start]
+            self.pool = grown
+        self._rows = end
+        return np.arange(start, end, dtype=np.int32)
+
+    def _cache_snapshot(self):
+        """Copies of the cache state a ``BatchLog`` starts from."""
+        return (self.tags.copy(), self.valid.copy(), self.dirty.copy(),
+                self.slots.copy(), self.pool[:self._rows].copy())
 
     def _lookup(self, tagset):
         """Per-lane lookup of architectural tag/set values.
@@ -320,11 +407,11 @@ class Machine:
                   | s.astype(np.uint64)).astype(np.uint32)
         if self.kc is not None:
             tagset = deobfuscate32_vec(tagset, self.kc[lanes])
-        lines = self._raw_lines(self.data[s, w, lanes, :], lanes)
+        lines = self._raw_lines(self._payload(self._cells(s, w, lanes)), lanes)
         addrs = tagset.astype(np.uint64) << np.uint64(6)
         for u in np.unique(addrs):
             sel = addrs == u
-            self._line_entry(image, int(u))[lanes[sel]] = lines[sel]
+            self._lane_line(image, int(u))[lanes[sel]] = lines[sel]
 
     def cache_access(self, addr, op: str, data=None, size: int = 8, cycle: int = 0):
         """One lookup per lane; returns (hit mask, loaded raw value).
@@ -358,12 +445,12 @@ class Machine:
 
         any_miss = bool(miss.any())
         if any_miss:
-            ctr = self.repl[set_idx, lanes]
-            way = np.where(miss, (ctr % g.ways).astype(np.intp), way)
-            self.repl[set_idx, lanes] = np.where(miss, ctr + np.uint8(1), ctr)
+            ctr = self.repl[set_idx, lanes].astype(np.intp)
+            way = np.where(miss, ctr, way)
+            self.repl[set_idx, lanes] = np.where(miss, (ctr + 1) % g.ways, ctr)
         cells = self._cells(set_idx, way)
         tags_f, valid_f = self.tags.reshape(-1), self.valid.reshape(-1)
-        dirty_f, data_f = self.dirty.reshape(-1), self.data.reshape(-1, 8)
+        dirty_f = self.dirty.reshape(-1)
         old_valid, old_dirty = valid_f.take(cells), dirty_f.take(cells)
         if any_miss:
             victim_dirty = miss & (old_valid != 0) & (old_dirty != 0)
@@ -374,7 +461,7 @@ class Machine:
 
         old_tag = tags_f.take(cells)
         old_flags = (old_valid | (old_dirty << 1)).astype(np.uint64)
-        old_line = data_f.take(cells, axis=0)
+        old_line = self._payload(cells)
 
         if any_miss:
             line_addr = (addr >> np.uint64(6)) << np.uint64(6)
@@ -420,7 +507,7 @@ class Machine:
         tags_f[cells] = new_tag
         valid_f[cells] = 1
         dirty_f[cells] = new_dirty
-        data_f[cells] = new_line
+        self._set_payload(cells, new_line)
 
         if self._log is not None:
             self._log.events.append(
@@ -496,8 +583,7 @@ class Machine:
                 **{k: v.copy() for k, v in self.scalars.items()},
             }
             log.initial_lb = self.lb.copy()
-            log.initial_cache = (self.tags.copy(), self.valid.copy(),
-                                 self.dirty.copy(), self.data.copy())
+            log.initial_cache = self._cache_snapshot()
         self._log = log
 
         eda_on = self.cfg.eda_fix_on
@@ -607,7 +693,7 @@ class Machine:
 
     def memory_image(self) -> dict[int, np.ndarray]:
         """Raw (deobfuscated) view of memory: backing overlaid with the cache."""
-        image = {a: v.copy() for a, v in self.backing.items()}
+        image = {a: np.broadcast_to(v, (self.n, 8)).copy() for a, v in self.backing.items()}
         self._scatter_lines(*np.nonzero(self.valid), image)
         return image
 

@@ -7,7 +7,10 @@ and one pair at a time. The columnar code in ``leakscope.vcd`` and
 is the per-module floor with every shuffle in one array, the oracle for the
 blocked floor shared by the modules of one oracle. ``two_pass_cpa`` is the
 textbook CPA with one hypothesis per guess and trace, the oracle for the
-class-sum ``leakscope.cpa.cpa_attack``.
+class-sum ``leakscope.cpa.cpa_attack``. ``DenseMachine`` is the simulator with
+one dense payload per cache entry and a per-lane copy of every backing line,
+the oracle for the line pool and the shared backing lines of
+``leakscope.sim.Machine``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from leakscope.aes import POINT_FUNCTIONS
+from leakscope.sim import Machine
 from leakscope.vcd import CycleMatrix, VcdParseError, _column_layout
 
 
@@ -196,3 +200,53 @@ def two_pass_cpa(traces, plaintexts, target_byte: int, point: str = "sbox_out"):
     corr[hnorm == 0, :] = 0.0
     scores = np.abs(corr).max(axis=1)
     return corr, np.lexsort((np.arange(256), -scores))
+
+
+class DenseMachine(Machine):
+    """``Machine`` with a dense (sets, ways, n_lanes, 8) payload array and an
+    (n_lanes, 8) backing line for every poked line, broadcast or not."""
+
+    def __init__(self, cfg, n_lanes, kc=None):
+        super().__init__(cfg, n_lanes, kc)
+        g = self.geom
+        self.data = np.zeros((g.sets, g.ways, n_lanes, 8), dtype=np.uint64)
+
+    def _payload(self, cells):
+        return self.data.reshape(-1, 8).take(cells, axis=0)
+
+    def _set_payload(self, cells, lines):
+        self.data.reshape(-1, 8)[cells] = lines
+
+    def _cache_snapshot(self):
+        # entry e's payload is row e of the flat array
+        slots = np.arange(self.tags.size).reshape(self.tags.shape)
+        return (self.tags.copy(), self.valid.copy(), self.dirty.copy(), slots,
+                self.data.reshape(-1, 8).copy())
+
+    def _backing_lines(self, line_addr):
+        out = np.zeros((self.n, 8), dtype=np.uint64)
+        for u in np.unique(line_addr):
+            entry = self.backing.get(int(u))
+            if entry is not None:
+                mask = line_addr == u
+                out[mask] = entry[mask]
+        return out
+
+    def poke_bytes(self, addr, data):
+        if isinstance(data, (bytes, bytearray)):
+            arr = np.frombuffer(data, dtype=np.uint8)[None, :]
+        else:
+            arr = np.asarray(data, dtype=np.uint8)
+        k = arr.shape[1]
+        warm = bool(self.valid.any())
+        pos = 0
+        while pos < k:
+            line_addr = (addr + pos) >> 6 << 6
+            off = addr + pos - line_addr
+            take = min(64 - off, k - pos)
+            entry = self._lane_line(self.backing, line_addr)
+            view = entry.view(np.uint8).reshape(self.n, 64)
+            view[:, off:off + take] = arr[:, pos:pos + take]
+            if warm:
+                self._invalidate_line(line_addr)
+            pos += take

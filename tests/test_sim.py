@@ -4,6 +4,8 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakscope import aes
 from leakscope.feistel import (
@@ -28,11 +30,12 @@ from leakscope.sim import (
     cache_set_experiment,
     emit_vcd,
     epoch_keys,
+    extract_cycle_log,
     random_plaintexts,
     run_aes_batch,
     synth_power,
 )
-from leakscope.sim.config import ConfigError, parse_config_file
+from leakscope.sim.config import CacheGeometry, ConfigError, parse_config_file
 from leakscope.sim.cyclelog import CycleLog
 from leakscope.sim.program import (
     STATE_ADDR,
@@ -50,6 +53,7 @@ from leakscope.sim.run import (
     write_trace_csv,
 )
 from leakscope.vcd import parse_vcd, resample_per_cycle
+from reference import DenseMachine
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
@@ -58,6 +62,11 @@ def epoch0_keys(cfg, lanes):
     """Round keys of key epoch 0 on every lane, as four (lanes,) arrays: the
     keys a batch gives runs 0..lanes-1 while lanes <= rekey_interval_runs."""
     return [np.full(lanes, k, dtype=np.uint32) for k in epoch_keys(cfg, 1)[0]]
+
+
+def lane_view(m, line_addr):
+    """The backing line at ``line_addr`` as every lane sees it, (n_lanes, 8)."""
+    return np.broadcast_to(m.backing[line_addr], (m.n, 8))
 
 
 def mk(mode="baseline", lanes=2, **kw):
@@ -272,6 +281,33 @@ def test_cache_errors():
         m.cache_access(np.uint64(0x2000), "store")
 
 
+@pytest.mark.parametrize("addr", [1 << 40, (1 << 38) - 8, -64])
+def test_poke_and_peek_reject_addresses_outside_the_geometry(addr):
+    _, m = mk()
+    message = rf"{addr:#x}\.\..* outside the 38-bit address geometry"
+    for data in (bytes(16), np.zeros((2, 16), dtype=np.uint8)):
+        with pytest.raises(SimError, match=message):
+            m.poke_bytes(addr, data)
+    assert m.backing == {}
+    with pytest.raises(SimError, match=message):
+        m.peek_bytes(addr, 16)
+    # the last 16 bytes of the address space are in range
+    m.poke_bytes((1 << 38) - 16, bytes(range(16)))
+    assert np.array_equal(m.peek_bytes((1 << 38) - 16, 16)[1], np.arange(16))
+
+
+def test_misses_in_one_set_fill_its_ways_round_robin():
+    # a replacement counter that wraps at 256 breaks the round robin of a
+    # way count that does not divide 256: miss 254 would evict miss 253's line
+    _, m = mk(lanes=1, cache=CacheGeometry(sets=1, ways=3))
+    ways = []
+    for i in range(300):
+        hit, _ = m.cache_access(np.uint64(64 * i), "load")
+        assert not hit.any()
+        ways.append(int(m._lookup(np.uint32(i))[3][0]))
+    assert ways == [(ways[0] + i) % 3 for i in range(300)]
+
+
 def test_eviction_writes_back_dirty_victim():
     cfg, m = mk(lanes=1)
     ways = cfg.cache.ways
@@ -342,7 +378,7 @@ def test_poke_bytes_and_per_lane_array_write_the_same_backing(mode):
     b.poke_bytes(0x2030, np.tile(np.frombuffer(data, dtype=np.uint8), (3, 1)))
     assert sorted(a.backing) == sorted(b.backing) == [0x2000, 0x2040, 0x2080, 0x20C0]
     for addr in a.backing:
-        assert np.array_equal(a.backing[addr], b.backing[addr])
+        assert np.array_equal(lane_view(a, addr), lane_view(b, addr))
 
 
 def test_poke_on_a_cold_cache_looks_nothing_up(monkeypatch):
@@ -357,11 +393,146 @@ def test_poke_on_a_cold_cache_looks_nothing_up(monkeypatch):
     monkeypatch.setattr(Machine, "_lookup", forbidden)
     monkeypatch.setattr(machine_mod, "obfuscate32_vec", forbidden)
     m.poke_bytes(0x2010, bytes(range(64)))
-    written = np.concatenate([m.backing[0x2000].view(np.uint8)[:, 16:],
-                              m.backing[0x2040].view(np.uint8)[:, :16]], axis=1)
+    written = np.concatenate([lane_view(m, 0x2000).view(np.uint8)[:, 16:],
+                              lane_view(m, 0x2040).view(np.uint8)[:, :16]], axis=1)
     assert np.array_equal(written, np.tile(np.arange(64, dtype=np.uint8), (4, 1)))
     for before, after in zip(state, (m.valid, m.dirty, m.repl)):
         assert np.array_equal(before, after)
+
+
+# --- line pool and shared backing lines -------------------------------------------------
+
+SCRATCH = STATE_ADDR + 0x100         # the line build_fuzz_program reads and writes
+REGION = (SCRATCH - 0x80, SCRATCH + 0x100)   # six lines around it
+
+
+def _random_keys(rng, lanes):
+    return KeyConstant.of([np.array([rng.getrandbits(16) for _ in range(lanes)],
+                                    dtype=np.uint32) for _ in range(4)])
+
+
+def _region_ops(rng, n_ops):
+    """Loads and stores at r0-based addresses anywhere in REGION."""
+    ops = []
+    for _ in range(n_ops):
+        size = rng.choice([1, 8])
+        addr = rng.randrange(*REGION, size)
+        reg = rng.randint(1, 31)
+        ops.append(load(reg, 0, addr, size=size) if rng.random() < 0.5
+                   else store(reg, 0, addr, size=size))
+    return ops
+
+
+def _assert_same_state(a, b, lanes):
+    assert np.array_equal(a.peek_bytes(REGION[0], REGION[1] - REGION[0]),
+                          b.peek_bytes(REGION[0], REGION[1] - REGION[0]))
+    img_a, img_b = a.memory_image(), b.memory_image()
+    assert sorted(img_a) == sorted(img_b)
+    for addr, line in img_a.items():
+        assert line.shape == (lanes, 8) and np.array_equal(line, img_b[addr]), hex(addr)
+    regs_a, regs_b = a.functional_registers(), b.functional_registers()
+    for name, value in regs_a.items():
+        assert np.array_equal(value, regs_b[name]), name
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.sampled_from(["baseline", "param"]),
+       st.sampled_from([(64, 4), (1, 2), (2, 3), (4, 1)]))
+def test_line_pool_and_shared_lines_match_the_dense_machine(seed, lanes, mode, shape):
+    # small caches over six lines force dirty evictions; pokes mix shared
+    # and per-lane lines over cached ones, and param runs re-key in between
+    rng = random.Random(seed)
+    cfg = SimConfig(mode=mode, noise_sigma=0.0, seed=seed, cache=CacheGeometry(*shape))
+    kc = _random_keys(rng, lanes) if cfg.param_mode else None
+    machines = (Machine(cfg, lanes, kc), DenseMachine(cfg, lanes, kc))
+    for _ in range(3):
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(1, 130)
+            addr = rng.randrange(REGION[0], REGION[1] - k + 1)
+            if rng.random() < 0.5:
+                data = bytes(rng.getrandbits(8) for _ in range(k))
+            else:
+                data = np.array([[rng.getrandbits(8) for _ in range(k)] for _ in range(lanes)],
+                                dtype=np.uint8)
+            for m in machines:
+                m.poke_bytes(addr, data)
+        for r in rng.sample(range(1, 32), 4):
+            values = [rng.getrandbits(64) for _ in range(lanes)]
+            for m in machines:
+                m.preset_register(r, values)
+        prog = build_fuzz_program(rng, n_ops=rng.randint(1, 20)) + _region_ops(rng, 20)
+        rng.shuffle(prog)
+        (toggles, log), (want_toggles, want_log) = (m.run_program(prog, collect_log=True)
+                                                    for m in machines)
+        assert np.array_equal(toggles, want_toggles)
+        for lane in range(lanes):
+            got, want = extract_cycle_log(log, lane), extract_cycle_log(want_log, lane)
+            assert got.initial == want.initial and got.changes == want.changes
+
+        # per-lane addresses and data, outside a program
+        addrs = np.array([rng.randrange(*REGION, 8) for _ in range(lanes)], dtype=np.uint64)
+        words = np.array([rng.getrandbits(64) for _ in range(lanes)], dtype=np.uint64)
+        op = rng.choice(["load", "store"])
+        (hit, value), (want_hit, want_value) = (
+            m.cache_access(addrs, op, data=words if op == "store" else None) for m in machines)
+        assert np.array_equal(hit, want_hit)
+        assert op == "store" or np.array_equal(value, want_value)
+
+        if cfg.param_mode and rng.random() < 0.5:
+            new_kc = _random_keys(rng, lanes)
+            for m in machines:
+                m.rekey_flush(new_kc)
+        _assert_same_state(*machines, lanes)
+
+
+def test_line_pool_holds_at_most_one_row_per_entry_plus_the_zero_row():
+    lanes = 3
+    _, m = mk(lanes=lanes, cache=CacheGeometry(sets=2, ways=2))
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        addrs = rng.integers(0, 64, lanes).astype(np.uint64) * np.uint64(64)
+        m.cache_access(addrs, "store", data=rng.integers(0, 1 << 63, lanes, dtype=np.uint64))
+    # every entry has been written, each into a row of its own
+    assert len(m.pool) == 2 * 2 * lanes + 1
+    assert sorted(m.slots.reshape(-1).tolist()) == list(range(1, 2 * 2 * lanes + 1))
+
+
+_SWEEP_MEMORY_PROBE = """
+import json, resource
+from leakscope.sim import SimConfig, cache_set_experiment
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+cfg = SimConfig(mode="param", noise_sigma=0.0, seed=1)
+before = peak_mb()
+cache_set_experiment(cfg, reps=128)  # 128 reps x 64 sets: one 8192-lane chunk
+print(json.dumps({"before": before, "peak": peak_mb()}))
+"""
+
+# An 8192-lane machine keeps tags (uint64), valid, dirty (uint8) and slots
+# (int32) per (set, way, lane) entry: 64 x 4 x 8192 x 14 bytes = 28 MiB. Its
+# register banks and latches add about 6 MiB, and a one-load lane writes one
+# 64-byte pool row. One dense (64, 4, 8192, 8) payload array would be 128 MiB
+# on its own.
+SWEEP_CHUNK_RSS_GROWTH_MB = 64
+
+
+def test_sweep_chunk_memory_is_bounded():
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import leakscope
+
+    src = os.path.dirname(os.path.dirname(leakscope.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", _SWEEP_MEMORY_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    probe = json.loads(out.splitlines()[-1])
+    assert probe["peak"] - probe["before"] <= SWEEP_CHUNK_RSS_GROWTH_MB, probe
 
 
 # --- re-keying -------------------------------------------------------------------------
