@@ -8,6 +8,7 @@ simulation manifest: no timestamps or machine-specific content is written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,11 +27,10 @@ from .sim import (
     read_trace_csv,
     run_aes_batch,
     save_traces_npz,
-    with_overrides,
     write_manifest,
     write_trace_csv,
 )
-from .sim.config import ConfigError, config_from_dict
+from .sim.config import ConfigError
 from .vcd import load_run_set
 
 
@@ -39,15 +39,9 @@ class UsageError(ValueError):
 
 
 def _load_config(args) -> SimConfig:
-    if args.config:
-        cfg = parse_config_file(args.config)
-    else:
-        cfg = config_from_dict(
-            {k[len("LEAKSCOPE_"):].lower(): v for k, v in os.environ.items()
-             if k.startswith("LEAKSCOPE_")}
-        )
+    cfg = parse_config_file(args.config)
     if args.seed is not None:
-        cfg = with_overrides(cfg, seed=args.seed)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 

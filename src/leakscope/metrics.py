@@ -550,7 +550,8 @@ def read_class_samples_csv(path) -> dict[str, np.ndarray]:
     """Read power samples grouped by class label (columns: class, sample).
 
     A sample that is missing, not a number or not finite is an error naming
-    the file and line.
+    the file and line; a class with fewer than 2 samples is one naming the
+    file and class.
     """
     groups: dict[str, list[float]] = {}
     with open(path, newline="") as f:
@@ -566,4 +567,8 @@ def read_class_samples_csv(path) -> dict[str, np.ndarray]:
                 raise ValueError(f"class csv {path}: bad sample {row['sample']!r} "
                                  f"at row {reader.line_num}")
             groups.setdefault(row["class"], []).append(value)
+    for label, values in groups.items():
+        if len(values) < 2:
+            raise ValueError(f"class csv {path}: class {label!r} has {len(values)} sample, "
+                             "a t-test needs >= 2")
     return {k: np.array(v) for k, v in groups.items()}

@@ -1,7 +1,7 @@
 """Batch pipeline/cache simulator: waveform logs, power traces, experiments."""
 
-from .config import CacheGeometry, ConfigError, SimConfig, parse_config_file, with_overrides
-from .cyclelog import CycleLog, emit_vcd, extract_cycle_log, synth_power
+from .config import CacheGeometry, ConfigError, SimConfig, parse_config_file
+from .cyclelog import CycleLog, emit_vcd, extract_cycle_log
 from .machine import Machine, SimError, element_catalog
 from .program import (
     CT_ADDR,
@@ -37,6 +37,5 @@ __all__ = [
     "element_catalog", "emit_vcd", "epoch_keys", "extract_cycle_log",
     "load_traces_npz", "parse_config_file", "random_plaintexts",
     "read_trace_csv", "run_aes_batch", "save_traces_npz",
-    "sub_rng", "synth_power", "with_overrides", "write_manifest",
-    "write_trace_csv",
+    "sub_rng", "write_manifest", "write_trace_csv",
 ]

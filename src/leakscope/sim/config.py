@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..feistel import AddressGeometry
 
@@ -143,23 +143,22 @@ def config_from_dict(pairs: dict) -> SimConfig:
 
 
 def parse_config_file(path, env=None) -> SimConfig:
-    """Read ``key = value`` lines; LEAKSCOPE_<KEY> env vars override."""
+    """Read ``key = value`` lines (none when ``path`` is None);
+    LEAKSCOPE_<KEY> env vars override."""
     pairs: dict = {}
-    with open(path) as f:
-        for i, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{i}: expected 'key = value', got '{line}'")
-            key, value = line.split("=", 1)
-            pairs[key.strip()] = value.strip()
+    if path is not None:
+        with open(path) as f:
+            for i, line in enumerate(f, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{i}: expected 'key = value', got '{line}'")
+                key, value = line.split("=", 1)
+                pairs[key.strip()] = value.strip()
     env = os.environ if env is None else env
     for key, value in env.items():
         if key.startswith(ENV_PREFIX):
             pairs[key[len(ENV_PREFIX):].lower()] = value
     return config_from_dict(pairs)
 
-
-def with_overrides(cfg: SimConfig, **kwargs) -> SimConfig:
-    return replace(cfg, **kwargs)

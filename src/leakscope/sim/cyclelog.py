@@ -1,4 +1,4 @@
-"""Per-run cycle logs, VCD emission, and power-trace synthesis.
+"""Per-run cycle logs and VCD emission.
 
 A CycleLog is the single-lane view of a batch run: the value of every modeled
 state element at run start plus the (cycle, element, new value) changes. The
@@ -12,10 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..metrics import hamming_distance
-from .machine import BatchLog, _words_to_int, element_catalog
+from .machine import REG_ROWS, BatchLog, _words_to_int, element_catalog
 
 
 @dataclass
@@ -45,10 +42,7 @@ class CycleLog:
 def extract_cycle_log(batch: BatchLog, lane: int, label: str = "") -> CycleLog:
     """Project one lane of a batch log into a CycleLog (real changes only)."""
     catalog = element_catalog(batch.cfg)
-    initial: dict[str, int] = {}
-    for name, _ in catalog:
-        if name in batch.initial_scalar:
-            initial[name] = int(batch.initial_scalar[name][lane])
+    initial = dict(zip(REG_ROWS, batch.initial_regs[:, lane].tolist()))
     initial["dcache.lb.line"] = _words_to_int(batch.initial_lb[lane])
     tags, valid, dirty, slots, rows = batch.initial_cache
     lines = rows[slots[:, :, lane]]
@@ -70,8 +64,8 @@ def extract_cycle_log(batch: BatchLog, lane: int, label: str = "") -> CycleLog:
     for ev in batch.events:
         kind = ev[0]
         if kind == "s":
-            _, cycle, name, values = ev
-            push(cycle, name, int(values[lane]))
+            _, cycle, row, values = ev
+            push(cycle, REG_ROWS[row], int(values[lane]))
         elif kind == "lb":
             _, cycle, line = ev
             push(cycle, "dcache.lb.line", _words_to_int(line[lane]))
@@ -193,24 +187,3 @@ def emit_vcd(log: CycleLog, top: str = "soc", timescale: str = "1ns") -> bytes:
         out.append(f"#{t + 5}")
         out.append(f"0{clock_code}")
     return ("\n".join(out) + "\n").encode("ascii")
-
-
-def synth_power(log: CycleLog, sigma: float = 0.0, rng=None):
-    """Recompute the power trace from a CycleLog.
-
-    sample[c-1] = sum of Hamming distances between consecutive element values
-    at cycle c (cycle 1 toggles against the run-start snapshot), plus
-    N(0, sigma^2) noise. With sigma = 0 the samples are exact integers.
-    """
-    toggles = np.zeros(log.n_cycles, dtype=np.int64)
-    cur = dict(log.initial)
-    for cycle, name, value in log.changes:
-        toggles[cycle - 1] += hamming_distance(cur[name], value)
-        cur[name] = value
-    if sigma == 0.0:
-        return toggles
-    if rng is None:
-        rng = np.random.default_rng()
-    elif isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    return toggles.astype(np.float64) + rng.normal(0.0, sigma, size=log.n_cycles)

@@ -17,6 +17,14 @@ latches, the EDA-translation shadow registers in FPU/MulDiv/BPU, the status
 word, and the cache subsystem (tag/flag/data arrays, line buffer, hit
 buffer).
 
+Every 64-bit state element is one row of a single (rows, n_lanes) uint64
+table, ``Machine.regs``, in catalog order: the register file ``core.rf.r0``
+to ``r31`` (rows 0-31), the physical register file ``core.prf.p0`` to ``p7``
+(rows 32-39), the eleven ``SCALAR_ELEMENTS`` (rows 40-50) and the request
+address latch ``dcache.arrays.addr`` (row 51). Each write goes through one
+latch that counts the row's toggles and logs the row. The 512-bit line
+buffer and the cache arrays keep their own layouts.
+
 In ``param`` mode every stored payload is in obfuscated form and cache
 lookups use the obfuscated address; deobfuscation happens only where an
 operation consumes the value, which in this model is the functional
@@ -69,15 +77,23 @@ SCALAR_ELEMENTS = (
 
 N_PRF = 8
 
+# names of the rows of ``Machine.regs``, in catalog order
+REG_ROWS = (tuple(f"core.rf.r{i}" for i in range(32))
+            + tuple(f"core.prf.p{i}" for i in range(N_PRF))
+            + tuple(name for name, _ in SCALAR_ELEMENTS)
+            + ("dcache.arrays.addr",))
+PRF = 32
+(ID_EXE, EXE_MEM, MEM_WB, OP_A, OP_B, RES,
+ FPU_SHADOW, MULDIV_SHADOW, BPU_SHADOW, STATUS, HB, ADDR) = range(PRF + N_PRF, len(REG_ROWS))
+SHADOWS = (FPU_SHADOW, MULDIV_SHADOW, BPU_SHADOW)
+
 
 def element_catalog(cfg: SimConfig) -> list[tuple[str, int]]:
     """Every modeled state element with its width, VCD declaration order."""
-    cat = [(f"core.rf.r{i}", 64) for i in range(32)]
-    cat += [(f"core.prf.p{i}", 64) for i in range(N_PRF)]
-    cat += list(SCALAR_ELEMENTS)
-    cat.append(("dcache.lb.line", 512))
     geom = cfg.cache
-    cat.append(("dcache.arrays.addr", geom.address_width))
+    cat = [(name, 64) for name in REG_ROWS[:ADDR]]
+    cat.append(("dcache.lb.line", 512))
+    cat.append((REG_ROWS[ADDR], geom.address_width))
     tag_bits = 32 - geom.set_bits
     for s in range(geom.sets):
         for w in range(geom.ways):
@@ -94,12 +110,12 @@ class BatchLog:
         self.cfg = cfg
         self.n_lanes = n_lanes
         self.n_cycles = n_cycles
-        self.initial_scalar: dict[str, np.ndarray] = {}
+        self.initial_regs = None   # copy of Machine.regs at run start
         self.initial_lb = None
         # (tags, valid, dirty, slots, rows) copies: entry (s, w, lane) held
         # the payload rows[slots[s, w, lane]] at run start
         self.initial_cache = None
-        self.events: list = []     # ("s", cycle, name, values) | ("lb", ..) | ("cl", ..)
+        self.events: list = []     # ("s", cycle, row, values) | ("lb", ..) | ("cl", ..)
 
 
 def _words_to_int(words) -> int:
@@ -122,13 +138,18 @@ class Machine:
         n = n_lanes
         g = self.geom
         self.arch_rf = np.zeros((32, n), dtype=np.uint64)  # functional mirror
-        self.rf = np.zeros((32, n), dtype=np.uint64)
-        self.prf = np.zeros((N_PRF, n), dtype=np.uint64)
-        self._prf_ptr = 0
-        self.scalars = {name: np.zeros(n, dtype=np.uint64) for name, _ in SCALAR_ELEMENTS}
-        self.scalars["dcache.arrays.addr"] = np.zeros(n, dtype=np.uint64)
+        # every 64-bit state element, one row each in REG_ROWS order; rows
+        # hold datapath (obfuscated in param mode) values
+        self.regs = np.zeros((len(REG_ROWS), n), dtype=np.uint64)
+        self._prf_ptr = 0  # PRF slot the next forward or load fill takes
+        # rows that hold datapath words, re-keyed and deobfuscated together:
+        # all but the address latch, and the shadows while the EDA fix
+        # hardwires them to a constant
+        self._datapath_rows = np.array(
+            [r for r in range(ADDR) if not (cfg.eda_fix_on and r in SHADOWS)])
         self.lb = np.zeros((n, 8), dtype=np.uint64)
-        self.tags = np.zeros((g.sets, g.ways, n), dtype=np.uint64)
+        # a tag has 32 - set_bits bits
+        self.tags = np.zeros((g.sets, g.ways, n), dtype=np.uint32)
         self.valid = np.zeros((g.sets, g.ways, n), dtype=np.uint8)
         self.dirty = np.zeros((g.sets, g.ways, n), dtype=np.uint8)
         # payload of entry (s, w, lane): pool[slots[s, w, lane]]. Rows are
@@ -192,23 +213,14 @@ class Machine:
         if self._pw is not None:
             self._pw[cycle] += counts
 
-    def _latch(self, name, new, cycle):
-        arr = self.scalars[name]
-        new = np.asarray(new, dtype=np.uint64)
-        if new.ndim == 0:
-            new = np.full(self.n, new, dtype=np.uint64)
-        self._pw_add(cycle, np.bitwise_count(arr ^ new).astype(np.int64))
+    def _latch(self, row, new, cycle):
+        """Write ``new`` (uint64 per lane, or one 0-d value for every lane)
+        into ``regs[row]`` at ``cycle``."""
+        reg = self.regs[row]
+        self._pw_add(cycle, np.bitwise_count(reg ^ new))
+        reg[:] = new
         if self._log is not None:
-            self._log.events.append(("s", cycle, name, new.copy()))
-        self.scalars[name] = new.copy()
-
-    def _latch_row(self, bank, prefix, idx, new, cycle):
-        old = bank[idx]
-        new = np.asarray(new, dtype=np.uint64)
-        self._pw_add(cycle, np.bitwise_count(old ^ new).astype(np.int64))
-        if self._log is not None:
-            self._log.events.append(("s", cycle, f"{prefix}{idx}", new.copy()))
-        bank[idx] = new
+            self._log.events.append(("s", cycle, row, reg.copy()))
 
     def _latch_lb(self, new_line, cycle):
         self._pw_add(cycle, _row_toggles(self.lb, new_line))
@@ -301,10 +313,8 @@ class Machine:
         if not 1 <= idx < 32:
             raise SimError(f"cannot preset register {idx}")
         values = np.asarray(values, dtype=np.uint64)
-        if values.ndim == 0:
-            values = np.full(self.n, values, dtype=np.uint64)
         self.arch_rf[idx] = values
-        self.rf[idx] = self.dp64(values)
+        self.regs[idx] = self.dp64(values)
 
     def peek_bytes(self, addr: int, k: int) -> np.ndarray:
         """Read k bytes per lane through the cache (deobfuscating) or backing."""
@@ -391,7 +401,7 @@ class Machine:
         g = self.geom
         tdp = np.broadcast_to(self.dp_tagset(tagset), (self.n,))
         set_idx = (tdp & np.uint32(g.sets - 1)).astype(np.intp)
-        tag = (tdp >> np.uint32(g.set_bits)).astype(np.uint64)
+        tag = tdp >> np.uint32(g.set_bits)
         cells = self._cells(set_idx, np.arange(g.ways)[:, None])  # (ways, n)
         match = (self.valid.reshape(-1).take(cells) != 0) & \
             (self.tags.reshape(-1).take(cells) == tag)
@@ -403,8 +413,7 @@ class Machine:
         at the line address their tag and set bits deobfuscate to."""
         if not lanes.size:
             return
-        tagset = ((self.tags[s, w, lanes] << np.uint64(self.geom.set_bits))
-                  | s.astype(np.uint64)).astype(np.uint32)
+        tagset = (self.tags[s, w, lanes] << np.uint32(self.geom.set_bits)) | s.astype(np.uint32)
         if self.kc is not None:
             tagset = deobfuscate32_vec(tagset, self.kc[lanes])
         lines = self._raw_lines(self._payload(self._cells(s, w, lanes)), lanes)
@@ -440,7 +449,7 @@ class Machine:
         # address; offset bits pass through unprotected by construction
         addr_latched = ((tdp.astype(np.uint64) << np.uint64(g.offset_bits))
                         | (addr & np.uint64(g.line_bytes - 1)))
-        self._latch("dcache.arrays.addr", addr_latched, cycle)
+        self._latch(ADDR, addr_latched, cycle)
         miss = way < 0
 
         any_miss = bool(miss.any())
@@ -516,7 +525,7 @@ class Machine:
             )
 
         self._latch_lb(new_line, cycle)
-        self._latch("dcache.hb.word", crit_word, cycle)
+        self._latch(HB, crit_word, cycle)
 
         if op == "load":
             if size == 8:
@@ -548,18 +557,9 @@ class Machine:
 
         mask = (self.kc.k32 ^ new_kc.k32).astype(np.uint64)
         mask64 = self.kc.k64 ^ new_kc.k64
-        self.rf ^= mask64
-        self.prf ^= mask64
-        skip = {"dcache.arrays.addr"}
-        if self.cfg.eda_fix_on:
-            # shadow registers hold the hardwired constant, not datapath data
-            skip |= {"core.fpu.shadow", "core.muldiv.shadow", "core.bpu.shadow"}
-        for name in self.scalars:
-            if name not in skip:
-                self.scalars[name] = self.scalars[name] ^ mask64
+        self.regs[self._datapath_rows] ^= mask64
         # the address latch holds obfuscated tag/set bits above clear offset bits
-        self.scalars["dcache.arrays.addr"] = (
-            self.scalars["dcache.arrays.addr"] ^ (mask << np.uint64(self.geom.offset_bits)))
+        self.regs[ADDR] ^= mask << np.uint64(self.geom.offset_bits)
         self.lb = self.lb ^ mask64[:, None]
         self.kc = new_kc
 
@@ -577,11 +577,7 @@ class Machine:
         log = None
         if collect_log:
             log = BatchLog(self.cfg, self.n, d)
-            log.initial_scalar = {
-                **{f"core.rf.r{i}": self.rf[i].copy() for i in range(32)},
-                **{f"core.prf.p{i}": self.prf[i].copy() for i in range(N_PRF)},
-                **{k: v.copy() for k, v in self.scalars.items()},
-            }
+            log.initial_regs = self.regs.copy()
             log.initial_lb = self.lb.copy()
             log.initial_cache = self._cache_snapshot()
         self._log = log
@@ -591,6 +587,7 @@ class Machine:
 
         for i, mop in enumerate(program):
             t_id, t_ex, t_mem, t_wb = i + 1, i + 2, i + 3, i + 4
+            kind = mop.kind
 
             a = self.arch_rf[mop.rs1]
             a_dp = self._dp_operand(mop.rs1)
@@ -604,68 +601,54 @@ class Machine:
             # through the physical register file
             for rs, rs_dp in reads:
                 if rs != 0 and i - last_writer[rs] <= 3:
-                    self._latch_row(self.prf, "core.prf.p", self._prf_ptr, rs_dp, t_id)
+                    self._latch(PRF + self._prf_ptr, rs_dp, t_id)
                     self._prf_ptr = (self._prf_ptr + 1) % N_PRF
 
-            if mop.kind == "alu":
+            # execute: the ALU computes the result, or a load/store's address
+            if kind == "alu":
                 if mop.rs2 is None:
                     b = np.uint64(mop.imm & 0xFFFFFFFFFFFFFFFF)
                     b_dp = self.dp64(b)
-                res = _alu_eval(mop.op, a, b)
-                res_dp = self.dp64(res)
-                self._latch("core.id_exe.payload", a_dp, t_id)
-                self._latch("core.alu.op_a", a_dp, t_ex)
-                self._latch("core.alu.op_b", b_dp, t_ex)
-                self._latch("core.alu.res", res_dp, t_ex)
-                if eda_on:
-                    one = np.ones(self.n, dtype=np.uint64)
-                    self._latch("core.fpu.shadow", one, t_ex)
-                    self._latch("core.muldiv.shadow", one, t_ex)
-                    self._latch("core.bpu.shadow", one, t_ex)
-                else:
-                    self._latch("core.fpu.shadow", a_dp, t_ex)
-                    self._latch("core.muldiv.shadow", b_dp, t_ex)
-                    self._latch("core.bpu.shadow", res_dp, t_ex)
-                flags = ((res == 0).astype(np.uint64) << np.uint64(8)) \
-                    | ((res >> np.uint64(63)) << np.uint64(9)) | (res & np.uint64(0xFF))
-                self._latch("core.csr.status", self.dp64(flags), t_ex)
-                self._latch("core.exe_mem.payload", res_dp, t_ex)
-                self._latch("core.mem_wb.payload", res_dp, t_mem)
-                if mop.rd != 0:
-                    self.arch_rf[mop.rd] = res
-                    self._latch_row(self.rf, "core.rf.r", mop.rd, res_dp, t_wb)
-                    last_writer[mop.rd] = i
+                op_b = b_dp
+                result = _alu_eval(mop.op, a, b)
+                res_dp = self.dp64(result)
+            else:
+                addr, op_b, res_dp = self._address(mop, a)
+            # a store carries its data down the pipeline buffers
+            self._latch(ID_EXE, b_dp if kind == "store" else a_dp, t_id)
+            self._latch(OP_A, a_dp, t_ex)
+            self._latch(OP_B, op_b, t_ex)
+            self._latch(RES, res_dp, t_ex)
+            if kind == "alu":
+                shadows = (np.uint64(1),) * 3 if eda_on else (a_dp, b_dp, res_dp)
+                for row, value in zip(SHADOWS, shadows):
+                    self._latch(row, value, t_ex)
+                flags = ((result == 0).astype(np.uint64) << np.uint64(8)) \
+                    | ((result >> np.uint64(63)) << np.uint64(9)) | (result & np.uint64(0xFF))
+                self._latch(STATUS, self.dp64(flags), t_ex)
+            self._latch(EXE_MEM, b_dp if kind == "store" else res_dp, t_ex)
 
-            elif mop.kind == "load":
-                addr, imm_dp, addr_dp = self._address(mop, a)
-                self._latch("core.id_exe.payload", a_dp, t_id)
-                self._latch("core.alu.op_a", a_dp, t_ex)
-                self._latch("core.alu.op_b", imm_dp, t_ex)
-                self._latch("core.alu.res", addr_dp, t_ex)
-                self._latch("core.exe_mem.payload", addr_dp, t_ex)
-                hit, value = self.cache_access(addr, "load", size=mop.size, cycle=t_mem)
-                val_dp = self.dp64(value)
+            # memory: the write-back value is the result, the loaded word or
+            # the stored data
+            if kind == "alu":
+                wb_dp = res_dp
+            elif kind == "load":
+                hit, result = self.cache_access(addr, "load", size=mop.size, cycle=t_mem)
+                wb_dp = self.dp64(result)
                 # miss fills also land in the physical register file; every
                 # load consumes a slot so the schedule stays data-independent
                 # (hit lanes rewrite the slot's old value, which is no toggle)
-                fill = np.where(~hit, val_dp, self.prf[self._prf_ptr])
-                self._latch_row(self.prf, "core.prf.p", self._prf_ptr, fill, t_mem)
+                slot = PRF + self._prf_ptr
+                self._latch(slot, np.where(~hit, wb_dp, self.regs[slot]), t_mem)
                 self._prf_ptr = (self._prf_ptr + 1) % N_PRF
-                self._latch("core.mem_wb.payload", val_dp, t_mem)
-                if mop.rd != 0:
-                    self.arch_rf[mop.rd] = value
-                    self._latch_row(self.rf, "core.rf.r", mop.rd, val_dp, t_wb)
-                    last_writer[mop.rd] = i
-
-            else:  # store
-                addr, imm_dp, addr_dp = self._address(mop, a)
-                self._latch("core.id_exe.payload", b_dp, t_id)
-                self._latch("core.alu.op_a", a_dp, t_ex)
-                self._latch("core.alu.op_b", imm_dp, t_ex)
-                self._latch("core.alu.res", addr_dp, t_ex)
-                self._latch("core.exe_mem.payload", b_dp, t_ex)
+            else:
                 self.cache_access(addr, "store", data=b, size=mop.size, cycle=t_mem)
-                self._latch("core.mem_wb.payload", b_dp, t_mem)
+                wb_dp = b_dp
+            self._latch(MEM_WB, wb_dp, t_mem)
+            if kind != "store" and mop.rd != 0:
+                self.arch_rf[mop.rd] = result
+                self._latch(mop.rd, wb_dp, t_wb)
+                last_writer[mop.rd] = i
 
         toggles = self._pw[1:].T.copy()
         self._pw = None
@@ -699,26 +682,16 @@ class Machine:
 
     def functional_registers(self) -> dict[str, np.ndarray]:
         """Deobfuscated values of every architectural-side register surface."""
-        out = {}
-        for i in range(32):
-            out[f"core.rf.r{i}"] = self.inv64(self.rf[i])
-        for i in range(N_PRF):
-            out[f"core.prf.p{i}"] = self.inv64(self.prf[i])
-        raw_const = {"core.fpu.shadow", "core.muldiv.shadow", "core.bpu.shadow"} \
-            if self.cfg.eda_fix_on else set()
-        for name, arr in self.scalars.items():
-            if name == "dcache.arrays.addr":
-                continue
-            out[name] = arr.copy() if name in raw_const else self.inv64(arr)
-        a = self.scalars["dcache.arrays.addr"]
-        off_bits = np.uint64(self.geom.offset_bits)
+        vals = self.regs.copy()
+        rows = self._datapath_rows
+        vals[rows] = self.inv64(vals[rows])
+        a = vals[ADDR]
         if self.kc is not None:
+            off_bits = np.uint64(self.geom.offset_bits)
             tagset = deobfuscate32_vec((a >> off_bits).astype(np.uint32),
                                        self.kc).astype(np.uint64)
-            out["dcache.arrays.addr"] = (tagset << off_bits) | \
-                (a & np.uint64(self.geom.line_bytes - 1))
-        else:
-            out["dcache.arrays.addr"] = a.copy()
+            a[:] = (tagset << off_bits) | (a & np.uint64(self.geom.line_bytes - 1))
+        out = dict(zip(REG_ROWS, vals))
         out["dcache.lb.line"] = self.inv_line(self.lb)
         return out
 

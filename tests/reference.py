@@ -10,7 +10,9 @@ textbook CPA with one hypothesis per guess and trace, the oracle for the
 class-sum ``leakscope.cpa.cpa_attack``. ``DenseMachine`` is the simulator with
 one dense payload per cache entry and a per-lane copy of every backing line,
 the oracle for the line pool and the shared backing lines of
-``leakscope.sim.Machine``.
+``leakscope.sim.Machine``. ``synth_power`` recomputes a power trace from a
+``CycleLog`` one change at a time, the oracle for the machine's toggle
+accumulation.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from leakscope.aes import POINT_FUNCTIONS
+from leakscope.metrics import hamming_distance
 from leakscope.sim import Machine
 from leakscope.vcd import CycleMatrix, VcdParseError, _column_layout
 
@@ -176,6 +179,27 @@ def naive_permutation_floor(ds, oracle_values, shuffles: int, percentile: float 
 
 
 _HW8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.float64)
+
+
+def synth_power(log, sigma: float = 0.0, rng=None):
+    """Recompute the power trace from a CycleLog.
+
+    sample[c-1] = sum of Hamming distances between consecutive element values
+    at cycle c (cycle 1 toggles against the run-start snapshot), plus
+    N(0, sigma^2) noise. With sigma = 0 the samples are exact integers.
+    """
+    toggles = np.zeros(log.n_cycles, dtype=np.int64)
+    cur = dict(log.initial)
+    for cycle, name, value in log.changes:
+        toggles[cycle - 1] += hamming_distance(cur[name], value)
+        cur[name] = value
+    if sigma == 0.0:
+        return toggles
+    if rng is None:
+        rng = np.random.default_rng()
+    elif isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(rng)
+    return toggles.astype(np.float64) + rng.normal(0.0, sigma, size=log.n_cycles)
 
 
 def two_pass_cpa(traces, plaintexts, target_byte: int, point: str = "sbox_out"):

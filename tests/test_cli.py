@@ -103,6 +103,38 @@ def test_simulate_vcd_run_set_matches_golden_hash(tmp_path):
     assert h.hexdigest() == GOLDEN_VCD_RUN_SET
 
 
+# The same digest over a 5-run param `simulate --vcd` (rounds 1, sigma 0,
+# seed 9) with a new key epoch every 2 runs, with the EDA translation fix on
+# and off. It pins the param log path: obfuscated latches, shadow registers,
+# PRF fills and the obfuscated address latch.
+GOLDEN_PARAM_VCD_RUN_SET = {
+    "on": "b3d217bc6eb29cf9db60e427b4ca01d8fc786cd71e840f6c6ab5a836bc517e0e",
+    "off": "c318c8a203db8cf3f5d1e160cd3a7fefff8e5e0a8918e18d1d79c1fe867ad02f",
+}
+
+
+@pytest.mark.parametrize("eda_fix", ["on", "off"])
+def test_param_simulate_vcd_run_set_matches_golden_hash(tmp_path, eda_fix):
+    import hashlib
+
+    cfg = tmp_path / "config"
+    cfg.write_text(f"mode = param\neda_fix = {eda_fix}\nnoise_sigma = 0.0\nrounds = 1\n"
+                   "rekey_interval_runs = 2\nseed = 9\n")
+    out = tmp_path / "v"
+    assert run_cli("simulate", "--key", KEY_HEX, "--gen", "5", "--vcd",
+                   "--config", str(cfg), "--out", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_text())["rekey_runs"] == [2, 4]
+    h = hashlib.sha256()
+    names = ["runs.txt"] + [line.split()[0] for line in
+                            (out / "runs.txt").read_text().splitlines()]
+    assert len(names) == 6
+    for name in names:
+        data = (out / name).read_bytes()
+        h.update(f"{name} {len(data)}\n".encode())
+        h.update(data)
+    assert h.hexdigest() == GOLDEN_PARAM_VCD_RUN_SET[eda_fix]
+
+
 def test_manifest_schema(sim_dir):
     import jsonschema
     from importlib import resources
@@ -362,6 +394,31 @@ def test_ttest_from_class_csv(tmp_path, capsys):
     assert lines[0] == "class,a,b"
     t_ab = float(lines[1].split(",")[2])
     assert t_ab > 4.5
+
+
+def test_ttest_class_csv_with_a_one_sample_class_names_the_file_and_class(tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    path.write_text("class,sample\na,1.0\na,2.0\nb,3.0\n")
+    assert run_cli("ttest", "--classes", str(path), "--out", str(tmp_path / "t.csv")) == 2
+    assert f"class csv {path}: class 'b' has 1 sample" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_simulate_without_config_reads_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("LEAKSCOPE_MODE", "param")
+    monkeypatch.setenv("LEAKSCOPE_ROUNDS", "1")
+    out = tmp_path / "e"
+    assert run_cli("simulate", "--key", KEY_HEX, "--gen", "2", "--out", str(out)) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["mode"] == "param"
+    assert config["rounds"] == 1
+
+
+def test_simulate_without_config_rejects_an_unknown_env_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LEAKSCOPE_BOGUS", "1")
+    assert run_cli("simulate", "--key", KEY_HEX, "--gen", "2",
+                   "--out", str(tmp_path / "e")) == 2
+    assert "bogus: unknown config key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["baseline", "param"])

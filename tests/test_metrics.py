@@ -750,6 +750,13 @@ def test_class_csv_rejects_non_finite_sample_with_line(tmp_path, sample):
         read_class_samples_csv(path)
 
 
+def test_class_csv_rejects_a_class_with_one_sample(tmp_path):
+    path = tmp_path / "classes.csv"
+    path.write_text("class,sample\na,1.0\nb,2.0\na,1.5\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: class 'b' has 1 sample")):
+        read_class_samples_csv(path)
+
+
 def test_tmatrix_and_class_csv(tmp_path):
     path = tmp_path / "classes.csv"
     path.write_text("class,sample\ns0,1.5\ns0,2.5\ns1,9.0\ns1,9.5\n")

@@ -33,10 +33,10 @@ from leakscope.sim import (
     extract_cycle_log,
     random_plaintexts,
     run_aes_batch,
-    synth_power,
 )
 from leakscope.sim.config import CacheGeometry, ConfigError, parse_config_file
 from leakscope.sim.cyclelog import CycleLog
+from leakscope.sim.machine import REG_ROWS
 from leakscope.sim.program import (
     STATE_ADDR,
     SWEEP_ADDR,
@@ -53,7 +53,7 @@ from leakscope.sim.run import (
     write_trace_csv,
 )
 from leakscope.vcd import parse_vcd, resample_per_cycle
-from reference import DenseMachine
+from reference import DenseMachine, synth_power
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
@@ -510,8 +510,8 @@ cache_set_experiment(cfg, reps=128)  # 128 reps x 64 sets: one 8192-lane chunk
 print(json.dumps({"before": before, "peak": peak_mb()}))
 """
 
-# An 8192-lane machine keeps tags (uint64), valid, dirty (uint8) and slots
-# (int32) per (set, way, lane) entry: 64 x 4 x 8192 x 14 bytes = 28 MiB. Its
+# An 8192-lane machine keeps tags (uint32), valid, dirty (uint8) and slots
+# (int32) per (set, way, lane) entry: 64 x 4 x 8192 x 10 bytes = 20 MiB. Its
 # register banks and latches add about 6 MiB, and a one-load lane writes one
 # 64-byte pool row. One dense (64, 4, 8192, 8) payload array would be 128 MiB
 # on its own.
@@ -589,8 +589,7 @@ def test_rekey_flush_remaps_every_stored_word_like_the_scalar_reference(eda_fix)
     m.poke_bytes(STATE_ADDR + 0x100, bytes(rng.getrandbits(8) for _ in range(0x40)))
     m.run_program([alu("xor", 3, 1, rs2=2)] + build_fuzz_program(rng, n_ops=40)
                   + [alu("add", 4, 3, rs2=5)])
-    old = {"rf": m.rf.copy(), "prf": m.prf.copy(), "lb": m.lb.copy(),
-           **{name: arr.copy() for name, arr in m.scalars.items()}}
+    old_regs, old_lb = m.regs.copy(), m.lb.copy()
     new_keys = [np.array([rng.getrandbits(16) for _ in range(lanes)], dtype=np.uint32)
                 for _ in range(4)]
 
@@ -600,24 +599,17 @@ def test_rekey_flush_remaps_every_stored_word_like_the_scalar_reference(eda_fix)
     for lane in range(lanes):
         ko = RoundKeys(tuple(int(k[lane]) for k in keys))
         kn = RoundKeys(tuple(int(k[lane]) for k in new_keys))
-        for bank in ("rf", "prf"):
-            for i, row in enumerate(old[bank]):
-                got = int(getattr(m, bank)[i, lane])
-                assert got == _remap64(int(row[lane]), ko, kn), (bank, i, lane)
         for w in range(8):
-            assert int(m.lb[lane, w]) == _remap64(int(old["lb"][lane, w]), ko, kn), (w, lane)
-        a = int(old["dcache.arrays.addr"][lane])
-        assert int(m.scalars["dcache.arrays.addr"][lane]) == obfuscate_address(
-            deobfuscate_address(a, geom, ko), geom, kn)
-        for name, arr in m.scalars.items():
+            assert int(m.lb[lane, w]) == _remap64(int(old_lb[lane, w]), ko, kn), (w, lane)
+        for row, name in enumerate(REG_ROWS):
+            before, got = int(old_regs[row, lane]), int(m.regs[row, lane])
             if name == "dcache.arrays.addr":
-                continue
-            before = int(old[name][lane])
-            if eda_fix == "on" and name in SHADOWS:
+                assert got == obfuscate_address(deobfuscate_address(before, geom, ko), geom, kn)
+            elif eda_fix == "on" and name in SHADOWS:
                 # the translation fix hardwires the shadows: no datapath word to remap
-                assert int(arr[lane]) == before == 1, name
+                assert got == before == 1, name
             else:
-                assert int(arr[lane]) == _remap64(before, ko, kn), (name, lane)
+                assert got == _remap64(before, ko, kn), (name, lane)
 
 
 def _datapath_transforms(m, keys, rng):
