@@ -1,27 +1,176 @@
 """Per-run cycle logs and VCD emission.
 
-A CycleLog is the single-lane view of a batch run: the value of every modeled
-state element at run start plus the (cycle, element, new value) changes. The
-VCD emitter mirrors the machine's module tree under one ``soc`` top scope and
-adds a clock whose rising edge at t = 10*c samples cycle c, so a dump can be
-parsed back and resampled into exactly the original log.
+A ``BatchLog`` holds one event per latch write, with the values of every
+lane. The first ``extract_cycle_log`` on a batch reduces the events,
+vectorised over lanes, to a change table: one row (lane, cycle, element,
+value words) per real change, in event order within a cycle. Elements of at
+most 64 bits and 512-bit lines are kept in separate tables, so a register is
+not padded to a line. A CycleLog taken from a batch is one lane's view of
+that table; its ``initial`` values, ``changes`` and ``value_columns()`` are
+built only when something reads them.
+
+The VCD emitter mirrors the machine's module tree under one ``soc`` top scope
+and adds a clock whose rising edge at t = 10*c samples cycle c, so a dump can
+be parsed back and resampled into exactly the original log. It formats a
+run's rows in bulk: each value word becomes 64 '0'/'1' characters through a
+byte table, and one mask over a character matrix keeps each line's 'b', its
+significant bits and its id code, with the clock lines of every cycle.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .machine import REG_ROWS, BatchLog, _words_to_int, element_catalog
+import numpy as np
+
+from .machine import REG_ROWS, BatchLog, element_catalog
 
 
-@dataclass
+class _Rows(NamedTuple):
+    """Value rows: row i sets element ``elem[i]`` of lane ``lane[i]`` to
+    ``words[i]`` (uint64, low word first) at ``cycle[i]``; ``order`` ranks
+    the rows of a cycle. Rows at cycle 0 hold values at run start."""
+
+    lane: np.ndarray
+    cycle: np.ndarray
+    order: np.ndarray
+    elem: np.ndarray
+    words: np.ndarray
+
+    @classmethod
+    def of(cls, *parts) -> "_Rows":
+        """Rows from (lane, cycle, order, elem, words) parts, sorted by lane,
+        cycle and order."""
+        rows = cls(*(np.concatenate(col) for col in zip(*parts)))
+        return cls(*(col[np.lexsort((rows.order, rows.cycle, rows.lane))] for col in rows))
+
+
+def _real_changes(group, values, start):
+    """Which (event, lane) pairs, flattened event-major, change their group's
+    value; ``start(g)`` is the value of groups ``g`` at run start."""
+    order = np.argsort(group, kind="stable")  # event order within a group
+    g, v = group[order], values[order]
+    prev = start(g)
+    same = np.flatnonzero(g[1:] == g[:-1]) + 1
+    prev[same] = v[same - 1]
+    differs = v != prev
+    return np.sort(order[differs.any(axis=1) if differs.ndim > 1 else differs])
+
+
+def _change_table(batch: BatchLog):
+    """(catalog, narrow rows, wide rows, start elements) of a batch: the rows
+    hold every lane's real changes; the start elements are the catalog
+    indices of the narrow and the wide values in ``_lane_rows``' order."""
+    catalog = element_catalog(batch.cfg)
+    index = {name: k for k, (name, _) in enumerate(catalog)}
+    n, g = batch.n_lanes, batch.cfg.cache
+    lane = np.arange(n)
+    regs = np.array([index[r] for r in REG_ROWS])
+    cells = np.array([index[f"dcache.arrays.t{s}_{w}"]  # f and d follow each t
+                      for s in range(g.sets) for w in range(g.ways)])
+    kinds = {"s": [], "lb": [], "cl": []}
+    for seq, ev in enumerate(batch.events):
+        kinds[ev[0]].append((seq,) + ev[1:])
+    narrow, wide = [], []
+
+    def rows(out, p, seq, cycle, elem, sub, words):  # p: pairs, event * n + lane
+        e = p // n
+        out.append((p % n, cycle[e], 3 * seq[e] + sub, np.broadcast_to(elem, p.shape), words))
+
+    if kinds["s"]:
+        seq, cycle, row, values = (np.array(c) for c in zip(*kinds["s"]))
+        p = _real_changes((row[:, None] * n + lane).ravel(), values.ravel(),
+                          batch.initial_regs.ravel().take)
+        rows(narrow, p, seq, cycle, regs[row[p // n]], 0, values.ravel()[p][:, None])
+    if kinds["lb"]:
+        seq, cycle, lines = (np.array(c) for c in zip(*kinds["lb"]))
+        lines = lines.reshape(-1, 8)
+        p = _real_changes(np.tile(lane, len(seq)), lines, lambda gs: batch.initial_lb[gs])
+        rows(wide, p, seq, cycle, index["dcache.lb.line"], 0, lines[p])
+    if kinds["cl"]:
+        seq, cycle, set_idx, way, tag, flags, lines = (np.array(c) for c in zip(*kinds["cl"]))
+        tags, valid, dirty, slots, pool = batch.initial_cache
+        cell = (set_idx * g.ways + way).ravel()
+        group = cell * n + np.tile(lane, len(seq))
+        lines = lines.reshape(-1, 8)
+        for sub, out, values, start in (
+                (0, narrow, tag.ravel(), tags.ravel().take),
+                (1, narrow, flags.ravel(), (valid | (dirty << 1)).ravel().take),
+                (2, wide, lines, lambda gs: pool[slots.ravel()[gs]])):
+            p = _real_changes(group, values, start)
+            rows(out, p, seq, cycle, cells[cell[p]] + sub, sub,
+                 values[p] if values.ndim > 1 else values[p][:, None])
+    empty = [(np.zeros(0, int),) * 4 + (np.zeros((0, w), np.uint64),) for w in (1, 8)]
+    return (catalog, _Rows.of(empty[0], *narrow), _Rows.of(empty[1], *wide),
+            (np.r_[regs, cells, cells + 1], np.r_[index["dcache.lb.line"], cells + 2]))
+
+
+def _lane_rows(batch: BatchLog, lane: int) -> tuple[_Rows, _Rows]:
+    """(narrow, wide) rows of one lane: every element's value at run start,
+    in catalog order, then the lane's changes."""
+    _, *table, start = batch.change_table
+    tags, valid, dirty, slots, pool = batch.initial_cache
+    words = (np.r_[batch.initial_regs[:, lane], tags[:, :, lane].ravel(),
+                   (valid | (dirty << 1))[:, :, lane].ravel()][:, None],
+             np.concatenate((batch.initial_lb[lane:lane + 1], pool[slots[:, :, lane].ravel()])))
+    out = []
+    for elem, first, rows in zip(start, words, table):
+        lo, hi = np.searchsorted(rows.lane, [lane, lane + 1])
+        zero = np.zeros(len(elem), dtype=int)
+        out.append(_Rows(*(np.concatenate(c) for c in zip(
+            (zero + lane, zero, elem, elem, first.astype(np.uint64)),
+            (col[lo:hi] for col in rows)))))
+    return tuple(out)
+
+
 class CycleLog:
-    elements: list[tuple[str, int]]
-    initial: dict[str, int]
-    changes: list[tuple[int, str, int]]
-    n_cycles: int
-    label: str = ""
+    """One run's cycle log over ``elements`` (name, width): each element's
+    value at run start (``initial``) and the real changes (cycle, name,
+    value), in cycle order and event order within a cycle."""
+
+    def __init__(self, elements, initial=None, changes=None, n_cycles=0, label="",
+                 source=None):
+        self.elements, self.n_cycles, self.label = elements, n_cycles, label
+        self._source = source  # () -> (narrow, wide) rows, for a view of a batch
+        if initial is not None:
+            self.initial = initial
+        if changes is not None:
+            self.changes = changes
+
+    def rows(self) -> tuple[_Rows, _Rows]:
+        """(narrow, wide) rows: cycle 0 holds each element's start value."""
+        if self._source is not None:
+            return self._source()
+        names = {name: k for k, (name, _) in enumerate(self.elements)}
+        entries = [(0, name, self.initial[name]) for name, _ in self.elements] + self.changes
+        out = []
+        for w in (1, 8):
+            sel = [(k, c, names[n], v) for k, (c, n, v) in enumerate(entries)
+                   if (self.elements[names[n]][1] > 64) == (w == 8)]
+            k, c, e, v = (list(col) for col in zip(*sel)) if sel else ([], [], [], [])
+            words = np.frombuffer(b"".join(x.to_bytes(8 * w, "little") for x in v), "<u8")
+            out.append(_Rows(np.zeros(len(k), int), np.array(c, dtype=int), np.array(k, dtype=int),
+                             np.array(e, dtype=int), words.reshape(-1, w).astype(np.uint64)))
+        return tuple(out)
+
+    def _entries(self) -> list[tuple[int, str, int]]:
+        """(cycle, name, value) of every row, in cycle and event order."""
+        narrow, wide = self.rows()
+        cycle, order, elem = (np.r_[a, b].tolist() for a, b in zip(narrow[1:4], wide[1:4]))
+        values = narrow.words[:, 0].tolist() + [
+            int.from_bytes(w.astype("<u8").tobytes(), "little") for w in wide.words]
+        return [(cycle[i], self.elements[elem[i]][0], values[i])
+                for i in np.lexsort((order, cycle))]
+
+    @functools.cached_property
+    def initial(self) -> dict[str, int]:
+        return {name: value for cycle, name, value in self._entries() if cycle == 0}
+
+    @functools.cached_property
+    def changes(self) -> list[tuple[int, str, int]]:
+        return [e for e in self._entries() if e[0]]
 
     def value_columns(self) -> dict[str, list[int]]:
         """Dense per-cycle values (sample-and-hold) for every element."""
@@ -40,50 +189,12 @@ class CycleLog:
 
 
 def extract_cycle_log(batch: BatchLog, lane: int, label: str = "") -> CycleLog:
-    """Project one lane of a batch log into a CycleLog (real changes only)."""
-    catalog = element_catalog(batch.cfg)
-    initial = dict(zip(REG_ROWS, batch.initial_regs[:, lane].tolist()))
-    initial["dcache.lb.line"] = _words_to_int(batch.initial_lb[lane])
-    tags, valid, dirty, slots, rows = batch.initial_cache
-    lines = rows[slots[:, :, lane]]
-    g = batch.cfg.cache
-    for s in range(g.sets):
-        for w in range(g.ways):
-            initial[f"dcache.arrays.t{s}_{w}"] = int(tags[s, w, lane])
-            initial[f"dcache.arrays.f{s}_{w}"] = int(valid[s, w, lane] | (dirty[s, w, lane] << 1))
-            initial[f"dcache.arrays.d{s}_{w}"] = _words_to_int(lines[s, w])
-
-    cur = dict(initial)
-    changes: list[tuple[int, str, int]] = []
-
-    def push(cycle, name, value):
-        if cur[name] != value:
-            changes.append((cycle, name, value))
-            cur[name] = value
-
-    for ev in batch.events:
-        kind = ev[0]
-        if kind == "s":
-            _, cycle, row, values = ev
-            push(cycle, REG_ROWS[row], int(values[lane]))
-        elif kind == "lb":
-            _, cycle, line = ev
-            push(cycle, "dcache.lb.line", _words_to_int(line[lane]))
-        else:  # "cl"
-            _, cycle, set_idx, way, tag, flags, line = ev
-            s, w = int(set_idx[lane]), int(way[lane])
-            push(cycle, f"dcache.arrays.t{s}_{w}", int(tag[lane]))
-            push(cycle, f"dcache.arrays.f{s}_{w}", int(flags[lane]))
-            push(cycle, f"dcache.arrays.d{s}_{w}", _words_to_int(line[lane]))
-
-    changes.sort(key=lambda c: c[0])  # stable: preserves event order per cycle
-    return CycleLog(
-        elements=catalog,
-        initial=initial,
-        changes=changes,
-        n_cycles=batch.n_cycles,
-        label=label,
-    )
+    """One lane of a batch log as a CycleLog view (real changes only); the
+    first call on a batch builds its change table."""
+    if batch.change_table is None:
+        batch.change_table = _change_table(batch)
+    return CycleLog(batch.change_table[0], n_cycles=batch.n_cycles, label=label,
+                    source=functools.partial(_lane_rows, batch, lane))
 
 
 _ID_CHARS = "".join(chr(c) for c in range(33, 127))
@@ -149,6 +260,30 @@ def _vcd_header(elements: tuple, top: str, timescale: str) -> tuple[str, tuple[s
     return "\n".join(out), tuple(codes)
 
 
+@functools.lru_cache(maxsize=8)
+def _vcd_text(elements: tuple, top: str, timescale: str, n_cycles: int):
+    """(header bytes, tails, tail lengths, whether each element is a vector).
+    Tail e < len(elements) ends
+    element e's lines: its id code and a newline, after a space for a
+    vector. Tail len(elements) + c is the clock text before cycle c's
+    changes, c = 0 .. n_cycles, and the last tail closes the dump."""
+    header, codes = _vcd_header(elements, top, timescale)
+    clk = _vcd_id(0)
+    tails = [(" " if w > 1 else "") + code + "\n" for (_, w), code in zip(elements, codes)]
+    tails.append(f"\n#0\n$dumpvars\n0{clk}\n")
+    tails += [("$end\n" if c == 1 else f"#{10 * c - 5}\n0{clk}\n")
+              + (f"#{10 * c}\n1{clk}\n" if c <= n_cycles else "") for c in range(1, n_cycles + 2)]
+    width = max(map(len, tails))
+    table = np.frombuffer("".join(t.ljust(width, "\0") for t in tails).encode(), np.uint8)
+    return (header.encode(), table.reshape(len(tails), width), np.array([len(t) for t in tails]),
+            np.array([w > 1 for _, w in elements]))
+
+
+# the '0'/'1' text of each byte value, its 8 characters packed in one uint64
+_BYTE_BITS = np.array([int.from_bytes(f"{v:08b}".encode(), "little") for v in range(256)],
+                      dtype=np.uint64)
+
+
 def emit_vcd(log: CycleLog, top: str = "soc", timescale: str = "1ns") -> bytes:
     """Serialize a CycleLog as VCD; parseable by leakscope.vcd.parse_vcd.
 
@@ -156,34 +291,36 @@ def emit_vcd(log: CycleLog, top: str = "soc", timescale: str = "1ns") -> bytes:
     later; all cycle-c changes are emitted at the rising-edge timestamp.
     All elements are dumped at #0 so no signal is ever undefined.
     """
-    header, codes = _vcd_header(tuple(log.elements), top, timescale)
-    clock_code = _vcd_id(0)
-    codes = dict(zip((name for name, _ in log.elements), codes))
-    out: list[str] = [header]
-
-    def fmt(value: int, width: int, code: str) -> str:
-        if width == 1:
-            return f"{value:b}{code}"
-        return f"b{value:b} {code}"
-
-    out.append("#0")
-    out.append("$dumpvars")
-    out.append(f"0{clock_code}")
-    for name, width in log.elements:
-        out.append(fmt(log.initial[name], width, codes[name]))
-    out.append("$end")
-
-    widths = dict(log.elements)
-    idx = 0
-    changes = log.changes
-    for c in range(1, log.n_cycles + 1):
-        t = 10 * c
-        out.append(f"#{t}")
-        out.append(f"1{clock_code}")
-        while idx < len(changes) and changes[idx][0] == c:
-            _, name, value = changes[idx]
-            out.append(fmt(value, widths[name], codes[name]))
-            idx += 1
-        out.append(f"#{t + 5}")
-        out.append(f"0{clock_code}")
-    return ("\n".join(out) + "\n").encode("ascii")
+    elements = tuple(log.elements)
+    header, tails, tail_len, vectors = _vcd_text(elements, top, timescale, log.n_cycles)
+    narrow, wide = log.rows()
+    cycle = np.r_[narrow.cycle, wide.cycle]
+    rows = np.lexsort((np.r_[narrow.order, wide.order], cycle))
+    # one slot per significant word of each row, top word first
+    nonzero = wide.words != 0
+    n_words = np.r_[np.ones(len(narrow.cycle), int),
+                    np.where(nonzero.any(axis=1), 8 - nonzero[:, ::-1].argmax(axis=1), 1)][rows]
+    first = np.cumsum(n_words) - n_words
+    k = np.arange(n_words.sum()) - np.repeat(first, n_words)
+    row = np.repeat(rows, n_words)
+    elem = np.r_[narrow.elem, wide.elem][row]
+    vector = vectors[elem]
+    word = np.repeat(n_words - 1, n_words) - k
+    value = np.r_[narrow.words[:, 0], wide.words.ravel()][
+        np.where(row < len(narrow.cycle), row, len(narrow.cycle) + 8 * (row - len(narrow.cycle)) + word)]
+    lead, last = k == 0, word == 0
+    # the clock tails go before the first slot of each cycle
+    at = np.searchsorted(cycle[rows], np.arange(log.n_cycles + 2))
+    at = np.r_[first, len(k)][at]
+    tail = np.insert(np.where(last, elem, -1), at, len(elements) + np.arange(log.n_cycles + 2))
+    value, lead, vector = (np.insert(a, at, 0) for a in (value, lead, vector))
+    bits = _BYTE_BITS[value.astype(">u8").view(np.uint8)].view(np.uint8).reshape(-1, 64)
+    exp = np.minimum(np.frexp(value.astype(np.float64))[1], 64)  # bit length, or one above
+    length = exp - ((value >> np.maximum(exp - 1, 0).astype(np.uint64)) == 0)
+    start = np.where(lead, 64 - np.maximum(length, 1), 0)
+    start[tail >= len(elements)] = 64
+    text = np.concatenate((np.full((len(value), 1), ord("b"), np.uint8), bits, tails[tail]), 1)
+    keep = np.concatenate((
+        (lead & vector)[:, None], np.arange(64) >= start[:, None],
+        np.arange(tails.shape[1]) < np.where(tail >= 0, tail_len[tail], 0)[:, None]), axis=1)
+    return header + text[keep].tobytes()

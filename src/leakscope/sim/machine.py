@@ -116,14 +116,7 @@ class BatchLog:
         # the payload rows[slots[s, w, lane]] at run start
         self.initial_cache = None
         self.events: list = []     # ("s", cycle, row, values) | ("lb", ..) | ("cl", ..)
-
-
-def _words_to_int(words) -> int:
-    """512-bit line value from 8 words, word 0 least significant."""
-    v = 0
-    for i in range(len(words) - 1, -1, -1):
-        v = (v << 64) | int(words[i])
-    return v
+        self.change_table = None   # built by the first cyclelog.extract_cycle_log
 
 
 class Machine:
@@ -141,6 +134,8 @@ class Machine:
         # every 64-bit state element, one row each in REG_ROWS order; rows
         # hold datapath (obfuscated in param mode) values
         self.regs = np.zeros((len(REG_ROWS), n), dtype=np.uint64)
+        # lanes of each row, and of the line buffer, written since reset
+        self._written = np.zeros((len(REG_ROWS) + 1, n), dtype=bool)
         self._prf_ptr = 0  # PRF slot the next forward or load fill takes
         # rows that hold datapath words, re-keyed and deobfuscated together:
         # all but the address latch, and the shadows while the EDA fix
@@ -213,12 +208,14 @@ class Machine:
         if self._pw is not None:
             self._pw[cycle] += counts
 
-    def _latch(self, row, new, cycle):
+    def _latch(self, row, new, cycle, written=True):
         """Write ``new`` (uint64 per lane, or one 0-d value for every lane)
-        into ``regs[row]`` at ``cycle``."""
+        into ``regs[row]`` at ``cycle``; ``written`` marks the lanes that
+        take a new value rather than keep their old one."""
         reg = self.regs[row]
         self._pw_add(cycle, np.bitwise_count(reg ^ new))
         reg[:] = new
+        self._written[row] |= written
         if self._log is not None:
             self._log.events.append(("s", cycle, row, reg.copy()))
 
@@ -227,6 +224,7 @@ class Machine:
         if self._log is not None:
             self._log.events.append(("lb", cycle, new_line.copy()))
         self.lb = new_line.copy()
+        self._written[-1] = True
 
     # --- backing memory -------------------------------------------------------
 
@@ -315,6 +313,7 @@ class Machine:
         values = np.asarray(values, dtype=np.uint64)
         self.arch_rf[idx] = values
         self.regs[idx] = self.dp64(values)
+        self._written[idx] = True
 
     def peek_bytes(self, addr: int, k: int) -> np.ndarray:
         """Read k bytes per lane through the cache (deobfuscating) or backing."""
@@ -639,7 +638,7 @@ class Machine:
                 # load consumes a slot so the schedule stays data-independent
                 # (hit lanes rewrite the slot's old value, which is no toggle)
                 slot = PRF + self._prf_ptr
-                self._latch(slot, np.where(~hit, wb_dp, self.regs[slot]), t_mem)
+                self._latch(slot, np.where(~hit, wb_dp, self.regs[slot]), t_mem, ~hit)
                 self._prf_ptr = (self._prf_ptr + 1) % N_PRF
             else:
                 self.cache_access(addr, "store", data=b, size=mop.size, cycle=t_mem)
@@ -681,7 +680,12 @@ class Machine:
         return image
 
     def functional_registers(self) -> dict[str, np.ndarray]:
-        """Deobfuscated values of every architectural-side register surface."""
+        """Deobfuscated values of every architectural-side register surface.
+
+        State resets to raw 0 in both modes, which is not the obfuscated 0,
+        so a row or line buffer nothing has written yet reads as its
+        architectural reset value 0.
+        """
         vals = self.regs.copy()
         rows = self._datapath_rows
         vals[rows] = self.inv64(vals[rows])
@@ -693,6 +697,9 @@ class Machine:
             a[:] = (tagset << off_bits) | (a & np.uint64(self.geom.line_bytes - 1))
         out = dict(zip(REG_ROWS, vals))
         out["dcache.lb.line"] = self.inv_line(self.lb)
+        for name, written in zip(out, self._written):
+            out[name] = np.where(written if out[name].ndim == 1 else written[:, None],
+                                 out[name], np.uint64(0))
         return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
@@ -53,7 +54,7 @@ class SignalDecl:
         if not self.scope_path:
             raise VcdParseError(f"signal {self.name}: empty scope path")
 
-    @property
+    @functools.cached_property
     def full_name(self) -> str:
         return ".".join(self.scope_path + (self.name,))
 
@@ -87,23 +88,63 @@ class ModuleNode:
         raise KeyError(f"no module at path {'.'.join(parts)}")
 
 
-class VcdHeader(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class VcdHeader:
     """The parsed definitions of a dump, reusable for any stream that starts
     with the same ``text``."""
 
-    text: str  # the stream up to its first value-change token
+    text: bytes  # the stream up to its first value-change token
     n_tokens: int
     timescale: str
     declarations: list[SignalDecl]
     hierarchy: ModuleNode
-    widths: dict[str, int]  # id code -> width, ignored vars left out
+    index: dict[str, int]  # id code -> declaration index, ignored vars left out
     ignored_codes: set[str]
+    widths: np.ndarray  # of the declarations
+    packed: np.ndarray  # sorted packed id codes (see _pack_codes) of the index
+    packed_decl: np.ndarray  # declaration index of each packed code
 
-    def begins(self, data: str) -> bool:
+    def begins(self, data: bytes) -> bool:
         """Whether ``data`` starts with this header's text, cut at a token end."""
         n = len(self.text)
         return data.startswith(self.text) and (
-            len(data) == n or self.text[-1].isspace() or data[n].isspace())
+            len(data) == n or _SPACE[self.text[-1]] or _SPACE[data[n]])
+
+    @functools.cached_property
+    def codes(self) -> list[str]:
+        return [d.id_code for d in self.declarations]
+
+    @functools.cached_property
+    def layout(self):
+        """``_column_layout`` of the declarations."""
+        return _column_layout(self.declarations)
+
+
+class ChangeList(Sequence):
+    """The value changes of a dump in stream order, held as arrays.
+
+    Change ``i`` sets signal ``codes[decl[i]]`` (``decl`` indexes the
+    declarations) at ``times[i]``; its words, low word first, are entries
+    ``first[i]`` to ``first[i + 1] - 1`` of ``values``, ``xmask`` and
+    ``zmask``. Indexing yields ``Change`` tuples.
+    """
+
+    def __init__(self, codes, times, decl, first, values, xmask, zmask):
+        self.codes, self.times, self.decl, self.first = codes, times, decl, first
+        self.values, self.xmask, self.zmask = values, xmask, zmask
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # negative indices, IndexError past the end
+        a, b = self.first[i], self.first[i + 1]
+        return Change(int(self.times[i]), self.codes[self.decl[i]],
+                      *(int.from_bytes(w[a:b].astype("<u8").tobytes(), "little")
+                        for w in (self.values, self.xmask, self.zmask)))
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 @dataclass
@@ -111,7 +152,7 @@ class WaveDump:
     timescale: str
     declarations: list[SignalDecl]
     hierarchy: ModuleNode
-    changes: list[Change]
+    changes: ChangeList
     header: VcdHeader | None = field(default=None, repr=False, compare=False)
 
     def structurally_equal(self, other: "WaveDump") -> bool:
@@ -132,6 +173,11 @@ _NOT_BITS = str.maketrans("", "", "01xXzZ")
 _VALUE_BITS = str.maketrans("01xXzZ", "010000")
 _X_BITS = str.maketrans("01xXzZ", "001100")
 _Z_BITS = str.maketrans("01xXzZ", "000011")
+# the bytes str.split() takes for whitespace in ASCII text
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_POW10 = 10 ** np.arange(17, -1, -1, dtype=np.int64)  # plain timestamps have <= 18 digits
+_SKIP = ("$dumpvars", "$dumpall", "$dumpon", "$dumpoff", "$end")
 
 
 def _line_of(text: str, index: int) -> int:
@@ -168,8 +214,57 @@ def _until_end(toks, pos, at, what, fail):
     return toks[pos:end], end + 1
 
 
-def _parse_header(data: str, toks, fail) -> VcdHeader:
-    """Parse the definitions, from the first token up to $enddefinitions."""
+def _tokens(buf: np.ndarray, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Byte offsets (starts, ends) of the whitespace-separated tokens of ``buf``."""
+    edges = np.diff(np.concatenate(([True], _SPACE[buf], [True])).view(np.int8))
+    return np.flatnonzero(edges == -1) + offset, np.flatnonzero(edges == 1) + offset
+
+
+def _pack_codes(buf, starts, lengths) -> np.ndarray:
+    """Each id code of at most 7 bytes as one uint64: the bytes from the top,
+    the length in the low byte. Longer codes pack to 0, as no code does."""
+    packed = lengths.astype(np.uint64)
+    for j in range(min(int(lengths.max(initial=0)), 7)):
+        byte = np.where(lengths > j, buf[np.minimum(starts + j, len(buf) - 1)], 0)
+        packed |= byte.astype(np.uint64) << np.uint64(56 - 8 * j)
+    return np.where(lengths <= 7, packed, np.uint64(0))
+
+
+def _right_aligned(buf, starts, lengths, width) -> np.ndarray:
+    """(len(starts), width) uint8: the digit value (byte - 48) of each byte run
+    ``buf[starts[i]:starts[i] + lengths[i]]``, right-aligned, zeros before it."""
+    out = np.zeros((len(starts), width), dtype=np.uint8)
+    begin = np.cumsum(lengths) - lengths
+    src = np.arange(int(lengths.sum())) + np.repeat(starts - begin, lengths)
+    out.ravel()[src + np.repeat(np.arange(len(starts)) * width + width - lengths - starts,
+                                lengths)] = buf[src] - 48
+    return out
+
+
+def _binary_words(digits, begin, lengths, n_words):
+    """The runs ``digits[begin[i]:begin[i] + lengths[i]]`` (digit values, each
+    run at least one long) as little-endian uint64 words, ``n_words[i]`` for
+    run i, run after run; and whether each run holds only 0 and 1."""
+    bad = np.append(np.flatnonzero(digits > 1), len(digits))
+    ok = bad[np.searchsorted(bad, begin)] >= begin + lengths
+    # word k of a run is its k-th 64 bits from the end, cut from the packed
+    # digits read as big-endian words
+    packed = np.packbits(digits)
+    stream = np.zeros(len(packed) // 8 + 2, dtype=">u8")
+    stream.view(np.uint8)[:len(packed)] = packed
+    stream = stream.astype(np.uint64)
+    run = np.repeat(np.arange(len(begin)), n_words)
+    k = np.arange(len(run)) - np.repeat(np.cumsum(n_words) - n_words, n_words)
+    width = np.clip(lengths[run] - 64 * k, 0, 64)
+    at = np.maximum(begin[run] + lengths[run] - 64 * k - width, 0)  # 0 past a run's top
+    q, r = at >> 6, (at & 63).astype(np.uint64)
+    top = (stream[q] << r) | ((stream[q + 1] >> np.uint64(1)) >> (np.uint64(63) - r))
+    return np.where(width > 0, top >> (64 - width).astype(np.uint64), np.uint64(0)), ok
+
+
+def _parse_header(toks, fail) -> VcdHeader:
+    """Parse the definitions, from the first token up to $enddefinitions.
+    The returned header's ``text`` is left empty."""
     timescale = ""
     declarations: list[SignalDecl] = []
     ignored_codes: set[str] = set()
@@ -251,11 +346,14 @@ def _parse_header(data: str, toks, fail) -> VcdHeader:
 
     if root is None:
         fail("no $scope found in definitions")
-    # the text up to the first value change, with the whitespace before it
-    rest = data.split(None, pos)
-    text = data[:len(data) - len(rest[pos])] if len(rest) > pos else data
-    widths = {code: d.width for code, d in by_code.items() if code not in ignored_codes}
-    return VcdHeader(text, pos, timescale, declarations, root, widths, ignored_codes)
+    index = {d.id_code: k for k, d in enumerate(declarations) if d.id_code not in ignored_codes}
+    short = sorted((int.from_bytes(c.encode().ljust(7, b"\0"), "big") << 8 | len(c), k)
+                   for c, k in index.items() if c.isascii() and len(c) <= 7)
+    packed, packed_decl = (np.array(col, dtype=dtype) for col, dtype in
+                           zip(zip(*short) if short else ((), ()), (np.uint64, np.int64)))
+    return VcdHeader(b"", pos, timescale, declarations, root, index, ignored_codes,
+                     np.array([d.width for d in declarations], dtype=np.int64),
+                     packed, packed_decl)
 
 
 def parse_vcd(data: bytes | str, header: VcdHeader | None = None) -> WaveDump:
@@ -265,89 +363,203 @@ def parse_vcd(data: bytes | str, header: VcdHeader | None = None) -> WaveDump:
     the stream starts with its text: only the value changes are parsed then,
     with the same results and error lines as a full parse.
     """
-    if isinstance(data, bytes):
-        data = data.decode("ascii", errors="replace")
-
-    toks = data.split()
-    n_toks = len(toks)
+    text = data if isinstance(data, str) else None
+    if text is None:
+        raw = data
+    else:  # non-ASCII text is split as str.split() does, keeping token indices
+        raw = data.encode() if data.isascii() else " ".join(data.split()).encode()
 
     def fail(message, index=None):  # lines are counted only on this error path
-        line = None if index is None else _line_of(data, index)
+        line = None
+        if index is not None:
+            line = _line_of(raw.decode("ascii", errors="replace") if text is None else text,
+                            index)
         raise VcdParseError(message, line) from None
 
-    if header is None or not header.begins(data):
-        header = _parse_header(data, toks, fail)
-    widths, ignored_codes = header.widths, header.ignored_codes
-
-    # --- value changes -----------------------------------------------------
-    # Fast path: plain 0/1 values go straight through int(bits, 2); only
-    # values with x/z bits (or faults) take _parse_bits.
-    changes: list[Change] = []
-    append = changes.append
-    make = tuple.__new__
-    cur_time = 0
-    have_time = False
-    i = header.n_tokens
-    while i < n_toks:
-        tok = toks[i]
-        i += 1
-        lead = tok[0]
-        if lead == "b" or lead == "B":
-            if i >= n_toks:
-                fail(f"truncated stream: vector value without id code "
-                     f"(last good timestamp {cur_time})", i - 1)
-            at, code, bits = i - 1, toks[i], tok[1:]
-            i += 1
-        elif lead in "01xXzZ" and len(tok) > 1:
-            at, code, bits = i - 1, tok[1:], lead
-        else:
-            if lead == "#":
-                try:
-                    t = int(tok[1:])
-                except ValueError:
-                    fail(f"bad timestamp '{tok}'", i - 1)
-                if have_time and t < cur_time:
-                    fail(f"timestamp {t} goes backwards", i - 1)
-                cur_time = t
-                have_time = True
-            elif tok == "$comment":
-                i = _until_end(toks, i, i - 1, "$comment", fail)[1]
-            elif lead in "rR":
-                if i >= n_toks:  # real value for an ignored var
-                    fail(f"truncated stream (last good timestamp {cur_time})", i - 1)
-                if toks[i] not in ignored_codes:
-                    fail(f"real value change for non-real id '{toks[i]}'", i - 1)
-                i += 1
-            elif tok not in ("$dumpvars", "$dumpall", "$dumpon", "$dumpoff", "$end"):
-                fail(f"unexpected token '{tok}' in value changes", i - 1)
-            continue
-        width = widths.get(code)
-        if width is None:
-            if code in ignored_codes:
-                continue
-            fail(f"value change for undeclared id code '{code}'", i - 1)
-        try:
-            value = int(bits, 2)
-        except ValueError:
-            value = -1
-        # int() also takes a sign, '_', a 0b prefix and non-ASCII digits;
-        # those fall through to _parse_bits, which rejects them.
-        if (value >= 0 and len(bits) <= width and bits[0] in "01" and bits.isascii()
-                and "_" not in bits and "b" not in bits and "B" not in bits):
-            append(make(Change, (cur_time, code, value, 0, 0)))
-            continue
-        try:
-            append(make(Change, (cur_time, code, *_parse_bits(bits, width))))
-        except ValueError as e:
-            fail(str(e), at)
-
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    if header is None or not header.begins(raw):
+        starts, ends = _tokens(buf)
+        toks = (raw.decode("ascii", errors="replace") if text is None else text).split()
+        header = _parse_header(toks, fail)
+        n = header.n_tokens
+        header = replace(header, text=raw[:starts[n]] if n < len(starts) else raw)
+        starts, ends = starts[n:], ends[n:]
+    else:
+        starts, ends = _tokens(buf[len(header.text):], len(header.text))
     return WaveDump(
         timescale=header.timescale,
         declarations=header.declarations,
         hierarchy=header.hierarchy,
-        changes=changes,
+        changes=_parse_changes(buf, starts, ends, header,
+                               "ascii" if text is None else "utf-8", fail),
         header=header,
     )
+
+
+def _parse_changes(buf, starts, ends, header, codec, fail) -> ChangeList:
+    """The value changes of the body tokens at byte offsets ``starts``/``ends``.
+
+    Timestamps, plain 0/1 values of declared signals and the $dump keywords
+    are parsed in bulk. Every other item (x/z values, $comment, real values,
+    faults) goes through ``item`` one at a time, in stream order, with the
+    time in force before it.
+    """
+    n, base = len(starts), header.n_tokens  # base: token index of body token 0
+
+    def tok(i):
+        return buf[starts[i]:ends[i]].tobytes().decode(codec, errors="replace")
+
+    # Where items start. A vector or real value takes the next token as its
+    # id code, whatever that token looks like, so in a run of such tokens
+    # that starts an item every other token starts one. $comment takes the
+    # tokens up to $end, and the runs restart after it.
+    lead = buf[starts]
+    vec = (lead == 98) | (lead == 66)
+    takes = vec | (lead == 114) | (lead == 82)
+    at = np.arange(n)
+    run = np.maximum.accumulate(np.where(takes & ~np.r_[False, takes][:n], at, 0))
+    dollar = np.flatnonzero((lead == 36) & (ends - starts >= 4))  # $end, $comment, $dump*
+    names = [tok(i) for i in dollar]
+    end_marks = dollar[[w == "$end" for w in names]]
+
+    def item_starts(pos, stop):
+        t = takes[pos:stop]
+        even = (at[pos:stop] - np.maximum(run[pos:stop], pos)) % 2 == 0
+        return np.flatnonzero(np.where(t, even, np.r_[True, ~(t & even)][:len(t)])) + pos
+
+    parts, pos = [], 0
+    for c in dollar[[w == "$comment" for w in names]]:
+        if c < pos or (c > pos and takes[c - 1] and (c - 1 - max(run[c - 1], pos)) % 2 == 0):
+            continue  # inside an earlier comment, or an id code
+        parts += [item_starts(pos, c), [c]]
+        e = np.searchsorted(end_marks, c + 1)
+        pos = int(end_marks[e]) + 1 if e < len(end_marks) else n + 1
+    if pos < n:
+        parts.append(item_starts(pos, n))
+    items = np.concatenate(parts).astype(np.int64) if parts else np.zeros(0, np.int64)
+
+    # bulk classification of the items
+    s, e = starts[items], ends[items]
+    kind = lead[items]
+    coded = np.minimum(items + 1, n - 1)
+    is_vec = vec[items]
+    bits_s = np.where(is_vec, s + 1, s)
+    bits_n = np.where(is_vec, e - s - 1, 1)
+    code_s = np.where(is_vec, starts[coded], s + 1)
+    packed = _pack_codes(buf, code_s, np.where(is_vec, ends[coded], e) - code_s)
+    hit = np.minimum(np.searchsorted(header.packed, packed), max(len(header.packed) - 1, 0))
+    found = header.packed[hit] == packed if len(header.packed) else np.zeros(len(items), bool)
+    decl = header.packed_decl[hit] if len(header.packed) else np.zeros(len(items), np.int64)
+    plain = ((is_vec & (items + 1 < n)) | (((kind == 48) | (kind == 49)) & (e - s > 1))) \
+        & found & (bits_n >= 1) & (bits_n <= header.widths[decl])
+    size = (header.widths[decl] + 63) // 64
+    words = np.zeros(0, dtype=np.uint64)
+    if plain.any():  # the tokens' bytes back to back, as digit values
+        body = buf[starts[0]:ends[-1]]
+        digits = body[~_SPACE[body]] - 48
+        sel = np.flatnonzero(plain)
+        words, ok = _binary_words(digits, (np.cumsum(ends - starts) - ends + starts)[items[sel]]
+                                  + is_vec[sel], bits_n[sel], size[sel])
+        plain[sel[~ok]] = False
+        words = words[np.repeat(ok, size[sel])]
+
+    is_time = kind == 35
+    short = np.flatnonzero(is_time & (e - s >= 2) & (e - s <= 19))
+    digits = _right_aligned(buf, s[short] + 1, e[short] - s[short] - 1, 18)
+    short = short[(digits <= 9).all(axis=1)]
+    times = np.zeros(len(items), dtype=np.int64)
+    times[short] = digits[(digits <= 9).all(axis=1)] @ _POW10
+    timed = np.zeros(len(items), dtype=bool)
+    timed[short] = True
+    for k in np.flatnonzero(is_time & ~timed):  # int() also takes a sign and '_'
+        try:
+            t = int(tok(items[k])[1:])
+        except ValueError:
+            continue
+        if -2**63 <= t < 2**63:
+            times[k], timed[k] = t, True
+    clock = np.flatnonzero(is_time)  # a timestamp below the one before it is a fault
+    timed[clock[1:][times[clock[1:]] < times[clock[:-1]]]] = False
+    skip = np.zeros(n, dtype=bool)
+    skip[dollar[[w in _SKIP for w in names]]] = True
+    skip = skip[items]
+
+    # the time in force at each item: the last timestamp before it
+    last = np.maximum.accumulate(np.where(is_time, np.arange(len(items)), -1))
+    prior = np.r_[-1, last][:len(items)]
+    now = np.where(prior >= 0, times[np.maximum(prior, 0)], 0)
+
+    def item(i, cur_time, have_time):
+        """One item the bulk pass does not take, at token ``i``: a change
+        (time, declaration, value, xmask, zmask) or None; raises on faults."""
+        tok_i = tok(i)
+        lead = tok_i[0]
+        if lead == "b" or lead == "B":
+            if i + 1 >= n:
+                fail(f"truncated stream: vector value without id code "
+                     f"(last good timestamp {cur_time})", base + i)
+            code, bits = tok(i + 1), tok_i[1:]
+        elif lead in "01xXzZ" and len(tok_i) > 1:
+            code, bits = tok_i[1:], lead
+        else:
+            if lead == "#":
+                try:
+                    t = int(tok_i[1:])
+                except ValueError:
+                    fail(f"bad timestamp '{tok_i}'", base + i)
+                if have_time and t < cur_time:
+                    fail(f"timestamp {t} goes backwards", base + i)
+                fail(f"timestamp {t} out of range", base + i)
+            elif tok_i == "$comment":
+                if np.searchsorted(end_marks, i + 1) == len(end_marks):
+                    fail("unexpected end of stream inside $comment", base + i)
+            elif lead in "rR":
+                if i + 1 >= n:  # real value for an ignored var
+                    fail(f"truncated stream (last good timestamp {cur_time})", base + i)
+                if tok(i + 1) not in header.ignored_codes:
+                    fail(f"real value change for non-real id '{tok(i + 1)}'", base + i)
+            elif tok_i not in _SKIP:
+                fail(f"unexpected token '{tok_i}' in value changes", base + i)
+            return None
+        k = header.index.get(code)
+        if k is None:
+            if code in header.ignored_codes:
+                return None
+            fail(f"value change for undeclared id code '{code}'",
+                 base + i + (lead in "bB"))
+        try:
+            return (cur_time, k, *_parse_bits(bits, int(header.widths[k])))
+        except ValueError as err:
+            fail(str(err), base + i)
+
+    rest = []
+    for k in np.flatnonzero(~(plain | timed | skip)):
+        row = item(int(items[k]), int(now[k]), prior[k] >= 0)
+        if row is not None:
+            rest.append((k, *row))
+    return _change_list(header, np.flatnonzero(plain), now, decl, words, rest)
+
+
+def _change_list(header, plain, now, decl, words, rest) -> ChangeList:
+    """One ChangeList in item order from the bulk items ``plain`` with their
+    value ``words`` and the ``rest`` rows (item, time, declaration, value,
+    xmask, zmask)."""
+    order = np.sort(np.concatenate((plain, np.array([r[0] for r in rest], dtype=np.int64))))
+    decls, times = decl[order], now[order]
+    at = np.searchsorted(order, [r[0] for r in rest])
+    decls[at], times[at] = [r[2] for r in rest], [r[1] for r in rest]
+    n_words = (header.widths[decls] + 63) // 64
+    first = np.concatenate(([0], np.cumsum(n_words)))
+    values, xmask, zmask = (np.zeros(first[-1], dtype=np.uint64) for _ in range(3))
+    bulk = np.ones(len(order), dtype=bool)
+    bulk[at] = False
+    values[np.repeat(bulk, n_words)] = words
+    for k, row in zip(at, rest):
+        a, b = first[k], first[k + 1]
+        for arr, v in zip((values, xmask, zmask), row[3:]):
+            arr[a:b] = np.frombuffer(v.to_bytes(8 * (b - a), "little"), dtype="<u8")
+    return ChangeList(header.codes, times, decls, first,
+                      values, xmask, zmask)
 
 
 def load_vcd_file(path, header: VcdHeader | None = None) -> WaveDump:
@@ -355,9 +567,10 @@ def load_vcd_file(path, header: VcdHeader | None = None) -> WaveDump:
         return parse_vcd(f.read(), header)
 
 
-def _column_layout(declarations) -> tuple[dict[str, range], np.ndarray]:
-    """Word columns of every signal (declaration order, low word first), and
-    each column's all-bits mask, which is also its pre-dump x mask."""
+def _column_layout(declarations) -> tuple[dict[str, range], np.ndarray, np.ndarray]:
+    """Word columns of every signal (declaration order, low word first), each
+    column's all-bits mask, which is also its pre-dump x mask, and each
+    signal's first column."""
     widths = np.array([d.width for d in declarations], dtype=np.int64)
     n_words = (widths + 63) // 64
     stops = np.cumsum(n_words)
@@ -365,7 +578,7 @@ def _column_layout(declarations) -> tuple[dict[str, range], np.ndarray]:
                    zip(declarations, stops.tolist(), n_words.tolist())}
     masks = np.full(int(stops[-1]) if len(stops) else 0, ~np.uint64(0))
     masks[stops - 1] >>= (64 * n_words - widths).astype(np.uint64)
-    return signal_cols, masks
+    return signal_cols, masks, stops - n_words
 
 
 @dataclass
@@ -394,7 +607,7 @@ class CycleMatrix:
                   edge_ranks, edge_times):
         """Assemble from change rows in time order (rank 1 .. ``n_ranks``);
         ``layout`` is ``_column_layout`` of the declarations."""
-        signal_cols, full = layout
+        signal_cols, full = layout[:2]
         n_cols = len(full)
         cols = np.concatenate([np.arange(n_cols), cols])
         order = np.argsort(cols, kind="stable")  # keeps time order per column
@@ -463,58 +676,35 @@ def _resolve_signal(dump: WaveDump, name: str) -> SignalDecl:
     return matches[0]
 
 
-def _rising_edges(clock_changes) -> list[int]:
-    """Times where the clock goes from a known 0 to a known 1; of several
-    changes at one timestamp, the last one counts."""
-    edges = []
-    before = None  # clock state after the previous timestamp; None is x/z
-    for k, ch in enumerate(clock_changes):
-        if k + 1 < len(clock_changes) and clock_changes[k + 1].time == ch.time:
-            continue
-        now = None if ch.xmask or ch.zmask else ch.value
-        if before == 0 and now == 1:
-            edges.append(ch.time)
-        before = now
-    return edges
-
-
-def _pack_words(ints, n_words) -> np.ndarray:
-    """Little-endian uint64 words of each int, ``n_words[i]`` words for int i."""
-    buf = b"".join([v.to_bytes(8 * w, "little") for v, w in zip(ints, n_words)])
-    return np.frombuffer(buf, dtype="<u8")
-
-
 def resample_per_cycle(dump: WaveDump, clock_name: str) -> CycleMatrix:
     """Sample every signal at each rising edge of the named 1-bit clock.
 
-    A rising edge is a transition from a known 0 to 1. Changes that share the
+    A rising edge is a transition from a known 0 to 1; of several clock
+    changes at one timestamp, the last one counts. Changes that share the
     edge's timestamp are applied before sampling.
     """
     clock = _resolve_signal(dump, clock_name)
     if clock.width != 1:
         raise VcdParseError(f"clock '{clock_name}' is {clock.width} bits wide, need 1")
-    changes = dump.changes
-    edge_times = _rising_edges([c for c in changes if c.id_code == clock.id_code])
-    if not edge_times:
+    ch = dump.changes
+    ticks = np.flatnonzero(ch.decl == ch.codes.index(clock.id_code))
+    t, w = ch.times[ticks], ch.first[ticks]
+    state = np.where((ch.xmask[w] | ch.zmask[w]) == 0, ch.values[w].astype(np.int64), -1)
+    last = np.r_[t[1:] != t[:-1], True][:len(t)]
+    t, state = t[last], state[last]
+    edge_times = t[(np.r_[-1, state][:len(state)] == 0) & (state == 1)]
+    if not len(edge_times):
         raise VcdParseError(f"clock '{clock_name}' has no rising edges")
 
-    # one row per word of each change: row r of a change that starts at row
-    # first and column start sits in column start + (r - first)
-    layout = _column_layout(dump.declarations)
-    spans = [layout[0][c.id_code] for c in changes]
-    n_words = np.array([len(s) for s in spans], dtype=np.int64)
-    offsets = np.array([s.start for s in spans], dtype=np.int64) - (np.cumsum(n_words) - n_words)
-    cols = np.repeat(offsets, n_words) + np.arange(n_words.sum())
-    times, ranks = np.unique(np.array([c.time for c in changes], dtype=np.int64),
-                             return_inverse=True)
-    values = _pack_words([c.value for c in changes], n_words.tolist())
-    if any(c.xmask or c.zmask for c in changes):
-        xmask, zmask = (_pack_words([c[k] for c in changes], n_words.tolist()) for k in (3, 4))
-    else:
-        xmask = zmask = np.zeros(len(cols), dtype=np.uint64)
+    # one row per word of each change: word j of change i is in column
+    # start + j of its signal's columns
+    layout = dump.header.layout
+    n_words = np.diff(ch.first)
+    cols = np.repeat(layout[2][ch.decl] - ch.first[:-1], n_words) + np.arange(ch.first[-1])
+    times, ranks = np.unique(ch.times, return_inverse=True)
     return CycleMatrix.from_rows(
-        layout, cols, np.repeat(ranks, n_words) + 1, values, xmask, zmask, len(times),
-        np.searchsorted(times, edge_times, side="right"), edge_times)
+        layout, cols, np.repeat(ranks, n_words) + 1, ch.values, ch.xmask, ch.zmask,
+        len(times), np.searchsorted(times, edge_times, side="right"), edge_times.tolist())
 
 
 @dataclass

@@ -21,8 +21,20 @@ import numpy as np
 
 from leakscope.aes import POINT_FUNCTIONS
 from leakscope.metrics import hamming_distance
-from leakscope.sim import Machine
-from leakscope.vcd import CycleMatrix, VcdParseError, _column_layout
+from leakscope.sim import CycleLog, Machine, element_catalog
+from leakscope.sim.cyclelog import _vcd_header, _vcd_id
+from leakscope.sim.machine import REG_ROWS
+from leakscope.vcd import (
+    Change,
+    CycleMatrix,
+    VcdParseError,
+    WaveDump,
+    _column_layout,
+    _line_of,
+    _parse_bits,
+    _parse_header,
+    _until_end,
+)
 
 
 def naive_parse_bits(bits: str, width: int) -> tuple[int, int, int]:
@@ -40,6 +52,72 @@ def naive_parse_bits(bits: str, width: int) -> tuple[int, int, int]:
         elif ch in "zZ":
             zmask |= 1
     return value, xmask, zmask
+
+
+def naive_parse_vcd(data) -> WaveDump:
+    """Parse a VCD stream one token at a time, the oracle of the bulk parser.
+
+    Returns a ``WaveDump`` whose ``changes`` is a list of ``Change`` tuples,
+    with the values and ``VcdParseError`` messages and lines of
+    ``leakscope.vcd.parse_vcd``.
+    """
+    if isinstance(data, bytes):
+        data = data.decode("ascii", errors="replace")
+    toks = data.split()
+    n_toks = len(toks)
+
+    def fail(message, index=None):
+        raise VcdParseError(message, None if index is None else _line_of(data, index)) from None
+
+    header = _parse_header(toks, fail)
+    widths = {code: int(header.widths[k]) for code, k in header.index.items()}
+    changes = []
+    cur_time = 0
+    have_time = False
+    i = header.n_tokens
+    while i < n_toks:
+        tok = toks[i]
+        i += 1
+        lead = tok[0]
+        if lead == "b" or lead == "B":
+            if i >= n_toks:
+                fail(f"truncated stream: vector value without id code "
+                     f"(last good timestamp {cur_time})", i - 1)
+            at, code, bits = i - 1, toks[i], tok[1:]
+            i += 1
+        elif lead in "01xXzZ" and len(tok) > 1:
+            at, code, bits = i - 1, tok[1:], lead
+        else:
+            if lead == "#":
+                try:
+                    t = int(tok[1:])
+                except ValueError:
+                    fail(f"bad timestamp '{tok}'", i - 1)
+                if have_time and t < cur_time:
+                    fail(f"timestamp {t} goes backwards", i - 1)
+                cur_time = t
+                have_time = True
+            elif tok == "$comment":
+                i = _until_end(toks, i, i - 1, "$comment", fail)[1]
+            elif lead in "rR":
+                if i >= n_toks:
+                    fail(f"truncated stream (last good timestamp {cur_time})", i - 1)
+                if toks[i] not in header.ignored_codes:
+                    fail(f"real value change for non-real id '{toks[i]}'", i - 1)
+                i += 1
+            elif tok not in ("$dumpvars", "$dumpall", "$dumpon", "$dumpoff", "$end"):
+                fail(f"unexpected token '{tok}' in value changes", i - 1)
+            continue
+        width = widths.get(code)
+        if width is None:
+            if code in header.ignored_codes:
+                continue
+            fail(f"value change for undeclared id code '{code}'", i - 1)
+        try:
+            changes.append(Change(cur_time, code, *_parse_bits(bits, width)))
+        except ValueError as e:
+            fail(str(e), at)
+    return WaveDump(header.timescale, header.declarations, header.hierarchy, changes)
 
 
 def naive_resample(dump, clock_code: str):
@@ -200,6 +278,86 @@ def synth_power(log, sigma: float = 0.0, rng=None):
     elif isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     return toggles.astype(np.float64) + rng.normal(0.0, sigma, size=log.n_cycles)
+
+
+def _words_to_int(words) -> int:
+    """512-bit line value from 8 words, word 0 least significant."""
+    v = 0
+    for i in range(len(words) - 1, -1, -1):
+        v = (v << 64) | int(words[i])
+    return v
+
+
+def naive_extract_cycle_log(batch, lane: int, label: str = "") -> CycleLog:
+    """One lane of a ``BatchLog`` as a CycleLog, walking every event: the
+    oracle of the change table."""
+    initial = dict(zip(REG_ROWS, batch.initial_regs[:, lane].tolist()))
+    initial["dcache.lb.line"] = _words_to_int(batch.initial_lb[lane])
+    tags, valid, dirty, slots, rows = batch.initial_cache
+    lines = rows[slots[:, :, lane]]
+    g = batch.cfg.cache
+    for s in range(g.sets):
+        for w in range(g.ways):
+            initial[f"dcache.arrays.t{s}_{w}"] = int(tags[s, w, lane])
+            initial[f"dcache.arrays.f{s}_{w}"] = int(valid[s, w, lane] | (dirty[s, w, lane] << 1))
+            initial[f"dcache.arrays.d{s}_{w}"] = _words_to_int(lines[s, w])
+
+    cur = dict(initial)
+    changes = []
+
+    def push(cycle, name, value):
+        if cur[name] != value:
+            changes.append((cycle, name, value))
+            cur[name] = value
+
+    for ev in batch.events:
+        kind = ev[0]
+        if kind == "s":
+            _, cycle, row, values = ev
+            push(cycle, REG_ROWS[row], int(values[lane]))
+        elif kind == "lb":
+            _, cycle, line = ev
+            push(cycle, "dcache.lb.line", _words_to_int(line[lane]))
+        else:  # "cl"
+            _, cycle, set_idx, way, tag, flags, line = ev
+            s, w = int(set_idx[lane]), int(way[lane])
+            push(cycle, f"dcache.arrays.t{s}_{w}", int(tag[lane]))
+            push(cycle, f"dcache.arrays.f{s}_{w}", int(flags[lane]))
+            push(cycle, f"dcache.arrays.d{s}_{w}", _words_to_int(line[lane]))
+
+    changes.sort(key=lambda c: c[0])  # stable: preserves event order per cycle
+    return CycleLog(element_catalog(batch.cfg), initial, changes, batch.n_cycles, label)
+
+
+def naive_emit_vcd(log, top: str = "soc", timescale: str = "1ns") -> bytes:
+    """A CycleLog as VCD text, one formatted line per value: the oracle of
+    ``leakscope.sim.emit_vcd``."""
+    header, codes = _vcd_header(tuple(log.elements), top, timescale)
+    clock_code = _vcd_id(0)
+    codes = dict(zip((name for name, _ in log.elements), codes))
+    out = [header]
+
+    def fmt(value: int, width: int, code: str) -> str:
+        if width == 1:
+            return f"{value:b}{code}"
+        return f"b{value:b} {code}"
+
+    out += ["#0", "$dumpvars", f"0{clock_code}"]
+    for name, width in log.elements:
+        out.append(fmt(log.initial[name], width, codes[name]))
+    out.append("$end")
+    widths = dict(log.elements)
+    idx = 0
+    changes = log.changes
+    for c in range(1, log.n_cycles + 1):
+        t = 10 * c
+        out += [f"#{t}", f"1{clock_code}"]
+        while idx < len(changes) and changes[idx][0] == c:
+            _, name, value = changes[idx]
+            out.append(fmt(value, widths[name], codes[name]))
+            idx += 1
+        out += [f"#{t + 5}", f"0{clock_code}"]
+    return ("\n".join(out) + "\n").encode("ascii")
 
 
 def two_pass_cpa(traces, plaintexts, target_byte: int, point: str = "sbox_out"):

@@ -46,6 +46,7 @@ from leakscope.sim.program import (
     load,
     store,
 )
+from leakscope.sim import run as sim_run
 from leakscope.sim.run import (
     load_traces_npz,
     read_trace_csv,
@@ -53,7 +54,7 @@ from leakscope.sim.run import (
     write_trace_csv,
 )
 from leakscope.vcd import parse_vcd, resample_per_cycle
-from reference import DenseMachine, synth_power
+from reference import DenseMachine, naive_emit_vcd, naive_extract_cycle_log, synth_power
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
@@ -792,6 +793,46 @@ def test_vcd_round_trip_fuzzed_programs():
             code_of[".".join(decl.scope_path[1:] + (decl.name,))] = decl.id_code
         for name, want in cols.items():
             assert mat.cells[code_of[name]] == want, name
+
+
+@pytest.mark.parametrize("mode", ["baseline", "param"])
+def test_change_table_emits_the_bytes_of_the_event_walk(monkeypatch, mode):
+    # 7 runs at max_lanes=3 span three chunks; every lane's log and VCD must
+    # match the per-event walk of its own batch
+    want = []
+    real = sim_run.extract_cycle_log
+
+    def spy(blog, lane, label=""):
+        want.append(naive_extract_cycle_log(blog, lane, label))
+        return real(blog, lane, label)
+
+    monkeypatch.setattr(sim_run, "extract_cycle_log", spy)
+    cfg = SimConfig(mode=mode, noise_sigma=0.0, seed=21, rounds=1, rekey_interval_runs=2)
+    res = run_aes_batch(cfg, random_plaintexts(cfg, 7), KEY, collect_logs=True, max_lanes=3)
+    assert len(want) == len(res.logs) == 7
+    for got, log in zip(res.logs, want):
+        assert (got.initial, got.changes, got.label) == (log.initial, log.changes, log.label)
+        assert emit_vcd(got) == naive_emit_vcd(log)
+
+
+@pytest.mark.parametrize("eda_fix", ["off", "on"])
+def test_unwritten_rows_read_as_the_reset_value_in_both_modes(eda_fix):
+    # state resets to raw 0 in both modes (not to the obfuscated 0); the
+    # functional view reads every row nothing has written as 0, so a param
+    # machine's view matches the baseline one before and after a program
+    views = {}
+    for mode in ("baseline", "param"):
+        cfg = SimConfig(mode=mode, eda_fix=eda_fix, noise_sigma=0.0, seed=4)
+        m = Machine(cfg, 2, KeyConstant.of(epoch0_keys(cfg, 2)) if cfg.param_mode else None)
+        assert not m.regs.any() and not m.lb.any()
+        assert all(not v.any() for v in m.functional_registers().values())
+        m.preset_register(5, np.array([0x1234, 0xFEDC], dtype=np.uint64))
+        m.run_program([alu("xor", 6, 5, 0, imm=0x55), store(6, 0, STATE_ADDR),
+                       load(7, 0, STATE_ADDR)])
+        views[mode] = m.functional_registers()
+    assert not views["param"]["core.rf.r0"].any() and not views["param"]["core.rf.r9"].any()
+    for name, value in views["baseline"].items():
+        assert np.array_equal(views["param"][name], value), name
 
 
 # --- misc -------------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from leakscope.vcd import (
     read_manifest,
     resample_per_cycle,
 )
-from reference import matrix_cells, naive_parse_bits, naive_resample
+from reference import matrix_cells, naive_parse_bits, naive_parse_vcd, naive_resample
 
 MINIMAL = """\
 $timescale 1ns $end
@@ -534,3 +534,95 @@ def test_parse_errors_name_the_line(stream, data):
     with pytest.raises(VcdParseError) as reused:  # the header of the good stream
         parse_vcd(bad, parse_vcd(text).header)
     assert str(reused.value) == str(full.value)
+
+
+# --- the bulk parser against the token-at-a-time oracle -----------------------
+
+
+def _mutated_dump(rng):
+    """``_fuzz_dump`` with x/z values, comments, a real var and its values
+    mixed in, and sometimes a line broken or the stream cut short."""
+    lines = _fuzz_dump(rng).splitlines()
+    lines.insert(1, "$var real 64 r temperature $end")
+    body = lines.index("$enddefinitions $end") + 1
+    out = lines[:body]
+    for line in lines[body:]:
+        roll = rng.random()
+        if line.startswith("b") and roll < 0.2:
+            bits, code = line[1:].split()
+            line = "b" + "".join(rng.choice("01xXzZ") if rng.random() < 0.3 else c
+                                 for c in bits) + " " + code
+        elif line.startswith("b") and roll < 0.25:
+            line = rng.choice(["x", "z", "0", "1"]) + line.split()[1]
+        out.append(line)
+        roll = rng.random()
+        if roll < 0.05:
+            out.append(f"$comment {rng.choice(['b1', '#9', 'r', '$dumpvars'])} $end")
+        elif roll < 0.1:
+            out.append(f"r{rng.random():.3f} r")
+        elif roll < 0.12:
+            out.append(rng.choice(["b1q0 !", "q", "#x", "#3", "r1.0 !", "b1", "$comment b1"]))
+    text = "\n".join(out) + "\n"
+    if rng.random() < 0.2:
+        text = text[:rng.randrange(len(text))]
+    return text
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except VcdParseError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_bulk_parse_matches_the_token_oracle(seed):
+    text = _mutated_dump(random.Random(seed))
+    want = _parse_outcome(naive_parse_vcd, text)
+    got = _parse_outcome(parse_vcd, text.encode())
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert [tuple(c) for c in got.changes] == want.changes
+    again = parse_vcd(text, got.header)  # the header reused, from text
+    assert again.header is got.header and again.changes == got.changes
+    try:
+        _, cells = naive_resample(want, "!")
+    except VcdParseError:
+        with pytest.raises(VcdParseError, match="no rising edges"):
+            resample_per_cycle(got, "clk")
+        return
+    assert resample_per_cycle(got, "clk").cells == {
+        code: [v if not (x or z) else None for v, x, z in col] for code, col in cells.items()}
+
+
+def test_id_codes_that_look_like_other_tokens():
+    # the token after a vector value is its id code, whatever it starts with;
+    # codes like '#', '$', 'b' and '0' would read as a timestamp, a keyword,
+    # another vector value or a scalar change if taken by their first byte
+    codes = ["b", "bb", "#", "$", "0", "1x", "z"]
+    decls = "".join(f"$var wire 4 {c} s{k} $end\n" for k, c in enumerate(codes))
+    text = ("$scope module top $end\n$var wire 1 ! clk $end\n" + decls
+            + "$upscope $end\n$enddefinitions $end\n#0\n$dumpvars\n0!\n"
+            + "".join(f"b{k:b} {c}\n" for k, c in enumerate(codes)) + "$end\n#10\n1!\n"
+            + "b1 b b11 bb b1 # b101 $ b1 0 b0 1x b1111 z\n11x\n#15\n0!\n#20\n1!\nbx1 b\n")
+    want = naive_parse_vcd(text)
+    assert [tuple(c) for c in parse_vcd(text).changes] == want.changes
+    assert [c for _, c, *_ in want.changes].count("b") == 3
+    cells = resample_per_cycle(parse_vcd(text), "clk").cells
+    assert [cells[c] for c in codes] == [[1, None], [3, 3], [1, 1], [5, 5], [1, 1], [1, 1],
+                                         [15, 15]]
+
+
+@pytest.mark.parametrize("tail", ["b1010", "#60 b1 ! b1", "b1 \" b1"])
+def test_vector_value_at_stream_end_has_no_id_code(tail):
+    # a b-led token that opens an item as the last token is a truncated
+    # vector value, not an id code, even after other b-led tokens
+    text = CLOCKED + tail + "\n"
+    with pytest.raises(VcdParseError) as got:
+        parse_vcd(text.encode())
+    with pytest.raises(VcdParseError) as want:
+        naive_parse_vcd(text)
+    assert str(got.value) == str(want.value)
+    assert got.value.line == 32 and "vector value without id code" in str(got.value)
