@@ -13,14 +13,14 @@ The VCD emitter mirrors the machine's module tree under one ``soc`` top scope
 and adds a clock whose rising edge at t = 10*c samples cycle c, so a dump can
 be parsed back and resampled into exactly the original log. It formats a
 run's rows in bulk: each value word becomes 64 '0'/'1' characters through a
-byte table, and one mask over a character matrix keeps each line's 'b', its
-significant bits and its id code, with the clock lines of every cycle.
+byte table, in one character matrix with each line's 'b', its id code and
+the clock lines of every cycle; the characters a line does not print are
+NUL, and dropping every NUL leaves the dump.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -209,21 +209,6 @@ def _vcd_id(index: int) -> str:
     return out
 
 
-@dataclass
-class _Scope:
-    name: str
-    signals: list = field(default_factory=list)  # (short_name, width, id_code)
-    children: "list[_Scope]" = field(default_factory=list)
-
-    def child(self, name):
-        for c in self.children:
-            if c.name == name:
-                return c
-        node = _Scope(name)
-        self.children.append(node)
-        return node
-
-
 CLOCK_NAME = "clk"
 
 
@@ -232,56 +217,54 @@ def _vcd_header(elements: tuple, top: str, timescale: str) -> tuple[str, tuple[s
     """(definitions text up to the #0 line, id code of each element).
 
     Every run of one design shares its element catalog, so the header is
-    built once per catalog; the clock takes the first id code.
+    built once per catalog; the clock takes the first id code. A scope
+    lists its vars, then its child scopes in order of first use.
     """
-    root = _Scope(top)
-    root.signals.append((CLOCK_NAME, 1, _vcd_id(0)))
-    codes = []
-    for k, (name, width) in enumerate(elements):
-        parts = name.split(".")
+    codes = tuple(_vcd_id(k + 1) for k in range(len(elements)))
+    root = {"": [f"$var wire 1 {_vcd_id(0)} {CLOCK_NAME} $end"]}  # "": the scope's vars
+    for (name, width), code in zip(elements, codes):
+        *path, leaf = name.split(".")
         node = root
-        for part in parts[:-1]:
-            node = node.child(part)
-        codes.append(_vcd_id(k + 1))
-        node.signals.append((parts[-1], width, codes[-1]))
+        for part in path:
+            node = node.setdefault(part, {"": []})
+        node[""].append(f"$var wire {width} {code} {leaf} $end")
 
-    out: list[str] = [f"$timescale {timescale} $end"]
+    def scope(name, node):
+        yield f"$scope module {name} $end"
+        yield from node[""]
+        for child, sub in node.items():
+            if child:
+                yield from scope(child, sub)
+        yield "$upscope $end"
 
-    def emit_scope(scope: _Scope):
-        out.append(f"$scope module {scope.name} $end")
-        for sname, width, code in scope.signals:
-            out.append(f"$var wire {width} {code} {sname} $end")
-        for child in scope.children:
-            emit_scope(child)
-        out.append("$upscope $end")
-
-    emit_scope(root)
-    out.append("$enddefinitions $end")
-    return "\n".join(out), tuple(codes)
+    lines = [f"$timescale {timescale} $end", *scope(top, root), "$enddefinitions $end"]
+    return "\n".join(lines), codes
 
 
 @functools.lru_cache(maxsize=8)
 def _vcd_text(elements: tuple, top: str, timescale: str, n_cycles: int):
-    """(header bytes, tails, tail lengths, whether each element is a vector).
-    Tail e < len(elements) ends
-    element e's lines: its id code and a newline, after a space for a
-    vector. Tail len(elements) + c is the clock text before cycle c's
-    changes, c = 0 .. n_cycles, and the last tail closes the dump."""
+    """(header bytes, tails, whether each element is a vector). Tails are
+    NUL-padded uint64 rows: tail e < len(elements) ends element e's lines,
+    its id code and a newline after a space for a vector; tail len(elements)
+    + c is the clock text before cycle c's changes, c = 0 .. n_cycles, the
+    next one closes the dump, and the last tail is empty."""
     header, codes = _vcd_header(elements, top, timescale)
     clk = _vcd_id(0)
     tails = [(" " if w > 1 else "") + code + "\n" for (_, w), code in zip(elements, codes)]
     tails.append(f"\n#0\n$dumpvars\n0{clk}\n")
     tails += [("$end\n" if c == 1 else f"#{10 * c - 5}\n0{clk}\n")
               + (f"#{10 * c}\n1{clk}\n" if c <= n_cycles else "") for c in range(1, n_cycles + 2)]
-    width = max(map(len, tails))
-    table = np.frombuffer("".join(t.ljust(width, "\0") for t in tails).encode(), np.uint8)
-    return (header.encode(), table.reshape(len(tails), width), np.array([len(t) for t in tails]),
+    width = -(-max(map(len, tails)) // 8) * 8
+    table = "".join(t.ljust(width, "\0") for t in tails + [""]).encode()
+    return (header.encode(), np.frombuffer(table, "<u8").reshape(len(tails) + 1, -1),
             np.array([w > 1 for _, w in elements]))
 
 
-# the '0'/'1' text of each byte value, its 8 characters packed in one uint64
-_BYTE_BITS = np.array([int.from_bytes(f"{v:08b}".encode(), "little") for v in range(256)],
-                      dtype=np.uint64)
+# the '0'/'1' text of each byte value, its 8 characters in one uint64; then
+# the same with NUL for its leading zeros (one '0' for the byte 0), then NULs
+_BYTE_TEXT = np.array([int.from_bytes(f"{v:08b}".encode(), "little") for v in range(256)]
+                      + [int.from_bytes(f"{v:b}".rjust(8, "\0").encode(), "little")
+                         for v in range(256)] + [0], dtype="<u8")
 
 
 def emit_vcd(log: CycleLog, top: str = "soc", timescale: str = "1ns") -> bytes:
@@ -292,7 +275,7 @@ def emit_vcd(log: CycleLog, top: str = "soc", timescale: str = "1ns") -> bytes:
     All elements are dumped at #0 so no signal is ever undefined.
     """
     elements = tuple(log.elements)
-    header, tails, tail_len, vectors = _vcd_text(elements, top, timescale, log.n_cycles)
+    header, tails, vectors = _vcd_text(elements, top, timescale, log.n_cycles)
     narrow, wide = log.rows()
     cycle = np.r_[narrow.cycle, wide.cycle]
     rows = np.lexsort((np.r_[narrow.order, wide.order], cycle))
@@ -304,23 +287,24 @@ def emit_vcd(log: CycleLog, top: str = "soc", timescale: str = "1ns") -> bytes:
     k = np.arange(n_words.sum()) - np.repeat(first, n_words)
     row = np.repeat(rows, n_words)
     elem = np.r_[narrow.elem, wide.elem][row]
-    vector = vectors[elem]
     word = np.repeat(n_words - 1, n_words) - k
-    value = np.r_[narrow.words[:, 0], wide.words.ravel()][
-        np.where(row < len(narrow.cycle), row, len(narrow.cycle) + 8 * (row - len(narrow.cycle)) + word)]
-    lead, last = k == 0, word == 0
+    value = np.r_[narrow.words[:, 0], wide.words.ravel()][np.where(
+        row < len(narrow.cycle), row, len(narrow.cycle) + 8 * (row - len(narrow.cycle)) + word)]
     # the clock tails go before the first slot of each cycle
-    at = np.searchsorted(cycle[rows], np.arange(log.n_cycles + 2))
-    at = np.r_[first, len(k)][at]
-    tail = np.insert(np.where(last, elem, -1), at, len(elements) + np.arange(log.n_cycles + 2))
-    value, lead, vector = (np.insert(a, at, 0) for a in (value, lead, vector))
-    bits = _BYTE_BITS[value.astype(">u8").view(np.uint8)].view(np.uint8).reshape(-1, 64)
-    exp = np.minimum(np.frexp(value.astype(np.float64))[1], 64)  # bit length, or one above
-    length = exp - ((value >> np.maximum(exp - 1, 0).astype(np.uint64)) == 0)
-    start = np.where(lead, 64 - np.maximum(length, 1), 0)
-    start[tail >= len(elements)] = 64
-    text = np.concatenate((np.full((len(value), 1), ord("b"), np.uint8), bits, tails[tail]), 1)
-    keep = np.concatenate((
-        (lead & vector)[:, None], np.arange(64) >= start[:, None],
-        np.arange(tails.shape[1]) < np.where(tail >= 0, tail_len[tail], 0)[:, None]), axis=1)
-    return header + text[keep].tobytes()
+    at = np.r_[first, len(k)][np.searchsorted(cycle[rows], np.arange(log.n_cycles + 2))]
+    tail = np.insert(np.where(word == 0, elem, -1), at, len(elements) + np.arange(log.n_cycles + 2))
+    value = np.insert(value, at, 0)
+    lead = np.insert(k == 0, at, False)
+    vector = np.insert((k == 0) & vectors[elem], at, False)
+    # a line is 'b' for a vector, its value's bits from the top 1 (one '0'
+    # for 0) and its tail: bytes above the top one, and a clock tail's
+    # slot, are NUL, which drops out
+    digits = value.astype(">u8").view(np.uint8).reshape(-1, 8).astype(np.intp)
+    cut = np.where(value != 0, (digits != 0).argmax(axis=1), 7)
+    cut = np.where(lead, cut, np.where(tail >= len(elements), 8, -1))[:, None]
+    column = np.arange(8)
+    text = np.concatenate((
+        np.where(vector, np.uint64(ord("b") << 56), np.uint64(0)).astype("<u8")[:, None],
+        _BYTE_TEXT[np.where(column < cut, 512, digits + 256 * (column == cut))],
+        tails[tail]), axis=1).view(np.uint8)
+    return header + text[text != 0].tobytes()

@@ -8,6 +8,15 @@ value changes. Unknown bits are preserved as distinct x/z masks all the way
 through resampling; downstream metrics treat them as zero and report an
 occupancy ratio per module.
 
+The body is parsed in bulk. numpy splits its bytes into tokens; the token
+after a vector or real value is its id code whatever it looks like, so items
+are found by their position in each run of such tokens. Id codes are packed
+into integers and looked up in one sorted table, and 0/1 values become
+little-endian uint64 words, as many per value as its signal's width needs.
+Only x/z values, ``$comment``, real values and faults go through the
+per-token code, one at a time and in stream order. The changes stay arrays
+(``ChangeList``).
+
 The resampled view is sample-and-hold at rising clock edges: a cycle column
 holds, for every signal, the last value written at or before that edge. It is
 columnar (see ``CycleMatrix``), not one Python object per cell.
