@@ -56,7 +56,7 @@ def _real_changes(group, values, start):
     same = np.flatnonzero(g[1:] == g[:-1]) + 1
     prev[same] = v[same - 1]
     differs = v != prev
-    return np.sort(order[differs.any(axis=1) if differs.ndim > 1 else differs])
+    return order[differs.any(axis=1) if differs.ndim > 1 else differs]
 
 
 def _change_table(batch: BatchLog):

@@ -356,10 +356,10 @@ def _parse_header(toks, fail) -> VcdHeader:
     if root is None:
         fail("no $scope found in definitions")
     index = {d.id_code: k for k, d in enumerate(declarations) if d.id_code not in ignored_codes}
+    # the last entry is one no id code packs to
     short = sorted((int.from_bytes(c.encode().ljust(7, b"\0"), "big") << 8 | len(c), k)
-                   for c, k in index.items() if c.isascii() and len(c) <= 7)
-    packed, packed_decl = (np.array(col, dtype=dtype) for col, dtype in
-                           zip(zip(*short) if short else ((), ()), (np.uint64, np.int64)))
+                   for c, k in index.items() if c.isascii() and len(c) <= 7) + [(2**64 - 1, 0)]
+    packed, packed_decl = (np.array(col, dtype=t) for col, t in zip(zip(*short), (np.uint64, int)))
     return VcdHeader(b"", pos, timescale, declarations, root, index, ignored_codes,
                      np.array([d.width for d in declarations], dtype=np.int64),
                      packed, packed_decl)
@@ -452,13 +452,11 @@ def _parse_changes(buf, starts, ends, header, codec, fail) -> ChangeList:
     kind = lead[items]
     coded = np.minimum(items + 1, n - 1)
     is_vec = vec[items]
-    bits_s = np.where(is_vec, s + 1, s)
     bits_n = np.where(is_vec, e - s - 1, 1)
     code_s = np.where(is_vec, starts[coded], s + 1)
     packed = _pack_codes(buf, code_s, np.where(is_vec, ends[coded], e) - code_s)
-    hit = np.minimum(np.searchsorted(header.packed, packed), max(len(header.packed) - 1, 0))
-    found = header.packed[hit] == packed if len(header.packed) else np.zeros(len(items), bool)
-    decl = header.packed_decl[hit] if len(header.packed) else np.zeros(len(items), np.int64)
+    hit = np.minimum(np.searchsorted(header.packed, packed), len(header.packed) - 1)
+    found, decl = header.packed[hit] == packed, header.packed_decl[hit]
     plain = ((is_vec & (items + 1 < n)) | (((kind == 48) | (kind == 49)) & (e - s > 1))) \
         & found & (bits_n >= 1) & (bits_n <= header.widths[decl])
     size = (header.widths[decl] + 63) // 64

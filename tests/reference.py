@@ -1,11 +1,14 @@
 """Naive per-cell reference implementations, kept as test oracles.
 
-These are the straightforward versions of the VCD value parser, the per-cycle
-resampler and the module distance matrix: Python ints per cell, one signal
-and one pair at a time. The columnar code in ``leakscope.vcd`` and
-``leakscope.metrics`` must agree with them exactly. ``naive_permutation_floor``
-is the per-module floor with every shuffle in one array, the oracle for the
-blocked floor shared by the modules of one oracle. ``two_pass_cpa`` is the
+These are the straightforward versions of the VCD parser, the per-cycle
+resampler and the module distance matrix: one token, one Python int per cell,
+one signal and one pair at a time. The bulk and columnar code in
+``leakscope.vcd`` and ``leakscope.metrics`` must agree with them exactly.
+``naive_extract_cycle_log`` and ``naive_emit_vcd`` walk a batch's events one
+lane at a time and format one line per value, the oracles of the change
+table and the bulk VCD emitter in ``leakscope.sim.cyclelog``.
+``naive_permutation_floor`` is the per-module floor with every shuffle in one
+array, the oracle for the blocked floor shared by the modules of one oracle. ``two_pass_cpa`` is the
 textbook CPA with one hypothesis per guess and trace, the oracle for the
 class-sum ``leakscope.cpa.cpa_attack``. ``DenseMachine`` is the simulator with
 one dense payload per cache entry and a per-lane copy of every backing line,

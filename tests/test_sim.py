@@ -827,10 +827,12 @@ def test_unwritten_rows_read_as_the_reset_value_in_both_modes(eda_fix):
         assert not m.regs.any() and not m.lb.any()
         assert all(not v.any() for v in m.functional_registers().values())
         m.preset_register(5, np.array([0x1234, 0xFEDC], dtype=np.uint64))
-        m.run_program([alu("xor", 6, 5, 0, imm=0x55), store(6, 0, STATE_ADDR),
+        m.run_program([alu("xor", 6, 5, imm=0x55), store(6, 0, STATE_ADDR),
                        load(7, 0, STATE_ADDR)])
         views[mode] = m.functional_registers()
     assert not views["param"]["core.rf.r0"].any() and not views["param"]["core.rf.r9"].any()
+    for r in (6, 7):  # written rows read their architectural values
+        assert views["param"][f"core.rf.r{r}"].tolist() == [0x1234 ^ 0x55, 0xFEDC ^ 0x55]
     for name, value in views["baseline"].items():
         assert np.array_equal(views["param"][name], value), name
 
