@@ -239,14 +239,14 @@ def _pack_codes(buf, starts, lengths) -> np.ndarray:
     return np.where(lengths <= 7, packed, np.uint64(0))
 
 
-def _right_aligned(buf, starts, lengths, width) -> np.ndarray:
-    """(len(starts), width) uint8: the digit value (byte - 48) of each byte run
-    ``buf[starts[i]:starts[i] + lengths[i]]``, right-aligned, zeros before it."""
-    out = np.zeros((len(starts), width), dtype=np.uint8)
-    begin = np.cumsum(lengths) - lengths
-    src = np.arange(int(lengths.sum())) + np.repeat(starts - begin, lengths)
-    out.ravel()[src + np.repeat(np.arange(len(starts)) * width + width - lengths - starts,
-                                lengths)] = buf[src] - 48
+def _right_aligned(digits, begin, lengths, width) -> np.ndarray:
+    """(len(begin), width) uint8: the runs ``digits[begin[i]:begin[i] +
+    lengths[i]]``, right-aligned, zeros before them."""
+    out = np.zeros((len(begin), width), dtype=np.uint8)
+    first = np.cumsum(lengths) - lengths
+    src = np.arange(int(lengths.sum())) + np.repeat(begin - first, lengths)
+    out.ravel()[src + np.repeat(np.arange(len(begin)) * width + width - lengths - begin,
+                                lengths)] = digits[src]
     return out
 
 
@@ -459,25 +459,24 @@ def _parse_changes(buf, starts, ends, header, codec, fail) -> ChangeList:
     found, decl = header.packed[hit] == packed, header.packed_decl[hit]
     plain = ((is_vec & (items + 1 < n)) | (((kind == 48) | (kind == 49)) & (e - s > 1))) \
         & found & (bits_n >= 1) & (bits_n <= header.widths[decl])
+    # the tokens' bytes back to back, as digit values, and where each token starts
+    body = buf[starts[0]:ends[-1]] if n else buf[:0]
+    digits = body[~_SPACE[body]] - 48
+    at_digit = (np.cumsum(ends - starts) - ends + starts)[items]
     size = (header.widths[decl] + 63) // 64
     words = np.zeros(0, dtype=np.uint64)
-    if plain.any():  # the tokens' bytes back to back, as digit values
-        body = buf[starts[0]:ends[-1]]
-        digits = body[~_SPACE[body]] - 48
+    if plain.any():
         sel = np.flatnonzero(plain)
-        words, ok = _binary_words(digits, (np.cumsum(ends - starts) - ends + starts)[items[sel]]
-                                  + is_vec[sel], bits_n[sel], size[sel])
+        words, ok = _binary_words(digits, at_digit[sel] + is_vec[sel], bits_n[sel], size[sel])
         plain[sel[~ok]] = False
         words = words[np.repeat(ok, size[sel])]
 
     is_time = kind == 35
     short = np.flatnonzero(is_time & (e - s >= 2) & (e - s <= 19))
-    digits = _right_aligned(buf, s[short] + 1, e[short] - s[short] - 1, 18)
-    short = short[(digits <= 9).all(axis=1)]
-    times = np.zeros(len(items), dtype=np.int64)
-    times[short] = digits[(digits <= 9).all(axis=1)] @ _POW10
-    timed = np.zeros(len(items), dtype=bool)
-    timed[short] = True
+    number = _right_aligned(digits, at_digit[short] + 1, e[short] - s[short] - 1, 18)
+    decimal = (number <= 9).all(axis=1)
+    times, timed = np.zeros(len(items), dtype=np.int64), np.zeros(len(items), dtype=bool)
+    times[short[decimal]], timed[short[decimal]] = number[decimal] @ _POW10, True
     for k in np.flatnonzero(is_time & ~timed):  # int() also takes a sign and '_'
         try:
             t = int(tok(items[k])[1:])

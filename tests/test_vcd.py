@@ -562,6 +562,8 @@ def _mutated_dump(rng):
             out.append(f"r{rng.random():.3f} r")
         elif roll < 0.12:
             out.append(rng.choice(["b1q0 !", "q", "#x", "#3", "r1.0 !", "b1", "$comment b1"]))
+        elif roll < 0.13:  # str.split() whitespace beyond ASCII, and non-ASCII bytes
+            out[-1] += rng.choice(["\xa0b1 !", "\x1c0!", "\u2028#99", "é"])
     text = "\n".join(out) + "\n"
     if rng.random() < 0.2:
         text = text[:rng.randrange(len(text))]
@@ -579,22 +581,23 @@ def _parse_outcome(parse, text):
 @given(st.integers(0, 2**32 - 1))
 def test_bulk_parse_matches_the_token_oracle(seed):
     text = _mutated_dump(random.Random(seed))
-    want = _parse_outcome(naive_parse_vcd, text)
-    got = _parse_outcome(parse_vcd, text.encode())
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert [tuple(c) for c in got.changes] == want.changes
-    again = parse_vcd(text, got.header)  # the header reused, from text
-    assert again.header is got.header and again.changes == got.changes
-    try:
-        _, cells = naive_resample(want, "!")
-    except VcdParseError:
-        with pytest.raises(VcdParseError, match="no rising edges"):
-            resample_per_cycle(got, "clk")
-        return
-    assert resample_per_cycle(got, "clk").cells == {
-        code: [v if not (x or z) else None for v, x, z in col] for code, col in cells.items()}
+    for data in (text, text.encode()):  # str.split() and bytes differ beyond ASCII
+        want = _parse_outcome(naive_parse_vcd, data)
+        got = _parse_outcome(parse_vcd, data)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert [tuple(c) for c in got.changes] == want.changes
+        again = parse_vcd(data, got.header)  # the header reused
+        assert again.header is got.header and again.changes == got.changes
+        try:
+            _, cells = naive_resample(want, "!")
+        except VcdParseError:
+            with pytest.raises(VcdParseError, match="no rising edges"):
+                resample_per_cycle(got, "clk")
+            continue
+        assert resample_per_cycle(got, "clk").cells == {
+            code: [v if not (x or z) else None for v, x, z in col] for code, col in cells.items()}
 
 
 def test_id_codes_that_look_like_other_tokens():
