@@ -815,6 +815,23 @@ def test_change_table_emits_the_bytes_of_the_event_walk(monkeypatch, mode):
         assert emit_vcd(got) == naive_emit_vcd(log) == emit_vcd(log)  # a view; a dict-built log
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_emit_vcd_formats_any_width_like_the_line_oracle(seed):
+    # 1-bit elements print without 'b' and space; zero, short and multi-word
+    # values keep exactly their significant bits
+    rng = random.Random(seed)
+    elements = [(f"m{k % 3}.s{k}", rng.choice([1, 2, 7, 64, 65, 128, 512]))
+                for k in range(rng.randint(1, 10))]
+    initial = {name: rng.getrandbits(w) >> rng.randint(0, w) for name, w in elements}
+    n_cycles = rng.randint(0, 5)
+    changes = sorted(((rng.randint(1, n_cycles), name, rng.getrandbits(w) >> rng.randint(0, w))
+                      for name, w in rng.choices(elements, k=rng.randint(0, 12)) if n_cycles),
+                     key=lambda c: c[0])
+    log = CycleLog(elements, initial, changes, n_cycles)
+    assert emit_vcd(log) == naive_emit_vcd(log)
+
+
 @pytest.mark.parametrize("eda_fix", ["off", "on"])
 def test_unwritten_rows_read_as_the_reset_value_in_both_modes(eda_fix):
     # state resets to raw 0 in both modes (not to the obfuscated 0); the
