@@ -131,7 +131,8 @@ def read_oracle_csv(path) -> list[OracleTrace]:
     """Read oracle traces grouped by point label, run_index order enforced.
 
     A run_index that is not a decimal integer or a value_hex that is not
-    plain hex digits is an error naming the file and line.
+    plain hex digits is an error naming the file and line; a file with no
+    rows after the header is one naming the file.
     """
     groups: dict[str, list[tuple[int, str]]] = {}
     with open(path, newline="") as f:
@@ -147,6 +148,8 @@ def read_oracle_csv(path) -> list[OracleTrace]:
             groups.setdefault(row["point_label"], []).append(
                 (int(row["run_index"]), row["value_hex"])
             )
+    if not groups:
+        raise ValueError(f"oracle csv {path}: no oracle rows after the header (line 1)")
     out = []
     for label, rows in groups.items():
         rows.sort()
@@ -352,19 +355,6 @@ def _score(runs, node, oracles, moments, start, end):
     ), ds, best
 
 
-def svf_module(runs: RunSet, node: ModuleNode, oracle: OracleTrace,
-               window=None) -> SvfResult:
-    """Leakage score of one module against one oracle.
-
-    ``window`` is an optional 1-based inclusive (start_cycle, end_cycle) pair
-    restricting the analysis; cycle numbering in the result stays absolute.
-    """
-    if len(oracle) != runs.n_runs:
-        raise ValueError(f"oracle has {len(oracle)} values but run set has {runs.n_runs} runs")
-    start, end = _normalize_window(window, runs.n_cycles)
-    return _score(runs, node, [oracle], _oracle_moments([oracle]), start, end)[0]
-
-
 def _path_of(root: ModuleNode, node: ModuleNode) -> tuple[str, ...]:
     for path, cand in root.walk():
         if cand is node:
@@ -551,7 +541,7 @@ def read_class_samples_csv(path) -> dict[str, np.ndarray]:
 
     A sample that is missing, not a number or not finite is an error naming
     the file and line; a class with fewer than 2 samples is one naming the
-    file and class.
+    file and class, and fewer than 2 classes is one naming the file.
     """
     groups: dict[str, list[float]] = {}
     with open(path, newline="") as f:
@@ -567,6 +557,9 @@ def read_class_samples_csv(path) -> dict[str, np.ndarray]:
                 raise ValueError(f"class csv {path}: bad sample {row['sample']!r} "
                                  f"at row {reader.line_num}")
             groups.setdefault(row["class"], []).append(value)
+    if len(groups) < 2:
+        raise ValueError(f"class csv {path}: {len(groups)} class(es) after the header, "
+                         "a t-matrix needs >= 2")
     for label, values in groups.items():
         if len(values) < 2:
             raise ValueError(f"class csv {path}: class {label!r} has {len(values)} sample, "

@@ -17,7 +17,6 @@ from .program import (
 )
 from .run import (
     BatchResult,
-    SequentialSession,
     cache_set_experiment,
     epoch_keys,
     load_traces_npz,
@@ -32,10 +31,9 @@ from .run import (
 
 __all__ = [
     "BatchResult", "CacheGeometry", "ConfigError", "CycleLog", "Machine",
-    "SequentialSession", "SimConfig", "SimError", "build_aes_program",
-    "build_fuzz_program", "build_single_access_program", "cache_set_experiment",
-    "element_catalog", "emit_vcd", "epoch_keys", "extract_cycle_log",
-    "load_traces_npz", "parse_config_file", "random_plaintexts",
-    "read_trace_csv", "run_aes_batch", "save_traces_npz",
-    "sub_rng", "write_manifest", "write_trace_csv",
+    "SimConfig", "SimError", "build_aes_program", "build_fuzz_program",
+    "build_single_access_program", "cache_set_experiment", "element_catalog",
+    "emit_vcd", "epoch_keys", "extract_cycle_log", "load_traces_npz",
+    "parse_config_file", "random_plaintexts", "read_trace_csv", "run_aes_batch",
+    "save_traces_npz", "sub_rng", "write_manifest", "write_trace_csv",
 ]

@@ -128,32 +128,16 @@ def _lane_rows(batch: BatchLog, lane: int) -> tuple[_Rows, _Rows]:
 class CycleLog:
     """One run's cycle log over ``elements`` (name, width): each element's
     value at run start (``initial``) and the real changes (cycle, name,
-    value), in cycle order and event order within a cycle."""
+    value), in cycle order and event order within a cycle, all read from
+    ``source``, a callable that returns the run's (narrow, wide) rows."""
 
-    def __init__(self, elements, initial=None, changes=None, n_cycles=0, label="",
-                 source=None):
+    def __init__(self, elements, source, n_cycles=0, label=""):
         self.elements, self.n_cycles, self.label = elements, n_cycles, label
-        self._source = source  # () -> (narrow, wide) rows, for a view of a batch
-        if initial is not None:
-            self.initial = initial
-        if changes is not None:
-            self.changes = changes
+        self._source = source
 
     def rows(self) -> tuple[_Rows, _Rows]:
         """(narrow, wide) rows: cycle 0 holds each element's start value."""
-        if self._source is not None:
-            return self._source()
-        names = {name: k for k, (name, _) in enumerate(self.elements)}
-        entries = [(0, name, self.initial[name]) for name, _ in self.elements] + self.changes
-        out = []
-        for w in (1, 8):
-            sel = [(k, c, names[n], v) for k, (c, n, v) in enumerate(entries)
-                   if (self.elements[names[n]][1] > 64) == (w == 8)]
-            k, c, e, v = (list(col) for col in zip(*sel)) if sel else ([], [], [], [])
-            words = np.frombuffer(b"".join(x.to_bytes(8 * w, "little") for x in v), "<u8")
-            out.append(_Rows(np.zeros(len(k), int), np.array(c, dtype=int), np.array(k, dtype=int),
-                             np.array(e, dtype=int), words.reshape(-1, w).astype(np.uint64)))
-        return tuple(out)
+        return self._source()
 
     def _entries(self) -> list[tuple[int, str, int]]:
         """(cycle, name, value) of every row, in cycle and event order."""
@@ -193,8 +177,8 @@ def extract_cycle_log(batch: BatchLog, lane: int, label: str = "") -> CycleLog:
     first call on a batch builds its change table."""
     if batch.change_table is None:
         batch.change_table = _change_table(batch)
-    return CycleLog(batch.change_table[0], n_cycles=batch.n_cycles, label=label,
-                    source=functools.partial(_lane_rows, batch, lane))
+    return CycleLog(batch.change_table[0], functools.partial(_lane_rows, batch, lane),
+                    batch.n_cycles, label)
 
 
 _ID_CHARS = "".join(chr(c) for c in range(33, 127))

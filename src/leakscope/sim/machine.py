@@ -125,7 +125,7 @@ class Machine:
         self.n = n_lanes
         self.geom = cfg.cache
         self._lanes = np.arange(n_lanes)
-        # K(k) per lane in param mode, fixed until rekey_flush; None in baseline
+        # K(k) per lane in param mode, one key epoch per lane; None in baseline
         self.kc = self._lane_constant(kc) if cfg.param_mode else None
 
         n = n_lanes
@@ -137,9 +137,9 @@ class Machine:
         # lanes of each row, and of the line buffer, written since reset
         self._written = np.zeros((len(REG_ROWS) + 1, n), dtype=bool)
         self._prf_ptr = 0  # PRF slot the next forward or load fill takes
-        # rows that hold datapath words, re-keyed and deobfuscated together:
-        # all but the address latch, and the shadows while the EDA fix
-        # hardwires them to a constant
+        # rows that hold datapath words, deobfuscated together: all but the
+        # address latch, and the shadows while the EDA fix hardwires them to
+        # a constant
         self._datapath_rows = np.array(
             [r for r in range(ADDR) if not (cfg.eda_fix_on and r in SHADOWS)])
         self.lb = np.zeros((n, 8), dtype=np.uint64)
@@ -535,33 +535,6 @@ class Machine:
             return ~miss, value
         return ~miss, None
 
-    # --- re-keying ------------------------------------------------------------
-
-    def rekey_flush(self, new_kc: KeyConstant) -> None:
-        """Rotate obfuscation keys: write back dirty lines with the old keys,
-        invalidate the cache, and re-encrypt every datapath register.
-
-        Obfuscation is ``L·x ⊕ K(k)``, so re-encrypting any stored word from
-        the old key to the new one xors in ``K(old) ⊕ K(new)``: one mask per
-        lane, applied to both 32-bit halves of each 64-bit word. ``new_kc``
-        must come from the same affine spec as the current constant.
-        """
-        if self.kc is None:
-            raise SimError("rekey_flush is only meaningful in param mode")
-        new_kc = self._lane_constant(new_kc)
-
-        self._scatter_lines(*np.nonzero(self.valid & self.dirty), self.backing)
-        self.valid[:] = 0
-        self.dirty[:] = 0
-
-        mask = (self.kc.k32 ^ new_kc.k32).astype(np.uint64)
-        mask64 = self.kc.k64 ^ new_kc.k64
-        self.regs[self._datapath_rows] ^= mask64
-        # the address latch holds obfuscated tag/set bits above clear offset bits
-        self.regs[ADDR] ^= mask << np.uint64(self.geom.offset_bits)
-        self.lb = self.lb ^ mask64[:, None]
-        self.kc = new_kc
-
     # --- program execution ------------------------------------------------------
 
     def run_program(self, program: list[MicroOp], collect_log: bool = False):
@@ -672,12 +645,6 @@ class Machine:
         return addr, imm_dp, self.dp64(addr)
 
     # --- functional views ----------------------------------------------------------
-
-    def memory_image(self) -> dict[int, np.ndarray]:
-        """Raw (deobfuscated) view of memory: backing overlaid with the cache."""
-        image = {a: np.broadcast_to(v, (self.n, 8)).copy() for a, v in self.backing.items()}
-        self._scatter_lines(*np.nonzero(self.valid), image)
-        return image
 
     def functional_registers(self) -> dict[str, np.ndarray]:
         """Deobfuscated values of every architectural-side register surface.

@@ -1,5 +1,4 @@
-"""Batch drivers: AES trace acquisition, sequential re-keyed sessions, and
-the cache-set sweep experiment.
+"""Batch drivers: AES trace acquisition and the cache-set sweep experiment.
 
 All randomness (plaintexts, Gaussian noise, key material) flows from the
 config seed through labeled substreams, so any artifact is reproducible from
@@ -13,8 +12,10 @@ and evaluation order, with two exceptions:
   which way a miss evicts, and with it the cycle logs and VCD bytes, can
   change with ``max_lanes``.
 
-Re-keying for independent batch runs assigns run ``r`` the key epoch
-``r // interval``; epochs are consecutive LFSR draws.
+Run ``r`` takes key epoch ``r // rekey_interval_runs`` (epochs are
+consecutive LFSR draws) on a fresh cold lane, so no state carries over a
+key change and no flush runs; ``tests/reference.py`` keeps the flush of
+persistent state as the oracle that re-keying is one XOR per lane.
 """
 
 from __future__ import annotations
@@ -142,44 +143,6 @@ def run_aes_batch(cfg: SimConfig, plaintexts, key: bytes, *,
                        rekey_runs=rekeys)
 
 
-class SequentialSession:
-    """Persistent-state session: AES blocks back to back with re-keying.
-
-    Unlike the batch driver, processor state (registers, cache, memory)
-    carries over from one block to the next on each lane, and the remapping
-    flush runs between blocks whenever the key epoch changes.
-    """
-
-    def __init__(self, cfg: SimConfig, key: bytes, lanes: int = 1):
-        self.cfg = cfg
-        self.program = build_aes_program(cfg.rounds)
-        self.lanes = lanes
-        self.blocks_run = 0
-        self._lfsr = lfsr_from_seed(cfg.seed)
-        self.machine = Machine(cfg, lanes, self._draw_keys() if cfg.param_mode else None)
-        for addr, blob in aes_workload_memory(key).items():
-            self.machine.poke_bytes(addr, blob)
-
-    def _draw_keys(self) -> KeyConstant:
-        """``K(k)`` of the next LFSR epoch, the same on every lane."""
-        rk, self._lfsr = next_round_keys(self._lfsr)
-        return KeyConstant.of([np.full(self.lanes, k, dtype=np.uint32) for k in rk.keys])
-
-    def run_block(self, plaintexts) -> np.ndarray:
-        """Run one AES block per lane; returns ciphertexts when rounds == 10."""
-        cfg = self.cfg
-        if (cfg.param_mode and cfg.rekey_interval_runs is not None
-                and self.blocks_run and self.blocks_run % cfg.rekey_interval_runs == 0):
-            self.machine.rekey_flush(self._draw_keys())
-        pts = np.asarray(plaintexts, dtype=np.uint8).reshape(self.lanes, 16)
-        self.machine.poke_bytes(PT_ADDR, pts)
-        self.machine.run_program(self.program)
-        self.blocks_run += 1
-        if cfg.rounds == 10:
-            return self.machine.peek_bytes(CT_ADDR, 16)
-        return None
-
-
 def cache_set_experiment(cfg: SimConfig, reps: int, rekey_every: int = 1,
                          max_lanes: int = 8192):
     """Power samples of single cache-set accesses, grouped by set index.
@@ -256,6 +219,9 @@ def save_traces_npz(path, traces, plaintexts, key: bytes | None = None,
 
 def load_traces_npz(path):
     with np.load(path) as z:
+        for name in ("samples", "plaintexts"):
+            if name not in z:
+                raise ValueError(f"{path}: no '{name}' array in the trace archive")
         traces = z["samples"].astype(np.float64)
         plaintexts = z["plaintexts"]
         key = bytes(z["key"].tobytes()) if "key" in z else None

@@ -736,12 +736,13 @@ class RunSet:
 def read_manifest(path) -> tuple[list[str], list[str]]:
     """Read a run manifest: one VCD path per line, optional second column label.
 
-    Relative paths are resolved against the manifest's directory.
+    Relative paths are resolved against the manifest's directory. A run with
+    no label is labeled ``run<k>``, k counting runs (not lines) from 0.
     """
     base = os.path.dirname(os.path.abspath(path))
     paths, labels = [], []
     with open(path) as f:
-        for i, line in enumerate(f, start=1):
+        for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -750,7 +751,7 @@ def read_manifest(path) -> tuple[list[str], list[str]]:
             if not os.path.isabs(p):
                 p = os.path.join(base, p)
             paths.append(p)
-            labels.append(parts[1].strip() if len(parts) > 1 else f"run{i-1}")
+            labels.append(parts[1].strip() if len(parts) > 1 else f"run{len(labels)}")
     return paths, labels
 
 

@@ -6,7 +6,9 @@ one signal and one pair at a time. The bulk and columnar code in
 ``leakscope.vcd`` and ``leakscope.metrics`` must agree with them exactly.
 ``naive_extract_cycle_log`` and ``naive_emit_vcd`` walk a batch's events one
 lane at a time and format one line per value, the oracles of the change
-table and the bulk VCD emitter in ``leakscope.sim.cyclelog``.
+table and the bulk VCD emitter in ``leakscope.sim.cyclelog``; ``dict_log``
+builds a ``CycleLog`` from start values and a change list, for them and for
+hand-written logs.
 ``naive_permutation_floor`` is the per-module floor with every shuffle in one
 array, the oracle for the blocked floor shared by the modules of one oracle. ``two_pass_cpa`` is the
 textbook CPA with one hypothesis per guess and trace, the oracle for the
@@ -15,7 +17,10 @@ one dense payload per cache entry and a per-lane copy of every backing line,
 the oracle for the line pool and the shared backing lines of
 ``leakscope.sim.Machine``. ``synth_power`` recomputes a power trace from a
 ``CycleLog`` one change at a time, the oracle for the machine's toggle
-accumulation.
+accumulation. ``rekey_flush``, ``memory_image`` and ``SequentialSession``
+keep one machine's state across key changes and remap it in place, the
+oracle that re-keying stored state is one XOR per lane; the batch drivers
+instead give every run a fresh cold lane in its own key epoch.
 """
 
 from __future__ import annotations
@@ -23,10 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 from leakscope.aes import POINT_FUNCTIONS
+from leakscope.feistel import KeyConstant, lfsr_from_seed, next_round_keys
 from leakscope.metrics import hamming_distance
-from leakscope.sim import CycleLog, Machine, element_catalog
-from leakscope.sim.cyclelog import _vcd_header, _vcd_id
-from leakscope.sim.machine import REG_ROWS
+from leakscope.sim import CycleLog, Machine, SimError, element_catalog
+from leakscope.sim.cyclelog import _Rows, _vcd_header, _vcd_id
+from leakscope.sim.machine import ADDR, REG_ROWS
+from leakscope.sim.program import CT_ADDR, PT_ADDR, aes_workload_memory, build_aes_program
 from leakscope.vcd import (
     Change,
     CycleMatrix,
@@ -291,6 +298,27 @@ def _words_to_int(words) -> int:
     return v
 
 
+def dict_log(elements, initial, changes, n_cycles=0, label="") -> CycleLog:
+    """A CycleLog over ``elements`` (name, width) from each element's start
+    value (``initial``, name -> int) and the changes (cycle, name, value),
+    in cycle order and event order within a cycle. Its rows are built from
+    them, and ``initial`` and ``changes`` read back as given."""
+    names = {name: k for k, (name, _) in enumerate(elements)}
+    entries = [(0, name, initial[name]) for name, _ in elements] + list(changes)
+    out = []
+    for w in (1, 8):
+        sel = [(k, c, names[n], v) for k, (c, n, v) in enumerate(entries)
+               if (elements[names[n]][1] > 64) == (w == 8)]
+        k, c, e, v = (list(col) for col in zip(*sel)) if sel else ([], [], [], [])
+        words = np.frombuffer(b"".join(x.to_bytes(8 * w, "little") for x in v), "<u8")
+        out.append(_Rows(np.zeros(len(k), int), np.array(c, dtype=int), np.array(k, dtype=int),
+                         np.array(e, dtype=int), words.reshape(-1, w).astype(np.uint64)))
+    rows = tuple(out)
+    log = CycleLog(elements, lambda: rows, n_cycles, label)
+    log.initial, log.changes = initial, changes
+    return log
+
+
 def naive_extract_cycle_log(batch, lane: int, label: str = "") -> CycleLog:
     """One lane of a ``BatchLog`` as a CycleLog, walking every event: the
     oracle of the change table."""
@@ -329,7 +357,7 @@ def naive_extract_cycle_log(batch, lane: int, label: str = "") -> CycleLog:
             push(cycle, f"dcache.arrays.d{s}_{w}", _words_to_int(line[lane]))
 
     changes.sort(key=lambda c: c[0])  # stable: preserves event order per cycle
-    return CycleLog(element_catalog(batch.cfg), initial, changes, batch.n_cycles, label)
+    return dict_log(element_catalog(batch.cfg), initial, changes, batch.n_cycles, label)
 
 
 def naive_emit_vcd(log, top: str = "soc", timescale: str = "1ns") -> bytes:
@@ -435,3 +463,76 @@ class DenseMachine(Machine):
             if warm:
                 self._invalidate_line(line_addr)
             pos += take
+
+
+# --- re-keying persistent state ---------------------------------------------------
+
+def rekey_flush(machine, new_kc: KeyConstant) -> None:
+    """Rotate a machine's obfuscation keys: write back dirty lines with the
+    old keys, invalidate the cache, and re-encrypt every datapath register.
+
+    Obfuscation is ``L·x ⊕ K(k)``, so re-encrypting any stored word from
+    the old key to the new one xors in ``K(old) ⊕ K(new)``: one mask per
+    lane, applied to both 32-bit halves of each 64-bit word. ``new_kc``
+    must come from the same affine spec as the current constant.
+    """
+    if machine.kc is None:
+        raise SimError("rekey_flush is only meaningful in param mode")
+    new_kc = machine._lane_constant(new_kc)
+
+    machine._scatter_lines(*np.nonzero(machine.valid & machine.dirty), machine.backing)
+    machine.valid[:] = 0
+    machine.dirty[:] = 0
+
+    mask = (machine.kc.k32 ^ new_kc.k32).astype(np.uint64)
+    mask64 = machine.kc.k64 ^ new_kc.k64
+    machine.regs[machine._datapath_rows] ^= mask64
+    # the address latch holds obfuscated tag/set bits above clear offset bits
+    machine.regs[ADDR] ^= mask << np.uint64(machine.geom.offset_bits)
+    machine.lb = machine.lb ^ mask64[:, None]
+    machine.kc = new_kc
+
+
+def memory_image(machine) -> dict[int, np.ndarray]:
+    """Raw (deobfuscated) view of memory: backing overlaid with the cache."""
+    image = {a: np.broadcast_to(v, (machine.n, 8)).copy() for a, v in machine.backing.items()}
+    machine._scatter_lines(*np.nonzero(machine.valid), image)
+    return image
+
+
+class SequentialSession:
+    """Persistent-state session: AES blocks back to back with re-keying.
+
+    Unlike the batch driver, processor state (registers, cache, memory)
+    carries over from one block to the next on each lane, and the remapping
+    flush runs between blocks whenever the key epoch changes.
+    """
+
+    def __init__(self, cfg, key: bytes, lanes: int = 1):
+        self.cfg = cfg
+        self.program = build_aes_program(cfg.rounds)
+        self.lanes = lanes
+        self.blocks_run = 0
+        self._lfsr = lfsr_from_seed(cfg.seed)
+        self.machine = Machine(cfg, lanes, self._draw_keys() if cfg.param_mode else None)
+        for addr, blob in aes_workload_memory(key).items():
+            self.machine.poke_bytes(addr, blob)
+
+    def _draw_keys(self) -> KeyConstant:
+        """``K(k)`` of the next LFSR epoch, the same on every lane."""
+        rk, self._lfsr = next_round_keys(self._lfsr)
+        return KeyConstant.of([np.full(self.lanes, k, dtype=np.uint32) for k in rk.keys])
+
+    def run_block(self, plaintexts) -> np.ndarray:
+        """Run one AES block per lane; returns ciphertexts when rounds == 10."""
+        cfg = self.cfg
+        if (cfg.param_mode and cfg.rekey_interval_runs is not None
+                and self.blocks_run and self.blocks_run % cfg.rekey_interval_runs == 0):
+            rekey_flush(self.machine, self._draw_keys())
+        pts = np.asarray(plaintexts, dtype=np.uint8).reshape(self.lanes, 16)
+        self.machine.poke_bytes(PT_ADDR, pts)
+        self.machine.run_program(self.program)
+        self.blocks_run += 1
+        if cfg.rounds == 10:
+            return self.machine.peek_bytes(CT_ADDR, 16)
+        return None

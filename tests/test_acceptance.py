@@ -39,7 +39,7 @@ from leakscope.sim.machine import Machine
 from leakscope.sim.program import STATE_ADDR, build_fuzz_program
 from leakscope.vcd import load_run_set, parse_vcd, resample_per_cycle
 
-from test_metrics import make_runset, naive_svf
+from test_metrics import make_runset, module_score, naive_svf
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
@@ -109,13 +109,12 @@ def test_criterion_4_svf_correctness():
     values = [rng.getrandbits(8) for _ in range(14)]
     rs = make_runset([[0x5A, v] for v in values], width=8)
     oracle = metrics.OracleTrace(values=tuple(values), width=8)
-    equal_case = metrics.svf_module(rs, rs.hierarchy, oracle)
+    equal_case = module_score(rs, rs.hierarchy, oracle)
     ok1 = abs(equal_case.svf - 1.0) <= 1e-9 and equal_case.peak_cycle == 2
 
     rs_const = make_runset([[0x77, 0x77]] * 10, width=8)
-    const_case = metrics.svf_module(
-        rs_const, rs_const.hierarchy,
-        metrics.OracleTrace(values=tuple(range(10)), width=8))
+    const_case = module_score(rs_const, rs_const.hierarchy,
+                              metrics.OracleTrace(values=tuple(range(10)), width=8))
     ok2 = const_case.svf == 0.0
 
     exact = 0
@@ -126,7 +125,7 @@ def test_criterion_4_svf_correctness():
         words = [[rng.getrandbits(width) for _ in range(d)] for _ in range(n)]
         ovals = [rng.getrandbits(width) for _ in range(n)]
         rs_i = make_runset(words, width=width)
-        res = metrics.svf_module(
+        res = module_score(
             rs_i, rs_i.hierarchy, metrics.OracleTrace(values=tuple(ovals), width=width))
         if list(res.per_cycle_scores) == naive_svf(words, ovals):
             exact += 1

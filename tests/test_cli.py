@@ -265,6 +265,19 @@ def test_analyze_oracle_count_mismatch(tmp_path, capsys):
     assert "3 values" in err and "2 runs" in err
 
 
+def test_analyze_header_only_oracle_csv_names_the_file(tmp_path, capsys):
+    for i in range(2):
+        (tmp_path / f"r{i}.vcd").write_text(_fixture_vcd(i))
+    manifest = tmp_path / "runs.txt"
+    manifest.write_text("r0.vcd\nr1.vcd\n")
+    oracle = tmp_path / "oracle.csv"
+    oracle.write_text("run_index,point_label,value_hex\n")
+    code = run_cli("analyze", "--runs", str(manifest), "--oracle", str(oracle),
+                   "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert f"oracle csv {oracle}: no oracle rows after the header" in capsys.readouterr().err
+
+
 def test_dpa_on_simulated_traces(sim_dir, tmp_path, capsys):
     out = tmp_path / "dpa"
     code = run_cli("dpa", "--traces", str(sim_dir / "a" / "traces.npz"),
@@ -296,6 +309,17 @@ def test_dpa_reads_a_compressed_traces_npz(sim_dir, tmp_path, capsys):
                        "--checkpoint", "2", "--target-byte", "0") == 0
     for name in ("attack.json", "evolution.csv"):
         assert (outs["packed"] / name).read_bytes() == (outs["plain"] / name).read_bytes()
+
+
+@pytest.mark.parametrize("missing", ["samples", "plaintexts"])
+def test_dpa_npz_without_an_array_names_the_file_and_array(tmp_path, capsys, missing):
+    arrays = {"samples": np.zeros((4, 3), np.float32), "plaintexts": np.zeros((4, 16), np.uint8)}
+    del arrays[missing]
+    path = tmp_path / "bad.npz"
+    np.savez(path, traces=np.zeros((4, 3)), **arrays)
+    assert run_cli("dpa", "--traces", str(path), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"{path}: no '{missing}' array" in err
 
 
 def test_dpa_malformed_csv_names_row(tmp_path, capsys):
@@ -402,6 +426,13 @@ def test_ttest_class_csv_with_a_one_sample_class_names_the_file_and_class(tmp_pa
     assert run_cli("ttest", "--classes", str(path), "--out", str(tmp_path / "t.csv")) == 2
     assert f"class csv {path}: class 'b' has 1 sample" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_ttest_class_csv_with_one_class_names_the_file(tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    path.write_text("class,sample\na,1.0\na,2.0\n")
+    assert run_cli("ttest", "--classes", str(path), "--out", str(tmp_path / "t.csv")) == 2
+    assert f"class csv {path}: 1 class(es) after the header" in capsys.readouterr().err
 
 
 def test_simulate_without_config_reads_the_environment(tmp_path, monkeypatch):

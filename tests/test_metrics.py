@@ -21,7 +21,6 @@ from leakscope.metrics import (
     read_class_samples_csv,
     read_oracle_csv,
     svf_all,
-    svf_module,
     welch_t,
     write_oracle_csv,
     write_tmatrix_csv,
@@ -164,6 +163,14 @@ def test_pearson_degenerate_raises():
 
 # --- svf ------------------------------------------------------------------------
 
+def module_score(rs, node, oracle, window=None):
+    """``node``'s result in the ``svf_all`` report of its subtree against
+    the one oracle, with no noise floor."""
+    report = svf_all(rs, node, [oracle], window=window, noise_floor_shuffles=0)
+    path = next(p for p, cand in rs.hierarchy.walk() if cand is node)
+    return report.results[report.rank_of(path)]
+
+
 def naive_svf(words_per_run, oracle_values):
     """Direct double-loop reference: no packing, no vectorization."""
     n = len(words_per_run)
@@ -201,7 +208,7 @@ def test_svf_words_equal_oracle_gives_one():
     words = [[0xAB, v, 0x00] for v in values]  # oracle carried at cycle 2
     rs = make_runset(words, width=8)
     oracle = OracleTrace(values=tuple(values), width=8, label="t")
-    res = svf_module(rs, rs.hierarchy, oracle)
+    res = module_score(rs, rs.hierarchy, oracle)
     assert res.svf == pytest.approx(1.0, abs=1e-9)
     assert res.peak_cycle == 2
 
@@ -209,7 +216,7 @@ def test_svf_words_equal_oracle_gives_one():
 def test_svf_constant_side_channel_is_zero():
     rs = make_runset([[0x55, 0x55] for _ in range(8)], width=8)
     oracle = OracleTrace(values=tuple(range(8)), width=8)
-    res = svf_module(rs, rs.hierarchy, oracle)
+    res = module_score(rs, rs.hierarchy, oracle)
     assert res.svf == 0.0
 
 
@@ -223,7 +230,7 @@ def test_svf_matches_naive_reference_exactly():
         values = [rng.getrandbits(width) for _ in range(n)]
         rs = make_runset(words, width=width)
         oracle = OracleTrace(values=tuple(values), width=width)
-        res = svf_module(rs, rs.hierarchy, oracle)
+        res = module_score(rs, rs.hierarchy, oracle)
         want = naive_svf(words, values)
         assert list(res.per_cycle_scores) == want
         assert res.svf == max(want)
@@ -236,13 +243,13 @@ def test_svf_run_permutation_invariance():
     values = [rng.getrandbits(16) for _ in range(n)]
     rs = make_runset(words, width=16)
     oracle = OracleTrace(values=tuple(values), width=16)
-    base = svf_module(rs, rs.hierarchy, oracle)
+    base = module_score(rs, rs.hierarchy, oracle)
 
     perm = list(range(n))
     rng.shuffle(perm)
     rs2 = make_runset([words[p] for p in perm], width=16)
     oracle2 = OracleTrace(values=tuple(values[p] for p in perm), width=16)
-    res = svf_module(rs2, rs2.hierarchy, oracle2)
+    res = module_score(rs2, rs2.hierarchy, oracle2)
     assert res.svf == base.svf
     assert list(res.per_cycle_scores) == list(base.per_cycle_scores)
 
@@ -264,8 +271,8 @@ def test_svf_bit_order_invariance():
     rs = make_runset(words, width=width)
     rs2 = make_runset([[permute_bits(w, perm) for w in run] for run in words], width=width)
     oracle = OracleTrace(values=tuple(values), width=8)
-    a = svf_module(rs, rs.hierarchy, oracle)
-    b = svf_module(rs2, rs2.hierarchy, oracle)
+    a = module_score(rs, rs.hierarchy, oracle)
+    b = module_score(rs2, rs2.hierarchy, oracle)
     assert list(a.per_cycle_scores) == list(b.per_cycle_scores)
 
 
@@ -275,9 +282,9 @@ def test_svf_window_restriction():
     words = [[v, 0x11, 0x22] for v in values]
     rs = make_runset(words, width=8)
     oracle = OracleTrace(values=tuple(values), width=8)
-    full = svf_module(rs, rs.hierarchy, oracle)
+    full = module_score(rs, rs.hierarchy, oracle)
     assert full.peak_cycle == 1
-    res = svf_module(rs, rs.hierarchy, oracle, window=(2, 3))
+    res = module_score(rs, rs.hierarchy, oracle, window=(2, 3))
     assert res.svf == 0.0
     assert len(res.per_cycle_scores) == 2
 
@@ -290,11 +297,11 @@ def test_svf_xz_bits_count_as_zero_and_are_reported():
     rs = make_runset(words, width=8)
     words[0][0] = values[0]
     oracle = metrics.OracleTrace(values=tuple(values), width=8)
-    res = svf_module(rs, rs.hierarchy, oracle)
+    res = module_score(rs, rs.hierarchy, oracle)
     # cell behaves as value 0 for distances
     rs2 = make_runset([[0 if (r, c) == (0, 0) else words[r][c] for c in range(2)]
                        for r in range(6)], width=8)
-    res2 = svf_module(rs2, rs2.hierarchy, oracle)
+    res2 = module_score(rs2, rs2.hierarchy, oracle)
     assert list(res.per_cycle_scores) == list(res2.per_cycle_scores)
     assert res.xz_ratio == pytest.approx(4 / (8 * 2 * 6))
     assert res2.xz_ratio == 0.0
@@ -303,7 +310,7 @@ def test_svf_xz_bits_count_as_zero_and_are_reported():
 def test_svf_oracle_length_mismatch():
     rs = make_runset([[1, 2]] * 4, width=4)
     with pytest.raises(ValueError, match="4 runs"):
-        svf_module(rs, rs.hierarchy, OracleTrace(values=(1, 2, 3), width=4))
+        module_score(rs, rs.hierarchy, OracleTrace(values=(1, 2, 3), width=4))
 
 
 def test_independent_oracle_below_permutation_floor():
@@ -313,19 +320,19 @@ def test_independent_oracle_below_permutation_floor():
     values = [rng.getrandbits(width) for _ in range(n)]
     rs = make_runset(words, width=width)
     oracle = OracleTrace(values=tuple(values), width=width)
-    res = svf_module(rs, rs.hierarchy, oracle)
+    res = module_score(rs, rs.hierarchy, oracle)
     floor = permutation_floor(rs, rs.hierarchy, oracle, shuffles=1000)
     assert res.svf < floor
 
 
-def test_svf_all_single_module_equals_svf_module():
+def test_svf_all_single_module_score_holds_with_the_floor_on():
     rng = random.Random(9)
     values = [rng.getrandbits(8) for _ in range(6)]
     words = [[v ^ 0x3C, 0x01] for v in values]
     rs = make_runset(words, width=8)
     oracle = OracleTrace(values=tuple(values), width=8, label="o")
     report = svf_all(rs, rs.hierarchy, [oracle], noise_floor_shuffles=50)
-    single = svf_module(rs, rs.hierarchy, oracle)
+    single = module_score(rs, rs.hierarchy, oracle)
     assert len(report.results) == 1
     assert report.results[0].svf == single.svf
     assert report.results[0].noise_floor is not None
@@ -513,7 +520,7 @@ def test_svf_all_picks_each_modules_worst_oracle_exactly():
     report = svf_all(rs, rs.hierarchy, oracles, window=(2, 5), noise_floor_shuffles=0)
     for res in report.results:
         node = rs.hierarchy.find(res.module_path)
-        singles = [svf_module(rs, node, o, window=(2, 5)) for o in oracles]
+        singles = [module_score(rs, node, o, window=(2, 5)) for o in oracles]
         best = max(range(len(oracles)), key=lambda k: (singles[k].svf, -k))
         assert res.oracle_label == oracles[best].label
         assert res.svf == singles[best].svf

@@ -23,7 +23,6 @@ from leakscope.metrics import hamming_distance
 from leakscope.sim import (
     CT_ADDR,
     Machine,
-    SequentialSession,
     SimConfig,
     SimError,
     build_fuzz_program,
@@ -54,7 +53,16 @@ from leakscope.sim.run import (
     write_trace_csv,
 )
 from leakscope.vcd import parse_vcd, resample_per_cycle
-from reference import DenseMachine, naive_emit_vcd, naive_extract_cycle_log, synth_power
+from reference import (
+    DenseMachine,
+    SequentialSession,
+    dict_log,
+    memory_image,
+    naive_emit_vcd,
+    naive_extract_cycle_log,
+    rekey_flush,
+    synth_power,
+)
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
@@ -427,7 +435,7 @@ def _region_ops(rng, n_ops):
 def _assert_same_state(a, b, lanes):
     assert np.array_equal(a.peek_bytes(REGION[0], REGION[1] - REGION[0]),
                           b.peek_bytes(REGION[0], REGION[1] - REGION[0]))
-    img_a, img_b = a.memory_image(), b.memory_image()
+    img_a, img_b = memory_image(a), memory_image(b)
     assert sorted(img_a) == sorted(img_b)
     for addr, line in img_a.items():
         assert line.shape == (lanes, 8) and np.array_equal(line, img_b[addr]), hex(addr)
@@ -482,7 +490,7 @@ def test_line_pool_and_shared_lines_match_the_dense_machine(seed, lanes, mode, s
         if cfg.param_mode and rng.random() < 0.5:
             new_kc = _random_keys(rng, lanes)
             for m in machines:
-                m.rekey_flush(new_kc)
+                rekey_flush(m, new_kc)
         _assert_same_state(*machines, lanes)
 
 
@@ -541,7 +549,7 @@ def test_sweep_chunk_memory_is_bounded():
 def test_rekey_flush_requires_param():
     _, m = mk("baseline")
     with pytest.raises(SimError, match="param"):
-        m.rekey_flush(KeyConstant.of([np.zeros(2, dtype=np.uint32)] * 4))
+        rekey_flush(m, KeyConstant.of([np.zeros(2, dtype=np.uint32)] * 4))
 
 
 def test_rekey_flush_transparency_and_writeback():
@@ -551,11 +559,11 @@ def test_rekey_flush_transparency_and_writeback():
                    data=np.full(2, 0xCAFEBABE, dtype=np.uint64))
     m.cache_access(np.uint64(0x5100), "load")
     before_regs = {k: v.copy() for k, v in m.functional_registers().items()}
-    before_mem = m.memory_image()
+    before_mem = memory_image(m)
 
     new_keys = [np.full(2, k, dtype=np.uint32)
                 for k in (0x1234, 0x5678, 0x9ABC, 0xDEF0)]
-    m.rekey_flush(KeyConstant.of(new_keys))
+    rekey_flush(m, KeyConstant.of(new_keys))
 
     # dirty line written back in the clear
     assert int(m.backing[0x5000][0, 0]) == 0xCAFEBABE
@@ -563,7 +571,7 @@ def test_rekey_flush_transparency_and_writeback():
     after_regs = m.functional_registers()
     for name, want in before_regs.items():
         assert np.array_equal(after_regs[name], want), name
-    after_mem = m.memory_image()
+    after_mem = memory_image(m)
     zeros = np.zeros((2, 8), dtype=np.uint64)
     for addr in set(before_mem) | set(after_mem):
         assert np.array_equal(after_mem.get(addr, zeros),
@@ -594,7 +602,7 @@ def test_rekey_flush_remaps_every_stored_word_like_the_scalar_reference(eda_fix)
     new_keys = [np.array([rng.getrandbits(16) for _ in range(lanes)], dtype=np.uint32)
                 for _ in range(4)]
 
-    m.rekey_flush(KeyConstant.of(new_keys))
+    rekey_flush(m, KeyConstant.of(new_keys))
 
     geom = cfg.cache.address_geometry
     for lane in range(lanes):
@@ -649,7 +657,7 @@ def test_datapath_transforms_follow_the_keys_across_rekey_flush(eda_fix):
         assert np.array_equal(got, want), f"before the flush: {name}"
 
     new_keys = [rng.integers(0, 1 << 16, size=lanes, dtype=np.uint32) for _ in range(4)]
-    m.rekey_flush(KeyConstant.of(new_keys))
+    rekey_flush(m, KeyConstant.of(new_keys))
     for name, (got, want) in _datapath_transforms(m, new_keys, rng).items():
         assert np.array_equal(got, want), f"after the flush: {name}"
 
@@ -697,16 +705,14 @@ def test_eda_shadow_latching(eda_fix, expect_operand):
 # --- power synthesis --------------------------------------------------------------------
 
 def test_synth_power_no_changes_is_zero():
-    log = CycleLog(elements=[("core.rf.r1", 64)], initial={"core.rf.r1": 7},
-                   changes=[], n_cycles=5)
+    log = dict_log([("core.rf.r1", 64)], {"core.rf.r1": 7}, [], n_cycles=5)
     assert synth_power(log).tolist() == [0, 0, 0, 0, 0]
 
 
 def test_synth_power_toggling_register():
     full = (1 << 64) - 1
     changes = [(c, "core.rf.r1", full if c % 2 else 0) for c in range(1, 7)]
-    log = CycleLog(elements=[("core.rf.r1", 64)], initial={"core.rf.r1": 0},
-                   changes=changes, n_cycles=6)
+    log = dict_log([("core.rf.r1", 64)], {"core.rf.r1": 0}, changes, n_cycles=6)
     assert synth_power(log).tolist() == [64] * 6
 
 
@@ -729,8 +735,7 @@ def test_synth_power_matches_machine_accumulation():
 
 
 def test_synth_power_noise_seeded():
-    log = CycleLog(elements=[("core.rf.r1", 64)], initial={"core.rf.r1": 0},
-                   changes=[], n_cycles=4)
+    log = dict_log([("core.rf.r1", 64)], {"core.rf.r1": 0}, [], n_cycles=4)
     a = synth_power(log, sigma=2.0, rng=42)
     b = synth_power(log, sigma=2.0, rng=42)
     assert np.array_equal(a, b)
@@ -828,7 +833,7 @@ def test_emit_vcd_formats_any_width_like_the_line_oracle(seed):
     changes = sorted(((rng.randint(1, n_cycles), name, rng.getrandbits(w) >> rng.randint(0, w))
                       for name, w in rng.choices(elements, k=rng.randint(0, 12)) if n_cycles),
                      key=lambda c: c[0])
-    log = CycleLog(elements, initial, changes, n_cycles)
+    log = dict_log(elements, initial, changes, n_cycles)
     assert emit_vcd(log) == naive_emit_vcd(log)
 
 
@@ -884,7 +889,7 @@ def test_param_machine_rejects_keys_not_given_as_one_constant_per_lane():
     m = Machine(cfg, 3, kc)
     for bad in (keys, kc[:2]):
         with pytest.raises(SimError, match=r"KeyConstant .* shape \(3,\)"):
-            m.rekey_flush(bad)
+            rekey_flush(m, bad)
     assert m.kc is kc
 
 

@@ -455,7 +455,7 @@ def test_manifest_reader(tmp_path):
     mf.write_text("# comment\na.vcd first\nb.vcd\n\n")
     paths, labels = read_manifest(mf)
     assert [p.endswith(".vcd") for p in paths] == [True, True]
-    assert labels[0] == "first"
+    assert labels == ["first", "run1"]  # unlabeled runs are numbered by run, not line
     rs = load_run_set(paths, "clk", labels=labels)
     assert rs.labels[0] == "first"
 
