@@ -65,6 +65,11 @@ def _severity(svf: float, floor: float | None, red_abs: float = 0.5,
     return "blue"
 
 
+def _read_plaintexts(path) -> np.ndarray:
+    """The (n, 16) uint8 blocks of a hex block file."""
+    return np.frombuffer(b"".join(aes.read_blocks_hex(path)), dtype=np.uint8).reshape(-1, 16)
+
+
 # --- simulate ----------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
@@ -72,15 +77,12 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"--gen: must be >= 1, got {args.gen}")
     cfg = _load_config(args)
     key = _parse_key(args.key)
-    os.makedirs(args.out, exist_ok=True)
-
     if args.plaintexts:
-        blocks = aes.read_blocks_hex(args.plaintexts)
-        if not blocks:
+        pts, pt_path = _read_plaintexts(args.plaintexts), args.plaintexts
+        if not len(pts):
             raise UsageError(f"plaintext file {args.plaintexts}: no blocks")
-        pts = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, 16)
-        pt_path = args.plaintexts
-    else:
+    os.makedirs(args.out, exist_ok=True)
+    if not args.plaintexts:
         pts = random_plaintexts(cfg, args.gen)
         pt_path = os.path.join(args.out, "plaintexts.txt")
         aes.write_blocks_hex(pt_path, [bytes(p) for p in pts])
@@ -143,12 +145,6 @@ def cmd_analyze(args) -> int:
         raise UsageError(f"run manifest {args.runs}: need at least 2 runs")
     runs = load_run_set(paths, args.clock, labels=labels)
     oracles = metrics.read_oracle_csv(args.oracle)
-    for o in oracles:
-        if len(o) != runs.n_runs:
-            raise UsageError(
-                f"oracle '{o.label}' has {len(o)} values but manifest has "
-                f"{runs.n_runs} runs"
-            )
     window = _parse_window(args.window)
     report = metrics.svf_all(runs, runs.hierarchy, oracles, window=window,
                              noise_floor_shuffles=args.floor_shuffles,
@@ -186,15 +182,11 @@ def _load_traces(args):
     if path.endswith(".npz"):
         traces, pts, key, _ = load_traces_npz(path)
         if args.plaintexts:
-            blocks = aes.read_blocks_hex(args.plaintexts)
-            pts = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, 16)
+            pts = _read_plaintexts(args.plaintexts)
         return traces, pts, key
-    traces = read_trace_csv(path)
     if not args.plaintexts:
         raise UsageError("CSV traces need --plaintexts")
-    blocks = aes.read_blocks_hex(args.plaintexts)
-    pts = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, 16)
-    return traces, pts, None
+    return read_trace_csv(path), _read_plaintexts(args.plaintexts), None
 
 
 def cmd_dpa(args) -> int:

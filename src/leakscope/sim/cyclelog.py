@@ -1,13 +1,13 @@
 """Per-run cycle logs and VCD emission.
 
-A ``BatchLog`` holds one event per latch write, with the values of every
-lane. The first ``extract_cycle_log`` on a batch reduces the events,
-vectorised over lanes, to a change table: one row (lane, cycle, element,
-value words) per real change, in event order within a cycle. Elements of at
-most 64 bits and 512-bit lines are kept in separate tables, so a register is
-not padded to a line. A CycleLog taken from a batch is one lane's view of
-that table; its ``initial`` values, ``changes`` and ``value_columns()`` are
-built only when something reads them.
+A ``BatchLog`` holds, per latch write, the lanes it changed and their new
+values. The first ``extract_cycle_log`` on a batch turns these into a change
+table: one row (lane, cycle, element, value words) per real change, in write
+order within a cycle. Elements of at most 64 bits and 512-bit lines are kept
+in separate tables, so a register is not padded to a line. A CycleLog taken
+from a batch is one lane's view of that table; its ``initial`` values,
+``changes`` and ``value_columns()`` are built only when something reads
+them.
 
 The VCD emitter mirrors the machine's module tree under one ``soc`` top scope
 and adds a clock whose rising edge at t = 10*c samples cycle c, so a dump can
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .machine import REG_ROWS, BatchLog, element_catalog
+from .machine import BatchLog, element_catalog
 
 
 class _Rows(NamedTuple):
@@ -47,76 +47,28 @@ class _Rows(NamedTuple):
         return cls(*(col[np.lexsort((rows.order, rows.cycle, rows.lane))] for col in rows))
 
 
-def _real_changes(group, values, start):
-    """Which (event, lane) pairs, flattened event-major, change their group's
-    value; ``start(g)`` is the value of groups ``g`` at run start."""
-    order = np.argsort(group, kind="stable")  # event order within a group
-    g, v = group[order], values[order]
-    prev = start(g)
-    same = np.flatnonzero(g[1:] == g[:-1]) + 1
-    prev[same] = v[same - 1]
-    differs = v != prev
-    return order[differs.any(axis=1) if differs.ndim > 1 else differs]
-
-
 def _change_table(batch: BatchLog):
-    """(catalog, narrow rows, wide rows, start elements) of a batch: the rows
-    hold every lane's real changes; the start elements are the catalog
-    indices of the narrow and the wide values in ``_lane_rows``' order."""
-    catalog = element_catalog(batch.cfg)
-    index = {name: k for k, (name, _) in enumerate(catalog)}
-    n, g = batch.n_lanes, batch.cfg.cache
-    lane = np.arange(n)
-    regs = np.array([index[r] for r in REG_ROWS])
-    cells = np.array([index[f"dcache.arrays.t{s}_{w}"]  # f and d follow each t
-                      for s in range(g.sets) for w in range(g.ways)])
-    kinds = {"s": [], "lb": [], "cl": []}
-    for seq, ev in enumerate(batch.events):
-        kinds[ev[0]].append((seq,) + ev[1:])
-    narrow, wide = [], []
-
-    def rows(out, p, seq, cycle, elem, sub, words):  # p: pairs, event * n + lane
-        e = p // n
-        out.append((p % n, cycle[e], 3 * seq[e] + sub, np.broadcast_to(elem, p.shape), words))
-
-    if kinds["s"]:
-        seq, cycle, row, values = (np.array(c) for c in zip(*kinds["s"]))
-        p = _real_changes((row[:, None] * n + lane).ravel(), values.ravel(),
-                          batch.initial_regs.ravel().take)
-        rows(narrow, p, seq, cycle, regs[row[p // n]], 0, values.ravel()[p][:, None])
-    if kinds["lb"]:
-        seq, cycle, lines = (np.array(c) for c in zip(*kinds["lb"]))
-        lines = lines.reshape(-1, 8)
-        p = _real_changes(np.tile(lane, len(seq)), lines, lambda gs: batch.initial_lb[gs])
-        rows(wide, p, seq, cycle, index["dcache.lb.line"], 0, lines[p])
-    if kinds["cl"]:
-        seq, cycle, set_idx, way, tag, flags, lines = (np.array(c) for c in zip(*kinds["cl"]))
-        tags, valid, dirty, slots, pool = batch.initial_cache
-        cell = (set_idx * g.ways + way).ravel()
-        group = cell * n + np.tile(lane, len(seq))
-        lines = lines.reshape(-1, 8)
-        for sub, out, values, start in (
-                (0, narrow, tag.ravel(), tags.ravel().take),
-                (1, narrow, flags.ravel(), (valid | (dirty << 1)).ravel().take),
-                (2, wide, lines, lambda gs: pool[slots.ravel()[gs]])):
-            p = _real_changes(group, values, start)
-            rows(out, p, seq, cycle, cells[cell[p]] + sub, sub,
-                 values[p] if values.ndim > 1 else values[p][:, None])
-    empty = [(np.zeros(0, int),) * 4 + (np.zeros((0, w), np.uint64),) for w in (1, 8)]
-    return (catalog, _Rows.of(empty[0], *narrow), _Rows.of(empty[1], *wide),
-            (np.r_[regs, cells, cells + 1], np.r_[index["dcache.lb.line"], cells + 2]))
+    """(catalog, narrow rows, wide rows) of a batch: one row per lane that a
+    logged write changed."""
+    tables = []
+    for width, writes in zip((1, 8), batch.writes):
+        cycle, order, elem, changed, words = zip(*writes) if writes else ((),) * 5
+        write, lane = np.nonzero(np.reshape(changed, (-1, batch.n_lanes)))
+        # an int element is every lane's; an array lists the changed lanes'
+        elems = np.array([e if isinstance(e, int) else -1 for e in elem], dtype=int)[write]
+        elems[elems < 0] = np.concatenate(
+            (np.zeros(0, int), *(e for e in elem if not isinstance(e, int))))
+        words = np.concatenate((np.zeros(0, np.uint64), *words), axis=None).reshape(-1, width)
+        tables.append(_Rows.of((lane, np.array(cycle, dtype=int)[write],
+                                np.array(order, dtype=int)[write], elems, words)))
+    return (element_catalog(batch.cfg), *tables)
 
 
 def _lane_rows(batch: BatchLog, lane: int) -> tuple[_Rows, _Rows]:
     """(narrow, wide) rows of one lane: every element's value at run start,
     in catalog order, then the lane's changes."""
-    _, *table, start = batch.change_table
-    tags, valid, dirty, slots, pool = batch.initial_cache
-    words = (np.r_[batch.initial_regs[:, lane], tags[:, :, lane].ravel(),
-                   (valid | (dirty << 1))[:, :, lane].ravel()][:, None],
-             np.concatenate((batch.initial_lb[lane:lane + 1], pool[slots[:, :, lane].ravel()])))
     out = []
-    for elem, first, rows in zip(start, words, table):
+    for (elem, first), rows in zip(batch.start(lane), batch.change_table[1:]):
         lo, hi = np.searchsorted(rows.lane, [lane, lane + 1])
         zero = np.zeros(len(elem), dtype=int)
         out.append(_Rows(*(np.concatenate(c) for c in zip(
@@ -128,7 +80,7 @@ def _lane_rows(batch: BatchLog, lane: int) -> tuple[_Rows, _Rows]:
 class CycleLog:
     """One run's cycle log over ``elements`` (name, width): each element's
     value at run start (``initial``) and the real changes (cycle, name,
-    value), in cycle order and event order within a cycle, all read from
+    value), in cycle order and write order within a cycle, all read from
     ``source``, a callable that returns the run's (narrow, wide) rows."""
 
     def __init__(self, elements, source, n_cycles=0, label=""):
@@ -140,7 +92,7 @@ class CycleLog:
         return self._source()
 
     def _entries(self) -> list[tuple[int, str, int]]:
-        """(cycle, name, value) of every row, in cycle and event order."""
+        """(cycle, name, value) of every row, in cycle and write order."""
         narrow, wide = self.rows()
         cycle, order, elem = (np.r_[a, b].tolist() for a, b in zip(narrow[1:4], wide[1:4]))
         values = narrow.words[:, 0].tolist() + [

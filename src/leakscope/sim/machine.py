@@ -22,8 +22,8 @@ table, ``Machine.regs``, in catalog order: the register file ``core.rf.r0``
 to ``r31`` (rows 0-31), the physical register file ``core.prf.p0`` to ``p7``
 (rows 32-39), the eleven ``SCALAR_ELEMENTS`` (rows 40-50) and the request
 address latch ``dcache.arrays.addr`` (row 51). Each write goes through one
-latch that counts the row's toggles and logs the row. The 512-bit line
-buffer and the cache arrays keep their own layouts.
+latch that counts the row's toggles and logs the lanes it changed. The
+512-bit line buffer and the cache arrays keep their own layouts.
 
 In ``param`` mode every stored payload is in obfuscated form and cache
 lookups use the obfuscated address; deobfuscation happens only where an
@@ -86,6 +86,12 @@ PRF = 32
 (ID_EXE, EXE_MEM, MEM_WB, OP_A, OP_B, RES,
  FPU_SHADOW, MULDIV_SHADOW, BPU_SHADOW, STATUS, HB, ADDR) = range(PRF + N_PRF, len(REG_ROWS))
 SHADOWS = (FPU_SHADOW, MULDIV_SHADOW, BPU_SHADOW)
+# catalog indices: regs row r is element r, but the address latch follows
+# the line buffer; the tag, flags and data of cache entry (s, w) are
+# elements CELL_ELEM + 3 * (s * ways + w) + 0, 1 and 2
+LB_ELEM = ADDR
+REG_ELEMS = (*range(ADDR), ADDR + 1)
+CELL_ELEM = ADDR + 2
 
 
 def element_catalog(cfg: SimConfig) -> list[tuple[str, int]]:
@@ -104,19 +110,46 @@ def element_catalog(cfg: SimConfig) -> list[tuple[str, int]]:
 
 
 class BatchLog:
-    """Per-batch event log; per-lane cycle logs are extracted from it."""
+    """One batch's change log: the machine's state at run start and, per
+    write, (cycle, order, element, changed lanes, their new values). Order
+    counts the run's writes; the element is a catalog index, one for every
+    lane or one per changed lane. ``writes[0]`` holds writes of at most 64
+    bits, ``writes[1]`` line writes. Per-lane cycle logs are read from it."""
 
-    def __init__(self, cfg, n_lanes, n_cycles):
-        self.cfg = cfg
-        self.n_lanes = n_lanes
+    def __init__(self, machine, n_cycles):
+        self.cfg = machine.cfg
+        self.n_lanes = machine.n
         self.n_cycles = n_cycles
-        self.initial_regs = None   # copy of Machine.regs at run start
-        self.initial_lb = None
+        self.initial_regs = machine.regs.copy()
+        self.initial_lb = machine.lb.copy()
         # (tags, valid, dirty, slots, rows) copies: entry (s, w, lane) held
         # the payload rows[slots[s, w, lane]] at run start
-        self.initial_cache = None
-        self.events: list = []     # ("s", cycle, row, values) | ("lb", ..) | ("cl", ..)
+        self.initial_cache = machine._cache_snapshot()
+        self.writes = ([], [])
+        self.n_writes = 0
         self.change_table = None   # built by the first cyclelog.extract_cycle_log
+
+    def record(self, cycle, elem, changed, new):
+        """Log a write at ``cycle`` to element ``elem`` (an int, or an array
+        with one per lane): ``new`` holds every lane's new value, (n_lanes,)
+        words or (n_lanes, 8) lines, and ``changed`` marks the lanes whose
+        value it changed; only those are kept."""
+        if not isinstance(elem, int):
+            elem = elem[changed]
+        self.writes[new.ndim - 1].append((cycle, self.n_writes, elem, changed, new[changed]))
+        self.n_writes += 1
+
+    def start(self, lane):
+        """((elements, words) narrow, (elements, lines) wide) of one lane's
+        state at run start: the regs rows, each cache entry's tag and flags;
+        the line buffer and each entry's data."""
+        tags, valid, dirty, slots, pool = self.initial_cache
+        cells = CELL_ELEM + 3 * np.arange(tags[..., 0].size)
+        words = np.r_[self.initial_regs[:, lane], tags[..., lane].ravel(),
+                      (valid | (dirty << 1))[..., lane].ravel()]
+        lines = np.concatenate((self.initial_lb[lane:lane + 1], pool[slots[..., lane].ravel()]))
+        return ((np.r_[REG_ELEMS, cells, cells + 1], words[:, None]),
+                (np.r_[LB_ELEM, cells + 2], lines))
 
 
 class Machine:
@@ -213,18 +246,20 @@ class Machine:
         into ``regs[row]`` at ``cycle``; ``written`` marks the lanes that
         take a new value rather than keep their old one."""
         reg = self.regs[row]
-        self._pw_add(cycle, np.bitwise_count(reg ^ new))
+        toggles = np.bitwise_count(reg ^ new)
+        self._pw_add(cycle, toggles)
         reg[:] = new
         self._written[row] |= written
         if self._log is not None:
-            self._log.events.append(("s", cycle, row, reg.copy()))
+            self._log.record(cycle, REG_ELEMS[row], toggles.astype(bool), reg)
 
     def _latch_lb(self, new_line, cycle):
-        self._pw_add(cycle, _row_toggles(self.lb, new_line))
-        if self._log is not None:
-            self._log.events.append(("lb", cycle, new_line.copy()))
+        toggles = _row_toggles(self.lb, new_line)
+        self._pw_add(cycle, toggles)
         self.lb = new_line.copy()
         self._written[-1] = True
+        if self._log is not None:
+            self._log.record(cycle, LB_ELEM, toggles.astype(bool), self.lb)
 
     # --- backing memory -------------------------------------------------------
 
@@ -507,10 +542,9 @@ class Machine:
             raise SimError(f"bad cache op '{op}'")
 
         new_flags = (np.uint64(1) | (new_dirty.astype(np.uint64) << np.uint64(1)))
-        toggles = _row_toggles(old_line, new_line)
-        toggles += np.bitwise_count(old_tag ^ new_tag).astype(np.int64)
-        toggles += np.bitwise_count(old_flags ^ new_flags).astype(np.int64)
-        self._pw_add(cycle, toggles)
+        line_toggles = _row_toggles(old_line, new_line)
+        self._pw_add(cycle, line_toggles + np.bitwise_count(old_tag ^ new_tag)
+                     + np.bitwise_count(old_flags ^ new_flags))
 
         tags_f[cells] = new_tag
         valid_f[cells] = 1
@@ -518,10 +552,10 @@ class Machine:
         self._set_payload(cells, new_line)
 
         if self._log is not None:
-            self._log.events.append(
-                ("cl", cycle, set_idx.copy(), way.copy(), new_tag.copy(),
-                 new_flags.copy(), new_line.copy())
-            )
+            elem = CELL_ELEM + 3 * (set_idx * g.ways + way)
+            self._log.record(cycle, elem, old_tag != new_tag, new_tag)
+            self._log.record(cycle, elem + 1, old_flags != new_flags, new_flags)
+            self._log.record(cycle, elem + 2, line_toggles.astype(bool), new_line)
 
         self._latch_lb(new_line, cycle)
         self._latch(HB, crit_word, cycle)
@@ -546,13 +580,7 @@ class Machine:
         n_ops = len(program)
         d = n_ops + 3
         self._pw = np.zeros((d + 1, self.n), dtype=np.int64)
-        log = None
-        if collect_log:
-            log = BatchLog(self.cfg, self.n, d)
-            log.initial_regs = self.regs.copy()
-            log.initial_lb = self.lb.copy()
-            log.initial_cache = self._cache_snapshot()
-        self._log = log
+        self._log = log = BatchLog(self, d) if collect_log else None
 
         eda_on = self.cfg.eda_fix_on
         last_writer = [-10] * 32  # static producer index per register

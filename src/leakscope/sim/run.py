@@ -218,7 +218,13 @@ def save_traces_npz(path, traces, plaintexts, key: bytes | None = None,
 
 
 def load_traces_npz(path):
-    with np.load(path) as z:
+    try:
+        archive = np.load(path)
+    except (ValueError, EOFError):  # pickled or text data; an empty file
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not an .npz trace archive")
+    with archive as z:
         for name in ("samples", "plaintexts"):
             if name not in z:
                 raise ValueError(f"{path}: no '{name}' array in the trace archive")

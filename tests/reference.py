@@ -4,9 +4,11 @@ These are the straightforward versions of the VCD parser, the per-cycle
 resampler and the module distance matrix: one token, one Python int per cell,
 one signal and one pair at a time. The bulk and columnar code in
 ``leakscope.vcd`` and ``leakscope.metrics`` must agree with them exactly.
-``naive_extract_cycle_log`` and ``naive_emit_vcd`` walk a batch's events one
-lane at a time and format one line per value, the oracles of the change
-table and the bulk VCD emitter in ``leakscope.sim.cyclelog``; ``dict_log``
+``RawWriteLog`` keeps every write a machine makes, changed or not, and
+``naive_extract_cycle_log`` walks those writes one lane at a time, dropping
+the ones that leave a value as it was; with ``naive_emit_vcd``, which formats
+one line per value, they are the oracles of the change table and the bulk
+VCD emitter in ``leakscope.sim.cyclelog``; ``dict_log``
 builds a ``CycleLog`` from start values and a change list, for them and for
 hand-written logs.
 ``naive_permutation_floor`` is the per-module floor with every shuffle in one
@@ -32,7 +34,7 @@ from leakscope.feistel import KeyConstant, lfsr_from_seed, next_round_keys
 from leakscope.metrics import hamming_distance
 from leakscope.sim import CycleLog, Machine, SimError, element_catalog
 from leakscope.sim.cyclelog import _Rows, _vcd_header, _vcd_id
-from leakscope.sim.machine import ADDR, REG_ROWS
+from leakscope.sim.machine import ADDR, REG_ROWS, BatchLog
 from leakscope.sim.program import CT_ADDR, PT_ADDR, aes_workload_memory, build_aes_program
 from leakscope.vcd import (
     Change,
@@ -301,7 +303,7 @@ def _words_to_int(words) -> int:
 def dict_log(elements, initial, changes, n_cycles=0, label="") -> CycleLog:
     """A CycleLog over ``elements`` (name, width) from each element's start
     value (``initial``, name -> int) and the changes (cycle, name, value),
-    in cycle order and event order within a cycle. Its rows are built from
+    in cycle order and write order within a cycle. Its rows are built from
     them, and ``initial`` and ``changes`` read back as given."""
     names = {name: k for k, (name, _) in enumerate(elements)}
     entries = [(0, name, initial[name]) for name, _ in elements] + list(changes)
@@ -319,9 +321,25 @@ def dict_log(elements, initial, changes, n_cycles=0, label="") -> CycleLog:
     return log
 
 
-def naive_extract_cycle_log(batch, lane: int, label: str = "") -> CycleLog:
-    """One lane of a ``BatchLog`` as a CycleLog, walking every event: the
-    oracle of the change table."""
+class RawWriteLog(BatchLog):
+    """A ``BatchLog`` that also keeps every write as the machine made it:
+    (cycle, element of each lane, every lane's new value), whether or not it
+    changed anything. A machine logs into it once ``BatchLog`` in
+    ``leakscope.sim.machine`` is patched to this class."""
+
+    def __init__(self, machine, n_cycles):
+        super().__init__(machine, n_cycles)
+        self.raw_writes = []
+
+    def record(self, cycle, elem, changed, new):
+        self.raw_writes.append((cycle, np.broadcast_to(elem, (self.n_lanes,)).copy(), new.copy()))
+        super().record(cycle, elem, changed, new)
+
+
+def naive_extract_cycle_log(batch: RawWriteLog, lane: int, label: str = "") -> CycleLog:
+    """One lane of a ``RawWriteLog`` as a CycleLog, walking every raw write
+    and keeping those that change the element's value: the oracle of the
+    change table."""
     initial = dict(zip(REG_ROWS, batch.initial_regs[:, lane].tolist()))
     initial["dcache.lb.line"] = _words_to_int(batch.initial_lb[lane])
     tags, valid, dirty, slots, rows = batch.initial_cache
@@ -333,31 +351,18 @@ def naive_extract_cycle_log(batch, lane: int, label: str = "") -> CycleLog:
             initial[f"dcache.arrays.f{s}_{w}"] = int(valid[s, w, lane] | (dirty[s, w, lane] << 1))
             initial[f"dcache.arrays.d{s}_{w}"] = _words_to_int(lines[s, w])
 
+    catalog = element_catalog(batch.cfg)
     cur = dict(initial)
     changes = []
-
-    def push(cycle, name, value):
+    for cycle, elem, new in batch.raw_writes:
+        name = catalog[elem[lane]][0]
+        value = _words_to_int(new[lane]) if new.ndim > 1 else int(new[lane])
         if cur[name] != value:
             changes.append((cycle, name, value))
             cur[name] = value
 
-    for ev in batch.events:
-        kind = ev[0]
-        if kind == "s":
-            _, cycle, row, values = ev
-            push(cycle, REG_ROWS[row], int(values[lane]))
-        elif kind == "lb":
-            _, cycle, line = ev
-            push(cycle, "dcache.lb.line", _words_to_int(line[lane]))
-        else:  # "cl"
-            _, cycle, set_idx, way, tag, flags, line = ev
-            s, w = int(set_idx[lane]), int(way[lane])
-            push(cycle, f"dcache.arrays.t{s}_{w}", int(tag[lane]))
-            push(cycle, f"dcache.arrays.f{s}_{w}", int(flags[lane]))
-            push(cycle, f"dcache.arrays.d{s}_{w}", _words_to_int(line[lane]))
-
-    changes.sort(key=lambda c: c[0])  # stable: preserves event order per cycle
-    return dict_log(element_catalog(batch.cfg), initial, changes, batch.n_cycles, label)
+    changes.sort(key=lambda c: c[0])  # stable: preserves write order per cycle
+    return dict_log(catalog, initial, changes, batch.n_cycles, label)
 
 
 def naive_emit_vcd(log, top: str = "soc", timescale: str = "1ns") -> bytes:

@@ -322,6 +322,23 @@ def test_dpa_npz_without_an_array_names_the_file_and_array(tmp_path, capsys, mis
     assert err.count("error:") == 1 and f"{path}: no '{missing}' array" in err
 
 
+def _write_npy(path):
+    with open(path, "wb") as f:
+        np.save(f, np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("write", [_write_npy, lambda path: path.write_text("0,1,3.0\n"),
+                                   lambda path: path.write_bytes(b"")],
+                         ids=["npy-array", "text", "empty"])
+def test_dpa_npz_that_is_not_an_archive_names_the_file(tmp_path, capsys, write):
+    path = tmp_path / "traces.npz"
+    write(path)
+    assert run_cli("dpa", "--traces", str(path), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"{path}: not an .npz trace archive" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_dpa_malformed_csv_names_row(tmp_path, capsys):
     bad = tmp_path / "traces.csv"
     bad.write_text("run_index,cycle,sample\n0,1,3.0\n0,two,4\n")
@@ -373,6 +390,17 @@ def test_dpa_checkpoint_zero_fails_before_any_work(tmp_path, capsys, monkeypatch
                    *key, "--out", str(tmp_path / "o"))
     assert code == 2
     assert "--checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_dpa_csv_without_plaintexts_fails_before_reading_traces(tmp_path, capsys, monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("CSV traces read without --plaintexts")
+
+    args = _dpa_csv_inputs(tmp_path, np.random.default_rng(3).normal(0, 1, size=(6, 3)))
+    monkeypatch.setattr(cli, "read_trace_csv", no_read)
+    assert run_cli("dpa", *args[:2], "--out", str(tmp_path / "o")) == 2
+    assert "CSV traces need --plaintexts" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -483,6 +511,23 @@ def test_simulate_gen_below_one_fails_before_creating_out(tmp_path, capsys, monk
     code = run_cli("simulate", "--key", KEY_HEX, "--gen", "-3", "--out", str(tmp_path / "o"))
     assert code == 2
     assert "--gen: must be >= 1, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, code", [(None, 1), ("00112233\n", 2), ("zz" * 16 + "\n", 2)],
+                         ids=["missing", "short", "bad-hex"])
+def test_simulate_bad_plaintexts_fail_before_creating_out(tmp_path, capsys, monkeypatch,
+                                                          text, code):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated with a bad --plaintexts file")
+
+    monkeypatch.setattr(cli, "run_aes_batch", no_run)
+    pts = tmp_path / "pts.txt"
+    if text is not None:
+        pts.write_text(text)
+    assert run_cli("simulate", "--key", KEY_HEX, "--plaintexts", str(pts),
+                   "--out", str(tmp_path / "o")) == code
+    assert str(pts) in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

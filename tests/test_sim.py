@@ -45,6 +45,7 @@ from leakscope.sim.program import (
     load,
     store,
 )
+from leakscope.sim import machine as machine_module
 from leakscope.sim import run as sim_run
 from leakscope.sim.run import (
     load_traces_npz,
@@ -55,6 +56,7 @@ from leakscope.sim.run import (
 from leakscope.vcd import parse_vcd, resample_per_cycle
 from reference import (
     DenseMachine,
+    RawWriteLog,
     SequentialSession,
     dict_log,
     memory_image,
@@ -803,7 +805,7 @@ def test_vcd_round_trip_fuzzed_programs():
 @pytest.mark.parametrize("mode", ["baseline", "param"])
 def test_change_table_emits_the_bytes_of_the_event_walk(monkeypatch, mode):
     # 7 runs at max_lanes=3 span three chunks; every lane's log and VCD must
-    # match the per-event walk of its own batch
+    # match the walk of its own batch's raw writes
     want = []
     real = sim_run.extract_cycle_log
 
@@ -811,6 +813,7 @@ def test_change_table_emits_the_bytes_of_the_event_walk(monkeypatch, mode):
         want.append(naive_extract_cycle_log(blog, lane, label))
         return real(blog, lane, label)
 
+    monkeypatch.setattr(machine_module, "BatchLog", RawWriteLog)
     monkeypatch.setattr(sim_run, "extract_cycle_log", spy)
     cfg = SimConfig(mode=mode, noise_sigma=0.0, seed=21, rounds=1, rekey_interval_runs=2)
     res = run_aes_batch(cfg, random_plaintexts(cfg, 7), KEY, collect_logs=True, max_lanes=3)
@@ -818,6 +821,35 @@ def test_change_table_emits_the_bytes_of_the_event_walk(monkeypatch, mode):
     for got, log in zip(res.logs, want):
         assert (got.initial, got.changes, got.label) == (log.initial, log.changes, log.label)
         assert emit_vcd(got) == naive_emit_vcd(log) == emit_vcd(log)  # a view; a dict-built log
+
+
+@pytest.mark.parametrize("mode", ["baseline", "param"])
+def test_warm_machine_log_matches_the_raw_write_walk(monkeypatch, mode):
+    # the second and third programs' changes are measured against the
+    # registers, cache and line buffer the program before left, not against
+    # a cold lane. Each program loads the scratch line first and stores to it
+    # last, so the second starts on a dirty line, and the third, after a poke
+    # invalidates the line, refills it clean and then dirties it: a change of
+    # flags under the same tag
+    monkeypatch.setattr(machine_module, "BatchLog", RawWriteLog)
+    rng = random.Random(77 if mode == "baseline" else 78)
+    _, m = mk(mode, lanes=3, seed=9)
+    for r in range(1, 8):
+        m.preset_register(r, np.array([rng.getrandbits(64) for _ in range(3)], dtype=np.uint64))
+    logs = []
+    for k in range(3):
+        if k != 1:
+            m.poke_bytes(STATE_ADDR + 0x100, np.array(
+                [[rng.getrandbits(8) for _ in range(64)] for _ in range(3)], dtype=np.uint8))
+        prog = ([load(1, 0, STATE_ADDR + 0x100)] + build_fuzz_program(rng, n_ops=30)
+                + [store(2, 0, STATE_ADDR + 0x108)])
+        logs.append(m.run_program(prog, collect_log=True)[1])
+    assert logs[1].initial_cache[2].any() and logs[2].initial_cache[0].any()  # dirty; tagged
+    for blog in logs[1:]:
+        for lane in range(3):
+            got, want = extract_cycle_log(blog, lane), naive_extract_cycle_log(blog, lane)
+            assert (got.initial, got.changes) == (want.initial, want.changes)
+            assert emit_vcd(got) == naive_emit_vcd(want)
 
 
 @settings(max_examples=100, deadline=None, database=None)
