@@ -286,18 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leakscope",
         description="Power side-channel leakage analysis toolkit",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # only the commands that simulate read a config
-    simcfg = argparse.ArgumentParser(add_help=False)
+    simcfg = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     simcfg.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     simcfg.add_argument("--config", default=None,
                         help="key = value config file (env LEAKSCOPE_* overrides)")
 
-    p = sub.add_parser("simulate", parents=[simcfg],
+    p = sub.add_parser("simulate", allow_abbrev=False, parents=[simcfg],
                        help="run the AES workload and write traces")
     p.add_argument("--plaintexts", default=None,
                    help="hex block file; omit to generate --gen random blocks")
@@ -309,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("npz", "csv"), default="npz")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("analyze", help="per-module leakage scores from VCD runs")
+    p = sub.add_parser("analyze", allow_abbrev=False,
+                       help="per-module leakage scores from VCD runs")
     p.add_argument("--runs", required=True, help="manifest: one VCD path per line")
     p.add_argument("--oracle", required=True, help="oracle CSV")
     p.add_argument("--clock", default="clk")
@@ -319,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("dpa", help="correlation power analysis on recorded traces")
+    p = sub.add_parser("dpa", allow_abbrev=False,
+                       help="correlation power analysis on recorded traces")
     p.add_argument("--traces", required=True, help="traces .npz or .csv")
     p.add_argument("--plaintexts", default=None, help="hex block file (for CSV traces)")
     p.add_argument("--target-byte", type=int, default=0)
@@ -331,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_dpa)
 
-    p = sub.add_parser("ttest", parents=[simcfg],
+    p = sub.add_parser("ttest", allow_abbrev=False, parents=[simcfg],
                        help="pairwise Welch t-matrix over trace classes")
     p.add_argument("--classes", default=None,
                    help="CSV of class,sample rows; omit to run the cache-set sweep")
@@ -341,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(fn=cmd_ttest)
 
-    p = sub.add_parser("obfuscate", help="apply the 32-bit obfuscation to a value")
+    p = sub.add_parser("obfuscate", allow_abbrev=False,
+                       help="apply the 32-bit obfuscation to a value")
     p.add_argument("value", help="32-bit value, hex")
     p.add_argument("--keys", required=True, help="four round keys k1,k2,k3,k4 (hex)")
     p.add_argument("--inverse", action="store_true")

@@ -90,16 +90,20 @@ def cpa_attack(traces, plaintexts, target_byte: int,
         raise ValueError(f"{n} traces but {plaintexts.shape[0]} plaintexts")
     if not 0 <= target_byte < 16:
         raise ValueError(f"target_byte {target_byte} out of range")
-    bad = ~np.isfinite(traces)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise ValueError(f"trace row {row}, cycle {col + 1}: sample is {traces[row, col]}")
 
     table = _hw_table(point)
     pbytes = plaintexts[:, target_byte].astype(np.intp)
     counts = np.bincount(pbytes, minlength=256)                  # (256,)
-    tc = traces - traces.mean(axis=0, keepdims=True)
-    tnorm = np.sqrt(np.einsum("ij,ij->j", tc, tc))               # (d,)
+    # a NaN or infinite sample makes its column's norm NaN; a finite
+    # overflow (an infinite norm of finite samples) is no error
+    with np.errstate(invalid="ignore"):
+        tc = traces - traces.mean(axis=0, keepdims=True)
+        tnorm = np.sqrt(np.einsum("ij,ij->j", tc, tc))           # (d,)
+    if not np.isfinite(tnorm).all():
+        bad = np.argwhere(~np.isfinite(traces))
+        if len(bad):
+            row, col = bad[0]
+            raise ValueError(f"trace row {row}, cycle {col + 1}: sample is {traces[row, col]}")
     cells = (pbytes[:, None] * d + np.arange(d)).ravel()
     sums = np.bincount(cells, weights=tc.ravel(), minlength=256 * d).reshape(256, d)
 

@@ -656,9 +656,16 @@ class Machine:
         return toggles, log
 
     def _dp_operand(self, rs):
-        """Datapath form of register ``rs``; r0 reads the constant 0."""
+        """Datapath form of register ``rs``; r0 reads the constant 0.
+
+        Presets and write-backs latch ``dp64`` of the value on every lane, so
+        a written row is returned as is (a view, read before this op's
+        write-back); an unwritten row holds raw 0, not ``dp64(0)``.
+        """
         if rs == 0:
             return self.dp64(np.uint64(0))
+        if self._written[rs].all():
+            return self.regs[rs]
         return self.dp64(self.arch_rf[rs])
 
     def _address(self, mop, a):

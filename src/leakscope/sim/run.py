@@ -12,6 +12,11 @@ and evaluation order, with two exceptions:
   which way a miss evicts, and with it the cycle logs and VCD bytes, can
   change with ``max_lanes``.
 
+Run ``r``'s trace noise is its own substream, ``sub_rng(seed, "noise", r)``.
+A chunk derives the seeds of all its runs' substreams in one vectorised pass
+(``_noise_rows``), bit for bit as ``sub_rng`` would, rather than building a
+generator per run.
+
 Run ``r`` takes key epoch ``r // rekey_interval_runs`` (epochs are
 consecutive LFSR draws) on a fresh cold lane, so no state carries over a
 key change and no flush runs; ``tests/reference.py`` keeps the flush of
@@ -31,7 +36,7 @@ from .. import __version__
 from ..feistel import KeyConstant, lfsr_from_seed, next_round_keys
 from .config import SimConfig
 from .cyclelog import CycleLog, extract_cycle_log
-from .machine import Machine
+from .machine import Machine, SimError
 from .program import (
     CT_ADDR,
     PT_ADDR,
@@ -43,13 +48,67 @@ from .program import (
 )
 
 
-def sub_rng(seed: int, *labels) -> np.random.Generator:
-    """Deterministic labeled substream of the master seed."""
-    tag = hashlib.sha256(
+def _tag(seed: int, *labels) -> bytes:
+    return hashlib.sha256(
         str(seed).encode() + b"|" + b"|".join(str(l).encode() for l in labels)
     ).digest()
+
+
+def sub_rng(seed: int, *labels) -> np.random.Generator:
+    """Deterministic labeled substream of the master seed."""
+    tag = _tag(seed, *labels)
     entropy = tuple(int.from_bytes(tag[i:i + 8], "big") for i in range(0, 32, 8))
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+# numpy's SeedSequence hash constants (bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of every row of an
+    (n, w) uint32 entropy array, w >= 4, in one pass over the rows.
+
+    The hash constants evolve the same way for every row, so they are
+    Python ints and only the data words are arrays.
+    """
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _M32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(entropy[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, entropy.shape[1]):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    # eight uint32 words cycling the pool, paired little-endian into uint64
+    const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _M32
+        value = value * np.uint32(const)
+        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return np.stack([words[i] | (words[i + 1] << np.uint64(32)) for i in range(0, 8, 2)],
+                    axis=1)
 
 
 def epoch_keys(cfg: SimConfig, n_epochs: int) -> list[tuple[int, int, int, int]]:
@@ -69,9 +128,39 @@ def _epoch_constants(cfg: SimConfig, n_epochs: int) -> KeyConstant:
 
 
 def _noise_rows(cfg: SimConfig, run_indices, d: int) -> np.ndarray:
+    """Row ``i`` is ``sub_rng(cfg.seed, "noise", r).normal(0, sigma, d)`` for
+    ``r = run_indices[i]``, bit for bit.
+
+    The substream seeds are derived for all runs at once: ``_seed_states``
+    mixes every run's tag words, and each run's PCG64 state is set on one
+    reused bit generator, as ``PCG64(SeedSequence)`` would seed it. A tag
+    with a 64-bit word below 2**32 gives ``SeedSequence`` fewer than eight
+    entropy words; such a run takes ``sub_rng`` itself.
+    """
+    run_indices = [int(r) for r in run_indices]
     rows = np.empty((len(run_indices), d), dtype=np.float64)
-    for i, r in enumerate(run_indices):
-        rows[i] = sub_rng(cfg.seed, "noise", int(r)).normal(0.0, cfg.noise_sigma, d)
+    if not run_indices:
+        return rows
+    tags = b"".join(_tag(cfg.seed, "noise", r) for r in run_indices)
+    # each big-endian 64-bit word is two uint32 entropy words, low word first
+    words = np.frombuffer(tags, dtype=">u4").reshape(-1, 4, 2)[:, :, ::-1]
+    short = (words[:, :, 1] == 0).any(axis=1).tolist()
+    states = _seed_states(words.reshape(-1, 8)).tolist()
+    bitgen = np.random.PCG64()
+    gen = np.random.Generator(bitgen)
+    for i, (r, (s_hi, s_lo, q_hi, q_lo)) in enumerate(zip(run_indices, states)):
+        if short[i]:
+            rows[i] = sub_rng(cfg.seed, "noise", r).normal(0.0, cfg.noise_sigma, d)
+            continue
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        rows[i] = gen.normal(0.0, cfg.noise_sigma, d)
+    want = sub_rng(cfg.seed, "noise", run_indices[0]).normal(0.0, cfg.noise_sigma, d)
+    if not np.array_equal(rows[0], want):
+        raise SimError("bulk noise seeding no longer matches numpy's SeedSequence/PCG64; "
+                       f"run {run_indices[0]} differs from its sub_rng stream")
     return rows
 
 

@@ -546,6 +546,21 @@ def test_options_belong_only_to_the_commands_that_read_them(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--runs", "r", "--oracle", "o", "--out", "x", "--floor-shuf", "5"],
+    ["dpa", "--traces", "t.npz", "--out", "o", "--check", "7"],
+    ["simulate", "--key", KEY_HEX, "--out", "o", "--conf", "c"],
+    ["ttest", "--out", "t.csv", "--rekey", "2"],
+])
+def test_abbreviated_options_are_rejected(argv, capsys):
+    # a prefix of a longer flag must not parse as that flag, so a renamed
+    # option cannot live on under its old spelling
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bad_config_names_field(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("noise_sigma = loud\n")

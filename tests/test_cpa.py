@@ -196,6 +196,29 @@ def test_non_finite_sample_names_row_and_cycle():
         cpa_attack(traces, pts, 0)
 
 
+@pytest.mark.parametrize("value, text", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+@pytest.mark.parametrize("row, col", [(0, 0), (13, 2), (39, 4)])
+def test_each_non_finite_sample_is_named_where_it_sits(value, text, row, col):
+    traces, pts = synthetic_traces(40, key_byte=0x05, sigma=1.0)
+    traces[row, col] = value
+    with pytest.raises(ValueError, match=rf"^trace row {row}, cycle {col + 1}: sample is {text}$"):
+        cpa_attack(traces, pts, 0)
+
+
+def test_huge_finite_samples_are_no_error():
+    # squaring 1e300 overflows the norm of column 0 to inf: its correlations
+    # divide to 0, and the leaking column scores as it does on its own
+    traces, pts = synthetic_traces(200, key_byte=0x5A, sigma=1.0, d=2, leak_cycle=1)
+    traces[:, 0] = 1e300 * np.random.default_rng(3).normal(size=200)
+    with np.errstate(over="ignore"):
+        res = cpa_attack(traces, pts, 0)
+    alone = cpa_attack(traces[:, 1:], pts, 0)
+    assert (res.correlations[:, 0] == 0).all()
+    assert np.abs(res.correlations[:, 1] - alone.correlations[:, 0]).max() <= 1e-12
+    assert (res.best_guess, res.best_sample) == (0x5A, 2)
+    assert res.ranks.tolist() == alone.ranks.tolist()
+
+
 def test_checkpoint_step_zero_is_an_error():
     traces, pts = synthetic_traces(40, key_byte=0x05)
     with pytest.raises(ValueError, match="checkpoint_step must be >= 1, got 0"):

@@ -32,10 +32,11 @@ from leakscope.sim import (
     extract_cycle_log,
     random_plaintexts,
     run_aes_batch,
+    sub_rng,
 )
 from leakscope.sim.config import CacheGeometry, ConfigError, parse_config_file
 from leakscope.sim.cyclelog import CycleLog
-from leakscope.sim.machine import REG_ROWS
+from leakscope.sim.machine import OP_A, OP_B, REG_ROWS
 from leakscope.sim.program import (
     STATE_ADDR,
     SWEEP_ADDR,
@@ -891,6 +892,22 @@ def test_unwritten_rows_read_as_the_reset_value_in_both_modes(eda_fix):
         assert np.array_equal(views["param"][name], value), name
 
 
+def test_operands_are_the_datapath_form_of_written_and_unwritten_registers():
+    # a written register row already holds dp64 of its value; an unwritten
+    # one holds raw 0, so reading it must still give dp64(0)
+    cfg = SimConfig(mode="param", eda_fix="off", noise_sigma=0.0, seed=4)
+    val = np.array([0x1234, 0xFEDC], dtype=np.uint64)
+    zero = np.zeros(2, dtype=np.uint64)
+    # r9 is never written; r6 is written back by the first op, read by the second
+    for program, (op_a, op_b) in [([alu("add", 6, 5, 9)], (val, zero)),
+                                  ([alu("add", 6, 5, 9), alu("xor", 7, 9, 6)], (zero, val))]:
+        m = Machine(cfg, 2, KeyConstant.of(epoch0_keys(cfg, 2)))
+        m.preset_register(5, val)
+        m.run_program(program)
+        assert np.array_equal(m.regs[OP_A], m.dp64(op_a))
+        assert np.array_equal(m.regs[OP_B], m.dp64(op_b))
+
+
 # --- misc -------------------------------------------------------------------------------
 
 def test_store_without_data_register_is_rejected():
@@ -1075,6 +1092,65 @@ def test_param_sweep_matches_golden_hash():
     cfg = SimConfig(mode="param", noise_sigma=0.0, seed=7)
     out = cache_set_experiment(cfg, reps=5, rekey_every=2, max_lanes=96)
     assert _digest(*(out[k] for k in sorted(out))) == GOLDEN_SWEEP
+
+
+# --- per-run noise substreams ------------------------------------------------------------
+
+def _sub_rng_rows(seed, sigma, runs, d):
+    return np.array([sub_rng(seed, "noise", r).normal(0.0, sigma, d) for r in runs]).reshape(-1, d)
+
+
+@pytest.mark.parametrize("seed, sigma, d", [
+    (7, 80.0, 5), (0, 1.0, 1), (-3, 0.25, 17), (2**80 + 1, 800.0, 2),
+])
+def test_noise_rows_are_each_runs_own_substream(seed, sigma, d):
+    runs = np.r_[np.arange(5000), np.arange(2**32 - 3, 2**32 + 3), 2**40]
+    cfg = SimConfig(noise_sigma=sigma, seed=seed)
+    assert np.array_equal(sim_run._noise_rows(cfg, runs, d), _sub_rng_rows(seed, sigma, runs, d))
+    assert sim_run._noise_rows(cfg, [], d).shape == (0, d)
+
+
+def test_bulk_seed_states_match_seed_sequence():
+    rng = np.random.default_rng(11)
+    crafted = [rng.integers(0, 2**32, size=8, dtype=np.uint32) for _ in range(20)]
+    crafted += [np.zeros(8, np.uint32), np.full(8, 2**32 - 1, np.uint32),
+                np.arange(8, dtype=np.uint32)]
+    got = sim_run._seed_states(np.array(crafted))
+    for row, entropy in zip(got, crafted):
+        assert np.array_equal(row, np.random.SeedSequence(entropy).generate_state(4, np.uint64))
+    # entropy that fills the pool exactly, or mixes in fewer or more words
+    for width in (4, 5, 12):
+        words = rng.integers(0, 2**32, size=(6, width), dtype=np.uint32)
+        want = [np.random.SeedSequence(w).generate_state(4, np.uint64) for w in words]
+        assert np.array_equal(sim_run._seed_states(words), np.array(want))
+
+
+def test_tag_with_a_short_word_takes_sub_rng(monkeypatch):
+    real_tag, real_sub_rng = sim_run._tag, sim_run.sub_rng
+    # run 5's third 64-bit tag word is below 2**32, so SeedSequence sees
+    # seven entropy words, not eight
+    short = real_tag(1, "x")[:16] + bytes(4) + real_tag(1, "x")[20:]
+    monkeypatch.setattr(sim_run, "_tag", lambda seed, *labels: (
+        short if labels == ("noise", 5) else real_tag(seed, *labels)))
+    entropy = np.frombuffer(short, ">u4").reshape(4, 2)[:, ::-1].reshape(1, 8)
+    seeded = np.random.SeedSequence(
+        tuple(int.from_bytes(short[i:i + 8], "big") for i in range(0, 32, 8)))
+    assert not np.array_equal(sim_run._seed_states(entropy)[0],
+                              seeded.generate_state(4, np.uint64))
+    called = []
+    monkeypatch.setattr(sim_run, "sub_rng",
+                        lambda seed, *labels: called.append(labels) or real_sub_rng(seed, *labels))
+    cfg = SimConfig(noise_sigma=80.0, seed=1)
+    rows = sim_run._noise_rows(cfg, range(3, 8), 9)
+    # the short-word run, then the first-run guard
+    assert called == [("noise", 5), ("noise", 3)]
+    assert np.array_equal(rows, _sub_rng_rows(1, 80.0, range(3, 8), 9))
+
+
+def test_bulk_noise_that_stops_matching_numpy_is_an_error(monkeypatch):
+    monkeypatch.setattr(sim_run, "_PCG_MULT", sim_run._PCG_MULT + 2)
+    with pytest.raises(SimError, match="run 4 differs from its sub_rng stream"):
+        sim_run._noise_rows(SimConfig(noise_sigma=80.0, seed=1), range(4, 10), 9)
 
 
 # --- cache-set sweep ---------------------------------------------------------------------
