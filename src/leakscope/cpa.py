@@ -3,8 +3,9 @@
 For every key-byte guess the hypothesis is the Hamming weight of a chosen
 first-round intermediate (S-box output by default), and guesses rank by their
 best absolute Pearson correlation with any trace sample column. A hypothesis
-depends only on the target plaintext byte, so an attack reads the traces once
-into per-byte counts and (256, d) sums of the mean-centred traces; every
+depends only on the target plaintext byte, so an attack reads the traces once,
+in cache-sized row blocks, into per-byte counts, (256, d) sums of the
+mean-centred traces and the columns' sums of squares; every
 guess's covariance is then one row of a (256 guesses x 256 bytes) product
 with those sums. Hypotheses are centred exactly in integers
 (``n*H - H @ counts``), so mirrored guesses (``xor_key`` g and g ^ 0xFF)
@@ -25,6 +26,7 @@ import numpy as np
 from .aes import POINT_FUNCTIONS
 
 _HW8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
+_BLOCK_WORDS = 1 << 16  # trace samples per row block of an attack's one pass
 
 
 @lru_cache(maxsize=8)
@@ -94,18 +96,29 @@ def cpa_attack(traces, plaintexts, target_byte: int,
     table = _hw_table(point)
     pbytes = plaintexts[:, target_byte].astype(np.intp)
     counts = np.bincount(pbytes, minlength=256)                  # (256,)
-    # a NaN or infinite sample makes its column's norm NaN; a finite
-    # overflow (an infinite norm of finite samples) is no error
+    # one pass over row blocks: each block is centred on the column means
+    # and adds its column sums of squares and its class sums, so no (N, d)
+    # temporary is built; a NaN or infinite sample makes its column's norm
+    # NaN, while a finite overflow (an infinite norm of finite samples) is
+    # no error
+    mean = traces.mean(axis=0)
+    m2 = np.zeros(d)
+    sums = np.zeros(256 * d)
+    cols = np.arange(d)
+    step = max(1, _BLOCK_WORDS // d)
     with np.errstate(invalid="ignore"):
-        tc = traces - traces.mean(axis=0, keepdims=True)
-        tnorm = np.sqrt(np.einsum("ij,ij->j", tc, tc))           # (d,)
+        for lo in range(0, n, step):
+            tc = traces[lo:lo + step] - mean
+            m2 += np.einsum("ij,ij->j", tc, tc)
+            cells = (pbytes[lo:lo + step, None] * d + cols).ravel()
+            sums += np.bincount(cells, weights=tc.ravel(), minlength=256 * d)
+        tnorm = np.sqrt(m2)                                      # (d,)
     if not np.isfinite(tnorm).all():
         bad = np.argwhere(~np.isfinite(traces))
         if len(bad):
             row, col = bad[0]
             raise ValueError(f"trace row {row}, cycle {col + 1}: sample is {traces[row, col]}")
-    cells = (pbytes[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(cells, weights=tc.ravel(), minlength=256 * d).reshape(256, d)
+    sums = sums.reshape(256, d)
 
     hc = (n * table - (table @ counts)[:, None]).astype(np.float64)   # n * centred, exact
     hnorm = np.sqrt((hc * hc) @ counts)                          # (256,)

@@ -575,7 +575,9 @@ class Machine:
         """Execute a straight-line program on every lane.
 
         Returns (toggle_counts (n_lanes, d) int64, BatchLog | None); the cycle
-        count d is len(program) + 3 in every mode.
+        count d is len(program) + 3 in every mode. The toggle counts are a
+        transposed view of the run's (d + 1, n_lanes) per-cycle accumulator,
+        not a contiguous copy; each run allocates its own accumulator.
         """
         n_ops = len(program)
         d = n_ops + 3
@@ -650,7 +652,7 @@ class Machine:
                 self._latch(mop.rd, wb_dp, t_wb)
                 last_writer[mop.rd] = i
 
-        toggles = self._pw[1:].T.copy()
+        toggles = self._pw[1:].T
         self._pw = None
         self._log = None
         return toggles, log

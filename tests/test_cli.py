@@ -5,7 +5,8 @@ import pytest
 
 from leakscope import aes, cli, cpa, metrics
 from leakscope.cli import main
-from leakscope.sim import write_trace_csv
+from leakscope.sim import save_traces_npz, write_trace_csv
+from peak_rss import cli_rss_growth_mb
 
 KEY_HEX = "2b7e151628aed2a6abf7158809cf4f3c"
 
@@ -295,6 +296,22 @@ def test_dpa_on_simulated_traces(sim_dir, tmp_path, capsys):
     jsonschema.validate(doc, schema)
     evo = (out / "evolution.csv").read_text().splitlines()
     assert evo[0] == "trace_count,guess,max_abs_rho"
+
+
+# Loading casts the archive's float32 samples to float64, so the cast's
+# source and result are briefly live together (1.5 times the float64 bytes,
+# 47 MB here); the attacks add only cache-sized blocks. An attack that builds
+# a trace-sized class index and centred copy grew RSS by about 125 MB.
+def test_dpa_memory_is_bounded_by_the_traces(tmp_path):
+    n, d = 20_000, 207
+    rng = np.random.default_rng(3)
+    path = tmp_path / "traces.npz"
+    save_traces_npz(path, rng.normal(500, 80, size=(n, d)),
+                    rng.integers(0, 256, size=(n, 16), dtype=np.uint8), key=bytes(16))
+    growth = cli_rss_growth_mb(["dpa", "--traces", path, "--checkpoint", 1000,
+                                "--out", tmp_path / "dpa"])
+    trace_mb = n * d * 8 / 2**20
+    assert growth <= 2 * trace_mb + 16, (growth, trace_mb)
 
 
 def test_dpa_reads_a_compressed_traces_npz(sim_dir, tmp_path, capsys):

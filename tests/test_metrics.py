@@ -26,6 +26,7 @@ from leakscope.metrics import (
     write_tmatrix_csv,
 )
 from leakscope.vcd import ModuleNode, RunSet, SignalDecl
+from peak_rss import run_probe
 from reference import from_samples, naive_distance_matrix, naive_permutation_floor, to_columns
 
 
@@ -569,14 +570,12 @@ def test_shared_floor_matches_the_per_module_oracle(data):
 
 
 _MEMORY_PROBE = """
-import json, resource, sys
+import json, sys
 import numpy as np
 from leakscope import metrics
 from leakscope.vcd import ModuleNode, RunSet, SignalDecl
+from peak_rss import peak_mb
 from reference import from_samples
-
-def peak_mb():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 n, d, words, shuffles = map(int, sys.argv[1:])
 decl = SignalDecl("!", "line", 64 * words, ("top",))
@@ -596,21 +595,7 @@ print(json.dumps({"before": before, "peak": peak_mb(), "svf": r.svf, "floor": r.
 def _memory_probe(n, d, words, shuffles):
     """Peak RSS before and after ``svf_all`` on n random runs of one
     (64 * words)-bit signal over d cycles, in a fresh interpreter."""
-    import json
-    import os
-    import subprocess
-    import sys
-
-    import leakscope
-
-    src = os.path.dirname(os.path.dirname(leakscope.__file__))
-    here = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, here] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    argv = [sys.executable, "-c", _MEMORY_PROBE, *map(str, (n, d, words, shuffles))]
-    out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True,
-                         timeout=300).stdout
-    return json.loads(out.splitlines()[-1])
+    return run_probe(_MEMORY_PROBE, n, d, words, shuffles)
 
 
 # 200 runs give 19 900 pairs. Their distance matrix (pairs x 64 cycles, int64)

@@ -55,6 +55,7 @@ from leakscope.sim.run import (
     write_trace_csv,
 )
 from leakscope.vcd import parse_vcd, resample_per_cycle
+from peak_rss import run_probe
 from reference import (
     DenseMachine,
     RawWriteLog,
@@ -510,11 +511,9 @@ def test_line_pool_holds_at_most_one_row_per_entry_plus_the_zero_row():
 
 
 _SWEEP_MEMORY_PROBE = """
-import json, resource
+import json
 from leakscope.sim import SimConfig, cache_set_experiment
-
-def peak_mb():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+from peak_rss import peak_mb
 
 cfg = SimConfig(mode="param", noise_sigma=0.0, seed=1)
 before = peak_mb()
@@ -531,19 +530,7 @@ SWEEP_CHUNK_RSS_GROWTH_MB = 64
 
 
 def test_sweep_chunk_memory_is_bounded():
-    import json
-    import os
-    import subprocess
-    import sys
-
-    import leakscope
-
-    src = os.path.dirname(os.path.dirname(leakscope.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", _SWEEP_MEMORY_PROBE], env=env, check=True,
-                         capture_output=True, text=True, timeout=300).stdout
-    probe = json.loads(out.splitlines()[-1])
+    probe = run_probe(_SWEEP_MEMORY_PROBE)
     assert probe["peak"] - probe["before"] <= SWEEP_CHUNK_RSS_GROWTH_MB, probe
 
 
@@ -1094,10 +1081,48 @@ def test_param_sweep_matches_golden_hash():
     assert _digest(*(out[k] for k in sorted(out))) == GOLDEN_SWEEP
 
 
+@pytest.mark.parametrize("mode", ["baseline", "param"])
+@pytest.mark.parametrize("collect_logs", [False, True])
+def test_batch_frees_each_chunks_machine_before_the_next(monkeypatch, mode, collect_logs):
+    import weakref
+
+    alive, most = [0], [0]
+
+    class Counted(Machine):
+        def __init__(self, *args, **kwargs):
+            alive[0] += 1
+            most[0] = max(most[0], alive[0])
+            weakref.finalize(self, lambda: alive.__setitem__(0, alive[0] - 1))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sim_run, "Machine", Counted)
+    cfg = SimConfig(mode=mode, rounds=1, noise_sigma=80.0, rekey_interval_runs=3, seed=5)
+    res = run_aes_batch(cfg, random_plaintexts(cfg, 10), KEY, collect_logs=collect_logs,
+                        max_lanes=4)   # three chunks
+    assert most[0] == 1
+    assert res.traces.shape[0] == 10
+
+
+def test_run_program_results_are_independent():
+    rng = random.Random(4)
+    _, m = mk("param", lanes=3)
+    first, _ = m.run_program(build_fuzz_program(rng, n_ops=12))
+    kept = first.copy()
+    second, _ = m.run_program(build_fuzz_program(rng, n_ops=12))
+    assert not np.array_equal(second, kept)
+    assert np.array_equal(first, kept)
+
+
 # --- per-run noise substreams ------------------------------------------------------------
 
 def _sub_rng_rows(seed, sigma, runs, d):
     return np.array([sub_rng(seed, "noise", r).normal(0.0, sigma, d) for r in runs]).reshape(-1, d)
+
+
+def _bulk_rows(cfg, runs, d):
+    out = np.full((len(runs), d), np.nan)
+    sim_run._noise_rows(cfg, runs, out)
+    return out
 
 
 @pytest.mark.parametrize("seed, sigma, d", [
@@ -1106,8 +1131,8 @@ def _sub_rng_rows(seed, sigma, runs, d):
 def test_noise_rows_are_each_runs_own_substream(seed, sigma, d):
     runs = np.r_[np.arange(5000), np.arange(2**32 - 3, 2**32 + 3), 2**40]
     cfg = SimConfig(noise_sigma=sigma, seed=seed)
-    assert np.array_equal(sim_run._noise_rows(cfg, runs, d), _sub_rng_rows(seed, sigma, runs, d))
-    assert sim_run._noise_rows(cfg, [], d).shape == (0, d)
+    assert np.array_equal(_bulk_rows(cfg, runs, d), _sub_rng_rows(seed, sigma, runs, d))
+    assert _bulk_rows(cfg, [], d).shape == (0, d)
 
 
 def test_bulk_seed_states_match_seed_sequence():
@@ -1141,7 +1166,7 @@ def test_tag_with_a_short_word_takes_sub_rng(monkeypatch):
     monkeypatch.setattr(sim_run, "sub_rng",
                         lambda seed, *labels: called.append(labels) or real_sub_rng(seed, *labels))
     cfg = SimConfig(noise_sigma=80.0, seed=1)
-    rows = sim_run._noise_rows(cfg, range(3, 8), 9)
+    rows = _bulk_rows(cfg, range(3, 8), 9)
     # the short-word run, then the first-run guard
     assert called == [("noise", 5), ("noise", 3)]
     assert np.array_equal(rows, _sub_rng_rows(1, 80.0, range(3, 8), 9))
@@ -1150,7 +1175,7 @@ def test_tag_with_a_short_word_takes_sub_rng(monkeypatch):
 def test_bulk_noise_that_stops_matching_numpy_is_an_error(monkeypatch):
     monkeypatch.setattr(sim_run, "_PCG_MULT", sim_run._PCG_MULT + 2)
     with pytest.raises(SimError, match="run 4 differs from its sub_rng stream"):
-        sim_run._noise_rows(SimConfig(noise_sigma=80.0, seed=1), range(4, 10), 9)
+        _bulk_rows(SimConfig(noise_sigma=80.0, seed=1), range(4, 10), 9)
 
 
 # --- cache-set sweep ---------------------------------------------------------------------
