@@ -138,12 +138,11 @@ def gen_oracle(plaintexts, key: bytes, point: str, byte_index: int = 0) -> Oracl
     return OracleTrace(values=values, width=8, label=f"{point}_b{byte_index}")
 
 
-def all_first_round_oracles(plaintexts, key: bytes,
-                            points=POINT_LABELS) -> list[OracleTrace]:
+def all_first_round_oracles(plaintexts, key: bytes) -> list[OracleTrace]:
     """One oracle per (point, byte index); the usual analysis input."""
     return [
         gen_oracle(plaintexts, key, point, b)
-        for point in points
+        for point in POINT_LABELS
         for b in range(16)
     ]
 

@@ -30,8 +30,7 @@ from .sim import (
     write_manifest,
     write_trace_csv,
 )
-from .sim.config import ConfigError
-from .vcd import load_run_set
+from .vcd import load_run_set, read_manifest
 
 
 class UsageError(ValueError):
@@ -55,12 +54,14 @@ def _parse_key(text: str) -> bytes:
     return key
 
 
-def _severity(svf: float, floor: float | None, red_abs: float = 0.5,
-              red_mult: float = 3.0, orange_mult: float = 2.0) -> str:
+_RED_ABS, _RED_MULT, _ORANGE_MULT = 0.5, 3.0, 2.0
+
+
+def _severity(svf: float, floor: float | None) -> str:
     floor = floor or 0.0
-    if svf >= max(red_abs, red_mult * floor):
+    if svf >= max(_RED_ABS, _RED_MULT * floor):
         return "red"
-    if svf >= orange_mult * floor and svf > 0:
+    if svf >= _ORANGE_MULT * floor and svf > 0:
         return "orange"
     return "blue"
 
@@ -136,14 +137,12 @@ def _parse_window(text):
 
 
 def cmd_analyze(args) -> int:
-    from .vcd import read_manifest
-
     if args.floor_shuffles < 0:
         raise UsageError(f"--floor-shuffles: must be >= 0, got {args.floor_shuffles}")
-    paths, labels = read_manifest(args.runs)
+    paths = read_manifest(args.runs)
     if len(paths) < 2:
         raise UsageError(f"run manifest {args.runs}: need at least 2 runs")
-    runs = load_run_set(paths, args.clock, labels=labels)
+    runs = load_run_set(paths, args.clock)
     oracles = metrics.read_oracle_csv(args.oracle)
     window = _parse_window(args.window)
     report = metrics.svf_all(runs, runs.hierarchy, oracles, window=window,
@@ -360,10 +359,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, ObfuscationError, ValueError) as exc:
+    except ValueError as exc:  # UsageError, ConfigError, ObfuscationError, VcdParseError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -40,41 +40,10 @@ MASK32 = 0xFFFFFFFF
 DEFAULT_TAPS = 0x1B
 
 AFFINE_VERSION = "v1"
-_AFFINE_LABEL = b"leakscope-affine-" + AFFINE_VERSION.encode() + b":"
 
 
 class ObfuscationError(ValueError):
     pass
-
-
-def generate_affine_v1() -> tuple[tuple[int, ...], int]:
-    """Regenerate the shipped default affine parameters.
-
-    Rows come from a SHA-256 counter stream over a fixed label, 4 bytes
-    big-endian per row with all-zero rows rejected, followed by 2 bytes for
-    the constant. The result is frozen in ``data/affine_v1.json``; this
-    function exists so the constant stays reproducible.
-    """
-    buf = b""
-    counter = 0
-
-    def refill(need):
-        nonlocal buf, counter
-        while len(buf) < need:
-            buf += hashlib.sha256(_AFFINE_LABEL + counter.to_bytes(4, "big")).digest()
-            counter += 1
-
-    rows = []
-    pos = 0
-    while len(rows) < 16:
-        refill(pos + 4)
-        row = int.from_bytes(buf[pos:pos + 4], "big")
-        pos += 4
-        if row != 0:
-            rows.append(row)
-    refill(pos + 2)
-    const = int.from_bytes(buf[pos:pos + 2], "big")
-    return tuple(rows), const
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ computed in full at the window's first cycle and then updated only at the
 (cycle, word) samples that change, and each distinct cycle is scored once.
 
 A permutation test (shuffling the oracle) provides a self-calibrating noise
-floor for reports. ``svf_all`` draws the permutations once and scores every
-module that shares a winning oracle against one block of its shuffles at a
-time, so memory stays bounded however many runs there are.
+floor for reports. ``svf_all`` draws the permutations once and calls
+``permutation_floor`` once per winning oracle, which scores every module that
+oracle won against one block of its shuffles at a time, so memory stays
+bounded however many runs there are.
 """
 
 from __future__ import annotations
@@ -373,21 +374,28 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _permutations(n_runs: int, shuffles: int, seed: int) -> np.ndarray:
+_FLOOR_PERCENTILE = 99.0
+_FLOOR_SEED = 0xF100D
+
+
+def _permutations(n_runs: int, shuffles: int) -> np.ndarray:
     """(shuffles, n_runs) run permutations of the floor, drawn in a fixed order."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_FLOOR_SEED)
     return np.stack([rng.permutation(n_runs) for _ in range(shuffles)])
 
 
-def _shared_floors(oracle: OracleTrace, units, perms, percentile: float) -> list[float]:
-    """Noise floors of the modules that share one oracle.
+def permutation_floor(oracle: OracleTrace, units, perms) -> list[float]:
+    """Noise floors of the modules that share one winning oracle: the
+    ``_FLOOR_PERCENTILE`` percentile of each module's best |Pearson| under
+    the oracle shuffles ``perms`` (shuffles, n_runs).
 
-    ``units`` holds each module's ``_unit_rows`` distances. A shuffle permutes
-    the oracle's pair distances, which keeps their mean and norm, so they are
-    normalised once and each shuffle only gathers them. Each block of
-    shuffles is gathered once and scored against every module; the block is
-    sized by ``_PAIR_BLOCK_WORDS``, so one (shuffles, pairs) block is live at
-    a time however many runs there are.
+    ``units`` holds each module's ``_unit_rows`` distances; any set of a
+    module's rows that holds every distinct cycle gives the same floor. A
+    shuffle permutes the oracle's pair distances, which keeps their mean and
+    norm, so they are normalised once and each shuffle only gathers them.
+    Each block of shuffles is gathered once and scored against every module;
+    the block is sized by ``_PAIR_BLOCK_WORDS``, so one (shuffles, pairs)
+    block is live at a time however many runs there are.
     """
     n = perms.shape[1]
     i_idx, j_idx = pair_order(n)
@@ -403,22 +411,7 @@ def _shared_floors(oracle: OracleTrace, units, perms, percentile: float) -> list
         po = unit[p[:, i_idx], p[:, j_idx]]  # (block, n_pairs)
         for out, u in zip(maxima, units):
             out[lo:lo + step] = np.abs(po @ u.T).max(axis=1)
-    return [float(np.percentile(m, percentile)) for m in maxima]
-
-
-def permutation_floor(runs: RunSet, node: ModuleNode, oracle: OracleTrace,
-                      window=None, shuffles: int = 1000, percentile: float = 99.0,
-                      seed: int = 0xF100D, ds=None) -> float:
-    """Noise floor: high percentile of the module score under oracle shuffles.
-
-    ``ds`` is the module's distance matrix when already computed; any set of
-    its rows that holds every distinct cycle gives the same floor.
-    """
-    if ds is None:
-        start, end = _normalize_window(window, runs.n_cycles)
-        ds = _module_distance_matrix(runs, node, (start, end))[0]
-    perms = _permutations(runs.n_runs, shuffles, seed)
-    return _shared_floors(oracle, [_unit_rows(ds)], perms, percentile)[0]
+    return [float(np.percentile(m, _FLOOR_PERCENTILE)) for m in maxima]
 
 
 @dataclass
@@ -437,8 +430,7 @@ class SvfReport:
 
 
 def svf_all(runs: RunSet, hierarchy: ModuleNode, oracles, window=None,
-            noise_floor_shuffles: int = 1000, floor_seed: int = 0xF100D,
-            threads: int = 1) -> SvfReport:
+            noise_floor_shuffles: int = 1000, threads: int = 1) -> SvfReport:
     """Score every module owning signals; per module keep the worst oracle.
 
     Results are sorted by descending score (ties by module path) so the
@@ -463,15 +455,15 @@ def svf_all(runs: RunSet, hierarchy: ModuleNode, oracles, window=None,
 
     def floors(group):
         best, members = group
-        return members, _shared_floors(oracles[best], [scored[k][1] for k in members],
-                                       perms, 99.0)
+        return members, permutation_floor(oracles[best], [scored[k][1] for k in members],
+                                          perms)
 
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run = pool.map if pool else map
         scored = list(run(score, nodes))
         if noise_floor_shuffles:
             # one permutation draw per call; one shuffled oracle per winning oracle
-            perms = _permutations(runs.n_runs, noise_floor_shuffles, floor_seed)
+            perms = _permutations(runs.n_runs, noise_floor_shuffles)
             groups: dict[int, list[int]] = {}
             for k, (_, _, best) in enumerate(scored):
                 groups.setdefault(best, []).append(k)
@@ -505,16 +497,10 @@ def welch_t(group_a, group_b) -> float:
     return delta / math.sqrt(denom)
 
 
-def pairwise_ttest_matrix(classes) -> tuple[list[str], np.ndarray]:
-    """|t| between every pair of trace classes; diagonal zero.
-
-    ``classes`` maps label -> 1-d samples (dict) or is a sequence of
-    (label, samples) pairs.
-    """
-    if isinstance(classes, dict):
-        items = list(classes.items())
-    else:
-        items = list(classes)
+def pairwise_ttest_matrix(classes: dict) -> tuple[list[str], np.ndarray]:
+    """|t| between every pair of trace classes (label -> 1-d samples);
+    diagonal zero."""
+    items = list(classes.items())
     if len(items) < 2:
         raise ValueError(f"need >= 2 classes, got {len(items)}")
     labels = [str(k) for k, _ in items]

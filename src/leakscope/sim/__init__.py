@@ -12,7 +12,6 @@ from .program import (
     SWEEP_ADDR,
     TABLE_ADDR,
     build_aes_program,
-    build_fuzz_program,
     build_single_access_program,
 )
 from .run import (
@@ -31,7 +30,7 @@ from .run import (
 
 __all__ = [
     "BatchResult", "CacheGeometry", "ConfigError", "CycleLog", "Machine",
-    "SimConfig", "SimError", "build_aes_program", "build_fuzz_program",
+    "SimConfig", "SimError", "build_aes_program",
     "build_single_access_program", "cache_set_experiment", "element_catalog",
     "emit_vcd", "epoch_keys", "extract_cycle_log", "load_traces_npz",
     "parse_config_file", "random_plaintexts", "read_trace_csv", "run_aes_batch",

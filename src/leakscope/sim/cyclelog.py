@@ -83,8 +83,8 @@ class CycleLog:
     value), in cycle order and write order within a cycle, all read from
     ``source``, a callable that returns the run's (narrow, wide) rows."""
 
-    def __init__(self, elements, source, n_cycles=0, label=""):
-        self.elements, self.n_cycles, self.label = elements, n_cycles, label
+    def __init__(self, elements, source, n_cycles=0):
+        self.elements, self.n_cycles = elements, n_cycles
         self._source = source
 
     def rows(self) -> tuple[_Rows, _Rows]:
@@ -124,13 +124,13 @@ class CycleLog:
         return cols
 
 
-def extract_cycle_log(batch: BatchLog, lane: int, label: str = "") -> CycleLog:
+def extract_cycle_log(batch: BatchLog, lane: int) -> CycleLog:
     """One lane of a batch log as a CycleLog view (real changes only); the
     first call on a batch builds its change table."""
     if batch.change_table is None:
         batch.change_table = _change_table(batch)
     return CycleLog(batch.change_table[0], functools.partial(_lane_rows, batch, lane),
-                    batch.n_cycles, label)
+                    batch.n_cycles)
 
 
 _ID_CHARS = "".join(chr(c) for c in range(33, 127))
@@ -146,10 +146,12 @@ def _vcd_id(index: int) -> str:
 
 
 CLOCK_NAME = "clk"
+TOP_SCOPE = "soc"
+TIMESCALE = "1ns"
 
 
 @functools.lru_cache(maxsize=8)
-def _vcd_header(elements: tuple, top: str, timescale: str) -> tuple[str, tuple[str, ...]]:
+def _vcd_header(elements: tuple) -> tuple[str, tuple[str, ...]]:
     """(definitions text up to the #0 line, id code of each element).
 
     Every run of one design shares its element catalog, so the header is
@@ -173,18 +175,18 @@ def _vcd_header(elements: tuple, top: str, timescale: str) -> tuple[str, tuple[s
                 yield from scope(child, sub)
         yield "$upscope $end"
 
-    lines = [f"$timescale {timescale} $end", *scope(top, root), "$enddefinitions $end"]
+    lines = [f"$timescale {TIMESCALE} $end", *scope(TOP_SCOPE, root), "$enddefinitions $end"]
     return "\n".join(lines), codes
 
 
 @functools.lru_cache(maxsize=8)
-def _vcd_text(elements: tuple, top: str, timescale: str, n_cycles: int):
+def _vcd_text(elements: tuple, n_cycles: int):
     """(header bytes, tails, whether each element is a vector). Tails are
     NUL-padded uint64 rows: tail e < len(elements) ends element e's lines,
     its id code and a newline after a space for a vector; tail len(elements)
     + c is the clock text before cycle c's changes, c = 0 .. n_cycles, the
     next one closes the dump, and the last tail is empty."""
-    header, codes = _vcd_header(elements, top, timescale)
+    header, codes = _vcd_header(elements)
     clk = _vcd_id(0)
     tails = [(" " if w > 1 else "") + code + "\n" for (_, w), code in zip(elements, codes)]
     tails.append(f"\n#0\n$dumpvars\n0{clk}\n")
@@ -203,15 +205,16 @@ _BYTE_TEXT = np.array([int.from_bytes(f"{v:08b}".encode(), "little") for v in ra
                          for v in range(256)] + [0], dtype="<u8")
 
 
-def emit_vcd(log: CycleLog, top: str = "soc", timescale: str = "1ns") -> bytes:
-    """Serialize a CycleLog as VCD; parseable by leakscope.vcd.parse_vcd.
+def emit_vcd(log: CycleLog) -> bytes:
+    """Serialize a CycleLog as VCD under the ``TOP_SCOPE`` scope at
+    ``TIMESCALE``; parseable by leakscope.vcd.parse_vcd.
 
     The clock rises at t = 10*c for cycle c (1-based) and falls 5 ticks
     later; all cycle-c changes are emitted at the rising-edge timestamp.
     All elements are dumped at #0 so no signal is ever undefined.
     """
     elements = tuple(log.elements)
-    header, tails, vectors = _vcd_text(elements, top, timescale, log.n_cycles)
+    header, tails, vectors = _vcd_text(elements, log.n_cycles)
     narrow, wide = log.rows()
     cycle = np.r_[narrow.cycle, wide.cycle]
     rows = np.lexsort((np.r_[narrow.order, wide.order], cycle))

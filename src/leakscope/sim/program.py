@@ -147,28 +147,3 @@ def build_single_access_program() -> list[MicroOp]:
 
 
 SINGLE_ACCESS_SAMPLE_CYCLE = 3  # op 0 occupies the memory stage at cycle 3
-
-
-def build_fuzz_program(rng, n_ops: int = 40) -> list[MicroOp]:
-    """Random straight-line program over the state/scratch regions."""
-    prog: list[MicroOp] = []
-    scratch = STATE_ADDR + 0x100
-    for _ in range(n_ops):
-        pick = rng.random()
-        if pick < 0.5:
-            op = rng.choice(ALU_OPS)
-            rd = rng.randint(1, 31)
-            rs1 = rng.randint(0, 31)
-            if rng.random() < 0.5:
-                prog.append(alu(op, rd, rs1, rs2=rng.randint(0, 31)))
-            else:
-                prog.append(alu(op, rd, rs1, imm=rng.getrandbits(12)))
-        elif pick < 0.8:
-            size = rng.choice([1, 8])
-            off = rng.randrange(0, 0x40, 8 if size == 8 else 1)
-            prog.append(load(rng.randint(1, 31), 0, scratch + off, size=size))
-        else:
-            size = rng.choice([1, 8])
-            off = rng.randrange(0, 0x40, 8 if size == 8 else 1)
-            prog.append(store(rng.randint(0, 31), 0, scratch + off, size=size))
-    return prog

@@ -164,11 +164,9 @@ def _noise_rows(cfg: SimConfig, run_indices, out: np.ndarray) -> None:
                        f"run {run_indices[0]} differs from its sub_rng stream")
 
 
-def random_plaintexts(cfg: SimConfig, n: int, offset: int = 0) -> np.ndarray:
+def random_plaintexts(cfg: SimConfig, n: int) -> np.ndarray:
     """The batch's deterministic plaintext stream as an (n, 16) uint8 array."""
-    rng = sub_rng(cfg.seed, "plaintexts")
-    blocks = rng.integers(0, 256, size=(offset + n, 16), dtype=np.uint8)
-    return blocks[offset:]
+    return sub_rng(cfg.seed, "plaintexts").integers(0, 256, size=(n, 16), dtype=np.uint8)
 
 
 @dataclass
@@ -225,8 +223,7 @@ def run_aes_batch(cfg: SimConfig, plaintexts, key: bytes, *,
         if cts is not None:
             cts[base:base + lanes] = machine.peek_bytes(CT_ADDR, 16)
         if collect_logs:
-            for lane in range(lanes):
-                logs.append(extract_cycle_log(blog, lane, label=f"run{run_idx[lane]}"))
+            logs.extend(extract_cycle_log(blog, lane) for lane in range(lanes))
         # free this chunk's machine before the next one is built
         del machine, toggles, blog
 
@@ -284,10 +281,9 @@ def cache_set_experiment(cfg: SimConfig, reps: int, rekey_every: int = 1,
             )
         samples[base:base + lanes] = col
 
-    set_of_all = np.arange(total) % g.sets
-    return {
-        f"set{s:02d}": samples[set_of_all == s].copy() for s in range(g.sets)
-    }
+    # lane i samples set i % sets, so set s's samples are column s, rep by rep
+    by_set = np.ascontiguousarray(samples.reshape(reps, g.sets).T)
+    return {f"set{s:02d}": by_set[s] for s in range(g.sets)}
 
 
 # --- trace and manifest files ----------------------------------------------------

@@ -164,13 +164,6 @@ class WaveDump:
     changes: ChangeList
     header: VcdHeader | None = field(default=None, repr=False, compare=False)
 
-    def structurally_equal(self, other: "WaveDump") -> bool:
-        return (
-            self.declarations == other.declarations
-            and _tree_equal(self.hierarchy, other.hierarchy)
-            and self.changes == other.changes
-        )
-
 
 def _tree_equal(a: ModuleNode, b: ModuleNode) -> bool:
     if a.name != b.name or a.signals != b.signals or len(a.children) != len(b.children):
@@ -365,33 +358,23 @@ def _parse_header(toks, fail) -> VcdHeader:
                      packed, packed_decl)
 
 
-def parse_vcd(data: bytes | str, header: VcdHeader | None = None) -> WaveDump:
-    """Parse a VCD byte/text stream into a WaveDump.
+def parse_vcd(data: bytes, header: VcdHeader | None = None) -> WaveDump:
+    """Parse a VCD byte stream into a WaveDump.
 
     ``header``, the ``WaveDump.header`` of an earlier parse, is reused when
     the stream starts with its text: only the value changes are parsed then,
     with the same results and error lines as a full parse.
     """
-    text = data if isinstance(data, str) else None
-    if text is None:
-        raw = data
-    else:  # non-ASCII text is split as str.split() does, keeping token indices
-        raw = data.encode() if data.isascii() else " ".join(data.split()).encode()
-
     def fail(message, index=None):  # lines are counted only on this error path
-        line = None
-        if index is not None:
-            line = _line_of(raw.decode("ascii", errors="replace") if text is None else text,
-                            index)
+        line = None if index is None else _line_of(data.decode("ascii", errors="replace"), index)
         raise VcdParseError(message, line) from None
 
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    if header is None or not header.begins(raw):
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if header is None or not header.begins(data):
         starts, ends = _tokens(buf)
-        toks = (raw.decode("ascii", errors="replace") if text is None else text).split()
-        header = _parse_header(toks, fail)
+        header = _parse_header(data.decode("ascii", errors="replace").split(), fail)
         n = header.n_tokens
-        header = replace(header, text=raw[:starts[n]] if n < len(starts) else raw)
+        header = replace(header, text=data[:starts[n]] if n < len(starts) else data)
         starts, ends = starts[n:], ends[n:]
     else:
         starts, ends = _tokens(buf[len(header.text):], len(header.text))
@@ -399,13 +382,12 @@ def parse_vcd(data: bytes | str, header: VcdHeader | None = None) -> WaveDump:
         timescale=header.timescale,
         declarations=header.declarations,
         hierarchy=header.hierarchy,
-        changes=_parse_changes(buf, starts, ends, header,
-                               "ascii" if text is None else "utf-8", fail),
+        changes=_parse_changes(buf, starts, ends, header, fail),
         header=header,
     )
 
 
-def _parse_changes(buf, starts, ends, header, codec, fail) -> ChangeList:
+def _parse_changes(buf, starts, ends, header, fail) -> ChangeList:
     """The value changes of the body tokens at byte offsets ``starts``/``ends``.
 
     Timestamps, plain 0/1 values of declared signals and the $dump keywords
@@ -416,7 +398,7 @@ def _parse_changes(buf, starts, ends, header, codec, fail) -> ChangeList:
     n, base = len(starts), header.n_tokens  # base: token index of body token 0
 
     def tok(i):
-        return buf[starts[i]:ends[i]].tobytes().decode(codec, errors="replace")
+        return buf[starts[i]:ends[i]].tobytes().decode("ascii", errors="replace")
 
     # Where items start. A vector or real value takes the next token as its
     # id code, whatever that token looks like, so in a run of such tokens
@@ -721,74 +703,59 @@ class RunSet:
     n_cycles: int
     hierarchy: ModuleNode
     declarations: list[SignalDecl]
-    labels: list[str]
 
     @property
     def n_runs(self) -> int:
         return len(self.runs)
 
-    @property
-    def cycle_period(self) -> int:
-        edges = self.runs[0].edge_times if self.runs else []
-        return edges[1] - edges[0] if len(edges) >= 2 else (edges[0] if edges else 0)
 
+def read_manifest(path) -> list[str]:
+    """Read a run manifest: one VCD path per line. A second column (a run
+    label) is accepted and ignored.
 
-def read_manifest(path) -> tuple[list[str], list[str]]:
-    """Read a run manifest: one VCD path per line, optional second column label.
-
-    Relative paths are resolved against the manifest's directory. A run with
-    no label is labeled ``run<k>``, k counting runs (not lines) from 0.
+    Relative paths are resolved against the manifest's directory.
     """
     base = os.path.dirname(os.path.abspath(path))
-    paths, labels = [], []
+    paths = []
     with open(path) as f:
         for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(None, 1)
-            p = parts[0]
-            if not os.path.isabs(p):
-                p = os.path.join(base, p)
-            paths.append(p)
-            labels.append(parts[1].strip() if len(parts) > 1 else f"run{len(labels)}")
-    return paths, labels
+            p = line.split(None, 1)[0]
+            paths.append(p if os.path.isabs(p) else os.path.join(base, p))
+    return paths
 
 
-def load_run_set(paths, clock_name: str, alignment: str = "truncate-to-min",
-                 labels=None) -> RunSet:
+def load_run_set(paths, clock_name: str) -> RunSet:
     """Parse and resample several dumps of the same design into a RunSet,
-    holding one parsed dump at a time."""
-    if alignment not in ("truncate-to-min", "error-on-mismatch"):
-        raise ValueError(f"unknown alignment policy '{alignment}'")
+    holding one parsed dump at a time. Runs are truncated to the shortest.
+    A ``VcdParseError`` names the file it comes from and keeps its line."""
     paths = list(paths)
     if len(paths) < 2:
         raise ValueError(f"need at least 2 runs, got {len(paths)}")
-    if labels is None:
-        labels = [str(p) for p in paths]
 
     first = None
     matrices = []
     for p in paths:
-        # a file whose header text matches the first file's reuses its parse
-        dump = load_vcd_file(p, first.header if first else None)
-        if first is None:
-            first = dump
-        elif dump.header is not first.header and (
-                dump.declarations != first.declarations
-                or not _tree_equal(dump.hierarchy, first.hierarchy)):
-            raise ValueError(f"hierarchy mismatch: '{p}' does not match '{paths[0]}'")
-        matrices.append(resample_per_cycle(dump, clock_name))
-    lengths = [m.n_cycles for m in matrices]
-    if alignment == "error-on-mismatch" and len(set(lengths)) > 1:
-        raise ValueError(f"run lengths differ: {lengths}")
-    d_min = min(lengths)
-    matrices = [m.truncated(d_min) for m in matrices]
-
+        try:
+            # a file whose header text matches the first file's reuses its parse
+            dump = load_vcd_file(p, first.header if first else None)
+            if first is None:
+                first = dump
+            elif dump.header is not first.header and (
+                    dump.declarations != first.declarations
+                    or not _tree_equal(dump.hierarchy, first.hierarchy)):
+                raise ValueError(f"hierarchy mismatch: '{p}' does not match '{paths[0]}'")
+            matrices.append(resample_per_cycle(dump, clock_name))
+        except VcdParseError as err:
+            located = VcdParseError(f"{p}: {err}")
+            located.line = err.line
+            raise located from None
+    d_min = min(m.n_cycles for m in matrices)
     return RunSet(
-        runs=matrices,
+        runs=[m.truncated(d_min) for m in matrices],
         n_cycles=d_min,
         hierarchy=first.hierarchy,
         declarations=first.declarations,
-        labels=list(labels),
     )

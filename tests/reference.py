@@ -12,7 +12,8 @@ VCD emitter in ``leakscope.sim.cyclelog``; ``dict_log``
 builds a ``CycleLog`` from start values and a change list, for them and for
 hand-written logs.
 ``naive_permutation_floor`` is the per-module floor with every shuffle in one
-array, the oracle for the blocked floor shared by the modules of one oracle. ``two_pass_cpa`` is the
+array, the oracle for ``leakscope.metrics.permutation_floor``, which scores
+the modules of one oracle one block of shuffles at a time. ``two_pass_cpa`` is the
 textbook CPA with one hypothesis per guess and trace, the oracle for the
 class-sum ``leakscope.cpa.cpa_attack``. ``DenseMachine`` is the simulator with
 one dense payload per cache entry and a per-lane copy of every backing line,
@@ -23,19 +24,33 @@ accumulation. ``rekey_flush``, ``memory_image`` and ``SequentialSession``
 keep one machine's state across key changes and remap it in place, the
 oracle that re-keying stored state is one XOR per lane; the batch drivers
 instead give every run a fresh cold lane in its own key epoch.
+``structurally_equal``, ``cycle_period``, ``generate_affine_v1`` and
+``build_fuzz_program`` are helpers that only tests use.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from leakscope.aes import POINT_FUNCTIONS
-from leakscope.feistel import KeyConstant, lfsr_from_seed, next_round_keys
+from leakscope.feistel import AFFINE_VERSION, KeyConstant, lfsr_from_seed, next_round_keys
 from leakscope.metrics import hamming_distance
 from leakscope.sim import CycleLog, Machine, SimError, element_catalog
 from leakscope.sim.cyclelog import _Rows, _vcd_header, _vcd_id
 from leakscope.sim.machine import ADDR, REG_ROWS, BatchLog
-from leakscope.sim.program import CT_ADDR, PT_ADDR, aes_workload_memory, build_aes_program
+from leakscope.sim.program import (
+    ALU_OPS,
+    CT_ADDR,
+    PT_ADDR,
+    STATE_ADDR,
+    aes_workload_memory,
+    alu,
+    build_aes_program,
+    load,
+    store,
+)
 from leakscope.vcd import (
     Change,
     CycleMatrix,
@@ -45,8 +60,83 @@ from leakscope.vcd import (
     _line_of,
     _parse_bits,
     _parse_header,
+    _tree_equal,
     _until_end,
 )
+
+
+# --- helpers that only tests use -----------------------------------------------
+
+def structurally_equal(a: WaveDump, b: WaveDump) -> bool:
+    """Two dumps declare the same signals in the same tree and hold the same
+    changes."""
+    return (a.declarations == b.declarations and _tree_equal(a.hierarchy, b.hierarchy)
+            and a.changes == b.changes)
+
+
+def cycle_period(runs) -> int:
+    """Time between the first two clock edges of a RunSet's first run (the
+    first edge's time when there is one edge, 0 with none)."""
+    edges = runs.runs[0].edge_times if runs.runs else []
+    return edges[1] - edges[0] if len(edges) >= 2 else (edges[0] if edges else 0)
+
+
+_AFFINE_LABEL = b"leakscope-affine-" + AFFINE_VERSION.encode() + b":"
+
+
+def generate_affine_v1() -> tuple[tuple[int, ...], int]:
+    """Regenerate the shipped default affine parameters.
+
+    Rows come from a SHA-256 counter stream over a fixed label, 4 bytes
+    big-endian per row with all-zero rows rejected, followed by 2 bytes for
+    the constant. The result is frozen in ``leakscope/data/affine_v1.json``;
+    this function keeps the constant reproducible.
+    """
+    buf = b""
+    counter = 0
+
+    def refill(need):
+        nonlocal buf, counter
+        while len(buf) < need:
+            buf += hashlib.sha256(_AFFINE_LABEL + counter.to_bytes(4, "big")).digest()
+            counter += 1
+
+    rows = []
+    pos = 0
+    while len(rows) < 16:
+        refill(pos + 4)
+        row = int.from_bytes(buf[pos:pos + 4], "big")
+        pos += 4
+        if row != 0:
+            rows.append(row)
+    refill(pos + 2)
+    const = int.from_bytes(buf[pos:pos + 2], "big")
+    return tuple(rows), const
+
+
+def build_fuzz_program(rng, n_ops: int = 40) -> list:
+    """Random straight-line program over the state/scratch regions."""
+    prog = []
+    scratch = STATE_ADDR + 0x100
+    for _ in range(n_ops):
+        pick = rng.random()
+        if pick < 0.5:
+            op = rng.choice(ALU_OPS)
+            rd = rng.randint(1, 31)
+            rs1 = rng.randint(0, 31)
+            if rng.random() < 0.5:
+                prog.append(alu(op, rd, rs1, rs2=rng.randint(0, 31)))
+            else:
+                prog.append(alu(op, rd, rs1, imm=rng.getrandbits(12)))
+        elif pick < 0.8:
+            size = rng.choice([1, 8])
+            off = rng.randrange(0, 0x40, 8 if size == 8 else 1)
+            prog.append(load(rng.randint(1, 31), 0, scratch + off, size=size))
+        else:
+            size = rng.choice([1, 8])
+            off = rng.randrange(0, 0x40, 8 if size == 8 else 1)
+            prog.append(store(rng.randint(0, 31), 0, scratch + off, size=size))
+    return prog
 
 
 def naive_parse_bits(bits: str, width: int) -> tuple[int, int, int]:
@@ -300,7 +390,7 @@ def _words_to_int(words) -> int:
     return v
 
 
-def dict_log(elements, initial, changes, n_cycles=0, label="") -> CycleLog:
+def dict_log(elements, initial, changes, n_cycles=0) -> CycleLog:
     """A CycleLog over ``elements`` (name, width) from each element's start
     value (``initial``, name -> int) and the changes (cycle, name, value),
     in cycle order and write order within a cycle. Its rows are built from
@@ -316,7 +406,7 @@ def dict_log(elements, initial, changes, n_cycles=0, label="") -> CycleLog:
         out.append(_Rows(np.zeros(len(k), int), np.array(c, dtype=int), np.array(k, dtype=int),
                          np.array(e, dtype=int), words.reshape(-1, w).astype(np.uint64)))
     rows = tuple(out)
-    log = CycleLog(elements, lambda: rows, n_cycles, label)
+    log = CycleLog(elements, lambda: rows, n_cycles)
     log.initial, log.changes = initial, changes
     return log
 
@@ -336,7 +426,7 @@ class RawWriteLog(BatchLog):
         super().record(cycle, elem, changed, new)
 
 
-def naive_extract_cycle_log(batch: RawWriteLog, lane: int, label: str = "") -> CycleLog:
+def naive_extract_cycle_log(batch: RawWriteLog, lane: int) -> CycleLog:
     """One lane of a ``RawWriteLog`` as a CycleLog, walking every raw write
     and keeping those that change the element's value: the oracle of the
     change table."""
@@ -362,13 +452,13 @@ def naive_extract_cycle_log(batch: RawWriteLog, lane: int, label: str = "") -> C
             cur[name] = value
 
     changes.sort(key=lambda c: c[0])  # stable: preserves write order per cycle
-    return dict_log(catalog, initial, changes, batch.n_cycles, label)
+    return dict_log(catalog, initial, changes, batch.n_cycles)
 
 
-def naive_emit_vcd(log, top: str = "soc", timescale: str = "1ns") -> bytes:
+def naive_emit_vcd(log) -> bytes:
     """A CycleLog as VCD text, one formatted line per value: the oracle of
     ``leakscope.sim.emit_vcd``."""
-    header, codes = _vcd_header(tuple(log.elements), top, timescale)
+    header, codes = _vcd_header(tuple(log.elements))
     clock_code = _vcd_id(0)
     codes = dict(zip((name for name, _ in log.elements), codes))
     out = [header]

@@ -36,9 +36,10 @@ from leakscope.sim import (
     run_aes_batch,
 )
 from leakscope.sim.machine import Machine
-from leakscope.sim.program import STATE_ADDR, build_fuzz_program
+from leakscope.sim.program import STATE_ADDR
 from leakscope.vcd import load_run_set, parse_vcd, resample_per_cycle
 
+from reference import build_fuzz_program
 from test_metrics import make_runset, module_score, naive_svf
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")

@@ -279,6 +279,25 @@ def test_analyze_header_only_oracle_csv_names_the_file(tmp_path, capsys):
     assert f"oracle csv {oracle}: no oracle rows after the header" in capsys.readouterr().err
 
 
+def test_analyze_malformed_vcd_names_the_file_and_line(tmp_path, capsys):
+    for i in range(3):
+        (tmp_path / f"r{i}.vcd").write_text(_fixture_vcd(i))
+    bad = tmp_path / "r2.vcd"
+    bad.write_text(bad.read_text() + "#zz\n")
+    line = bad.read_text().count("\n")
+    manifest = tmp_path / "runs.txt"
+    manifest.write_text("r0.vcd\nr1.vcd\nr2.vcd\n")
+    metrics.write_oracle_csv(tmp_path / "oracle.csv",
+                             metrics.OracleTrace(values=(1, 2, 3), width=8, label="o"))
+    argv = ["analyze", "--runs", str(manifest), "--oracle", str(tmp_path / "oracle.csv"),
+            "--out", str(tmp_path / "x.json")]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line {line}: bad timestamp '#zz'\n"
+    assert run_cli(*argv, "--clock", "nope") == 2
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'r0.vcd'}: clock signal 'nope' not found\n"
+
+
 def test_dpa_on_simulated_traces(sim_dir, tmp_path, capsys):
     out = tmp_path / "dpa"
     code = run_cli("dpa", "--traces", str(sim_dir / "a" / "traces.npz"),

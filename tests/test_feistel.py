@@ -26,6 +26,7 @@ from leakscope.feistel import (
     obfuscate_address,
     remap,
 )
+from reference import generate_affine_v1
 
 
 # --- independent reference implementations (kept naive on purpose) ---------
@@ -311,7 +312,7 @@ def test_spec_json_roundtrip():
 
 
 def test_default_spec_matches_generator():
-    rows, const = feistel.generate_affine_v1()
+    rows, const = generate_affine_v1()
     spec = default_spec()
     assert spec.rows == rows and spec.const == const
 

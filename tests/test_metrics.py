@@ -17,7 +17,6 @@ from leakscope.metrics import (
     pairwise_distances,
     pairwise_ttest_matrix,
     pearson,
-    permutation_floor,
     read_class_samples_csv,
     read_oracle_csv,
     svf_all,
@@ -54,7 +53,6 @@ def make_runset(words_per_run, width, signal_specs=None, held=False):
         n_cycles=d,
         hierarchy=root,
         declarations=decls,
-        labels=[str(i) for i in range(len(runs))],
     )
 
 
@@ -321,9 +319,12 @@ def test_independent_oracle_below_permutation_floor():
     values = [rng.getrandbits(width) for _ in range(n)]
     rs = make_runset(words, width=width)
     oracle = OracleTrace(values=tuple(values), width=width)
-    res = module_score(rs, rs.hierarchy, oracle)
-    floor = permutation_floor(rs, rs.hierarchy, oracle, shuffles=1000)
-    assert res.svf < floor
+    res = svf_all(rs, rs.hierarchy, [oracle], noise_floor_shuffles=1000).results[0]
+    assert res.svf == module_score(rs, rs.hierarchy, oracle).svf
+    assert res.svf < res.noise_floor
+    want_ds, _ = naive_distance_matrix(_as_tuples([{"!": w} for w in words]),
+                                       rs.declarations, (0, d))
+    assert abs(res.noise_floor - naive_permutation_floor(want_ds, values, 1000)) <= 1e-12
 
 
 def test_svf_all_single_module_score_holds_with_the_floor_on():
@@ -564,7 +565,6 @@ def test_shared_floor_matches_the_per_module_oracle(data):
         oracle = by_label[res.oracle_label]
         want = naive_permutation_floor(want_ds, oracle.values, shuffles)
         assert abs(res.noise_floor - want) <= 1e-12
-        assert abs(permutation_floor(rs, node, oracle, shuffles=shuffles) - want) <= 1e-12
         if not want_ds.any():
             assert res.noise_floor == 0.0
 
@@ -583,7 +583,7 @@ root = ModuleNode("top", signals=[decl])
 rng = np.random.default_rng(0)
 runs = [from_samples([decl], rng.integers(0, 2**64, (d, words), dtype=np.uint64))
         for _ in range(n)]
-rs = RunSet(runs, d, root, [decl], [str(i) for i in range(n)])
+rs = RunSet(runs, d, root, [decl])
 oracle = metrics.OracleTrace(tuple(int(v) for v in rng.integers(0, 256, n)), 8)
 before = peak_mb()
 report = metrics.svf_all(rs, root, [oracle], noise_floor_shuffles=shuffles)

@@ -25,7 +25,6 @@ from leakscope.sim import (
     Machine,
     SimConfig,
     SimError,
-    build_fuzz_program,
     cache_set_experiment,
     emit_vcd,
     epoch_keys,
@@ -60,6 +59,7 @@ from reference import (
     DenseMachine,
     RawWriteLog,
     SequentialSession,
+    build_fuzz_program,
     dict_log,
     memory_image,
     naive_emit_vcd,
@@ -742,9 +742,9 @@ def test_emit_vcd_empty_log_is_header_only():
 
     log = extract_cycle_log(blog, 0)
     assert log.n_cycles == 3  # pipeline drain only
-    text = emit_vcd(log).decode()
-    assert text.count("$var") == len(log.elements) + 1  # plus the clock
-    dump = parse_vcd(text)
+    data = emit_vcd(log)
+    assert data.count(b"$var") == len(log.elements) + 1  # plus the clock
+    dump = parse_vcd(data)
     assert all(c.time == 0 for c in dump.changes if c.id_code != "!")
 
 
@@ -797,9 +797,9 @@ def test_change_table_emits_the_bytes_of_the_event_walk(monkeypatch, mode):
     want = []
     real = sim_run.extract_cycle_log
 
-    def spy(blog, lane, label=""):
-        want.append(naive_extract_cycle_log(blog, lane, label))
-        return real(blog, lane, label)
+    def spy(blog, lane):
+        want.append(naive_extract_cycle_log(blog, lane))
+        return real(blog, lane)
 
     monkeypatch.setattr(machine_module, "BatchLog", RawWriteLog)
     monkeypatch.setattr(sim_run, "extract_cycle_log", spy)
@@ -807,7 +807,7 @@ def test_change_table_emits_the_bytes_of_the_event_walk(monkeypatch, mode):
     res = run_aes_batch(cfg, random_plaintexts(cfg, 7), KEY, collect_logs=True, max_lanes=3)
     assert len(want) == len(res.logs) == 7
     for got, log in zip(res.logs, want):
-        assert (got.initial, got.changes, got.label) == (log.initial, log.changes, log.label)
+        assert (got.initial, got.changes) == (log.initial, log.changes)
         assert emit_vcd(got) == naive_emit_vcd(log) == emit_vcd(log)  # a view; a dict-built log
 
 
