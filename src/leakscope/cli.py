@@ -28,7 +28,6 @@ from .sim import (
     run_aes_batch,
     save_traces_npz,
     write_manifest,
-    write_trace_csv,
 )
 from .vcd import load_run_set, read_manifest
 
@@ -90,15 +89,10 @@ def cmd_simulate(args) -> int:
 
     res = run_aes_batch(cfg, pts, key, collect_logs=args.vcd)
 
-    artifacts = {}
-    if args.format == "npz":
-        trace_path = os.path.join(args.out, "traces.npz")
-        save_traces_npz(trace_path, res.traces, pts, key=key,
-                        meta={"config": cfg.to_dict(), "n_cycles": res.n_cycles})
-    else:
-        trace_path = os.path.join(args.out, "traces.csv")
-        write_trace_csv(trace_path, res.traces)
-    artifacts["traces"] = trace_path
+    trace_path = os.path.join(args.out, "traces.npz")
+    save_traces_npz(trace_path, res.traces, pts, key=key,
+                    meta={"config": cfg.to_dict(), "n_cycles": res.n_cycles})
+    artifacts = {"traces": trace_path}
 
     if res.ciphertexts is not None:
         ct_path = os.path.join(args.out, "ciphertexts.txt")
@@ -145,7 +139,7 @@ def cmd_analyze(args) -> int:
     runs = load_run_set(paths, args.clock)
     oracles = metrics.read_oracle_csv(args.oracle)
     window = _parse_window(args.window)
-    report = metrics.svf_all(runs, runs.hierarchy, oracles, window=window,
+    report = metrics.svf_all(runs, oracles, window=window,
                              noise_floor_shuffles=args.floor_shuffles,
                              threads=args.threads)
 
@@ -179,7 +173,7 @@ def cmd_analyze(args) -> int:
 def _load_traces(args):
     path = args.traces
     if path.endswith(".npz"):
-        traces, pts, key, _ = load_traces_npz(path)
+        traces, pts, key = load_traces_npz(path)
         if args.plaintexts:
             pts = _read_plaintexts(args.plaintexts)
         return traces, pts, key
@@ -306,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True, help="AES-128 key (32 hex chars)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--vcd", action="store_true", help="also write per-run VCD dumps")
-    p.add_argument("--format", choices=("npz", "csv"), default="npz")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("analyze", allow_abbrev=False,

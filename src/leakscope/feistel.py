@@ -120,10 +120,9 @@ def default_spec() -> AffineSpec:
 
 @dataclass(frozen=True)
 class RoundKeys:
-    """Four 16-bit Feistel round keys plus the epoch they belong to."""
+    """Four 16-bit Feistel round keys."""
 
     keys: tuple[int, int, int, int]
-    epoch: int = 0
 
     def __post_init__(self):
         if len(self.keys) != 4:
@@ -135,11 +134,9 @@ class RoundKeys:
 
 @dataclass(frozen=True)
 class Lfsr:
-    """64-bit Fibonacci LFSR; ``epoch`` counts key draws so far."""
+    """64-bit Fibonacci LFSR with the ``DEFAULT_TAPS`` feedback."""
 
     state: int
-    taps: int = DEFAULT_TAPS
-    epoch: int = 0
 
     def __post_init__(self):
         if self.state == 0:
@@ -244,8 +241,8 @@ def remap(d_prime: int, old: RoundKeys, new: RoundKeys,
 def next_round_keys(lfsr: Lfsr) -> tuple[RoundKeys, Lfsr]:
     """Draw 64 bits and split them into four 16-bit round keys.
 
-    Bits go into each key MSB-first in draw order; the returned LFSR has its
-    epoch advanced.
+    Bits go into each key MSB-first in draw order; the returned LFSR is the
+    state after the 64 draws.
     """
     state = lfsr.state
     keys = []
@@ -253,22 +250,19 @@ def next_round_keys(lfsr: Lfsr) -> tuple[RoundKeys, Lfsr]:
         k = 0
         for _ in range(16):
             k = (k << 1) | (state & 1)
-            fb = (state & lfsr.taps).bit_count() & 1
+            fb = (state & DEFAULT_TAPS).bit_count() & 1
             state = (state >> 1) | (fb << 63)
         keys.append(k)
-    return (
-        RoundKeys(keys=tuple(keys), epoch=lfsr.epoch),
-        Lfsr(state=state, taps=lfsr.taps, epoch=lfsr.epoch + 1),
-    )
+    return RoundKeys(keys=tuple(keys)), Lfsr(state=state)
 
 
-def lfsr_from_seed(seed: int, taps: int = DEFAULT_TAPS) -> Lfsr:
+def lfsr_from_seed(seed: int) -> Lfsr:
     """Build a dense non-zero LFSR state from an arbitrary integer seed."""
     digest = hashlib.sha256(b"leakscope-lfsr:" + seed.to_bytes(16, "big", signed=True)).digest()
     state = int.from_bytes(digest[:8], "big")
     if state == 0:  # 2^-64 corner, but the constructor forbids it
         state = 1
-    return Lfsr(state=state, taps=taps)
+    return Lfsr(state=state)
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,6 @@ class OracleTrace:
 
 def write_oracle_csv(path, oracles) -> None:
     """CSV with header run_index, point_label, value_hex (one row per run per label)."""
-    if isinstance(oracles, OracleTrace):
-        oracles = [oracles]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["run_index", "point_label", "value_hex"])
@@ -323,8 +321,9 @@ def _oracle_moments(oracles):
     return d_o, d_o.sum(axis=1).astype(object), (d_o * d_o).sum(axis=1).astype(object)
 
 
-def _score(runs, node, oracles, moments, start, end):
-    """Score one module against the oracle it matches best (the first on ties).
+def _score(runs, path, node, oracles, moments, start, end):
+    """Score the module ``node`` at ``path`` against the oracle it matches
+    best (the first on ties).
 
     Returns (result, ds, index of that oracle), ``ds`` as
     ``_module_distance_matrix`` gives it. Only the distinct cycles are
@@ -347,20 +346,13 @@ def _score(runs, node, oracles, moments, start, end):
     per_cycle = scores[best][cycle_rows]
     peak = int(np.argmax(per_cycle))
     return SvfResult(
-        module_path=_path_of(runs.hierarchy, node),
+        module_path=path,
         svf=float(per_cycle[peak]),
         peak_cycle=start + peak + 1,
         per_cycle_scores=per_cycle,
         oracle_label=oracles[best].label,
         xz_ratio=xz_ratio,
     ), ds, best
-
-
-def _path_of(root: ModuleNode, node: ModuleNode) -> tuple[str, ...]:
-    for path, cand in root.walk():
-        if cand is node:
-            return path
-    return (node.name,)
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -429,28 +421,29 @@ class SvfReport:
         raise KeyError(f"module {'.'.join(want)} not in report")
 
 
-def svf_all(runs: RunSet, hierarchy: ModuleNode, oracles, window=None,
-            noise_floor_shuffles: int = 1000, threads: int = 1) -> SvfReport:
-    """Score every module owning signals; per module keep the worst oracle.
+def svf_all(runs: RunSet, oracles, window=None, noise_floor_shuffles: int = 1000,
+            threads: int = 1) -> SvfReport:
+    """Score every module of ``runs.hierarchy`` that owns signals; per
+    module keep the worst oracle.
 
     Results are sorted by descending score (ties by module path) so the
     outcome does not depend on evaluation order or thread scheduling.
     """
     if noise_floor_shuffles < 0:
         raise ValueError(f"noise_floor_shuffles must be >= 0, got {noise_floor_shuffles}")
-    oracles = [oracles] if isinstance(oracles, OracleTrace) else list(oracles)
+    oracles = list(oracles)
     if not oracles:
         raise ValueError("need at least one oracle")
     for o in oracles:
         if len(o) != runs.n_runs:
             raise ValueError(
                 f"oracle '{o.label}' has {len(o)} values but run set has {runs.n_runs} runs")
-    nodes = [node for _, node in hierarchy.walk() if node.signals]
+    nodes = [(path, node) for path, node in runs.hierarchy.walk() if node.signals]
     start, end = _normalize_window(window, runs.n_cycles)
     moments = _oracle_moments(oracles)
 
-    def score(node):
-        result, ds, best = _score(runs, node, oracles, moments, start, end)
+    def score(module):
+        result, ds, best = _score(runs, *module, oracles, moments, start, end)
         return result, (_unit_rows(ds) if noise_floor_shuffles else None), best
 
     def floors(group):

@@ -25,7 +25,6 @@ from .run import (
     save_traces_npz,
     sub_rng,
     write_manifest,
-    write_trace_csv,
 )
 
 __all__ = [
@@ -34,5 +33,5 @@ __all__ = [
     "build_single_access_program", "cache_set_experiment", "element_catalog",
     "emit_vcd", "epoch_keys", "extract_cycle_log", "load_traces_npz",
     "parse_config_file", "random_plaintexts", "read_trace_csv", "run_aes_batch",
-    "save_traces_npz", "sub_rng", "write_manifest", "write_trace_csv",
+    "save_traces_npz", "sub_rng", "write_manifest",
 ]

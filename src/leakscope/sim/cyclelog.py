@@ -5,9 +5,8 @@ values. The first ``extract_cycle_log`` on a batch turns these into a change
 table: one row (lane, cycle, element, value words) per real change, in write
 order within a cycle. Elements of at most 64 bits and 512-bit lines are kept
 in separate tables, so a register is not padded to a line. A CycleLog taken
-from a batch is one lane's view of that table; its ``initial`` values,
-``changes`` and ``value_columns()`` are built only when something reads
-them.
+from a batch is one lane's rows of that table, after each element's value at
+run start.
 
 The VCD emitter mirrors the machine's module tree under one ``soc`` top scope
 and adds a clock whose rising edge at t = 10*c samples cycle c, so a dump can
@@ -78,50 +77,18 @@ def _lane_rows(batch: BatchLog, lane: int) -> tuple[_Rows, _Rows]:
 
 
 class CycleLog:
-    """One run's cycle log over ``elements`` (name, width): each element's
-    value at run start (``initial``) and the real changes (cycle, name,
-    value), in cycle order and write order within a cycle, all read from
-    ``source``, a callable that returns the run's (narrow, wide) rows."""
+    """One run's cycle log over ``elements`` (name, width), ``n_cycles``
+    long: ``rows()`` calls ``source``, which returns the run's (narrow,
+    wide) rows."""
 
     def __init__(self, elements, source, n_cycles=0):
         self.elements, self.n_cycles = elements, n_cycles
         self._source = source
 
     def rows(self) -> tuple[_Rows, _Rows]:
-        """(narrow, wide) rows: cycle 0 holds each element's start value."""
+        """(narrow, wide) rows: cycle 0 holds each element's start value,
+        later cycles its real changes, ranked by ``order`` within a cycle."""
         return self._source()
-
-    def _entries(self) -> list[tuple[int, str, int]]:
-        """(cycle, name, value) of every row, in cycle and write order."""
-        narrow, wide = self.rows()
-        cycle, order, elem = (np.r_[a, b].tolist() for a, b in zip(narrow[1:4], wide[1:4]))
-        values = narrow.words[:, 0].tolist() + [
-            int.from_bytes(w.astype("<u8").tobytes(), "little") for w in wide.words]
-        return [(cycle[i], self.elements[elem[i]][0], values[i])
-                for i in np.lexsort((order, cycle))]
-
-    @functools.cached_property
-    def initial(self) -> dict[str, int]:
-        return {name: value for cycle, name, value in self._entries() if cycle == 0}
-
-    @functools.cached_property
-    def changes(self) -> list[tuple[int, str, int]]:
-        return [e for e in self._entries() if e[0]]
-
-    def value_columns(self) -> dict[str, list[int]]:
-        """Dense per-cycle values (sample-and-hold) for every element."""
-        cur = dict(self.initial)
-        cols = {name: [] for name, _ in self.elements}
-        idx = 0
-        changes = self.changes
-        for c in range(1, self.n_cycles + 1):
-            while idx < len(changes) and changes[idx][0] == c:
-                _, name, value = changes[idx]
-                cur[name] = value
-                idx += 1
-            for name, _ in self.elements:
-                cols[name].append(cur[name])
-        return cols
 
 
 def extract_cycle_log(batch: BatchLog, lane: int) -> CycleLog:

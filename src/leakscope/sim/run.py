@@ -311,6 +311,9 @@ def save_traces_npz(path, traces, plaintexts, key: bytes | None = None,
 
 
 def load_traces_npz(path):
+    """(traces, plaintexts, key) of a trace archive: its 2-d ``samples`` as
+    float64, its (N, 16) uint8 ``plaintexts`` and its 16-byte ``key`` (None
+    when it has none). The ``meta`` member is not read."""
     try:
         archive = np.load(path)
     except (ValueError, EOFError):  # pickled or text data; an empty file
@@ -321,21 +324,19 @@ def load_traces_npz(path):
         for name in ("samples", "plaintexts"):
             if name not in z:
                 raise ValueError(f"{path}: no '{name}' array in the trace archive")
-        traces = z["samples"].astype(np.float64)
-        plaintexts = z["plaintexts"]
-        key = bytes(z["key"].tobytes()) if "key" in z else None
-        meta = json.loads(z["meta"].tobytes().decode()) if "meta" in z else {}
-    return traces, plaintexts, key, meta
+        samples, plaintexts = z["samples"], z["plaintexts"]
+        key = z["key"] if "key" in z else None
 
+    def bad(name, arr, want):
+        return ValueError(f"{path}: '{name}' array must be {want}, got {arr.shape} {arr.dtype}")
 
-def write_trace_csv(path, traces) -> None:
-    """Power trace CSV: run_index, cycle, sample."""
-    traces = np.asarray(traces)
-    with open(path, "w") as f:
-        f.write("run_index,cycle,sample\n")
-        for r in range(traces.shape[0]):
-            for c in range(traces.shape[1]):
-                f.write(f"{r},{c + 1},{traces[r, c]:.8g}\n")
+    if samples.ndim != 2:
+        raise bad("samples", samples, "(N, d)")
+    if plaintexts.dtype != np.uint8 or plaintexts.ndim != 2 or plaintexts.shape[1] != 16:
+        raise bad("plaintexts", plaintexts, "(N, 16) uint8")
+    if key is not None and (key.dtype != np.uint8 or key.shape != (16,)):
+        raise bad("key", key, "16 uint8 bytes")
+    return samples.astype(np.float64), plaintexts, None if key is None else key.tobytes()
 
 
 def read_trace_csv(path) -> np.ndarray:

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import functools
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -39,14 +37,6 @@ class VcdParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class Change(NamedTuple):
-    time: int
-    id_code: str
-    value: int
-    xmask: int
-    zmask: int
 
 
 @dataclass(frozen=True)
@@ -89,13 +79,6 @@ class ModuleNode:
         for c in self.children:
             yield from c.walk(path)
 
-    def find(self, path: Iterable[str]) -> "ModuleNode":
-        parts = tuple(path)
-        for p, node in self.walk():
-            if p == parts:
-                return node
-        raise KeyError(f"no module at path {'.'.join(parts)}")
-
 
 @dataclass(frozen=True, eq=False)
 class VcdHeader:
@@ -129,13 +112,13 @@ class VcdHeader:
         return _column_layout(self.declarations)
 
 
-class ChangeList(Sequence):
+class ChangeList:
     """The value changes of a dump in stream order, held as arrays.
 
     Change ``i`` sets signal ``codes[decl[i]]`` (``decl`` indexes the
     declarations) at ``times[i]``; its words, low word first, are entries
     ``first[i]`` to ``first[i + 1] - 1`` of ``values``, ``xmask`` and
-    ``zmask``. Indexing yields ``Change`` tuples.
+    ``zmask``.
     """
 
     def __init__(self, codes, times, decl, first, values, xmask, zmask):
@@ -144,16 +127,6 @@ class ChangeList(Sequence):
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def __getitem__(self, i):
-        i = range(len(self))[i]  # negative indices, IndexError past the end
-        a, b = self.first[i], self.first[i + 1]
-        return Change(int(self.times[i]), self.codes[self.decl[i]],
-                      *(int.from_bytes(w[a:b].astype("<u8").tobytes(), "little")
-                        for w in (self.values, self.xmask, self.zmask)))
-
-    def __eq__(self, other):
-        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 @dataclass
@@ -639,18 +612,6 @@ class CycleMatrix:
         if not node.signals:
             raise ValueError(f"module '{node.name}' owns no signals")
         return np.array([c for s in node.signals for c in self.signal_cols[s.id_code]])
-
-    @functools.cached_property
-    def cells(self) -> dict[str, list]:
-        """id code -> per-cycle Python ints (None where a cell has x/z bits),
-        a view for comparisons; scoring reads the arrays."""
-        out = {}
-        for code, cols in self.signal_cols.items():
-            rows = self.rows(cols)
-            known = ((self.xmask[rows] | self.zmask[rows]) == 0).all(axis=0)
-            ints = [int.from_bytes(w.tobytes(), "little") for w in self.values[rows].T.astype("<u8")]
-            out[code] = [v if k else None for v, k in zip(ints, known)]
-        return out
 
 
 def _resolve_signal(dump: WaveDump, name: str) -> SignalDecl:

@@ -11,6 +11,10 @@ one line per value, they are the oracles of the change table and the bulk
 VCD emitter in ``leakscope.sim.cyclelog``; ``dict_log``
 builds a ``CycleLog`` from start values and a change list, for them and for
 hand-written logs.
+The objects in ``src/`` hold their data as arrays only. ``change_tuples``,
+``cell_values``, ``log_initial``, ``log_changes`` and ``value_columns`` read
+a ``ChangeList``, a ``CycleMatrix`` or a ``CycleLog`` back as Python ints, for
+comparisons.
 ``naive_permutation_floor`` is the per-module floor with every shuffle in one
 array, the oracle for ``leakscope.metrics.permutation_floor``, which scores
 the modules of one oracle one block of shuffles at a time. ``two_pass_cpa`` is the
@@ -24,13 +28,15 @@ accumulation. ``rekey_flush``, ``memory_image`` and ``SequentialSession``
 keep one machine's state across key changes and remap it in place, the
 oracle that re-keying stored state is one XOR per lane; the batch drivers
 instead give every run a fresh cold lane in its own key epoch.
-``structurally_equal``, ``cycle_period``, ``generate_affine_v1`` and
-``build_fuzz_program`` are helpers that only tests use.
+``structurally_equal``, ``find_module``, ``cycle_period``,
+``generate_affine_v1``, ``build_fuzz_program`` and ``write_trace_csv`` are
+helpers that only tests use.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +58,7 @@ from leakscope.sim.program import (
     store,
 )
 from leakscope.vcd import (
-    Change,
+    ChangeList,
     CycleMatrix,
     VcdParseError,
     WaveDump,
@@ -71,7 +77,12 @@ def structurally_equal(a: WaveDump, b: WaveDump) -> bool:
     """Two dumps declare the same signals in the same tree and hold the same
     changes."""
     return (a.declarations == b.declarations and _tree_equal(a.hierarchy, b.hierarchy)
-            and a.changes == b.changes)
+            and change_tuples(a.changes) == change_tuples(b.changes))
+
+
+def find_module(root, path):
+    """The module at ``path`` (names from the root) of a parsed hierarchy."""
+    return next(node for p, node in root.walk() if p == tuple(path))
 
 
 def cycle_period(runs) -> int:
@@ -137,6 +148,32 @@ def build_fuzz_program(rng, n_ops: int = 40) -> list:
             off = rng.randrange(0, 0x40, 8 if size == 8 else 1)
             prog.append(store(rng.randint(0, 31), 0, scratch + off, size=size))
     return prog
+
+
+def write_trace_csv(path, traces) -> None:
+    """Power trace CSV: run_index, cycle, sample; the format ``dpa`` reads."""
+    traces = np.asarray(traces)
+    with open(path, "w") as f:
+        f.write("run_index,cycle,sample\n")
+        for r in range(traces.shape[0]):
+            for c in range(traces.shape[1]):
+                f.write(f"{r},{c + 1},{traces[r, c]:.8g}\n")
+
+
+class Change(NamedTuple):
+    time: int
+    id_code: str
+    value: int
+    xmask: int
+    zmask: int
+
+
+def change_tuples(changes: ChangeList) -> list[Change]:
+    """The changes of a ``ChangeList`` as ``Change`` tuples, in stream order."""
+    words = [w.astype("<u8").tobytes() for w in (changes.values, changes.xmask, changes.zmask)]
+    first = changes.first.tolist()
+    return [Change(t, changes.codes[k], *(int.from_bytes(w[8 * a:8 * b], "little") for w in words))
+            for t, k, a, b in zip(changes.times.tolist(), changes.decl.tolist(), first, first[1:])]
 
 
 def naive_parse_bits(bits: str, width: int) -> tuple[int, int, int]:
@@ -223,7 +260,8 @@ def naive_parse_vcd(data) -> WaveDump:
 
 
 def naive_resample(dump, clock_code: str):
-    """(edge_times, {id_code: [(value, xmask, zmask) per cycle]}).
+    """(edge_times, {id_code: [(value, xmask, zmask) per cycle]}) of a
+    ``naive_parse_vcd`` dump.
 
     Sample-and-hold at each rising edge (known 0 -> known 1) of the clock;
     all changes at an edge's timestamp apply before sampling, and a signal
@@ -261,6 +299,13 @@ def matrix_cells(mat, code: str) -> list[tuple[int, int, int]]:
         return [int.from_bytes(w.astype("<u8").tobytes(), "little") for w in arr[rows].T]
 
     return list(zip(ints(mat.values), ints(mat.xmask), ints(mat.zmask)))
+
+
+def cell_values(mat) -> dict[str, list]:
+    """id code -> per-cycle Python ints of a CycleMatrix, None where a cell
+    has x/z bits."""
+    return {code: [None if x or z else v for v, x, z in matrix_cells(mat, code)]
+            for code in mat.signal_cols}
 
 
 def to_columns(declarations, cells: dict, d: int):
@@ -369,8 +414,8 @@ def synth_power(log, sigma: float = 0.0, rng=None):
     N(0, sigma^2) noise. With sigma = 0 the samples are exact integers.
     """
     toggles = np.zeros(log.n_cycles, dtype=np.int64)
-    cur = dict(log.initial)
-    for cycle, name, value in log.changes:
+    cur = log_initial(log)
+    for cycle, name, value in log_changes(log):
         toggles[cycle - 1] += hamming_distance(cur[name], value)
         cur[name] = value
     if sigma == 0.0:
@@ -390,11 +435,48 @@ def _words_to_int(words) -> int:
     return v
 
 
+def log_entries(log) -> list[tuple[int, str, int]]:
+    """(cycle, name, value) of every row of a CycleLog, in cycle and write
+    order."""
+    narrow, wide = log.rows()
+    cycle, order, elem = (np.r_[a, b].tolist() for a, b in zip(narrow[1:4], wide[1:4]))
+    values = narrow.words[:, 0].tolist() + [
+        int.from_bytes(w.astype("<u8").tobytes(), "little") for w in wide.words]
+    return [(cycle[i], log.elements[elem[i]][0], values[i])
+            for i in np.lexsort((order, cycle))]
+
+
+def log_initial(log) -> dict[str, int]:
+    """Each element's value at run start."""
+    return {name: value for cycle, name, value in log_entries(log) if cycle == 0}
+
+
+def log_changes(log) -> list[tuple[int, str, int]]:
+    """The real changes (cycle, name, value), in cycle and write order."""
+    return [e for e in log_entries(log) if e[0]]
+
+
+def value_columns(log) -> dict[str, list[int]]:
+    """Dense per-cycle values (sample-and-hold) of every element of a
+    CycleLog, cycles 1 .. n_cycles."""
+    cur = log_initial(log)
+    cols = {name: [] for name, _ in log.elements}
+    changes = log_changes(log)
+    idx = 0
+    for c in range(1, log.n_cycles + 1):
+        while idx < len(changes) and changes[idx][0] == c:
+            _, name, value = changes[idx]
+            cur[name] = value
+            idx += 1
+        for name, _ in log.elements:
+            cols[name].append(cur[name])
+    return cols
+
+
 def dict_log(elements, initial, changes, n_cycles=0) -> CycleLog:
-    """A CycleLog over ``elements`` (name, width) from each element's start
-    value (``initial``, name -> int) and the changes (cycle, name, value),
-    in cycle order and write order within a cycle. Its rows are built from
-    them, and ``initial`` and ``changes`` read back as given."""
+    """A CycleLog over ``elements`` (name, width) whose rows hold each
+    element's start value (``initial``, name -> int) and the changes
+    (cycle, name, value), in cycle order and write order within a cycle."""
     names = {name: k for k, (name, _) in enumerate(elements)}
     entries = [(0, name, initial[name]) for name, _ in elements] + list(changes)
     out = []
@@ -406,9 +488,7 @@ def dict_log(elements, initial, changes, n_cycles=0) -> CycleLog:
         out.append(_Rows(np.zeros(len(k), int), np.array(c, dtype=int), np.array(k, dtype=int),
                          np.array(e, dtype=int), words.reshape(-1, w).astype(np.uint64)))
     rows = tuple(out)
-    log = CycleLog(elements, lambda: rows, n_cycles)
-    log.initial, log.changes = initial, changes
-    return log
+    return CycleLog(elements, lambda: rows, n_cycles)
 
 
 class RawWriteLog(BatchLog):
@@ -469,12 +549,13 @@ def naive_emit_vcd(log) -> bytes:
         return f"b{value:b} {code}"
 
     out += ["#0", "$dumpvars", f"0{clock_code}"]
+    initial = log_initial(log)
     for name, width in log.elements:
-        out.append(fmt(log.initial[name], width, codes[name]))
+        out.append(fmt(initial[name], width, codes[name]))
     out.append("$end")
     widths = dict(log.elements)
     idx = 0
-    changes = log.changes
+    changes = log_changes(log)
     for c in range(1, log.n_cycles + 1):
         t = 10 * c
         out += [f"#{t}", f"1{clock_code}"]

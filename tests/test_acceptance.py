@@ -39,7 +39,7 @@ from leakscope.sim.machine import Machine
 from leakscope.sim.program import STATE_ADDR
 from leakscope.vcd import load_run_set, parse_vcd, resample_per_cycle
 
-from reference import build_fuzz_program
+from reference import build_fuzz_program, cell_values, log_changes, value_columns
 from test_metrics import make_runset, module_score, naive_svf
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -221,14 +221,14 @@ def test_criterion_7_functional_transparency_lockstep():
     cpi_ok = rb.n_cycles == rp.n_cycles
 
     rkeys = RoundKeys(epoch_keys(cfg_p, 1)[0])  # run 0 is in key epoch 0
-    cols_b = rb.logs[0].value_columns()
-    cols_p = rp.logs[0].value_columns()
+    cols_b = value_columns(rb.logs[0])
+    cols_p = value_columns(rp.logs[0])
     spec = feistel.default_spec()
 
     # registers hold the mode-independent reset constant until their first
     # datapath write; from then on the hardened value is the obfuscated image
     first_write = {}
-    for c, name, _ in rp.logs[0].changes:
+    for c, name, _ in log_changes(rp.logs[0]):
         first_write.setdefault(name, c)
 
     mismatches = 0
@@ -338,8 +338,7 @@ def test_criterion_10_eda_translation_toggle(svf_runsets):
     for eda in ("off", "on"):
         runs, pts = svf_runsets[eda]
         oracles = aes.all_first_round_oracles(pts, KEY)
-        rep = metrics.svf_all(runs, runs.hierarchy, oracles,
-                              noise_floor_shuffles=1000)
+        rep = metrics.svf_all(runs, oracles, noise_floor_shuffles=1000)
         results[eda] = {r.module_path: r for r in rep.results}
     above = all(
         results["off"][m].svf > results["off"][m].noise_floor for m in SHADOWS
@@ -358,7 +357,7 @@ def test_criterion_10_eda_translation_toggle(svf_runsets):
 def test_criterion_11_module_ranking(svf_runsets):
     runs, pts = svf_runsets["on"]
     oracles = [aes.gen_oracle(pts, KEY, "sbox_out", b) for b in range(16)]
-    rep = metrics.svf_all(runs, runs.hierarchy, oracles, noise_floor_shuffles=200)
+    rep = metrics.svf_all(runs, oracles, noise_floor_shuffles=200)
     worst_hot = max(rep.rank_of(m) for m in HOT_GROUP)
     best_shadow = min(rep.rank_of(m) for m in SHADOWS)
     order = ", ".join(r.module_name.replace("soc.", "")
@@ -376,10 +375,8 @@ def test_example_hardening_lowers_top_module_score(svf_runsets):
     param_runs, param_pts = svf_runsets["param"]
     oracles_b = [aes.gen_oracle(base_pts, KEY, "sbox_out", b) for b in range(16)]
     oracles_p = [aes.gen_oracle(param_pts, KEY, "sbox_out", b) for b in range(16)]
-    top_b = metrics.svf_all(base_runs, base_runs.hierarchy, oracles_b,
-                            noise_floor_shuffles=0).results[0]
-    top_p = metrics.svf_all(param_runs, param_runs.hierarchy, oracles_p,
-                            noise_floor_shuffles=0).results[0]
+    top_b = metrics.svf_all(base_runs, oracles_b, noise_floor_shuffles=0).results[0]
+    top_p = metrics.svf_all(param_runs, oracles_p, noise_floor_shuffles=0).results[0]
     assert top_p.svf < top_b.svf
     print(f"[info] top module score: baseline {top_b.svf:.3f} "
           f"({top_b.module_name}) vs hardened {top_p.svf:.3f} ({top_p.module_name})")
@@ -407,9 +404,9 @@ def test_criterion_12_vcd_round_trip_fuzzed():
         mat = resample_per_cycle(dump, "clk")
         code_of = {".".join(d.scope_path[1:] + (d.name,)): d.id_code
                    for d in dump.declarations}
-        cols = log.value_columns()
+        cols, cells = value_columns(log), cell_values(mat)
         if mat.n_cycles != log.n_cycles or any(
-                mat.cells[code_of[name]] != col for name, col in cols.items()):
+                cells[code_of[name]] != col for name, col in cols.items()):
             failures += 1
     report(12, "emit -> parse -> resample reproduces 20 fuzzed workloads exactly",
            failures == 0, f"{failures} failures")

@@ -5,8 +5,9 @@ import pytest
 
 from leakscope import aes, cli, cpa, metrics
 from leakscope.cli import main
-from leakscope.sim import save_traces_npz, write_trace_csv
+from leakscope.sim import save_traces_npz
 from peak_rss import cli_rss_growth_mb
+from reference import write_trace_csv
 
 KEY_HEX = "2b7e151628aed2a6abf7158809cf4f3c"
 
@@ -183,7 +184,7 @@ def test_analyze_synthetic_two_module_fixture(tmp_path, capsys):
     manifest.write_text("".join(f"r{i}.vcd\n" for i in range(len(values))))
     oracle = metrics.OracleTrace(values=tuple(int(v) for v in values), width=8,
                                  label="direct")
-    metrics.write_oracle_csv(tmp_path / "oracle.csv", oracle)
+    metrics.write_oracle_csv(tmp_path / "oracle.csv", [oracle])
     out = tmp_path / "report.json"
     code = run_cli("analyze", "--runs", str(manifest), "--oracle",
                    str(tmp_path / "oracle.csv"), "--out", str(out),
@@ -215,7 +216,7 @@ def test_analyze_window_and_threads(tmp_path):
     manifest.write_text("".join(f"r{i}.vcd\n" for i in range(len(values))))
     oracle = metrics.OracleTrace(values=tuple(int(v) for v in values), width=8,
                                  label="direct")
-    metrics.write_oracle_csv(tmp_path / "oracle.csv", oracle)
+    metrics.write_oracle_csv(tmp_path / "oracle.csv", [oracle])
     out = tmp_path / "report.json"
     code = run_cli("analyze", "--runs", str(manifest), "--oracle",
                    str(tmp_path / "oracle.csv"), "--out", str(out),
@@ -243,7 +244,7 @@ def test_analyze_negative_floor_shuffles_fails_before_loading(tmp_path, capsys, 
     manifest = tmp_path / "runs.txt"
     manifest.write_text("r0.vcd\nr1.vcd\n")
     metrics.write_oracle_csv(tmp_path / "oracle.csv",
-                             metrics.OracleTrace(values=(1, 2), width=8, label="o"))
+                             [metrics.OracleTrace(values=(1, 2), width=8, label="o")])
     monkeypatch.setattr(cli, "load_run_set", no_load)
     code = run_cli("analyze", "--runs", str(manifest), "--oracle", str(tmp_path / "oracle.csv"),
                    "--floor-shuffles", "-5", "--out", str(tmp_path / "x.json"))
@@ -258,7 +259,7 @@ def test_analyze_oracle_count_mismatch(tmp_path, capsys):
     manifest = tmp_path / "runs.txt"
     manifest.write_text("r0.vcd\nr1.vcd\n")
     oracle = metrics.OracleTrace(values=(1, 2, 3), width=8, label="o")
-    metrics.write_oracle_csv(tmp_path / "oracle.csv", oracle)
+    metrics.write_oracle_csv(tmp_path / "oracle.csv", [oracle])
     code = run_cli("analyze", "--runs", str(manifest), "--oracle",
                    str(tmp_path / "oracle.csv"), "--out", str(tmp_path / "x.json"))
     assert code == 2
@@ -288,7 +289,7 @@ def test_analyze_malformed_vcd_names_the_file_and_line(tmp_path, capsys):
     manifest = tmp_path / "runs.txt"
     manifest.write_text("r0.vcd\nr1.vcd\nr2.vcd\n")
     metrics.write_oracle_csv(tmp_path / "oracle.csv",
-                             metrics.OracleTrace(values=(1, 2, 3), width=8, label="o"))
+                             [metrics.OracleTrace(values=(1, 2, 3), width=8, label="o")])
     argv = ["analyze", "--runs", str(manifest), "--oracle", str(tmp_path / "oracle.csv"),
             "--out", str(tmp_path / "x.json")]
     assert run_cli(*argv) == 2
@@ -356,6 +357,39 @@ def test_dpa_npz_without_an_array_names_the_file_and_array(tmp_path, capsys, mis
     assert run_cli("dpa", "--traces", str(path), "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and f"{path}: no '{missing}' array" in err
+
+
+_GOOD_ARCHIVE = {"samples": np.arange(40, dtype=np.float32).reshape(10, 4),
+                 "plaintexts": np.arange(160, dtype=np.uint8).reshape(10, 16),
+                 "key": np.arange(16, dtype=np.uint8),
+                 "meta": np.frombuffer(b"{}", dtype=np.uint8)}
+
+
+@pytest.mark.parametrize("name, value, byte", [
+    ("key", np.arange(5, dtype=np.uint8), "0"),
+    ("key", np.arange(5, dtype=np.uint8), "7"),
+    ("plaintexts", np.zeros((10, 8), np.uint8), "0"),
+    ("plaintexts", np.zeros((10, 8), np.uint8), "10"),
+    ("samples", np.zeros(10, np.float32), "0"),
+], ids=["key-5-bytes", "key-5-bytes-byte-7", "plaintexts-10x8", "plaintexts-10x8-byte-10",
+        "samples-1d"])
+def test_dpa_npz_with_a_malformed_array_names_the_file_and_array(tmp_path, capsys,
+                                                                 name, value, byte):
+    path = tmp_path / "bad.npz"
+    np.savez(path, **{**_GOOD_ARCHIVE, name: value})
+    assert run_cli("dpa", "--traces", str(path), "--target-byte", byte, "--checkpoint", "5",
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"{path}: '{name}' array must be" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_dpa_ignores_the_meta_member_of_a_trace_archive(tmp_path):
+    path = tmp_path / "traces.npz"
+    np.savez(path, **{**_GOOD_ARCHIVE, "meta": np.frombuffer(b"{not json", dtype=np.uint8)})
+    assert run_cli("dpa", "--traces", str(path), "--checkpoint", "5",
+                   "--out", str(tmp_path / "o")) == 0
+    assert (tmp_path / "o" / "attack.json").exists()
 
 
 def _write_npy(path):

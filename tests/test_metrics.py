@@ -26,7 +26,13 @@ from leakscope.metrics import (
 )
 from leakscope.vcd import ModuleNode, RunSet, SignalDecl
 from peak_rss import run_probe
-from reference import from_samples, naive_distance_matrix, naive_permutation_floor, to_columns
+from reference import (
+    find_module,
+    from_samples,
+    naive_distance_matrix,
+    naive_permutation_floor,
+    to_columns,
+)
 
 
 def make_runset(words_per_run, width, signal_specs=None, held=False):
@@ -163,9 +169,9 @@ def test_pearson_degenerate_raises():
 # --- svf ------------------------------------------------------------------------
 
 def module_score(rs, node, oracle, window=None):
-    """``node``'s result in the ``svf_all`` report of its subtree against
+    """``node``'s result in the ``svf_all`` report of the run set against
     the one oracle, with no noise floor."""
-    report = svf_all(rs, node, [oracle], window=window, noise_floor_shuffles=0)
+    report = svf_all(rs, [oracle], window=window, noise_floor_shuffles=0)
     path = next(p for p, cand in rs.hierarchy.walk() if cand is node)
     return report.results[report.rank_of(path)]
 
@@ -319,7 +325,7 @@ def test_independent_oracle_below_permutation_floor():
     values = [rng.getrandbits(width) for _ in range(n)]
     rs = make_runset(words, width=width)
     oracle = OracleTrace(values=tuple(values), width=width)
-    res = svf_all(rs, rs.hierarchy, [oracle], noise_floor_shuffles=1000).results[0]
+    res = svf_all(rs, [oracle], noise_floor_shuffles=1000).results[0]
     assert res.svf == module_score(rs, rs.hierarchy, oracle).svf
     assert res.svf < res.noise_floor
     want_ds, _ = naive_distance_matrix(_as_tuples([{"!": w} for w in words]),
@@ -333,7 +339,7 @@ def test_svf_all_single_module_score_holds_with_the_floor_on():
     words = [[v ^ 0x3C, 0x01] for v in values]
     rs = make_runset(words, width=8)
     oracle = OracleTrace(values=tuple(values), width=8, label="o")
-    report = svf_all(rs, rs.hierarchy, [oracle], noise_floor_shuffles=50)
+    report = svf_all(rs, [oracle], noise_floor_shuffles=50)
     single = module_score(rs, rs.hierarchy, oracle)
     assert len(report.results) == 1
     assert report.results[0].svf == single.svf
@@ -352,14 +358,14 @@ def test_svf_all_ranks_carrier_first():
     rs.hierarchy.signals = []
     rs.hierarchy.children = [child_a, child_b]
     oracle = OracleTrace(values=tuple(values), width=8, label="o")
-    report = svf_all(rs, rs.hierarchy, oracle, noise_floor_shuffles=0)
+    report = svf_all(rs, [oracle], noise_floor_shuffles=0)
     assert [r.module_path for r in report.results] == [
         ("top", "carrier"), ("top", "quiet")
     ]
     assert report.results[0].svf == pytest.approx(1.0, abs=1e-9)
     assert report.results[1].svf == 0.0
     with pytest.raises(ValueError, match="noise_floor_shuffles must be >= 0, got -5"):
-        svf_all(rs, rs.hierarchy, oracle, noise_floor_shuffles=-5)
+        svf_all(rs, [oracle], noise_floor_shuffles=-5)
     assert report.rank_of(("top", "carrier")) == 0
 
 
@@ -376,8 +382,8 @@ def test_svf_all_threads_deterministic():
     rs.hierarchy.children = [ModuleNode(name="a", signals=[decl_a]),
                              ModuleNode(name="b", signals=[decl_b])]
     oracle = OracleTrace(values=tuple(rng.getrandbits(8) for _ in range(8)), width=8)
-    r1 = svf_all(rs, rs.hierarchy, oracle, noise_floor_shuffles=20, threads=1)
-    r2 = svf_all(rs, rs.hierarchy, oracle, noise_floor_shuffles=20, threads=4)
+    r1 = svf_all(rs, [oracle], noise_floor_shuffles=20, threads=1)
+    r2 = svf_all(rs, [oracle], noise_floor_shuffles=20, threads=4)
     assert [(r.module_path, r.svf, r.noise_floor) for r in r1.results] == \
            [(r.module_path, r.svf, r.noise_floor) for r in r2.results]
 
@@ -519,9 +525,9 @@ def test_svf_all_picks_each_modules_worst_oracle_exactly():
                for k in range(d)]
     oracles.append(OracleTrace(values=tuple(rng.getrandbits(8) for _ in range(n)),
                                width=8, label="noise"))
-    report = svf_all(rs, rs.hierarchy, oracles, window=(2, 5), noise_floor_shuffles=0)
+    report = svf_all(rs, oracles, window=(2, 5), noise_floor_shuffles=0)
     for res in report.results:
-        node = rs.hierarchy.find(res.module_path)
+        node = find_module(rs.hierarchy, res.module_path)
         singles = [module_score(rs, node, o, window=(2, 5)) for o in oracles]
         best = max(range(len(oracles)), key=lambda k: (singles[k].svf, -k))
         assert res.oracle_label == oracles[best].label
@@ -557,10 +563,10 @@ def test_shared_floor_matches_the_per_module_oracle(data):
     per_block = data.draw(st.sampled_from([1, 2, 4, 1000]))  # shuffles per block
     n_pairs = n * (n - 1) // 2
     with mock.patch.object(metrics, "_PAIR_BLOCK_WORDS", per_block * n_pairs):
-        report = svf_all(rs, rs.hierarchy, oracles, noise_floor_shuffles=shuffles)
+        report = svf_all(rs, oracles, noise_floor_shuffles=shuffles)
     by_label = {o.label: o for o in oracles}
     for res in report.results:
-        node = rs.hierarchy.find(res.module_path)
+        node = find_module(rs.hierarchy, res.module_path)
         want_ds, _ = naive_distance_matrix(_as_tuples(runs), node.signals, (0, d))
         oracle = by_label[res.oracle_label]
         want = naive_permutation_floor(want_ds, oracle.values, shuffles)
@@ -586,7 +592,7 @@ runs = [from_samples([decl], rng.integers(0, 2**64, (d, words), dtype=np.uint64)
 rs = RunSet(runs, d, root, [decl])
 oracle = metrics.OracleTrace(tuple(int(v) for v in rng.integers(0, 256, n)), 8)
 before = peak_mb()
-report = metrics.svf_all(rs, root, [oracle], noise_floor_shuffles=shuffles)
+report = metrics.svf_all(rs, [oracle], noise_floor_shuffles=shuffles)
 r = report.results[0]
 print(json.dumps({"before": before, "peak": peak_mb(), "svf": r.svf, "floor": r.noise_floor}))
 """

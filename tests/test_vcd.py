@@ -13,7 +13,10 @@ from leakscope.vcd import (
     resample_per_cycle,
 )
 from reference import (
+    cell_values,
+    change_tuples,
     cycle_period,
+    find_module,
     matrix_cells,
     naive_parse_bits,
     naive_parse_vcd,
@@ -42,7 +45,8 @@ def test_parse_minimal_dump():
     assert len(dump.declarations) == 1
     d = dump.declarations[0]
     assert d.name == "w" and d.width == 1 and d.scope_path == ("top",)
-    assert [(c.time, c.id_code, c.value) for c in dump.changes] == [(0, "!", 0), (10, "!", 1)]
+    assert [(c.time, c.id_code, c.value) for c in change_tuples(dump.changes)] == [
+        (0, "!", 0), (10, "!", 1)]
 
 
 def test_parse_nested_scopes():
@@ -92,12 +96,12 @@ bx1 !
 #2
 bz !
 """
-    dump = parse_vcd(text.encode())
-    assert (dump.changes[0].value, dump.changes[0].xmask) == (1, 0)
+    changes = change_tuples(parse_vcd(text.encode()).changes)
+    assert (changes[0].value, changes[0].xmask) == (1, 0)
     # x-extension fills the high bits with x
-    assert dump.changes[1].value == 1
-    assert dump.changes[1].xmask == 0b11111110
-    assert dump.changes[2].zmask == 0xFF
+    assert changes[1].value == 1
+    assert changes[1].xmask == 0b11111110
+    assert changes[2].zmask == 0xFF
 
 
 def test_parse_errors_name_lines():
@@ -147,7 +151,7 @@ r3.14 %
 def test_real_and_event_vars_ignored():
     dump = parse_vcd(REAL_AND_EVENT.encode())
     assert [d.name for d in dump.declarations] == ["clk"]
-    assert [c.id_code for c in dump.changes] == ["!", "!"]
+    assert [c.id_code for c in change_tuples(dump.changes)] == ["!", "!"]
 
 
 def test_backwards_timestamp_rejected():
@@ -201,20 +205,21 @@ def test_resample_hold_semantics():
     assert mat.n_cycles == 5
     assert mat.edge_times == [10, 20, 30, 40, 50]
     # sig constant 1 through edges 1-2, changes between edges 2 and 3
-    assert mat.cells['"'] == [1, 1, 0b101, 0b101, 0b101]
-    assert mat.cells["!"] == [1, 1, 1, 1, 1]
+    cells = cell_values(mat)
+    assert cells['"'] == [1, 1, 0b101, 0b101, 0b101]
+    assert cells["!"] == [1, 1, 1, 1, 1]
 
 
 def test_resample_same_timestamp_change_counts():
     text = CLOCKED + "b1111 \"\n"  # rides on the final #50 edge
     mat = resample_per_cycle(parse_vcd(text.encode()), "clk")
-    assert mat.cells['"'][-1] == 0b1111
+    assert cell_values(mat)['"'][-1] == 0b1111
 
 
 def test_resample_constant_signal():
     dump = parse_vcd(CLOCKED.encode())
     mat = resample_per_cycle(dump, "top.clk")
-    assert len(set(mat.cells["!"])) == 1
+    assert len(set(cell_values(mat)["!"])) == 1
 
 
 def test_resample_errors():
@@ -262,7 +267,7 @@ b1001 "
 """
     mat = resample_per_cycle(parse_vcd(text.encode()), "clk")
     assert matrix_cells(mat, '"') == [(0, 0b1111, 0), (0b1001, 0, 0)]
-    assert mat.cells['"'] == [None, 0b1001]
+    assert cell_values(mat)['"'] == [None, 0b1001]
 
 
 def test_word_series_concatenation():
@@ -288,7 +293,7 @@ b0110 "
     text = text.replace("$upscope $end\n$enddefinitions", "$upscope $end\n$upscope $end\n$enddefinitions")
     dump = parse_vcd(text.encode())
     mat = resample_per_cycle(dump, "clk")
-    m = dump.hierarchy.find(["top", "m"])
+    m = find_module(dump.hierarchy, ["top", "m"])
     cols = mat.module_columns(m)
     # one word column per 4-bit signal, in declaration order
     a, b = mat.values[mat.rows(cols)][:, 0].tolist()
@@ -360,13 +365,14 @@ def test_fuzzed_width_additivity():
     for _ in range(20):
         dump = parse_vcd(_fuzz_dump(rng).encode())
         mat = resample_per_cycle(dump, "clk")
+        cells = cell_values(mat)
         for _, node in dump.hierarchy.walk():
             if not node.signals:
                 continue
             cols = mat.module_columns(node)
             assert len(cols) == sum((s.width + 63) // 64 for s in node.signals)
             for s in node.signals:
-                assert all(0 <= w < (1 << s.width) for w in mat.cells[s.id_code])
+                assert all(0 <= w < (1 << s.width) for w in cells[s.id_code])
 
 
 def test_load_run_set_identical_dumps(tmp_path):
@@ -375,7 +381,7 @@ def test_load_run_set_identical_dumps(tmp_path):
     rs = load_run_set([tmp_path / "r0.vcd", tmp_path / "r1.vcd"], "clk")
     assert rs.n_runs == 2
     assert rs.n_cycles == 5
-    assert rs.runs[0].cells == rs.runs[1].cells
+    assert cell_values(rs.runs[0]) == cell_values(rs.runs[1])
     assert cycle_period(rs) == 10
 
 
@@ -420,7 +426,7 @@ def test_load_run_set_reuses_only_an_identical_header(tmp_path, monkeypatch):
     monkeypatch.setattr(vcd, "parse_vcd", spy)
     rs = load_run_set([tmp_path / n for n in ("a.vcd", "b.vcd", "c.vcd")], "clk")
     assert seen == [False, True, False]
-    assert rs.runs[0].cells == rs.runs[1].cells == rs.runs[2].cells
+    assert cell_values(rs.runs[0]) == cell_values(rs.runs[1]) == cell_values(rs.runs[2])
 
 
 def test_load_run_set_body_error_names_the_full_parse_line(tmp_path):
@@ -442,7 +448,7 @@ def test_header_with_an_ignored_real_var_is_reused():
     again = parse_vcd(text.encode(), first.header)
     assert again.header is first.header
     assert structurally_equal(again, parse_vcd(text.encode()))
-    assert [c.id_code for c in again.changes] == ["!", "!", "!"]
+    assert [c.id_code for c in change_tuples(again.changes)] == ["!", "!", "!"]
     with pytest.raises(VcdParseError, match="real value change for non-real id '!'"):
         parse_vcd((REAL_AND_EVENT + "r2.5 !\n").encode(), first.header)
 
@@ -504,21 +510,23 @@ def _clocked_streams(draw):
 def test_parse_and_resample_match_naive_reference(stream):
     text, widths, expected = stream
     dump = parse_vcd(text.encode())
-    assert [tuple(c) for c in dump.changes] == [
+    changes = change_tuples(dump.changes)
+    assert changes == [
         (t, code, *naive_parse_bits(bits, widths[code])) for t, code, bits in expected]
     again = parse_vcd(text.encode(), dump.header)
-    assert again.header is dump.header and again.changes == dump.changes
+    assert again.header is dump.header and change_tuples(again.changes) == changes
     try:
-        edges, cells = naive_resample(dump, "!")
+        edges, cells = naive_resample(naive_parse_vcd(text), "!")
     except VcdParseError:
         with pytest.raises(VcdParseError, match="no rising edges"):
             resample_per_cycle(dump, "clk")
         return
     mat = resample_per_cycle(dump, "clk")
     assert mat.edge_times == edges
+    known = cell_values(mat)
     for code in widths:
         assert matrix_cells(mat, code) == cells[code]
-        assert mat.cells[code] == [v if not (x or z) else None for v, x, z in cells[code]]
+        assert known[code] == [v if not (x or z) else None for v, x, z in cells[code]]
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -589,16 +597,16 @@ def test_bulk_parse_matches_the_token_oracle(seed):
     if isinstance(want, str):
         assert got == want
         return
-    assert [tuple(c) for c in got.changes] == want.changes
+    assert change_tuples(got.changes) == want.changes
     again = parse_vcd(data, got.header)  # the header reused
-    assert again.header is got.header and again.changes == got.changes
+    assert again.header is got.header and change_tuples(again.changes) == want.changes
     try:
         _, cells = naive_resample(want, "!")
     except VcdParseError:
         with pytest.raises(VcdParseError, match="no rising edges"):
             resample_per_cycle(got, "clk")
         return
-    assert resample_per_cycle(got, "clk").cells == {
+    assert cell_values(resample_per_cycle(got, "clk")) == {
         code: [v if not (x or z) else None for v, x, z in col] for code, col in cells.items()}
 
 
@@ -613,9 +621,9 @@ def test_id_codes_that_look_like_other_tokens():
             + "".join(f"b{k:b} {c}\n" for k, c in enumerate(codes)) + "$end\n#10\n1!\n"
             + "b1 b b11 bb b1 # b101 $ b1 0 b0 1x b1111 z\n11x\n#15\n0!\n#20\n1!\nbx1 b\n")
     want = naive_parse_vcd(text)
-    assert [tuple(c) for c in parse_vcd(text.encode()).changes] == want.changes
+    assert change_tuples(parse_vcd(text.encode()).changes) == want.changes
     assert [c for _, c, *_ in want.changes].count("b") == 3
-    cells = resample_per_cycle(parse_vcd(text.encode()), "clk").cells
+    cells = cell_values(resample_per_cycle(parse_vcd(text.encode()), "clk"))
     assert [cells[c] for c in codes] == [[1, None], [3, 3], [1, 1], [5, 5], [1, 1], [1, 1],
                                          [15, 15]]
 
