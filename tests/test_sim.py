@@ -1090,6 +1090,58 @@ def test_param_sweep_matches_golden_hash():
     assert _digest(*(out[k] for k in sorted(out))) == GOLDEN_SWEEP
 
 
+# SHA-256 of the toggles and of every lane's change log of warm machines:
+# presets, then two programs back to back on caches small enough to evict
+# dirty lines, with byte and word accesses at r0-based and per-lane addresses
+GOLDEN_WARM = {
+    ("baseline", "off"): "a14322f4d8dbf6ff950beda8af001824222836fe99744ec6885c471d20e8fc91",
+    ("baseline", "on"): "efac11a6a67ab30c83834be39d72381d4c5ae440bf6b39f570d527d02d046b60",
+    ("param", "off"): "810f17117ce4a451a011b364a0f826f75872f4aaa35ee8818257aa6115e47414",
+    ("param", "on"): "8b7ddd09f053288c6149c84614a34a110a95b76954bcbe6629023dfa8fbbb986",
+}
+
+
+def _warm_program(rng, lanes):
+    """Loads and stores through r1, preset per lane inside REGION, then
+    fuzz and region ops in random order."""
+    via_r1 = []
+    for _ in range(12):
+        size = rng.choice([1, 8])
+        imm = rng.randrange(0, 64, size)
+        reg = rng.randint(2, 31)
+        via_r1.append(load(reg, 1, imm, size=size) if rng.random() < 0.5
+                      else store(reg, 1, imm, size=size))
+    rest = build_fuzz_program(rng, n_ops=25) + _region_ops(rng, 25)
+    rng.shuffle(rest)
+    return via_r1 + rest
+
+
+@pytest.mark.parametrize("mode", ["baseline", "param"])
+@pytest.mark.parametrize("eda_fix", ["off", "on"])
+def test_warm_machines_match_golden_hashes(mode, eda_fix):
+    rng = random.Random(f"{mode}-{eda_fix}")
+    lanes = 5
+    h = hashlib.sha256()
+    for shape in [(1, 2), (2, 3), (4, 1), (64, 4)]:
+        cfg = SimConfig(mode=mode, eda_fix=eda_fix, noise_sigma=0.0, seed=3,
+                        cache=CacheGeometry(*shape))
+        m = Machine(cfg, lanes, _random_keys(rng, lanes) if cfg.param_mode else None)
+        m.poke_bytes(REGION[0], np.array([[rng.getrandbits(8) for _ in range(REGION[1] - REGION[0])]
+                                          for _ in range(lanes)], dtype=np.uint8))
+        for _ in range(2):
+            for r in [1] + rng.sample(range(2, 32), 4):
+                values = [rng.getrandbits(64) for _ in range(lanes)]
+                if r == 1:
+                    values = [rng.randrange(REGION[0], REGION[1] - 64, 8) for _ in range(lanes)]
+                m.preset_register(r, values)
+            toggles, blog = m.run_program(_warm_program(rng, lanes), collect_log=True)
+            h.update(_digest(toggles).encode())
+            for lane in range(lanes):
+                log = extract_cycle_log(blog, lane)
+                h.update(repr((sorted(log_initial(log).items()), log_changes(log))).encode())
+    assert h.hexdigest() == GOLDEN_WARM[mode, eda_fix]
+
+
 @pytest.mark.parametrize("mode", ["baseline", "param"])
 @pytest.mark.parametrize("collect_logs", [False, True])
 def test_batch_frees_each_chunks_machine_before_the_next(monkeypatch, mode, collect_logs):
