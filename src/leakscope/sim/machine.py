@@ -54,9 +54,6 @@ from ..feistel import (
 from .config import SimConfig
 from .program import MicroOp
 
-MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
 class SimError(RuntimeError):
     pass
 
@@ -198,6 +195,7 @@ class Machine:
 
         self._pw = None   # (d+1, n) toggle accumulator while a program runs
         self._log = None
+        self._lb_cells = None   # entries whose lines the line buffer holds
 
     def _lane_constant(self, kc):
         if not isinstance(kc, KeyConstant) or np.shape(kc.k32) != (self.n,):
@@ -220,16 +218,6 @@ class Machine:
             return np.asarray(val, dtype=np.uint64)
         return deobfuscate64_vec(val, self.kc)
 
-    def dp_line(self, raw):
-        if self.kc is None:
-            return np.asarray(raw, dtype=np.uint64)
-        return obfuscate64_vec(raw, self.kc[:, None])
-
-    def inv_line(self, val):
-        if self.kc is None:
-            return np.asarray(val, dtype=np.uint64)
-        return deobfuscate64_vec(val, self.kc[:, None])
-
     def dp_tagset(self, tagset):
         if self.kc is None:
             return np.asarray(tagset, dtype=np.uint32)
@@ -237,9 +225,13 @@ class Machine:
 
     # --- power/log plumbing -------------------------------------------------
 
-    def _pw_add(self, cycle, counts):
+    def _count(self, cycle, elem, toggles, new):
+        """Add per-lane ``toggles`` to ``cycle`` and log the lanes they mark
+        as changed, with their values in ``new``, as writes to ``elem``."""
         if self._pw is not None:
-            self._pw[cycle] += counts
+            self._pw[cycle] += toggles
+        if self._log is not None:
+            self._log.record(cycle, elem, toggles.astype(bool), new)
 
     def _latch(self, row, new, cycle, written=True):
         """Write ``new`` (uint64 per lane, or one 0-d value for every lane)
@@ -247,19 +239,19 @@ class Machine:
         take a new value rather than keep their old one."""
         reg = self.regs[row]
         toggles = np.bitwise_count(reg ^ new)
-        self._pw_add(cycle, toggles)
         reg[:] = new
-        self._written[row] |= written
-        if self._log is not None:
-            self._log.record(cycle, REG_ELEMS[row], toggles.astype(bool), reg)
+        # a fill when every lane takes ``new``: ``|= True`` costs ten times more
+        self._written[row] = True if written is True else self._written[row] | written
+        self._count(cycle, REG_ELEMS[row], toggles, reg)
 
-    def _latch_lb(self, new_line, cycle):
-        toggles = _row_toggles(self.lb, new_line)
-        self._pw_add(cycle, toggles)
-        self.lb = new_line.copy()
+    def _latch_lb(self, line, cycle, toggles=None):
+        """Latch (n_lanes, 8) ``line`` into the line buffer as it is, not a
+        copy; ``toggles`` are counted from the lines when not given."""
+        if toggles is None:
+            toggles = _row_toggles(self.lb, line)
+        self.lb = line
         self._written[-1] = True
-        if self._log is not None:
-            self._log.record(cycle, LB_ELEM, toggles.astype(bool), self.lb)
+        self._count(cycle, LB_ELEM, toggles, line)
 
     # --- backing memory -------------------------------------------------------
 
@@ -273,10 +265,10 @@ class Machine:
             arr = image[line_addr] = np.repeat(arr, self.n, axis=0)
         return arr
 
-    def _backing_lines(self, line_addr) -> np.ndarray:
-        """Raw (n_lanes, 8) backing line at each lane's ``line_addr``: one
-        gather over the distinct addresses' shared lines, then one masked
-        copy per per-lane line."""
+    def _backing_lines(self, line_addr, lanes) -> np.ndarray:
+        """Raw (k, 8) backing lines, row i at ``line_addr[i]`` as lane
+        ``lanes[i]`` sees it: one gather over the distinct addresses' shared
+        lines, then one masked copy per per-lane line."""
         uniq, inv = np.unique(line_addr, return_inverse=True)
         shared = np.zeros((len(uniq), 8), dtype=np.uint64)
         per_lane = []
@@ -291,7 +283,7 @@ class Machine:
         out = shared[inv]
         for i, entry in per_lane:
             mask = inv == i
-            out[mask] = entry[mask]
+            out[mask] = entry[lanes[mask]]
         return out
 
     def _check_span(self, addr: int, k: int) -> None:
@@ -365,7 +357,7 @@ class Machine:
         return out
 
     def _peek_line(self, line_addr: int) -> np.ndarray:
-        raw = self._backing_lines(np.full(self.n, line_addr, dtype=np.uint64))
+        raw = self._backing_lines(np.full(self.n, line_addr, dtype=np.uint64), self._lanes)
         _, set_idx, _, way = self._lookup(np.uint32(line_addr >> 6))
         hit = way >= 0
         if hit.any():
@@ -379,6 +371,12 @@ class Machine:
         if self.kc is None:
             return lines
         return deobfuscate64_vec(lines, self.kc[lanes, None])
+
+    def _dp_lines(self, lines, lanes):
+        """Obfuscate (k, 8) raw lines, row i for lane ``lanes[i]``."""
+        if self.kc is None:
+            return lines
+        return obfuscate64_vec(lines, self.kc[lanes, None])
 
     # --- the data cache ----------------------------------------------------------
 
@@ -396,16 +394,17 @@ class Machine:
         """The (k, 8) payloads of the entries at flat indices ``cells``."""
         return self.pool.take(self.slots.reshape(-1).take(cells), axis=0)
 
-    def _set_payload(self, cells, lines):
-        """Store (k, 8) payloads at distinct entries ``cells``; an entry still
-        on the zero row gets a fresh pool row first."""
+    def _set_payload(self, cells, lines, word=slice(None)):
+        """Store (k, 8) payloads, or (k,) words ``word`` of them, at distinct
+        entries ``cells``; an entry still on the zero row gets a fresh pool
+        row first."""
         slots_f = self.slots.reshape(-1)
         slot = slots_f.take(cells)
         fresh = np.flatnonzero(slot == 0)
         if fresh.size:
             slot[fresh] = self._new_rows(fresh.size)
             slots_f[cells] = slot
-        self.pool[slot] = lines
+        self.pool[slot, word] = lines
 
     def _new_rows(self, k: int) -> np.ndarray:
         """Indices of k unused pool rows; the pool doubles, capped at one row
@@ -439,8 +438,10 @@ class Machine:
         cells = self._cells(set_idx, np.arange(g.ways)[:, None])  # (ways, n)
         match = (self.valid.reshape(-1).take(cells) != 0) & \
             (self.tags.reshape(-1).take(cells) == tag)
-        way = np.where(match.any(axis=0), match.argmax(axis=0), -1)
-        return tdp, set_idx, tag, way
+        # the first matching way has the largest rank; argmax over the way
+        # axis takes about four times as long
+        rank = (match * np.arange(g.ways, 0, -1)[:, None]).max(axis=0)
+        return tdp, set_idx, tag, np.where(rank > 0, g.ways - rank, -1)
 
     def _scatter_lines(self, s, w, lanes, image: dict) -> None:
         """Write the raw lines cached at (s, w, lanes) into a memory image,
@@ -464,9 +465,18 @@ class Machine:
         staged through the line buffer; every access (hit or miss) latches the
         post-access line image into the line buffer and the critical word into
         the hit buffer.
+
+        Writes that cannot change a value are skipped: a hit keeps its entry's
+        tag, flags and line but for the word and dirty flag a store sets. Only
+        accesses write payloads or the line buffer, so after an access to the
+        same entries the line buffer holds their lines and toggles with them.
         """
         g = self.geom
         lanes = self._lanes
+        if op not in ("load", "store"):
+            raise SimError(f"bad cache op '{op}'")
+        if op == "store" and data is None:
+            raise SimError("store needs data")
         addr = np.asarray(addr, dtype=np.uint64)
         if int(addr.max(initial=0)) >= (1 << g.address_width):
             raise SimError(f"address beyond {g.address_width}-bit geometry")
@@ -474,10 +484,7 @@ class Machine:
             raise SimError("unaligned 8-byte access")
 
         # a 0-d address (one for every lane) is obfuscated with one lookup
-        tagset = (addr >> np.uint64(g.offset_bits)).astype(np.uint32)
-        tdp, set_idx, tag, way = self._lookup(tagset)
-        if addr.ndim == 0:
-            addr = np.full(self.n, addr, dtype=np.uint64)
+        tdp, set_idx, tag, way = self._lookup((addr >> np.uint64(g.offset_bits)).astype(np.uint32))
 
         # the request-address latch holds the (possibly obfuscated) lookup
         # address; offset bits pass through unprotected by construction
@@ -485,89 +492,88 @@ class Machine:
                         | (addr & np.uint64(g.line_bytes - 1)))
         self._latch(ADDR, addr_latched, cycle)
         miss = way < 0
-
         any_miss = bool(miss.any())
         if any_miss:
             ctr = self.repl[set_idx, lanes].astype(np.intp)
             way = np.where(miss, ctr, way)
             self.repl[set_idx, lanes] = np.where(miss, (ctr + 1) % g.ways, ctr)
         cells = self._cells(set_idx, way)
-        tags_f, valid_f = self.tags.reshape(-1), self.valid.reshape(-1)
-        dirty_f = self.dirty.reshape(-1)
+        tags_f, valid_f, dirty_f = (a.reshape(-1) for a in (self.tags, self.valid, self.dirty))
         old_valid, old_dirty = valid_f.take(cells), dirty_f.take(cells)
+        same = self._lb_cells is not None and np.array_equal(cells, self._lb_cells)
+        line = self.lb if same else self._payload(cells)   # changed in place
         if any_miss:
             victim_dirty = miss & (old_valid != 0) & (old_dirty != 0)
             # the victim's dirty flag is rewritten by the fill path; clearing it
             # here would hide the flag toggle from the power/log sampling
             self._scatter_lines(set_idx[victim_dirty], way[victim_dirty],
                                 lanes[victim_dirty], self.backing)
-
-        old_tag = tags_f.take(cells)
-        old_flags = (old_valid | (old_dirty << 1)).astype(np.uint64)
-        old_line = self._payload(cells)
-
-        if any_miss:
-            line_addr = (addr >> np.uint64(6)) << np.uint64(6)
-            raw_fill = self._backing_lines(line_addr)
-            new_line = np.where(miss[:, None], self.dp_line(raw_fill), old_line)
-            new_tag = np.where(miss, tag, old_tag)
-            new_dirty = np.where(miss, 0, old_dirty).astype(np.uint8)
-        else:
-            new_line, new_tag, new_dirty = old_line, old_tag, old_dirty
-
-        wi = ((addr >> np.uint64(3)) & np.uint64(7)).astype(np.intp)
-
-        if op == "store":
-            if data is None:
-                raise SimError("store needs data")
-            data = np.asarray(data, dtype=np.uint64)
-            if size == 8:
-                word_dp = self.dp64(data)
+            filled = np.flatnonzero(miss)
+            line_addr = np.broadcast_to(addr >> np.uint64(6) << np.uint64(6), (self.n,))
+            fill = self._dp_lines(self._backing_lines(line_addr[filled], filled), filled)
+            if filled.size == self.n:   # every lane misses: slices, not gathers
+                rows, old_filled, line = slice(None), line, fill
             else:
-                cur_word = new_line[lanes, wi]
-                cur_raw = self.inv64(cur_word)
-                shift = ((addr & np.uint64(7)) << np.uint64(3))
-                bmask = np.uint64(0xFF) << shift
-                merged = (cur_raw & ~bmask) | ((data & np.uint64(0xFF)) << shift)
-                word_dp = self.dp64(merged)
-            new_line = new_line.copy()
-            new_line[lanes, wi] = word_dp
-            new_dirty = np.ones(self.n, dtype=np.uint8)
-            crit_word = word_dp
-            raw_word = None
-        elif op == "load":
-            crit_word = new_line[lanes, wi]
-            raw_word = self.inv64(crit_word)
+                rows, old_filled = filled, line[filled]
+                line[filled] = fill
+
+        # the accessed word of each line, a view when all lanes access one word
+        wi = ((addr >> np.uint64(3)) & np.uint64(7)).astype(np.intp)
+        word = (slice(None), int(wi)) if addr.ndim == 0 else (lanes, wi)
+        shift = (addr & np.uint64(7)) << np.uint64(3)
+        line_toggles = np.zeros(self.n, dtype=np.int64)
+        if op == "store":
+            cur = line[word]
+            if size == 8:
+                crit = self.dp64(data)
+            else:
+                # the datapath form is affine in the raw word, so changing
+                # one byte by ``delta`` xors in L·delta = dp64(delta) ^ dp64(0)
+                delta = (self._raw_byte(cur, shift) ^ (np.uint64(data) & np.uint64(0xFF))) << shift
+                crit = cur ^ self.dp64(delta) ^ self.dp64(np.uint64(0))
+            line_toggles += np.bitwise_count(cur ^ crit)
+            line[word] = crit
         else:
-            raise SimError(f"bad cache op '{op}'")
+            crit = line[word]
 
-        new_flags = (np.uint64(1) | (new_dirty.astype(np.uint64) << np.uint64(1)))
-        line_toggles = _row_toggles(old_line, new_line)
-        self._pw_add(cycle, line_toggles + np.bitwise_count(old_tag ^ new_tag)
-                     + np.bitwise_count(old_flags ^ new_flags))
-
-        tags_f[cells] = new_tag
-        valid_f[cells] = 1
-        dirty_f[cells] = new_dirty
-        self._set_payload(cells, new_line)
-
-        if self._log is not None:
+        if any_miss or op == "store":
             elem = CELL_ELEM + 3 * (set_idx * g.ways + way)
-            self._log.record(cycle, elem, old_tag != new_tag, new_tag)
-            self._log.record(cycle, elem + 1, old_flags != new_flags, new_flags)
-            self._log.record(cycle, elem + 2, line_toggles.astype(bool), new_line)
+            if any_miss:   # hits keep their tag and payload row
+                line_toggles[rows] = _row_toggles(old_filled, line[rows])
+                old_tag = tags_f.take(cells)
+                new_tag = np.where(miss, tag, old_tag)
+                tags_f[cells] = new_tag
+                valid_f[cells] = 1
+                self._set_payload(cells[rows], line[rows])
+                self._count(cycle, elem, np.bitwise_count(old_tag ^ new_tag), new_tag)
+            new_dirty = np.where(miss, 0, old_dirty) if op == "load" else 1
+            dirty_f[cells] = new_dirty
+            old_flags = (old_valid | (old_dirty << 1)).astype(np.uint64)
+            new_flags = np.uint64(1) | (np.broadcast_to(new_dirty, (self.n,)).astype(np.uint64)
+                                        << np.uint64(1))
+            self._count(cycle, elem + 1, np.bitwise_count(old_flags ^ new_flags), new_flags)
+            if op == "store":
+                self._set_payload(cells, crit, word[1])
+            self._count(cycle, elem + 2, line_toggles, line)
 
-        self._latch_lb(new_line, cycle)
-        self._latch(HB, crit_word, cycle)
+        self._latch_lb(line, cycle, line_toggles if same else None)
+        self._lb_cells = cells
+        self._latch(HB, crit, cycle)
 
         if op == "load":
-            if size == 8:
-                value = raw_word
-            else:
-                shift = ((addr & np.uint64(7)) << np.uint64(3))
-                value = (raw_word >> shift) & np.uint64(0xFF)
-            return ~miss, value
+            return ~miss, self.inv64(crit) if size == 8 else self._raw_byte(crit, shift)
         return ~miss, None
+
+    def _raw_byte(self, word, shift):
+        """Byte ``shift // 8`` of the raw form of datapath words; with one shift
+        for every lane only the 32-bit half holding it is deobfuscated."""
+        if self.kc is not None and shift.ndim == 0:
+            half = shift & np.uint64(32)
+            word = deobfuscate32_vec((word >> half).astype(np.uint32), self.kc).astype(np.uint64)
+            shift = shift - half
+        else:
+            word = self.inv64(word)
+        return (word >> shift) & np.uint64(0xFF)
 
     # --- program execution ------------------------------------------------------
 
@@ -576,12 +582,17 @@ class Machine:
 
         Returns (toggle_counts (n_lanes, d) int64, BatchLog | None); the cycle
         count d is len(program) + 3 in every mode. The toggle counts are a
-        transposed view of the run's (d + 1, n_lanes) per-cycle accumulator,
-        not a contiguous copy; each run allocates its own accumulator.
+        transposed view of a fresh (d, n_lanes) array, not a contiguous copy.
+
+        Writes that cannot change a value are skipped, with or without a log:
+        the EDA fix's constant into shadows that hold it, PRF fills when no
+        lane misses, and the cache writes ``cache_access`` names. Each would
+        count 0 toggles and log no change, so the result is exact.
         """
         n_ops = len(program)
         d = n_ops + 3
-        self._pw = np.zeros((d + 1, self.n), dtype=np.int64)
+        # at most ~2 000 bits toggle in one cycle; int32 adds cost less than int64
+        self._pw = np.zeros((d + 1, self.n), dtype=np.int32)
         self._log = log = BatchLog(self, d) if collect_log else None
 
         eda_on = self.cfg.eda_fix_on
@@ -612,7 +623,7 @@ class Machine:
                     b = np.uint64(mop.imm & 0xFFFFFFFFFFFFFFFF)
                     b_dp = self.dp64(b)
                 op_b = b_dp
-                result = _alu_eval(mop.op, a, b)
+                result = _ALU[mop.op](a, b)
                 res_dp = self.dp64(result)
             else:
                 addr, op_b, res_dp = self._address(mop, a)
@@ -622,9 +633,12 @@ class Machine:
             self._latch(OP_B, op_b, t_ex)
             self._latch(RES, res_dp, t_ex)
             if kind == "alu":
-                shadows = (np.uint64(1),) * 3 if eda_on else (a_dp, b_dp, res_dp)
-                for row, value in zip(SHADOWS, shadows):
-                    self._latch(row, value, t_ex)
+                # the EDA fix only ever writes the shadows the constant 1, so
+                # once written they hold it and a rewrite toggles nothing
+                if not (eda_on and self._written[FPU_SHADOW].all()):
+                    shadows = (np.uint64(1),) * 3 if eda_on else (a_dp, b_dp, res_dp)
+                    for row, value in zip(SHADOWS, shadows):
+                        self._latch(row, value, t_ex)
                 flags = ((result == 0).astype(np.uint64) << np.uint64(8)) \
                     | ((result >> np.uint64(63)) << np.uint64(9)) | (result & np.uint64(0xFF))
                 self._latch(STATUS, self.dp64(flags), t_ex)
@@ -636,12 +650,14 @@ class Machine:
                 wb_dp = res_dp
             elif kind == "load":
                 hit, result = self.cache_access(addr, "load", size=mop.size, cycle=t_mem)
-                wb_dp = self.dp64(result)
+                # dp64 of a loaded dword is the hit-buffer word it came from
+                wb_dp = self.regs[HB] if mop.size == 8 else self.dp64(result)
                 # miss fills also land in the physical register file; every
                 # load consumes a slot so the schedule stays data-independent
-                # (hit lanes rewrite the slot's old value, which is no toggle)
+                # (hit lanes keep the slot's old value, which is no toggle)
                 slot = PRF + self._prf_ptr
-                self._latch(slot, np.where(~hit, wb_dp, self.regs[slot]), t_mem, ~hit)
+                if not hit.all():
+                    self._latch(slot, np.where(hit, self.regs[slot], wb_dp), t_mem, ~hit)
                 self._prf_ptr = (self._prf_ptr + 1) % N_PRF
             else:
                 self.cache_access(addr, "store", data=b, size=mop.size, cycle=t_mem)
@@ -652,7 +668,7 @@ class Machine:
                 self._latch(mop.rd, wb_dp, t_wb)
                 last_writer[mop.rd] = i
 
-        toggles = self._pw[1:].T
+        toggles = self._pw[1:].astype(np.int64).T
         self._pw = None
         self._log = None
         return toggles, log
@@ -678,7 +694,7 @@ class Machine:
         imm_dp = self.dp64(imm)
         if mop.rs1 == 0:
             return imm, imm_dp, imm_dp
-        addr = (a + imm) & MASK64
+        addr = a + imm   # uint64 wraps like the 64-bit adder
         return addr, imm_dp, self.dp64(addr)
 
     # --- functional views ----------------------------------------------------------
@@ -700,7 +716,7 @@ class Machine:
                                        self.kc).astype(np.uint64)
             a[:] = (tagset << off_bits) | (a & np.uint64(self.geom.line_bytes - 1))
         out = dict(zip(REG_ROWS, vals))
-        out["dcache.lb.line"] = self.inv_line(self.lb)
+        out["dcache.lb.line"] = self._raw_lines(self.lb, self._lanes)
         for name, written in zip(out, self._written):
             out[name] = np.where(written if out[name].ndim == 1 else written[:, None],
                                  out[name], np.uint64(0))
@@ -708,37 +724,21 @@ class Machine:
 
 
 def _row_toggles(old, new):
-    """Toggled bits per row of two (n, k) word arrays, as int64.
-
-    Summed column by column: ``sum(axis=1)`` over eight columns takes more than
-    twice as long on 8192 rows.
-    """
-    pc = np.bitwise_count(old ^ new)
-    out = pc[:, 0].astype(np.int64)
-    for j in range(1, pc.shape[1]):
-        out += pc[:, j]
-    return out
+    """Toggled bits per row of two (n, 8) word arrays, as int64: the eight
+    counts of a row (at most 64 each) are the bytes of one word, added in
+    pairs into 16-bit fields and then, by one multiply, into the top field."""
+    counts = np.bitwise_count(old ^ new).view(np.uint64)[:, 0]
+    pairs = (counts & np.uint64(0x00FF00FF00FF00FF)) \
+        + ((counts >> np.uint64(8)) & np.uint64(0x00FF00FF00FF00FF))
+    return ((pairs * np.uint64(0x0001000100010001)) >> np.uint64(48)).view(np.int64)
 
 
-def _alu_eval(op, a, b):
-    if op == "xor":
-        return a ^ b
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "add":
-        return (a + b) & MASK64
-    if op == "shl":
-        return (a << (b & np.uint64(63))) & MASK64
-    if op == "shr":
-        return a >> (b & np.uint64(63))
-    if op == "gfdbl":
-        byte = a & np.uint64(0xFF)
-        dbl = (byte << np.uint64(1)) ^ np.where(
-            byte & np.uint64(0x80), np.uint64(0x1B), np.uint64(0)
-        )
-        return dbl & np.uint64(0xFF)
-    if op == "mov":
-        return a.copy()
-    raise SimError(f"bad alu op '{op}'")
+# the ALU on uint64 arrays, which wrap like the 64-bit datapath
+_ALU = {
+    "xor": np.bitwise_xor, "and": np.bitwise_and, "or": np.bitwise_or, "add": np.add,
+    "shl": lambda a, b: a << (b & np.uint64(63)),
+    "shr": lambda a, b: a >> (b & np.uint64(63)),
+    "gfdbl": lambda a, b: ((a << np.uint64(1)) & np.uint64(0xFF))
+    ^ np.where(a & np.uint64(0x80), np.uint64(0x1B), np.uint64(0)),
+    "mov": lambda a, b: a.copy(),
+}

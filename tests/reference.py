@@ -603,8 +603,8 @@ class DenseMachine(Machine):
     def _payload(self, cells):
         return self.data.reshape(-1, 8).take(cells, axis=0)
 
-    def _set_payload(self, cells, lines):
-        self.data.reshape(-1, 8)[cells] = lines
+    def _set_payload(self, cells, lines, word=slice(None)):
+        self.data.reshape(-1, 8)[cells, word] = lines
 
     def _cache_snapshot(self):
         # entry e's payload is row e of the flat array
@@ -612,13 +612,13 @@ class DenseMachine(Machine):
         return (self.tags.copy(), self.valid.copy(), self.dirty.copy(), slots,
                 self.data.reshape(-1, 8).copy())
 
-    def _backing_lines(self, line_addr):
-        out = np.zeros((self.n, 8), dtype=np.uint64)
+    def _backing_lines(self, line_addr, lanes):
+        out = np.zeros((len(lanes), 8), dtype=np.uint64)
         for u in np.unique(line_addr):
             entry = self.backing.get(int(u))
             if entry is not None:
                 mask = line_addr == u
-                out[mask] = entry[mask]
+                out[mask] = entry[lanes[mask]]
         return out
 
     def poke_bytes(self, addr, data):

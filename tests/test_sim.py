@@ -622,13 +622,13 @@ def _datapath_transforms(m, keys, rng):
     lines = rng.integers(0, 1 << 63, size=(n, 8), dtype=np.uint64)
     tagsets = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
     lanes = np.array([2, 0, 3, 2])
-    col = [k[:, None] for k in keys]
     return {
         "dp64": (m.dp64(words), obfuscate64_vec(words, kc)),
         "dp64 of a constant": (m.dp64(np.uint64(0x1234)),
                                obfuscate64_vec(np.full(n, 0x1234, dtype=np.uint64), kc)),
         "inv64": (m.inv64(words), deobfuscate64_vec(words, kc)),
-        "dp_line": (m.dp_line(lines), obfuscate64_vec(lines, KeyConstant.of(col))),
+        "_dp_lines": (m._dp_lines(lines[:4], lanes),
+                      obfuscate64_vec(lines[:4], KeyConstant.of([k[lanes][:, None] for k in keys]))),
         "dp_tagset": (m.dp_tagset(tagsets), obfuscate32_vec(tagsets, kc)),
         "_raw_lines": (m._raw_lines(lines[:4], lanes),
                        deobfuscate64_vec(lines[:4],
