@@ -320,18 +320,26 @@ def load_traces_npz(path):
         archive = None
     if not isinstance(archive, np.lib.npyio.NpzFile):
         raise ValueError(f"{path}: not an .npz trace archive")
+
+    def member(z, name):
+        try:
+            return z[name]
+        except ValueError:  # an object array: loading it would unpickle
+            raise ValueError(f"{path}: '{name}' array must be numeric, got an object "
+                             "array") from None
+
     with archive as z:
         for name in ("samples", "plaintexts"):
             if name not in z:
                 raise ValueError(f"{path}: no '{name}' array in the trace archive")
-        samples, plaintexts = z["samples"], z["plaintexts"]
-        key = z["key"] if "key" in z else None
+        samples, plaintexts = member(z, "samples"), member(z, "plaintexts")
+        key = member(z, "key") if "key" in z else None
 
     def bad(name, arr, want):
         return ValueError(f"{path}: '{name}' array must be {want}, got {arr.shape} {arr.dtype}")
 
-    if samples.ndim != 2:
-        raise bad("samples", samples, "(N, d)")
+    if samples.ndim != 2 or samples.dtype.kind not in "biuf":
+        raise bad("samples", samples, "(N, d) numbers")
     if plaintexts.dtype != np.uint8 or plaintexts.ndim != 2 or plaintexts.shape[1] != 16:
         raise bad("plaintexts", plaintexts, "(N, 16) uint8")
     if key is not None and (key.dtype != np.uint8 or key.shape != (16,)):

@@ -371,8 +371,11 @@ _GOOD_ARCHIVE = {"samples": np.arange(40, dtype=np.float32).reshape(10, 4),
     ("plaintexts", np.zeros((10, 8), np.uint8), "0"),
     ("plaintexts", np.zeros((10, 8), np.uint8), "10"),
     ("samples", np.zeros(10, np.float32), "0"),
+    ("samples", np.full((10, 4), 0.5, dtype=object), "0"),
+    ("samples", np.full((10, 4), "0.5"), "0"),
+    ("plaintexts", np.zeros((10, 16), dtype=object), "0"),
 ], ids=["key-5-bytes", "key-5-bytes-byte-7", "plaintexts-10x8", "plaintexts-10x8-byte-10",
-        "samples-1d"])
+        "samples-1d", "samples-objects", "samples-strings", "plaintexts-objects"])
 def test_dpa_npz_with_a_malformed_array_names_the_file_and_array(tmp_path, capsys,
                                                                  name, value, byte):
     path = tmp_path / "bad.npz"

@@ -461,3 +461,41 @@ def test_rekeying_xors_every_word_with_one_key_dependent_constant(xs, ka, kb, sp
     old, new = RoundKeys(ka), RoundKeys(kb)
     shifts = {obfuscate32(x, new, spec) ^ obfuscate32(x, old, spec) for x in xs}
     assert shifts == {obfuscate32(0, old, spec) ^ obfuscate32(0, new, spec)}
+
+
+@pytest.mark.parametrize("zero", ["in every word", "in some words", "in no word"])
+def test_vec_matches_scalar_on_byte_positions_zero_in_every_or_some_words(zero):
+    # the vector functions skip the lookups of a byte position that is 0 in
+    # every word; one word with a nonzero byte there must still count
+    rng = random.Random(zero)
+    positions = rng.sample(range(8), 5)   # byte positions made zero
+    keys = [tuple(rng.getrandbits(16) for _ in range(4)) for _ in range(7)]
+    words = []
+    for i in range(7):
+        word = rng.getrandbits(64)
+        for j in positions:
+            if zero == "in every word" or (zero == "in some words" and i % 3 != 2):
+                word &= ~(0xFF << 8 * j)
+            else:
+                word |= (rng.randint(1, 255) << 8 * j)
+        words.append(word)
+    xs = np.array(words, dtype=np.uint64)
+    kc = _key_constant(keys)
+    assert [int(y) for y in obfuscate64_vec(xs, kc)] == \
+        [obfuscate64(w, RoundKeys(k)) for w, k in zip(words, keys)]
+    assert [int(y) for y in deobfuscate64_vec(xs, kc)] == \
+        [deobfuscate64(w, RoundKeys(k)) for w, k in zip(words, keys)]
+    for half in (xs & np.uint64(0xFFFFFFFF), xs >> np.uint64(32)):
+        half = half.astype(np.uint32)
+        assert [int(y) for y in obfuscate32_vec(half, kc)] == \
+            [obfuscate32(int(w), RoundKeys(k)) for w, k in zip(half, keys)]
+        assert [int(y) for y in deobfuscate32_vec(half, kc)] == \
+            [deobfuscate32(int(w), RoundKeys(k)) for w, k in zip(half, keys)]
+
+
+def test_vec_of_an_empty_array_is_empty():
+    kc = _key_constant([])
+    for fn, dtype in ((obfuscate64_vec, np.uint64), (deobfuscate64_vec, np.uint64),
+                      (obfuscate32_vec, np.uint32), (deobfuscate32_vec, np.uint32)):
+        out = fn(np.array([], dtype=dtype), kc)
+        assert out.shape == (0,) and out.dtype == dtype, fn.__name__

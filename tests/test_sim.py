@@ -1116,6 +1116,27 @@ def _warm_program(rng, lanes):
     return via_r1 + rest
 
 
+def _warm_machines(rng, cfg, lanes, copies=1):
+    """Machines with the same keys and per-lane bytes poked over REGION."""
+    kc = _random_keys(rng, lanes) if cfg.param_mode else None
+    data = np.array([[rng.getrandbits(8) for _ in range(REGION[1] - REGION[0])]
+                     for _ in range(lanes)], dtype=np.uint8)
+    machines = [Machine(cfg, lanes, kc) for _ in range(copies)]
+    for m in machines:
+        m.poke_bytes(REGION[0], data)
+    return machines
+
+
+def _preset_warm_registers(rng, machines, lanes):
+    """r1 per lane inside REGION for ``_warm_program``, four more at random."""
+    for r in [1] + rng.sample(range(2, 32), 4):
+        values = [rng.getrandbits(64) for _ in range(lanes)]
+        if r == 1:
+            values = [rng.randrange(REGION[0], REGION[1] - 64, 8) for _ in range(lanes)]
+        for m in machines:
+            m.preset_register(r, values)
+
+
 @pytest.mark.parametrize("mode", ["baseline", "param"])
 @pytest.mark.parametrize("eda_fix", ["off", "on"])
 def test_warm_machines_match_golden_hashes(mode, eda_fix):
@@ -1125,21 +1146,35 @@ def test_warm_machines_match_golden_hashes(mode, eda_fix):
     for shape in [(1, 2), (2, 3), (4, 1), (64, 4)]:
         cfg = SimConfig(mode=mode, eda_fix=eda_fix, noise_sigma=0.0, seed=3,
                         cache=CacheGeometry(*shape))
-        m = Machine(cfg, lanes, _random_keys(rng, lanes) if cfg.param_mode else None)
-        m.poke_bytes(REGION[0], np.array([[rng.getrandbits(8) for _ in range(REGION[1] - REGION[0])]
-                                          for _ in range(lanes)], dtype=np.uint8))
+        m, = _warm_machines(rng, cfg, lanes)
         for _ in range(2):
-            for r in [1] + rng.sample(range(2, 32), 4):
-                values = [rng.getrandbits(64) for _ in range(lanes)]
-                if r == 1:
-                    values = [rng.randrange(REGION[0], REGION[1] - 64, 8) for _ in range(lanes)]
-                m.preset_register(r, values)
+            _preset_warm_registers(rng, [m], lanes)
             toggles, blog = m.run_program(_warm_program(rng, lanes), collect_log=True)
             h.update(_digest(toggles).encode())
             for lane in range(lanes):
                 log = extract_cycle_log(blog, lane)
                 h.update(repr((sorted(log_initial(log).items()), log_changes(log))).encode())
     assert h.hexdigest() == GOLDEN_WARM[mode, eda_fix]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["baseline", "param"]),
+       st.sampled_from(["off", "on"]), st.sampled_from([1, 7]),
+       st.sampled_from([(1, 2), (2, 3), (64, 4)]))
+def test_run_program_toggles_do_not_depend_on_collecting_a_log(seed, mode, eda_fix, lanes,
+                                                                shape):
+    # a write skipped only when no log is kept would show as a difference;
+    # the second program starts on the state the first one left
+    rng = random.Random(seed)
+    cfg = SimConfig(mode=mode, eda_fix=eda_fix, noise_sigma=0.0, seed=seed,
+                    cache=CacheGeometry(*shape))
+    plain, logged = _warm_machines(rng, cfg, lanes, copies=2)
+    for _ in range(2):
+        _preset_warm_registers(rng, [plain, logged], lanes)
+        prog = _warm_program(rng, lanes)
+        toggles, _ = plain.run_program(prog)
+        want, log = logged.run_program(prog, collect_log=True)
+        assert log is not None and np.array_equal(toggles, want)
 
 
 @pytest.mark.parametrize("mode", ["baseline", "param"])
