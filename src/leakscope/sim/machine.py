@@ -195,7 +195,7 @@ class Machine:
 
         self._pw = None   # (d+1, n) toggle accumulator while a program runs
         self._log = None
-        self._lb_cells = None   # entries whose lines the line buffer holds
+        self._lb_cells = np.full(n, -1, dtype=np.intp)  # entries whose lines lb holds, -1: none
 
     def _lane_constant(self, kc):
         if not isinstance(kc, KeyConstant) or np.shape(kc.k32) != (self.n,):
@@ -500,7 +500,7 @@ class Machine:
         cells = self._cells(set_idx, way)
         tags_f, valid_f, dirty_f = (a.reshape(-1) for a in (self.tags, self.valid, self.dirty))
         old_valid, old_dirty = valid_f.take(cells), dirty_f.take(cells)
-        same = self._lb_cells is not None and np.array_equal(cells, self._lb_cells)
+        same = np.array_equal(cells, self._lb_cells)
         line = self.lb if same else self._payload(cells)   # changed in place
         if any_miss:
             victim_dirty = miss & (old_valid != 0) & (old_dirty != 0)
@@ -557,7 +557,7 @@ class Machine:
             self._count(cycle, elem + 2, line_toggles, line)
 
         self._latch_lb(line, cycle, line_toggles if same else None)
-        self._lb_cells = cells
+        self._lb_cells[:] = cells
         self._latch(HB, crit, cycle)
 
         if op == "load":
