@@ -1101,7 +1101,7 @@ GOLDEN_WARM = {
 }
 
 
-def _warm_program(rng, lanes):
+def _warm_program(rng):
     """Loads and stores through r1, preset per lane inside REGION, then
     fuzz and region ops in random order."""
     via_r1 = []
@@ -1149,7 +1149,7 @@ def test_warm_machines_match_golden_hashes(mode, eda_fix):
         m, = _warm_machines(rng, cfg, lanes)
         for _ in range(2):
             _preset_warm_registers(rng, [m], lanes)
-            toggles, blog = m.run_program(_warm_program(rng, lanes), collect_log=True)
+            toggles, blog = m.run_program(_warm_program(rng), collect_log=True)
             h.update(_digest(toggles).encode())
             for lane in range(lanes):
                 log = extract_cycle_log(blog, lane)
@@ -1171,7 +1171,7 @@ def test_run_program_toggles_do_not_depend_on_collecting_a_log(seed, mode, eda_f
     plain, logged = _warm_machines(rng, cfg, lanes, copies=2)
     for _ in range(2):
         _preset_warm_registers(rng, [plain, logged], lanes)
-        prog = _warm_program(rng, lanes)
+        prog = _warm_program(rng)
         toggles, _ = plain.run_program(prog)
         want, log = logged.run_program(prog, collect_log=True)
         assert log is not None and np.array_equal(toggles, want)
