@@ -387,8 +387,8 @@ class Machine:
         n_lanes); one flat ``np.take`` or assignment per array is much cheaper
         than indexing with three arrays. ``lanes`` defaults to every lane.
         """
-        return (set_idx * self.geom.ways + way) * self.n + \
-            (self._lanes if lanes is None else lanes)
+        return set_idx * (self.geom.ways * self.n) + \
+            (self._lanes if lanes is None else lanes) + way * self.n
 
     def _payload(self, cells):
         """The (k, 8) payloads of the entries at flat indices ``cells``."""
@@ -521,7 +521,7 @@ class Machine:
         wi = ((addr >> np.uint64(3)) & np.uint64(7)).astype(np.intp)
         word = (slice(None), int(wi)) if addr.ndim == 0 else (lanes, wi)
         shift = (addr & np.uint64(7)) << np.uint64(3)
-        line_toggles = np.zeros(self.n, dtype=np.int64)
+        line_toggles = np.zeros(self.n, dtype=np.int32)
         if op == "store":
             cur = line[word]
             if size == 8:
@@ -565,15 +565,13 @@ class Machine:
         return ~miss, None
 
     def _raw_byte(self, word, shift):
-        """Byte ``shift // 8`` of the raw form of datapath words; with one shift
-        for every lane only the 32-bit half holding it is deobfuscated."""
-        if self.kc is not None and shift.ndim == 0:
-            half = shift & np.uint64(32)
-            word = deobfuscate32_vec((word >> half).astype(np.uint32), self.kc).astype(np.uint64)
-            shift = shift - half
-        else:
-            word = self.inv64(word)
-        return (word >> shift) & np.uint64(0xFF)
+        """Byte ``shift // 8`` of the raw form of datapath words: only the
+        32-bit half that holds it is deobfuscated."""
+        half = shift & np.uint64(32)
+        word = (word >> half).astype(np.uint32)
+        if self.kc is not None:
+            word = deobfuscate32_vec(word, self.kc)
+        return (word >> (shift - half)) & np.uint64(0xFF)
 
     # --- program execution ------------------------------------------------------
 
