@@ -521,7 +521,7 @@ class Machine:
         wi = ((addr >> np.uint64(3)) & np.uint64(7)).astype(np.intp)
         word = (slice(None), int(wi)) if addr.ndim == 0 else (lanes, wi)
         shift = (addr & np.uint64(7)) << np.uint64(3)
-        line_toggles = np.zeros(self.n, dtype=np.int32)
+        line_toggles = np.zeros(self.n, dtype=np.int64)
         if op == "store":
             cur = line[word]
             if size == 8:
@@ -580,7 +580,8 @@ class Machine:
 
         Returns (toggle_counts (n_lanes, d) int64, BatchLog | None); the cycle
         count d is len(program) + 3 in every mode. The toggle counts are a
-        transposed view of a fresh (d, n_lanes) array, not a contiguous copy.
+        transposed view of the run's (d + 1, n_lanes) per-cycle accumulator,
+        not a contiguous copy; each run allocates its own accumulator.
 
         Writes that cannot change a value are skipped, with or without a log:
         the EDA fix's constant into shadows that hold it, PRF fills when no
@@ -589,8 +590,7 @@ class Machine:
         """
         n_ops = len(program)
         d = n_ops + 3
-        # at most ~2 000 bits toggle in one cycle; int32 adds cost less than int64
-        self._pw = np.zeros((d + 1, self.n), dtype=np.int32)
+        self._pw = np.zeros((d + 1, self.n), dtype=np.int64)
         self._log = log = BatchLog(self, d) if collect_log else None
 
         eda_on = self.cfg.eda_fix_on
@@ -666,7 +666,7 @@ class Machine:
                 self._latch(mop.rd, wb_dp, t_wb)
                 last_writer[mop.rd] = i
 
-        toggles = self._pw[1:].astype(np.int64).T
+        toggles = self._pw[1:].T
         self._pw = None
         self._log = None
         return toggles, log
