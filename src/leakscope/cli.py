@@ -19,6 +19,7 @@ from . import __version__, aes, cpa, metrics
 from .feistel import AffineSpec, ObfuscationError, RoundKeys, deobfuscate32, obfuscate32
 from .sim import (
     SimConfig,
+    TraceArchive,
     cache_set_experiment,
     emit_vcd,
     load_traces_npz,
@@ -87,11 +88,13 @@ def cmd_simulate(args) -> int:
         pt_path = os.path.join(args.out, "plaintexts.txt")
         aes.write_blocks_hex(pt_path, [bytes(p) for p in pts])
 
-    res = run_aes_batch(cfg, pts, key, collect_logs=args.vcd)
-
+    # the rows stream into the archive chunk by chunk; it takes its name
+    # only once complete
     trace_path = os.path.join(args.out, "traces.npz")
-    save_traces_npz(trace_path, res.traces, pts, key=key,
-                    meta={"config": cfg.to_dict(), "n_cycles": res.n_cycles})
+    with TraceArchive(trace_path, len(pts)) as archive:
+        res = run_aes_batch(cfg, pts, key, collect_logs=args.vcd, out=archive)
+        save_traces_npz(archive, res.traces, pts, key=key,
+                        meta={"config": cfg.to_dict(), "n_cycles": res.n_cycles})
     artifacts = {"traces": trace_path}
 
     if res.ciphertexts is not None:

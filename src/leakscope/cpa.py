@@ -81,7 +81,9 @@ def cpa_attack(traces, plaintexts, target_byte: int,
     (constant plaintext byte) score 0 rather than raising; a non-finite
     sample is an error naming its trace row and cycle.
     """
-    traces = np.asarray(traces, dtype=np.float64)
+    traces = np.asarray(traces)
+    if traces.dtype.kind not in "biuf":
+        traces = traces.astype(np.float64)
     plaintexts = np.asarray(plaintexts, dtype=np.uint8)
     if traces.ndim != 2:
         raise ValueError(f"traces must be (N, d), got {traces.shape}")
@@ -96,12 +98,14 @@ def cpa_attack(traces, plaintexts, target_byte: int,
     table = _hw_table(point)
     pbytes = plaintexts[:, target_byte].astype(np.intp)
     counts = np.bincount(pbytes, minlength=256)                  # (256,)
-    # one pass over row blocks: each block is centred on the column means
-    # and adds its column sums of squares and its class sums, so no (N, d)
-    # temporary is built; a NaN or infinite sample makes its column's norm
-    # NaN, while a finite overflow (an infinite norm of finite samples) is
-    # no error
-    mean = traces.mean(axis=0)
+    # one pass over row blocks: each block is cast to float64 as it is
+    # centred on the column means, and adds its column sums of squares and
+    # its class sums, so no (N, d) temporary is built; a NaN or infinite
+    # sample makes its column's norm NaN, while a finite overflow (an
+    # infinite norm of finite samples) is no error. The float64 mean of
+    # float32 traces is the mean of their float64 cast, bit for bit: both
+    # add the rows in order.
+    mean = traces.mean(axis=0, dtype=np.float64)
     m2 = np.zeros(d)
     sums = np.zeros(256 * d)
     cols = np.arange(d)
@@ -160,7 +164,7 @@ class MtdCurve:
 
 def _prefix_attacks(traces, plaintexts, target_byte, checkpoint_step, point):
     """Yield (checkpoint, attack on the first checkpoint traces) per checkpoint."""
-    traces = np.asarray(traces, dtype=np.float64)
+    traces = np.asarray(traces)
     for cp in _checkpoints(traces.shape[0], checkpoint_step):
         yield cp, cpa_attack(traces[:cp], plaintexts[:cp], target_byte, point=point)
 

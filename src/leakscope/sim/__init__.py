@@ -16,6 +16,7 @@ from .program import (
 )
 from .run import (
     BatchResult,
+    TraceArchive,
     cache_set_experiment,
     epoch_keys,
     load_traces_npz,
@@ -29,7 +30,7 @@ from .run import (
 
 __all__ = [
     "BatchResult", "CacheGeometry", "ConfigError", "CycleLog", "Machine",
-    "SimConfig", "SimError", "build_aes_program",
+    "SimConfig", "SimError", "TraceArchive", "build_aes_program",
     "build_single_access_program", "cache_set_experiment", "element_catalog",
     "emit_vcd", "epoch_keys", "extract_cycle_log", "load_traces_npz",
     "parse_config_file", "random_plaintexts", "read_trace_csv", "run_aes_batch",

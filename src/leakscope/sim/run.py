@@ -13,9 +13,9 @@ and evaluation order, with two exceptions:
   change with ``max_lanes``.
 
 Run ``r``'s trace noise is its own substream, ``sub_rng(seed, "noise", r)``.
-A chunk derives the seeds of all its runs' substreams in one vectorised pass
-(``_noise_rows``), bit for bit as ``sub_rng`` would, rather than building a
-generator per run.
+Each block of up to ``_ROW_BLOCK`` runs derives the seeds of all its runs'
+substreams in one vectorised pass (``_noise_rows``), bit for bit as
+``sub_rng`` would, rather than building a generator per run.
 
 Run ``r`` takes key epoch ``r // rekey_interval_runs`` (epochs are
 consecutive LFSR draws) on a fresh cold lane, so no state carries over a
@@ -28,6 +28,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,9 +171,13 @@ def random_plaintexts(cfg: SimConfig, n: int) -> np.ndarray:
     return sub_rng(cfg.seed, "plaintexts").integers(0, 256, size=(n, 16), dtype=np.uint8)
 
 
+_ROW_BLOCK = 1024  # trace rows drawn, summed and written at a time
+
+
 @dataclass
 class BatchResult:
-    traces: np.ndarray               # (N, d) float64, or int64 when sigma == 0
+    # (N, d) float64, or int64 when sigma == 0; None when the rows went to an archive
+    traces: np.ndarray | None
     n_cycles: int
     ciphertexts: np.ndarray | None   # (N, 16) uint8 when the program ran 10 rounds
     logs: list[CycleLog] | None
@@ -180,8 +186,13 @@ class BatchResult:
 
 def run_aes_batch(cfg: SimConfig, plaintexts, key: bytes, *,
                   collect_logs: bool = False, run_offset: int = 0,
-                  max_lanes: int = 8192) -> BatchResult:
-    """Simulate one AES run per plaintext on independent cold-start lanes."""
+                  max_lanes: int = 8192, out: TraceArchive | None = None) -> BatchResult:
+    """Simulate one AES run per plaintext on independent cold-start lanes.
+
+    With ``out``, each block of a chunk's trace rows is appended to that
+    archive as soon as it is summed, so no (N, d) array is built and the
+    result's ``traces`` is None.
+    """
     plaintexts = np.asarray(plaintexts, dtype=np.uint8)
     if plaintexts.ndim != 2 or plaintexts.shape[1] != 16:
         raise ValueError(f"plaintexts must be (N, 16) bytes, got {plaintexts.shape}")
@@ -191,7 +202,11 @@ def run_aes_batch(cfg: SimConfig, plaintexts, key: bytes, *,
     init_mem = aes_workload_memory(key)
 
     noisy = cfg.noise_sigma > 0
-    traces = np.empty((n_total, d), dtype=np.float64 if noisy else np.int64)
+    dtype = np.float64 if noisy else np.int64
+    if out is None:
+        traces = np.empty((n_total, d), dtype=dtype)
+    else:
+        traces, block = None, np.empty((min(_ROW_BLOCK, n_total), d), dtype=dtype)
     cts = np.empty((n_total, 16), dtype=np.uint8) if cfg.rounds == 10 else None
     logs: list[CycleLog] | None = [] if collect_logs else None
     # run r is in key epoch r // interval; "never" re-keying keeps every run in epoch 0
@@ -212,14 +227,19 @@ def run_aes_batch(cfg: SimConfig, plaintexts, key: bytes, *,
             machine.poke_bytes(addr, blob)
         machine.poke_bytes(PT_ADDR, chunk)
         toggles, blog = machine.run_program(program, collect_log=collect_logs)
-        # noise first, toggles added in place: the same IEEE sum as
-        # toggles + noise, without a chunk-sized temporary
-        rows = traces[base:base + lanes]
-        if noisy:
-            _noise_rows(cfg, run_idx, rows)
-            rows += toggles
-        else:
-            rows[...] = toggles
+        for lo in range(0, lanes, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, lanes)
+            rows = traces[base + lo:base + hi] if out is None else block[:hi - lo]
+            # noise first, toggles added in place: the same IEEE sum as
+            # toggles + noise, without a temporary; each run's noise is its
+            # own substream, so the block split does not change a bit
+            if noisy:
+                _noise_rows(cfg, run_idx[lo:hi], rows)
+                rows += toggles[lo:hi]
+            else:
+                rows[...] = toggles[lo:hi]
+            if out is not None:
+                out.write_rows(rows)
         if cts is not None:
             cts[base:base + lanes] = machine.peek_bytes(CT_ADDR, 16)
         if collect_logs:
@@ -288,52 +308,139 @@ def cache_set_experiment(cfg: SimConfig, reps: int, rekey_every: int = 1,
 
 # --- trace and manifest files ----------------------------------------------------
 
-def save_traces_npz(path, traces, plaintexts, key: bytes | None = None,
-                    meta: dict | None = None) -> None:
-    """Write traces (as float32), plaintexts, key and meta to an ``.npz``.
+class TraceArchive:
+    """A trace archive being written: an uncompressed ``.npz`` whose
+    ``samples`` member receives float32 rows block by block.
+
+    The first ``write_rows`` writes the ``.npy`` header of the whole
+    (n_rows, d) array, and every call appends its rows, so the archive never
+    needs the (N, d) array; ``save_traces_npz`` then adds ``plaintexts``,
+    ``key`` and ``meta`` and completes it. The file is written as
+    ``<path>.part`` beside ``path`` and renamed to ``path`` only once every
+    row and member is written. Leaving the ``with`` block before that, by an
+    exception or otherwise, removes the partial file.
 
     The archive is not compressed: noisy float samples deflate by only about
     9 %, and compressing 20 000 one-round param traces takes about 30 times
-    as long as writing them plain. ``load_traces_npz`` reads compressed
-    archives as well.
+    as long as writing them plain.
     """
-    arrays = {
-        "samples": np.asarray(traces, dtype=np.float32),
-        "plaintexts": np.asarray(plaintexts, dtype=np.uint8),
-    }
+
+    def __init__(self, path, n_rows: int):
+        self.path, self.n_rows = os.fspath(path), n_rows
+        self._part = self.path + ".part"
+        self._zip = zipfile.ZipFile(self._part, "w", zipfile.ZIP_STORED, allowZip64=True)
+        self._samples = None   # the open ``samples`` member, after the first rows
+        self._shape = (0, 0)   # rows written so far, columns
+        self._done = False
+
+    def write_rows(self, rows) -> None:
+        """Append an (m, d) block of rows, stored as float32."""
+        rows = np.asarray(rows)
+        written, d = self._shape
+        if self._samples is None and rows.ndim == 2:
+            d = rows.shape[1]
+            self._samples = self._zip.open("samples.npy", "w", force_zip64=True)
+            np.lib.format.write_array_header_1_0(self._samples, {
+                "descr": "<f4", "fortran_order": False, "shape": (self.n_rows, d)})
+        if rows.ndim != 2 or rows.shape[1] != d or written + len(rows) > self.n_rows:
+            raise ValueError(f"{self.path}: cannot append {rows.shape} rows, with {written} "
+                             f"rows of ({self.n_rows}, {d}) written")
+        for lo in range(0, len(rows), _ROW_BLOCK):
+            self._samples.write(np.ascontiguousarray(rows[lo:lo + _ROW_BLOCK], dtype="<f4"))
+        self._shape = (written + len(rows), d)
+
+    def finish(self, arrays: dict) -> None:
+        """Write the named arrays after ``samples`` and move the archive to
+        ``path``; every row must have been written."""
+        if self._shape[0] != self.n_rows or self._samples is None:
+            raise ValueError(f"{self.path}: {self._shape[0]} of {self.n_rows} trace rows "
+                             "written")
+        self._samples.close()
+        for name, arr in arrays.items():
+            with self._zip.open(f"{name}.npy", "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, arr, allow_pickle=False)
+        self._zip.close()
+        os.replace(self._part, self.path)
+        self._done = True
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._done:
+            return
+        try:
+            if self._samples is not None:
+                self._samples.close()
+            self._zip.close()
+        except OSError:
+            pass   # the partial file is removed below either way
+        finally:
+            os.remove(self._part)
+
+
+def save_traces_npz(dest, traces, plaintexts, key: bytes | None = None,
+                    meta: dict | None = None) -> None:
+    """Write a trace archive: samples (as float32), plaintexts, key and meta.
+
+    ``dest`` is a path, or an open ``TraceArchive`` that already holds the
+    rows (``run_aes_batch(..., out=archive)``), and then ``traces`` is None.
+    ``load_traces_npz`` reads compressed archives as well.
+    """
+    if not isinstance(dest, TraceArchive):
+        with TraceArchive(dest, len(traces)) as archive:
+            save_traces_npz(archive, traces, plaintexts, key=key, meta=meta)
+        return
+    if traces is not None:
+        dest.write_rows(traces)
+    arrays = {"plaintexts": np.asarray(plaintexts, dtype=np.uint8)}
     if key is not None:
         arrays["key"] = np.frombuffer(bytes(key), dtype=np.uint8)
     arrays["meta"] = np.frombuffer(
         json.dumps(meta or {}, sort_keys=True).encode(), dtype=np.uint8
     )
-    with open(path, "wb") as f:
-        np.savez(f, **arrays)
+    dest.finish(arrays)
+
+
+def _archive_member(path, z, name: str) -> np.ndarray:
+    """Member ``name`` of the open archive ``z`` as an array, read without
+    unpickling; anything else is a ValueError naming the file and member."""
+    arcname = f"{name}.npy" if f"{name}.npy" in z.zip.namelist() else name
+    try:
+        with z.zip.open(arcname) as f:
+            version = np.lib.format.read_magic(f)
+            read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                           else np.lib.format.read_array_header_2_0)
+            dtype = read_header(f)[2]
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise ValueError(f"{path}: '{name}' member is not .npy data") from None
+    if dtype.hasobject:  # loading it would unpickle
+        raise ValueError(f"{path}: '{name}' array must be numeric, got an object array")
+    try:
+        return z[name]
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: '{name}' array is truncated or unreadable ({exc})") from None
 
 
 def load_traces_npz(path):
-    """(traces, plaintexts, key) of a trace archive: its 2-d ``samples`` as
-    float64, its (N, 16) uint8 ``plaintexts`` and its 16-byte ``key`` (None
-    when it has none). The ``meta`` member is not read."""
+    """(traces, plaintexts, key) of a trace archive: its 2-d ``samples`` in
+    their stored dtype (float32 in archives leakscope writes; no float64
+    copy is made), its (N, 16) uint8 ``plaintexts`` and its 16-byte ``key``
+    (None when it has none). The ``meta`` member is not read."""
     try:
         archive = np.load(path)
-    except (ValueError, EOFError):  # pickled or text data; an empty file
+    except (ValueError, EOFError, zipfile.BadZipFile):  # pickled or text data; empty
         archive = None
     if not isinstance(archive, np.lib.npyio.NpzFile):
         raise ValueError(f"{path}: not an .npz trace archive")
-
-    def member(z, name):
-        try:
-            return z[name]
-        except ValueError:  # an object array: loading it would unpickle
-            raise ValueError(f"{path}: '{name}' array must be numeric, got an object "
-                             "array") from None
 
     with archive as z:
         for name in ("samples", "plaintexts"):
             if name not in z:
                 raise ValueError(f"{path}: no '{name}' array in the trace archive")
-        samples, plaintexts = member(z, "samples"), member(z, "plaintexts")
-        key = member(z, "key") if "key" in z else None
+        samples = _archive_member(path, z, "samples")
+        plaintexts = _archive_member(path, z, "plaintexts")
+        key = _archive_member(path, z, "key") if "key" in z else None
 
     def bad(name, arr, want):
         return ValueError(f"{path}: '{name}' array must be {want}, got {arr.shape} {arr.dtype}")
@@ -344,7 +451,7 @@ def load_traces_npz(path):
         raise bad("plaintexts", plaintexts, "(N, 16) uint8")
     if key is not None and (key.dtype != np.uint8 or key.shape != (16,)):
         raise bad("key", key, "16 uint8 bytes")
-    return samples.astype(np.float64), plaintexts, None if key is None else key.tobytes()
+    return samples, plaintexts, None if key is None else key.tobytes()
 
 
 def read_trace_csv(path) -> np.ndarray:

@@ -1,4 +1,7 @@
+import functools
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -318,10 +321,11 @@ def test_dpa_on_simulated_traces(sim_dir, tmp_path, capsys):
     assert evo[0] == "trace_count,guess,max_abs_rho"
 
 
-# Loading casts the archive's float32 samples to float64, so the cast's
-# source and result are briefly live together (1.5 times the float64 bytes,
-# 47 MB here); the attacks add only cache-sized blocks. An attack that builds
-# a trace-sized class index and centred copy grew RSS by about 125 MB.
+# The loose bound of the block attacks: an attack that builds a trace-sized
+# class index and centred copy grew RSS by about 125 MB. A float64 cast on
+# load (source and result briefly live together, 1.5 times the float64
+# bytes) grew it by 47 MB; the float32 samples alone are half the float64
+# bytes, which the test below bounds.
 def test_dpa_memory_is_bounded_by_the_traces(tmp_path):
     n, d = 20_000, 207
     rng = np.random.default_rng(3)
@@ -332,6 +336,55 @@ def test_dpa_memory_is_bounded_by_the_traces(tmp_path):
                                 "--out", tmp_path / "dpa"])
     trace_mb = n * d * 8 / 2**20
     assert growth <= 2 * trace_mb + 16, (growth, trace_mb)
+
+
+# Loading keeps the archive's float32 samples (half the float64 bytes, 16 MB
+# here) and the attacks add only cache-sized blocks: a float64 copy on load
+# would add the other 32 MB.
+def test_dpa_memory_holds_only_the_stored_float32_samples(tmp_path):
+    n, d = 20_000, 207
+    rng = np.random.default_rng(3)
+    path = tmp_path / "traces.npz"
+    save_traces_npz(path, rng.normal(500, 80, size=(n, d)),
+                    rng.integers(0, 256, size=(n, 16), dtype=np.uint8), key=bytes(16))
+    growth = cli_rss_growth_mb(["dpa", "--traces", path, "--checkpoint", 1000,
+                                "--out", tmp_path / "dpa"])
+    trace_mb = n * d * 8 / 2**20
+    assert growth <= 0.5 * trace_mb + 16, (growth, trace_mb)
+
+
+# simulate streams each chunk's rows into the archive, so what it holds is
+# one chunk's machine and toggles, whatever the trace count; holding the
+# (N, d) array and its float32 copy grew by about 115 MB more at 49 152
+def test_simulate_memory_does_not_grow_with_the_trace_count(tmp_path):
+    cfg = tmp_path / "param.cfg"
+    cfg.write_text("mode = param\nrounds = 1\nnoise_sigma = 80.0\n"
+                   "rekey_interval_runs = 1000\nseed = 1\n")
+    growth = {n: cli_rss_growth_mb(["simulate", "--config", cfg, "--key", KEY_HEX,
+                                    "--gen", n, "--out", tmp_path / str(n)])
+              for n in (8192, 49_152)}
+    assert growth[49_152] - growth[8192] < 16, growth
+
+
+def test_simulate_failing_in_its_second_chunk_leaves_no_archive(tmp_path, monkeypatch, capsys):
+    from leakscope.sim import TraceArchive
+
+    out = tmp_path / "sim"
+    monkeypatch.setattr(cli, "run_aes_batch", functools.partial(cli.run_aes_batch, max_lanes=4))
+    write_rows, seen = TraceArchive.write_rows, []
+
+    def full_disk_in_chunk_two(self, rows):
+        seen.append(sorted(p.name for p in out.iterdir()))
+        if len(seen) == 2:
+            raise OSError(28, "No space left on device")
+        write_rows(self, rows)
+
+    monkeypatch.setattr(TraceArchive, "write_rows", full_disk_in_chunk_two)
+    assert run_cli("simulate", "--key", KEY_HEX, "--gen", "10", "--out", str(out)) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    # the first chunk's rows went to the temporary file; nothing is left of it
+    assert seen == [["plaintexts.txt", "traces.npz.part"]] * 2
+    assert sorted(p.name for p in out.iterdir()) == ["plaintexts.txt"]
 
 
 def test_dpa_reads_a_compressed_traces_npz(sim_dir, tmp_path, capsys):
@@ -387,6 +440,31 @@ def test_dpa_npz_with_a_malformed_array_names_the_file_and_array(tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+def _npy_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+_SAMPLES_NPY = _npy_bytes(_GOOD_ARCHIVE["samples"])   # its header promises 10 rows
+
+
+@pytest.mark.parametrize("data, problem", [
+    (_SAMPLES_NPY[:len(_SAMPLES_NPY) - 5 * 4 * 4], "array is truncated or unreadable"),
+    (b"not .npy data at all", "member is not .npy data"),
+], ids=["5-of-10-rows", "raw-bytes"])
+def test_dpa_npz_with_an_unreadable_samples_member_names_the_file_and_member(tmp_path, capsys,
+                                                                             data, problem):
+    path = tmp_path / "trunc.npz"
+    with zipfile.ZipFile(path, "w") as z:
+        for name, arr in _GOOD_ARCHIVE.items():
+            z.writestr(f"{name}.npy", data if name == "samples" else _npy_bytes(arr))
+    assert run_cli("dpa", "--traces", str(path), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"{path}: 'samples' {problem}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_dpa_ignores_the_meta_member_of_a_trace_archive(tmp_path):
     path = tmp_path / "traces.npz"
     np.savez(path, **{**_GOOD_ARCHIVE, "meta": np.frombuffer(b"{not json", dtype=np.uint8)})
@@ -400,9 +478,14 @@ def _write_npy(path):
         np.save(f, np.zeros((4, 3)))
 
 
+def _write_cut_off_archive(path):
+    np.savez(path, **_GOOD_ARCHIVE)
+    path.write_bytes(path.read_bytes()[:-100])   # the zip directory is gone
+
+
 @pytest.mark.parametrize("write", [_write_npy, lambda path: path.write_text("0,1,3.0\n"),
-                                   lambda path: path.write_bytes(b"")],
-                         ids=["npy-array", "text", "empty"])
+                                   lambda path: path.write_bytes(b""), _write_cut_off_archive],
+                         ids=["npy-array", "text", "empty", "cut-off-zip"])
 def test_dpa_npz_that_is_not_an_archive_names_the_file(tmp_path, capsys, write):
     path = tmp_path / "traces.npz"
     write(path)

@@ -360,3 +360,65 @@ def test_attack_holds_no_trace_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak - base < traces.nbytes / 2, (peak - base, traces.nbytes)
+
+
+def test_float32_attack_holds_no_trace_sized_float64_copy():
+    import tracemalloc
+
+    # the block workspace (about 3.7 MB here) does not grow with the rows; a
+    # float64 cast of these traces would be 33 MB
+    rng = np.random.default_rng(2)
+    traces = rng.normal(500, 80, size=(20_000, 207)).astype(np.float32)
+    pts = rng.integers(0, 256, size=(20_000, 16), dtype=np.uint8)
+    cpa_attack(traces, pts, 0)   # fill the Hamming-weight table cache first
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cpa_attack(traces, pts, 0)
+        mtd(traces, pts, 0, 0x2B, checkpoint_step=7000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < traces.nbytes / 2, (peak - base, traces.nbytes)
+
+
+# --- float32 traces ---------------------------------------------------------------------
+# Trace archives store float32 samples, and ``dpa`` attacks them as stored:
+# each row block is cast to float64 as it is centred, and the float64 column
+# mean of float32 rows adds them in the same order as the mean of their cast.
+
+@pytest.mark.parametrize("n", [2, 3, 8191, 8193, 100_000])
+@pytest.mark.parametrize("d", [1, 7])
+def test_float64_mean_of_float32_rows_is_the_mean_of_their_cast(n, d):
+    traces = np.random.default_rng(n).normal(500, 80, size=(n, d)).astype(np.float32)
+    assert np.array_equal(traces.mean(axis=0, dtype=np.float64),
+                          traces.astype(np.float64).mean(axis=0))
+
+
+def test_float32_traces_attack_like_their_float64_cast():
+    d = 207
+    b = _block_rows(d)
+    traces, pts = synthetic_traces(3 * b + 7, key_byte=0x2B, sigma=12.0, d=d,
+                                   leak_cycle=100, seed=9)
+    t32 = (traces * 80 + 500).astype(np.float32)
+    t64 = t32.astype(np.float64)
+    for n in (2, b - 1, b + 1, 2 * b + 5, 3 * b + 7):   # whole set and prefixes inside blocks
+        got, want = cpa_attack(t32[:n], pts[:n], 0), cpa_attack(t64[:n], pts[:n], 0)
+        assert np.array_equal(got.correlations, want.correlations), n
+        assert np.array_equal(got.ranks, want.ranks), n
+    step = b - 66
+    assert mtd(t32, pts, 0, 0x2B, step) == mtd(t64, pts, 0, 0x2B, step)
+    got, want = (correlation_evolution(t, pts, 0, checkpoint_step=step) for t in (t32, t64))
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("value, text", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+def test_non_finite_float32_sample_is_named_by_its_row_and_cycle(value, text):
+    d = 207
+    b = _block_rows(d)
+    traces, pts = synthetic_traces(2 * b + 7, key_byte=0x05, sigma=1.0, d=d)
+    traces = traces.astype(np.float32)
+    row = b + 3
+    traces[row, 150] = value
+    with pytest.raises(ValueError, match=rf"^trace row {row}, cycle 151: sample is {text}$"):
+        cpa_attack(traces, pts, 0)

@@ -48,7 +48,7 @@ from leakscope.sim.program import (
 )
 from leakscope.sim import machine as machine_module
 from leakscope.sim import run as sim_run
-from leakscope.sim.run import load_traces_npz, read_trace_csv, save_traces_npz
+from leakscope.sim.run import TraceArchive, load_traces_npz, read_trace_csv, save_traces_npz
 from leakscope.vcd import parse_vcd, resample_per_cycle
 from peak_rss import run_probe
 from reference import (
@@ -1027,8 +1027,8 @@ def test_traces_npz_roundtrip_is_exact_and_uncompressed(tmp_path):
     save_traces_npz(path, traces, pts, key=KEY, meta=meta)
 
     got, got_pts, got_key = load_traces_npz(path)
-    assert got.dtype == np.float64
-    assert np.array_equal(got, traces.astype(np.float32).astype(np.float64))
+    assert got.dtype == np.float32   # as stored: no float64 copy on load
+    assert np.array_equal(got, traces.astype(np.float32))
     assert np.array_equal(got_pts, pts) and got_pts.dtype == np.uint8
     assert got_key == KEY and _archive_meta(path) == meta
     with zipfile.ZipFile(path) as z:
@@ -1053,6 +1053,66 @@ def test_compressed_traces_npz_still_loads(tmp_path):
     want, got = load_traces_npz(plain), load_traces_npz(packed)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert got[2:] == want[2:]
+
+
+def _archive_arrays(path):
+    with np.load(path) as z:
+        return {name: z[name] for name in z.files}
+
+
+# max_lanes 1, 5 and >= N; a run_offset off a chunk boundary; both modes;
+# sigma 0 (int toggles) and 80; rounds 10 (ciphertexts); logs (--vcd)
+@pytest.mark.parametrize("mode, sigma, rounds, max_lanes, run_offset, logs", [
+    ("param", 80.0, 1, 1, 0, False),
+    ("param", 80.0, 1, 5, 3, False),
+    ("baseline", 80.0, 1, 256, 0, False),
+    ("param", 0.0, 1, 5, 7, False),
+    ("baseline", 0.0, 1, 256, 2, False),
+    ("baseline", 80.0, 10, 5, 1, True),
+    ("param", 0.0, 10, 256, 0, True),
+])
+def test_streamed_archive_holds_the_arrays_of_a_whole_batch(tmp_path, monkeypatch, mode, sigma,
+                                                            rounds, max_lanes, run_offset, logs):
+    monkeypatch.setattr(sim_run, "_ROW_BLOCK", 3)   # several row blocks per chunk
+    cfg = SimConfig(mode=mode, rounds=rounds, noise_sigma=sigma, rekey_interval_runs=4, seed=11)
+    pts = random_plaintexts(cfg, 13)
+    meta = {"n_cycles": 7}
+    kw = {"collect_logs": logs, "run_offset": run_offset, "max_lanes": max_lanes}
+    whole = run_aes_batch(cfg, pts, KEY, **kw)
+    np.savez(tmp_path / "whole.npz", samples=whole.traces.astype(np.float32), plaintexts=pts,
+             key=np.frombuffer(KEY, dtype=np.uint8),
+             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+    with TraceArchive(tmp_path / "streamed.npz", len(pts)) as archive:
+        streamed = run_aes_batch(cfg, pts, KEY, out=archive, **kw)
+        save_traces_npz(archive, streamed.traces, pts, key=KEY, meta=meta)
+
+    assert streamed.traces is None
+    got, want = _archive_arrays(tmp_path / "streamed.npz"), _archive_arrays(tmp_path / "whole.npz")
+    assert list(got) == list(want) == ["samples", "plaintexts", "key", "meta"]
+    for name in want:
+        assert got[name].dtype == want[name].dtype and np.array_equal(got[name], want[name])
+    with zipfile.ZipFile(tmp_path / "streamed.npz") as z:
+        assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_STORED}
+    assert streamed.n_cycles == whole.n_cycles and streamed.rekey_runs == whole.rekey_runs
+    if rounds == 10:
+        assert np.array_equal(streamed.ciphertexts, whole.ciphertexts)
+    if logs:
+        assert [emit_vcd(log) for log in streamed.logs] == [emit_vcd(log) for log in whole.logs]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.npz", "whole.npz"]
+
+
+def test_trace_archive_refuses_rows_it_cannot_hold(tmp_path):
+    path = tmp_path / "t.npz"
+    with TraceArchive(path, 4) as archive:
+        archive.write_rows(np.zeros((3, 5)))
+        with pytest.raises(ValueError, match=r"cannot append \(2, 5\) rows, with 3 rows of \(4, 5\)"):
+            archive.write_rows(np.zeros((2, 5)))
+        with pytest.raises(ValueError, match=r"cannot append \(1, 6\) rows"):
+            archive.write_rows(np.zeros((1, 6)))
+        with pytest.raises(ValueError, match=r"t\.npz: 3 of 4 trace rows written"):
+            save_traces_npz(archive, None, np.zeros((4, 16), np.uint8))
+    # an archive left incomplete is removed, and none takes its name
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- golden simulator outputs ------------------------------------------------------------
