@@ -11,6 +11,10 @@ User-defined points can be registered in ``POINT_FUNCTIONS``.
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
+
 from .metrics import OracleTrace
 
 SBOX = bytes((
@@ -134,7 +138,7 @@ def gen_oracle(plaintexts, key: bytes, point: str, byte_index: int = 0) -> Oracl
     if not 0 <= byte_index < 16:
         raise ValueError(f"byte_index {byte_index} out of range")
     k = key[byte_index]
-    values = tuple(first_round_value(pt[byte_index], k, point) for pt in pts)
+    values = tuple(first_round_value(int(pt[byte_index]), k, point) for pt in pts)
     return OracleTrace(values=values, width=8, label=f"{point}_b{byte_index}")
 
 
@@ -149,25 +153,48 @@ def all_first_round_oracles(plaintexts, key: bytes) -> list[OracleTrace]:
 
 # --- block files ---------------------------------------------------------------
 
-def read_blocks_hex(path) -> list[bytes]:
-    """Hex block file: one 32-hex-char block per line, blank/# lines skipped."""
-    blocks = []
+_LINES_PER_BATCH = 4096
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+
+def read_blocks_hex(path) -> np.ndarray:
+    """Hex block file as a (blocks, 16) uint8 array: one 32-hex-char block
+    per line, blank/# lines skipped. Lines are decoded a batch at a time, so
+    no per-line object outlives its batch; a batch of plain 32-digit lines
+    is decoded as one string."""
+    batches = [np.zeros(0, dtype=np.uint8)]
     with open(path) as f:
-        for i, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        numbered = enumerate(f, start=1)
+        while batch := list(itertools.islice(numbered, _LINES_PER_BATCH)):
+            lines = [(i, s) for i, line in batch if (s := line.strip()) and s[0] != "#"]
+            text = "".join(s for _, s in lines)
             try:
-                block = bytes.fromhex(line)
+                data = bytes.fromhex(text)
             except ValueError:
-                raise ValueError(f"{path}: bad hex at line {i}") from None
-            if len(block) != 16:
-                raise ValueError(f"{path}: line {i} is {len(block)} bytes, expected 16")
-            blocks.append(block)
-    return blocks
+                data = b""
+            # fromhex skips whitespace, so equal lengths mean digits only
+            if not 2 * len(data) == len(text) == 32 * len(lines):
+                data = b"".join(_hex_block(path, i, s) for i, s in lines)
+            batches.append(np.frombuffer(data, dtype=np.uint8))
+    return np.concatenate(batches).reshape(-1, 16)
+
+
+def _hex_block(path, i: int, line: str) -> bytes:
+    try:
+        block = bytes.fromhex(line)
+    except ValueError:
+        raise ValueError(f"{path}: bad hex at line {i}") from None
+    if len(block) != 16:
+        raise ValueError(f"{path}: line {i} is {len(block)} bytes, expected 16")
+    return block
 
 
 def write_blocks_hex(path, blocks) -> None:
-    with open(path, "w") as f:
-        for b in blocks:
-            f.write(b.hex() + "\n")
+    """Write (N, 16) uint8 blocks as lowercase hex, one block per line."""
+    blocks = np.asarray(blocks, dtype=np.uint8)
+    text = np.empty((len(blocks), 33), dtype=np.uint8)
+    text[:, 0:32:2] = _HEX_DIGITS[blocks >> 4]
+    text[:, 1:32:2] = _HEX_DIGITS[blocks & 15]
+    text[:, 32] = ord("\n")
+    with open(path, "wb") as f:
+        f.write(text)

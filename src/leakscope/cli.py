@@ -66,11 +66,6 @@ def _severity(svf: float, floor: float | None) -> str:
     return "blue"
 
 
-def _read_plaintexts(path) -> np.ndarray:
-    """The (n, 16) uint8 blocks of a hex block file."""
-    return np.frombuffer(b"".join(aes.read_blocks_hex(path)), dtype=np.uint8).reshape(-1, 16)
-
-
 # --- simulate ----------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
@@ -79,14 +74,14 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     key = _parse_key(args.key)
     if args.plaintexts:
-        pts, pt_path = _read_plaintexts(args.plaintexts), args.plaintexts
+        pts, pt_path = aes.read_blocks_hex(args.plaintexts), args.plaintexts
         if not len(pts):
             raise UsageError(f"plaintext file {args.plaintexts}: no blocks")
     os.makedirs(args.out, exist_ok=True)
     if not args.plaintexts:
         pts = random_plaintexts(cfg, args.gen)
         pt_path = os.path.join(args.out, "plaintexts.txt")
-        aes.write_blocks_hex(pt_path, [bytes(p) for p in pts])
+        aes.write_blocks_hex(pt_path, pts)
 
     # the rows stream into the archive chunk by chunk; it takes its name
     # only once complete
@@ -99,7 +94,7 @@ def cmd_simulate(args) -> int:
 
     if res.ciphertexts is not None:
         ct_path = os.path.join(args.out, "ciphertexts.txt")
-        aes.write_blocks_hex(ct_path, [bytes(c) for c in res.ciphertexts])
+        aes.write_blocks_hex(ct_path, res.ciphertexts)
         artifacts["ciphertexts"] = ct_path
 
     if args.vcd:
@@ -136,6 +131,8 @@ def _parse_window(text):
 def cmd_analyze(args) -> int:
     if args.floor_shuffles < 0:
         raise UsageError(f"--floor-shuffles: must be >= 0, got {args.floor_shuffles}")
+    if args.threads < 1:
+        raise UsageError(f"--threads: must be >= 1, got {args.threads}")
     paths = read_manifest(args.runs)
     if len(paths) < 2:
         raise UsageError(f"run manifest {args.runs}: need at least 2 runs")
@@ -178,11 +175,11 @@ def _load_traces(args):
     if path.endswith(".npz"):
         traces, pts, key = load_traces_npz(path)
         if args.plaintexts:
-            pts = _read_plaintexts(args.plaintexts)
+            pts = aes.read_blocks_hex(args.plaintexts)
         return traces, pts, key
     if not args.plaintexts:
         raise UsageError("CSV traces need --plaintexts")
-    return read_trace_csv(path), _read_plaintexts(args.plaintexts), None
+    return read_trace_csv(path), aes.read_blocks_hex(args.plaintexts), None
 
 
 def cmd_dpa(args) -> int:

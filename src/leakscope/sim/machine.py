@@ -30,14 +30,18 @@ lookups use the obfuscated address; deobfuscation happens only where an
 operation consumes the value, which in this model is the functional
 evaluation inside the execute/memory stages.
 
+Each (set, way, lane) cache entry is one element of three flat arrays, at
+the index ``Machine._cells`` gives it, ``(set * ways + way) * n_lanes +
+lane``: ``tags`` (uint32), ``flags`` (uint8, bit 0 valid and bit 1 dirty:
+the value of the entry's 2-bit ``f{s}_{w}`` element) and ``slots`` (int32).
 Payload state grows with what the lanes touch, not with the lane count times
-the cache size. Each (set, way, lane) entry's 512-bit payload lives in a row
-of a line pool, found through the entry's slot; row 0 is the all-zero line of
-every entry that has never been written, and an entry keeps its row for the
-life of the machine, so an invalidated line's stale payload stays in place
-for the next refill to toggle against. Backing memory holds a line poked
-with the same bytes on every lane once, as a shared (1, 8) line, and gives it
-a per-lane (n_lanes, 8) copy on its first per-lane write.
+the cache size: an entry's 512-bit payload is row ``slots[cell]`` of a line
+pool. Row 0 is the all-zero line of every entry that has never been written,
+and an entry keeps its row for the life of the machine, so an invalidated
+line's stale payload stays in place for the next refill to toggle against.
+Backing memory holds a line poked with the same bytes on every lane once, as
+a shared (1, 8) line, and gives it a per-lane (n_lanes, 8) copy on its first
+per-lane write.
 """
 
 from __future__ import annotations
@@ -119,8 +123,8 @@ class BatchLog:
         self.n_cycles = n_cycles
         self.initial_regs = machine.regs.copy()
         self.initial_lb = machine.lb.copy()
-        # (tags, valid, dirty, slots, rows) copies: entry (s, w, lane) held
-        # the payload rows[slots[s, w, lane]] at run start
+        # (tags, flags, slots, rows) copies: the entry at cell c held the
+        # payload rows[slots[c]] at run start
         self.initial_cache = machine._cache_snapshot()
         self.writes = ([], [])
         self.n_writes = 0
@@ -140,11 +144,11 @@ class BatchLog:
         """((elements, words) narrow, (elements, lines) wide) of one lane's
         state at run start: the regs rows, each cache entry's tag and flags;
         the line buffer and each entry's data."""
-        tags, valid, dirty, slots, pool = self.initial_cache
-        cells = CELL_ELEM + 3 * np.arange(tags[..., 0].size)
-        words = np.r_[self.initial_regs[:, lane], tags[..., lane].ravel(),
-                      (valid | (dirty << 1))[..., lane].ravel()]
-        lines = np.concatenate((self.initial_lb[lane:lane + 1], pool[slots[..., lane].ravel()]))
+        tags, flags, slots, pool = self.initial_cache
+        at = slice(lane, None, self.n_lanes)   # the lane's entries, in (set, way) order
+        cells = CELL_ELEM + 3 * np.arange(len(tags) // self.n_lanes)
+        words = np.r_[self.initial_regs[:, lane], tags[at], flags[at]]
+        lines = np.concatenate((self.initial_lb[lane:lane + 1], pool[slots[at]]))
         return ((np.r_[REG_ELEMS, cells, cells + 1], words[:, None]),
                 (np.r_[LB_ELEM, cells + 2], lines))
 
@@ -173,25 +177,27 @@ class Machine:
         self._datapath_rows = np.array(
             [r for r in range(ADDR) if not (cfg.eda_fix_on and r in SHADOWS)])
         self.lb = np.zeros((n, 8), dtype=np.uint64)
-        # a tag has 32 - set_bits bits
-        self.tags = np.zeros((g.sets, g.ways, n), dtype=np.uint32)
-        self.valid = np.zeros((g.sets, g.ways, n), dtype=np.uint8)
-        self.dirty = np.zeros((g.sets, g.ways, n), dtype=np.uint8)
-        # payload of entry (s, w, lane): pool[slots[s, w, lane]]. Rows are
-        # handed out on an entry's first write and never freed, so at most
-        # one row per entry plus the zero row is ever needed.
-        self._max_rows = g.sets * g.ways * n + 1
+        # one element per cache entry, indexed by ``_cells``; a tag has
+        # 32 - set_bits bits, and flags are valid | dirty << 1
+        entries = g.sets * g.ways * n
+        self.tags = np.zeros(entries, dtype=np.uint32)
+        self.flags = np.zeros(entries, dtype=np.uint8)
+        # payload of the entry at cell c: pool[slots[c]]. Rows are handed
+        # out on an entry's first write and never freed, so at most one row
+        # per entry plus the zero row is ever needed.
+        self._max_rows = entries + 1
         if self._max_rows > np.iinfo(np.int32).max:
             raise SimError(f"{n} lanes need more line-pool rows than int32 slots address")
-        self.slots = np.zeros((g.sets, g.ways, n), dtype=np.int32)
+        self.slots = np.zeros(entries, dtype=np.int32)
         self.pool = np.zeros((n + 1, 8), dtype=np.uint64)
         self._rows = 1  # rows in use; row 0 stays all zero
         # line address -> raw line: (1, 8) when every lane holds the same
         # bytes, else (n_lanes, 8)
         self.backing: dict[int, np.ndarray] = {}
         rng = np.random.default_rng(abs(cfg.seed) + 0x5EED)
-        # way the next miss in (set, lane) fills, always < ways
-        self.repl = rng.integers(0, g.ways, size=(g.sets, n), dtype=np.uint8)
+        # way the next miss in (set, lane) fills, always < ways, at
+        # set * n_lanes + lane
+        self.repl = rng.integers(0, g.ways, size=(g.sets, n), dtype=np.uint8).reshape(-1)
 
         self._pw = None   # (d+1, n) toggle accumulator while a program runs
         self._log = None
@@ -307,31 +313,26 @@ class Machine:
             arr = np.asarray(data, dtype=np.uint8)
             if arr.shape[0] != self.n:
                 raise SimError(f"per-lane poke needs {self.n} rows, got {arr.shape[0]}")
-        k = arr.shape[1]
-        self._check_span(addr, k)
-        warm = bool(self.valid.any())
-        pos = 0
-        while pos < k:
-            line_addr = (addr + pos) >> 6 << 6
-            off = addr + pos - line_addr
-            take = min(64 - off, k - pos)
+        end = addr + arr.shape[1]
+        self._check_span(addr, end - addr)
+        warm = bool(self.flags.any())
+        for line_addr in range(addr >> 6 << 6, end, 64):
+            lo, hi = max(addr, line_addr), min(end, line_addr + 64)
             if not shared:
                 entry = self._lane_line(self.backing, line_addr)
-            elif take == 64 or line_addr not in self.backing:
+            elif hi - lo == 64 or line_addr not in self.backing:
                 entry = self.backing[line_addr] = np.zeros((1, 8), dtype=np.uint64)
             else:
                 entry = self.backing[line_addr]
             view = entry.view(np.uint8).reshape(entry.shape[0], 64)
-            view[:, off:off + take] = arr[:, pos:pos + take]
+            view[:, lo - line_addr:hi - line_addr] = arr[:, lo - addr:hi - addr]
             if warm:
                 self._invalidate_line(line_addr)
-            pos += take
 
     def _invalidate_line(self, line_addr: int) -> None:
         _, set_idx, _, way = self._lookup(np.uint32(line_addr >> 6))
-        hit = way >= 0
-        self.valid[set_idx[hit], way[hit], self._lanes[hit]] = 0
-        self.dirty[set_idx[hit], way[hit], self._lanes[hit]] = 0
+        hit = np.flatnonzero(way >= 0)
+        self.flags[self._cells(set_idx[hit], way[hit], hit)] = 0
 
     def preset_register(self, idx: int, values) -> None:
         """Boot-time register preset: no power or log event is recorded."""
@@ -346,14 +347,10 @@ class Machine:
         """Read k bytes per lane through the cache (deobfuscating) or backing."""
         self._check_span(addr, k)
         out = np.zeros((self.n, k), dtype=np.uint8)
-        pos = 0
-        while pos < k:
-            line_addr = (addr + pos) >> 6 << 6
-            off = addr + pos - line_addr
-            take = min(64 - off, k - pos)
-            line = self._peek_line(line_addr)
-            out[:, pos:pos + take] = line.view(np.uint8).reshape(self.n, 64)[:, off:off + take]
-            pos += take
+        for line_addr in range(addr >> 6 << 6, addr + k, 64):
+            lo, hi = max(addr, line_addr), min(addr + k, line_addr + 64)
+            line = self._peek_line(line_addr).view(np.uint8).reshape(self.n, 64)
+            out[:, lo - addr:hi - addr] = line[:, lo - line_addr:hi - line_addr]
         return out
 
     def _peek_line(self, line_addr: int) -> np.ndarray:
@@ -381,29 +378,24 @@ class Machine:
     # --- the data cache ----------------------------------------------------------
 
     def _cells(self, set_idx, way, lanes=None):
-        """Flat index of each lane's (set, way) entry in the cache arrays.
-
-        ``tags``, ``valid``, ``dirty`` and ``slots`` are (sets, ways,
-        n_lanes); one flat ``np.take`` or assignment per array is much cheaper
-        than indexing with three arrays. ``lanes`` defaults to every lane.
-        """
+        """Index of each lane's (set, way) entry in the flat ``tags``,
+        ``flags`` and ``slots``. ``lanes`` defaults to every lane."""
         return set_idx * (self.geom.ways * self.n) + \
             (self._lanes if lanes is None else lanes) + way * self.n
 
     def _payload(self, cells):
         """The (k, 8) payloads of the entries at flat indices ``cells``."""
-        return self.pool.take(self.slots.reshape(-1).take(cells), axis=0)
+        return self.pool.take(self.slots.take(cells), axis=0)
 
     def _set_payload(self, cells, lines, word=slice(None)):
         """Store (k, 8) payloads, or (k,) words ``word`` of them, at distinct
         entries ``cells``; an entry still on the zero row gets a fresh pool
         row first."""
-        slots_f = self.slots.reshape(-1)
-        slot = slots_f.take(cells)
+        slot = self.slots.take(cells)
         fresh = np.flatnonzero(slot == 0)
         if fresh.size:
             slot[fresh] = self._new_rows(fresh.size)
-            slots_f[cells] = slot
+            self.slots[cells] = slot
         self.pool[slot, word] = lines
 
     def _new_rows(self, k: int) -> np.ndarray:
@@ -422,8 +414,8 @@ class Machine:
 
     def _cache_snapshot(self):
         """Copies of the cache state a ``BatchLog`` starts from."""
-        return (self.tags.copy(), self.valid.copy(), self.dirty.copy(),
-                self.slots.copy(), self.pool[:self._rows].copy())
+        return (self.tags.copy(), self.flags.copy(), self.slots.copy(),
+                self.pool[:self._rows].copy())
 
     def _lookup(self, tagset):
         """Per-lane lookup of architectural tag/set values.
@@ -436,22 +428,23 @@ class Machine:
         set_idx = (tdp & np.uint32(g.sets - 1)).astype(np.intp)
         tag = tdp >> np.uint32(g.set_bits)
         cells = self._cells(set_idx, np.arange(g.ways)[:, None])  # (ways, n)
-        match = (self.valid.reshape(-1).take(cells) != 0) & \
-            (self.tags.reshape(-1).take(cells) == tag)
+        match = ((self.flags.take(cells) & 1) != 0) & (self.tags.take(cells) == tag)
         # the first matching way has the largest rank; argmax over the way
         # axis takes about four times as long
         rank = (match * np.arange(g.ways, 0, -1)[:, None]).max(axis=0)
         return tdp, set_idx, tag, np.where(rank > 0, g.ways - rank, -1)
 
-    def _scatter_lines(self, s, w, lanes, image: dict) -> None:
-        """Write the raw lines cached at (s, w, lanes) into a memory image,
-        at the line address their tag and set bits deobfuscate to."""
-        if not lanes.size:
+    def _scatter_lines(self, cells, image: dict) -> None:
+        """Write the raw lines cached at entries ``cells`` into a memory
+        image, at the line address their tag and set bits deobfuscate to."""
+        if not cells.size:
             return
-        tagset = (self.tags[s, w, lanes] << np.uint32(self.geom.set_bits)) | s.astype(np.uint32)
+        lanes = cells % self.n
+        s = (cells // (self.geom.ways * self.n)).astype(np.uint32)
+        tagset = (self.tags[cells] << np.uint32(self.geom.set_bits)) | s
         if self.kc is not None:
             tagset = deobfuscate32_vec(tagset, self.kc[lanes])
-        lines = self._raw_lines(self._payload(self._cells(s, w, lanes)), lanes)
+        lines = self._raw_lines(self._payload(cells), lanes)
         addrs = tagset.astype(np.uint64) << np.uint64(6)
         for u in np.unique(addrs):
             sel = addrs == u
@@ -467,7 +460,8 @@ class Machine:
         the hit buffer.
 
         Writes that cannot change a value are skipped: a hit keeps its entry's
-        tag, flags and line but for the word and dirty flag a store sets. Only
+        tag, flags and line but for the word and dirty flag a store sets, and
+        only missing lanes read and advance a replacement counter. Only
         accesses write payloads or the line buffer, so after an access to the
         same entries the line buffer holds their lines and toggles with them.
         """
@@ -494,21 +488,20 @@ class Machine:
         miss = way < 0
         any_miss = bool(miss.any())
         if any_miss:
-            ctr = self.repl[set_idx, lanes].astype(np.intp)
-            way = np.where(miss, ctr, way)
-            self.repl[set_idx, lanes] = np.where(miss, (ctr + 1) % g.ways, ctr)
+            # the missing lanes take, and advance, their set's counter
+            filled = np.flatnonzero(miss)
+            at = set_idx[filled] * self.n + filled
+            ctr = self.repl[at]
+            way[filled] = ctr
+            self.repl[at] = (ctr + 1) % g.ways
         cells = self._cells(set_idx, way)
-        tags_f, valid_f, dirty_f = (a.reshape(-1) for a in (self.tags, self.valid, self.dirty))
-        old_valid, old_dirty = valid_f.take(cells), dirty_f.take(cells)
+        old_flags = self.flags.take(cells)
         same = np.array_equal(cells, self._lb_cells)
         line = self.lb if same else self._payload(cells)   # changed in place
         if any_miss:
-            victim_dirty = miss & (old_valid != 0) & (old_dirty != 0)
             # the victim's dirty flag is rewritten by the fill path; clearing it
             # here would hide the flag toggle from the power/log sampling
-            self._scatter_lines(set_idx[victim_dirty], way[victim_dirty],
-                                lanes[victim_dirty], self.backing)
-            filled = np.flatnonzero(miss)
+            self._scatter_lines(cells[miss & (old_flags == 3)], self.backing)
             line_addr = np.broadcast_to(addr >> np.uint64(6) << np.uint64(6), (self.n,))
             fill = self._dp_lines(self._backing_lines(line_addr[filled], filled), filled)
             if filled.size == self.n:   # every lane misses: slices, not gathers
@@ -540,17 +533,17 @@ class Machine:
             elem = CELL_ELEM + 3 * (set_idx * g.ways + way)
             if any_miss:   # hits keep their tag and payload row
                 line_toggles[rows] = _row_toggles(old_filled, line[rows])
-                old_tag = tags_f.take(cells)
-                new_tag = np.where(miss, tag, old_tag)
-                tags_f[cells] = new_tag
-                valid_f[cells] = 1
-                self._set_payload(cells[rows], line[rows])
-                self._count(cycle, elem, np.bitwise_count(old_tag ^ new_tag), new_tag)
-            new_dirty = np.where(miss, 0, old_dirty) if op == "load" else 1
-            dirty_f[cells] = new_dirty
-            old_flags = (old_valid | (old_dirty << 1)).astype(np.uint64)
-            new_flags = np.uint64(1) | (np.broadcast_to(new_dirty, (self.n,)).astype(np.uint64)
-                                        << np.uint64(1))
+                fill_cells = cells[rows]
+                tag_toggles = np.zeros(self.n, dtype=np.uint8)
+                tag_toggles[rows] = np.bitwise_count(self.tags[fill_cells] ^ tag[rows])
+                self.tags[fill_cells] = tag[rows]
+                self._set_payload(fill_cells, line[rows])
+                self._count(cycle, elem, tag_toggles, tag)
+            # a fill is valid and clean, a hit load keeps its flags, a store
+            # leaves the entry valid and dirty
+            new_flags = (np.where(miss, np.uint8(1), old_flags) if op == "load"
+                         else np.full(self.n, 3, dtype=np.uint8))
+            self.flags[cells] = new_flags
             self._count(cycle, elem + 1, np.bitwise_count(old_flags ^ new_flags), new_flags)
             if op == "store":
                 self._set_payload(cells, crit, word[1])

@@ -512,14 +512,14 @@ def naive_extract_cycle_log(batch: RawWriteLog, lane: int) -> CycleLog:
     change table."""
     initial = dict(zip(REG_ROWS, batch.initial_regs[:, lane].tolist()))
     initial["dcache.lb.line"] = _words_to_int(batch.initial_lb[lane])
-    tags, valid, dirty, slots, rows = batch.initial_cache
-    lines = rows[slots[:, :, lane]]
+    tags, flags, slots, rows = batch.initial_cache
     g = batch.cfg.cache
     for s in range(g.sets):
         for w in range(g.ways):
-            initial[f"dcache.arrays.t{s}_{w}"] = int(tags[s, w, lane])
-            initial[f"dcache.arrays.f{s}_{w}"] = int(valid[s, w, lane] | (dirty[s, w, lane] << 1))
-            initial[f"dcache.arrays.d{s}_{w}"] = _words_to_int(lines[s, w])
+            cell = (s * g.ways + w) * batch.n_lanes + lane
+            initial[f"dcache.arrays.t{s}_{w}"] = int(tags[cell])
+            initial[f"dcache.arrays.f{s}_{w}"] = int(flags[cell])
+            initial[f"dcache.arrays.d{s}_{w}"] = _words_to_int(rows[slots[cell]])
 
     catalog = element_catalog(batch.cfg)
     cur = dict(initial)
@@ -592,25 +592,23 @@ def two_pass_cpa(traces, plaintexts, target_byte: int, point: str = "sbox_out"):
 
 
 class DenseMachine(Machine):
-    """``Machine`` with a dense (sets, ways, n_lanes, 8) payload array and an
-    (n_lanes, 8) backing line for every poked line, broadcast or not."""
+    """``Machine`` with a dense (entries, 8) payload array, row c the payload
+    of the entry at cell c, and an (n_lanes, 8) backing line for every poked
+    line, broadcast or not."""
 
     def __init__(self, cfg, n_lanes, kc=None):
         super().__init__(cfg, n_lanes, kc)
-        g = self.geom
-        self.data = np.zeros((g.sets, g.ways, n_lanes, 8), dtype=np.uint64)
+        self.data = np.zeros((self.tags.size, 8), dtype=np.uint64)
 
     def _payload(self, cells):
-        return self.data.reshape(-1, 8).take(cells, axis=0)
+        return self.data.take(cells, axis=0)
 
     def _set_payload(self, cells, lines, word=slice(None)):
-        self.data.reshape(-1, 8)[cells, word] = lines
+        self.data[cells, word] = lines
 
     def _cache_snapshot(self):
-        # entry e's payload is row e of the flat array
-        slots = np.arange(self.tags.size).reshape(self.tags.shape)
-        return (self.tags.copy(), self.valid.copy(), self.dirty.copy(), slots,
-                self.data.reshape(-1, 8).copy())
+        return (self.tags.copy(), self.flags.copy(), np.arange(self.tags.size),
+                self.data.copy())
 
     def _backing_lines(self, line_addr, lanes):
         out = np.zeros((len(lanes), 8), dtype=np.uint64)
@@ -627,7 +625,7 @@ class DenseMachine(Machine):
         else:
             arr = np.asarray(data, dtype=np.uint8)
         k = arr.shape[1]
-        warm = bool(self.valid.any())
+        warm = bool(self.flags.any())
         pos = 0
         while pos < k:
             line_addr = (addr + pos) >> 6 << 6
@@ -656,9 +654,8 @@ def rekey_flush(machine, new_kc: KeyConstant) -> None:
         raise SimError("rekey_flush is only meaningful in param mode")
     new_kc = machine._lane_constant(new_kc)
 
-    machine._scatter_lines(*np.nonzero(machine.valid & machine.dirty), machine.backing)
-    machine.valid[:] = 0
-    machine.dirty[:] = 0
+    machine._scatter_lines(np.flatnonzero(machine.flags == 3), machine.backing)  # valid, dirty
+    machine.flags[:] = 0
 
     mask = (machine.kc.k32 ^ new_kc.k32).astype(np.uint64)
     mask64 = machine.kc.k64 ^ new_kc.k64
@@ -672,7 +669,7 @@ def rekey_flush(machine, new_kc: KeyConstant) -> None:
 def memory_image(machine) -> dict[int, np.ndarray]:
     """Raw (deobfuscated) view of memory: backing overlaid with the cache."""
     image = {a: np.broadcast_to(v, (machine.n, 8)).copy() for a, v in machine.backing.items()}
-    machine._scatter_lines(*np.nonzero(machine.valid), image)
+    machine._scatter_lines(np.flatnonzero(machine.flags & 1), image)
     return image
 
 

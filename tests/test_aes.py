@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from leakscope import aes
@@ -156,10 +157,59 @@ def test_gen_oracle_validation():
 
 def test_block_file_roundtrip(tmp_path):
     rng = random.Random(3)
-    blocks = [rng.randbytes(16) for _ in range(5)]
+    blocks = np.frombuffer(rng.randbytes(5 * 16), dtype=np.uint8).reshape(5, 16)
     path = tmp_path / "blocks.txt"
     aes.write_blocks_hex(path, blocks)
-    assert aes.read_blocks_hex(path) == blocks
+    got = aes.read_blocks_hex(path)
+    assert got.dtype == np.uint8 and np.array_equal(got, blocks)
+
+
+def test_block_file_writer_matches_one_line_per_block(tmp_path):
+    # the bytes of the per-block writer the array writer replaced
+    rng = random.Random(4)
+    for n in (0, 1, 5000):
+        blocks = np.frombuffer(rng.randbytes(n * 16), dtype=np.uint8).reshape(n, 16)
+        path = tmp_path / f"blocks{n}.txt"
+        aes.write_blocks_hex(path, blocks)
+        assert path.read_bytes() == "".join(bytes(b).hex() + "\n" for b in blocks).encode()
+
+
+def test_block_file_reader_skips_blank_and_comment_lines_across_batches(tmp_path, monkeypatch):
+    monkeypatch.setattr(aes, "_LINES_PER_BATCH", 3)
+    rng = random.Random(5)
+    blocks = [rng.randbytes(16) for _ in range(7)]
+    # padded, upper case, and bytes apart: lines the per-line decode takes
+    lines = ["# header", ""] + [f"  {b.hex().upper()}  " for b in blocks[:3]] \
+        + [blocks[3].hex(" "), "", "# mid"] + [b.hex() for b in blocks[4:]] + [""]
+    path = tmp_path / "blocks.txt"
+    path.write_text("\n".join(lines))
+    got = aes.read_blocks_hex(path)
+    assert got.shape == (7, 16) and bytes(got) == b"".join(blocks)
+    path.write_text("# nothing\n\n")
+    assert aes.read_blocks_hex(path).shape == (0, 16)
+    path.write_text("\n".join([bytes(16).hex()] * 8 + ["00" * 15]))
+    with pytest.raises(ValueError, match="line 9 is 15 bytes"):
+        aes.read_blocks_hex(path)
+
+
+def test_block_file_reading_holds_about_the_array(tmp_path):
+    # 16 bytes a block, and the batch being decoded; a list of 49-byte bytes
+    # objects alone takes about 5.7 MB for 100 000 blocks
+    import tracemalloc
+
+    n = 100_000
+    blocks = np.random.default_rng(6).integers(0, 256, (n, 16), dtype=np.uint8)
+    path = tmp_path / "blocks.txt"
+    aes.write_blocks_hex(path, blocks)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = aes.read_blocks_hex(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, blocks)
+    assert peak - base < 3 * 16 * n, peak - base
 
 
 def test_block_file_errors(tmp_path):

@@ -65,7 +65,8 @@ def test_simulate_artifacts_and_manifest(sim_dir):
     pts = aes.read_blocks_hex(sim_dir / "a" / "plaintexts.txt")
     cts = aes.read_blocks_hex(sim_dir / "a" / "ciphertexts.txt")
     key = bytes.fromhex(KEY_HEX)
-    assert all(aes.aes128_encrypt(p, key) == c for p, c in zip(pts, cts))
+    assert len(pts) == len(cts) == 5
+    assert all(aes.aes128_encrypt(bytes(p), key) == bytes(c) for p, c in zip(pts, cts))
 
 
 def test_simulate_reproducible_byte_for_byte(sim_dir):
@@ -253,6 +254,21 @@ def test_analyze_negative_floor_shuffles_fails_before_loading(tmp_path, capsys, 
                    "--floor-shuffles", "-5", "--out", str(tmp_path / "x.json"))
     assert code == 2
     assert "--floor-shuffles: must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_analyze_threads_below_one_fails_before_loading(tmp_path, capsys, monkeypatch, threads):
+    def no_load(*args, **kwargs):
+        raise AssertionError("runs loaded with an invalid --threads")
+
+    manifest = tmp_path / "runs.txt"
+    manifest.write_text("r0.vcd\nr1.vcd\n")
+    monkeypatch.setattr(cli, "load_run_set", no_load)
+    code = run_cli("analyze", "--runs", str(manifest), "--oracle", str(tmp_path / "oracle.csv"),
+                   "--threads", threads, "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 
@@ -499,7 +515,7 @@ def test_dpa_malformed_csv_names_row(tmp_path, capsys):
     bad = tmp_path / "traces.csv"
     bad.write_text("run_index,cycle,sample\n0,1,3.0\n0,two,4\n")
     pts = tmp_path / "pts.txt"
-    aes.write_blocks_hex(pts, [bytes(16), bytes(16)])
+    aes.write_blocks_hex(pts, np.zeros((2, 16), dtype=np.uint8))
     code = run_cli("dpa", "--traces", str(bad), "--plaintexts", str(pts),
                    "--out", str(tmp_path / "o"))
     assert code == 2
@@ -510,7 +526,7 @@ def _dpa_csv_inputs(tmp_path, traces):
     path = tmp_path / "traces.csv"
     write_trace_csv(path, traces)
     pts = tmp_path / "pts.txt"
-    aes.write_blocks_hex(pts, [bytes([i] * 16) for i in range(len(traces))])
+    aes.write_blocks_hex(pts, np.repeat(np.arange(len(traces), dtype=np.uint8)[:, None], 16, 1))
     return ["--traces", str(path), "--plaintexts", str(pts)]
 
 

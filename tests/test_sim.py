@@ -211,8 +211,9 @@ def test_baseline_equal_set_index_shares_set():
     m.cache_access(np.uint64(0x2040), "load")
     m.cache_access(np.uint64(0x2040 + set_stride), "load")
     s = (0x2040 >> cfg.cache.offset_bits) & (cfg.cache.sets - 1)
-    assert int(m.valid[s].sum()) == 2
-    assert int(m.valid.sum()) == 2
+    valid = (m.flags & 1).reshape(cfg.cache.sets, cfg.cache.ways, 1)
+    assert int(valid[s].sum()) == 2
+    assert int(valid.sum()) == 2
 
 
 def test_param_set_mapping_matches_offline_obfuscation():
@@ -221,6 +222,7 @@ def test_param_set_mapping_matches_offline_obfuscation():
     m.cache_access(np.uint64(addr), "load")
     keys_arr = epoch0_keys(cfg, 3)
     geom = cfg.cache
+    flags, tags = (a.reshape(geom.sets, geom.ways, 3) for a in (m.flags, m.tags))
     for lane in range(3):
         rk = RoundKeys(tuple(int(k[lane]) for k in keys_arr))
         a_prime = obfuscate_address(addr, geom.address_geometry, rk)
@@ -230,7 +232,7 @@ def test_param_set_mapping_matches_offline_obfuscation():
             (s, w)
             for s in range(geom.sets)
             for w in range(geom.ways)
-            if m.valid[s, w, lane] and m.tags[s, w, lane] == tag
+            if flags[s, w, lane] & 1 and tags[s, w, lane] == tag
         ]
         assert len(found) == 1
         assert found[0][0] == int(set_idx)
@@ -358,6 +360,41 @@ def test_power_log_consistent_across_dirty_eviction(mode):
 
 
 @pytest.mark.parametrize("mode", ["baseline", "param"])
+def test_flags_element_is_valid_and_dirty_bits(mode):
+    # f{s}_{w} holds valid | dirty << 1: a load miss logs 1, a store 3; the
+    # way-th same-set miss evicts the dirty line, writes its raw line back and
+    # logs the refill's 1; a poke of a cached line clears its flags to 0
+    cfg, m = mk(mode, lanes=1, seed=5)
+    ways = cfg.cache.ways
+    base = 0x8000
+    set_of = lambda a: int(m._lookup(np.uint32(a >> 6))[1][0])
+    s = set_of(base)
+    others = [a for a in range(base + 64, 1 << 16, 64) if set_of(a) == s][:ways]
+    m.poke_bytes(base, bytes(range(64)))
+    m.preset_register(2, np.uint64(0xC0FFEE))
+    prog = [load(3, 0, base), store(2, 0, base)] + [load(3, 0, a) for a in others]
+    _, blog = m.run_program(prog, collect_log=True)
+
+    flags = [(c, name, v) for c, name, v in log_changes(extract_cycle_log(blog, 0))
+             if name.startswith("dcache.arrays.f")]
+    name = flags[0][1]
+    assert name.startswith(f"dcache.arrays.f{s}_")
+    # op i reaches MEM at cycle i + 3
+    assert [(c, v) for c, n, v in flags if n == name] == [(3, 1), (4, 3), (3 + len(prog) - 1, 1)]
+    assert sorted(v for _, n, v in flags if n != name) == [1] * (ways - 1)
+    written_back = lane_view(m, base).view(np.uint8)[0]
+    assert int(written_back[:8].view(np.uint64)[0]) == 0xC0FFEE
+    assert bytes(written_back[8:]) == bytes(range(8, 64))
+
+    m.poke_bytes(others[-1], bytes(64))   # cached at the evicted line's entry
+    _, blog = m.run_program([alu("xor", 4, 2, 2)], collect_log=True)
+    start = log_initial(extract_cycle_log(blog, 0))
+    assert start[name] == 0
+    assert sorted(v for n, v in start.items() if n.startswith(f"dcache.arrays.f{s}_")) \
+        == [0] + [1] * (ways - 1)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "param"])
 def test_poke_drops_exactly_the_lanes_that_cached_the_line(mode):
     lanes = 6
     _, m = mk(mode, lanes=lanes)
@@ -370,12 +407,12 @@ def test_poke_drops_exactly_the_lanes_that_cached_the_line(mode):
                    data=np.full(lanes, 0xDEAD, dtype=np.uint64))
     _, set_idx, _, way = m._lookup(np.full(lanes, line >> 6, dtype=np.uint32))
     assert np.array_equal(way >= 0, cached)
-    at = (set_idx[cached], way[cached], np.nonzero(cached)[0])
-    assert m.valid[at].all() and m.dirty[at].all()
+    at = m._cells(set_idx[cached], way[cached], np.nonzero(cached)[0])
+    assert (m.flags[at] & 1).all() and (m.flags[at] & 2).all()   # valid, dirty
 
     new = bytes(range(100, 164))
     m.poke_bytes(line, new)
-    assert not m.valid[at].any() and not m.dirty[at].any()
+    assert not (m.flags[at] & 1).any() and not (m.flags[at] & 2).any()
     hit, _ = m.cache_access(np.where(cached, line, other).astype(np.uint64), "load")
     assert np.array_equal(hit, ~cached)
     assert np.array_equal(m.peek_bytes(line, 64),
@@ -400,7 +437,7 @@ def test_poke_on_a_cold_cache_looks_nothing_up(monkeypatch):
     import leakscope.sim.machine as machine_mod
 
     _, m = mk("param", lanes=4)
-    state = (m.valid.copy(), m.dirty.copy(), m.repl.copy())
+    state = (m.flags.copy(), m.repl.copy())
 
     def forbidden(*args, **kwargs):
         raise AssertionError("cold poke looked up the cache")
@@ -411,7 +448,7 @@ def test_poke_on_a_cold_cache_looks_nothing_up(monkeypatch):
     written = np.concatenate([lane_view(m, 0x2000).view(np.uint8)[:, 16:],
                               lane_view(m, 0x2040).view(np.uint8)[:, :16]], axis=1)
     assert np.array_equal(written, np.tile(np.arange(64, dtype=np.uint8), (4, 1)))
-    for before, after in zip(state, (m.valid, m.dirty, m.repl)):
+    for before, after in zip(state, (m.flags, m.repl)):
         assert np.array_equal(before, after)
 
 
@@ -509,7 +546,7 @@ def test_line_pool_holds_at_most_one_row_per_entry_plus_the_zero_row():
         m.cache_access(addrs, "store", data=rng.integers(0, 1 << 63, lanes, dtype=np.uint64))
     # every entry has been written, each into a row of its own
     assert len(m.pool) == 2 * 2 * lanes + 1
-    assert sorted(m.slots.reshape(-1).tolist()) == list(range(1, 2 * 2 * lanes + 1))
+    assert sorted(m.slots.tolist()) == list(range(1, 2 * 2 * lanes + 1))
 
 
 _SWEEP_MEMORY_PROBE = """
@@ -523,8 +560,8 @@ cache_set_experiment(cfg, reps=128)  # 128 reps x 64 sets: one 8192-lane chunk
 print(json.dumps({"before": before, "peak": peak_mb()}))
 """
 
-# An 8192-lane machine keeps tags (uint32), valid, dirty (uint8) and slots
-# (int32) per (set, way, lane) entry: 64 x 4 x 8192 x 10 bytes = 20 MiB. Its
+# An 8192-lane machine keeps tags (uint32), flags (uint8) and slots (int32)
+# per (set, way, lane) entry: 64 x 4 x 8192 x 9 bytes = 18 MiB. Its
 # register banks and latches add about 6 MiB, and a one-load lane writes one
 # 64-byte pool row. One dense (64, 4, 8192, 8) payload array would be 128 MiB
 # on its own.
@@ -559,7 +596,7 @@ def test_rekey_flush_transparency_and_writeback():
 
     # dirty line written back in the clear
     assert int(m.backing[0x5000][0, 0]) == 0xCAFEBABE
-    assert not m.valid.any()
+    assert not (m.flags & 1).any()
     after_regs = m.functional_registers()
     for name, want in before_regs.items():
         assert np.array_equal(after_regs[name], want), name
@@ -835,7 +872,9 @@ def test_warm_machine_log_matches_the_raw_write_walk(monkeypatch, mode):
         prog = ([load(1, 0, STATE_ADDR + 0x100)] + build_fuzz_program(rng, n_ops=30)
                 + [store(2, 0, STATE_ADDR + 0x108)])
         logs.append(m.run_program(prog, collect_log=True)[1])
-    assert logs[1].initial_cache[2].any() and logs[2].initial_cache[0].any()  # dirty; tagged
+    _, flags, _, _ = logs[1].initial_cache
+    tags, _, _, _ = logs[2].initial_cache
+    assert (flags & 2).any() and tags.any()
     for blog in logs[1:]:
         for lane in range(3):
             got, want = extract_cycle_log(blog, lane), naive_extract_cycle_log(blog, lane)
