@@ -174,11 +174,10 @@ def test_block_file_writer_matches_one_line_per_block(tmp_path):
         assert path.read_bytes() == "".join(bytes(b).hex() + "\n" for b in blocks).encode()
 
 
-def test_block_file_reader_skips_blank_and_comment_lines_across_batches(tmp_path, monkeypatch):
-    monkeypatch.setattr(aes, "_LINES_PER_BATCH", 3)
+def test_block_file_reader_skips_blank_and_comment_lines(tmp_path):
     rng = random.Random(5)
     blocks = [rng.randbytes(16) for _ in range(7)]
-    # padded, upper case, and bytes apart: lines the per-line decode takes
+    # padded, upper case, and bytes apart: lines the reader takes
     lines = ["# header", ""] + [f"  {b.hex().upper()}  " for b in blocks[:3]] \
         + [blocks[3].hex(" "), "", "# mid"] + [b.hex() for b in blocks[4:]] + [""]
     path = tmp_path / "blocks.txt"
@@ -193,8 +192,8 @@ def test_block_file_reader_skips_blank_and_comment_lines_across_batches(tmp_path
 
 
 def test_block_file_reading_holds_about_the_array(tmp_path):
-    # 16 bytes a block, and the batch being decoded; a list of 49-byte bytes
-    # objects alone takes about 5.7 MB for 100 000 blocks
+    # 16 bytes a block, twice while the pieces are joined; a list of 49-byte
+    # bytes objects alone takes about 5.7 MB for 100 000 blocks
     import tracemalloc
 
     n = 100_000
@@ -219,4 +218,15 @@ def test_block_file_errors(tmp_path):
         aes.read_blocks_hex(path)
     path.write_text("zz" * 16 + "\n")
     with pytest.raises(ValueError, match="bad hex"):
+        aes.read_blocks_hex(path)
+
+
+def test_block_file_errors_name_the_line_when_lengths_add_up(tmp_path):
+    # two bad lines whose digits add up to two blocks still fail at line 1
+    path = tmp_path / "bad.txt"
+    path.write_text("00" * 15 + "\n" + "00" * 17 + "\n")
+    with pytest.raises(ValueError, match="line 1 is 15 bytes, expected 16"):
+        aes.read_blocks_hex(path)
+    path.write_text("0" * 31 + "\n" + "0" * 33 + "\n")
+    with pytest.raises(ValueError, match="bad hex at line 1"):
         aes.read_blocks_hex(path)
