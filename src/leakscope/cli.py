@@ -122,10 +122,12 @@ def _parse_window(text):
     if not text:
         return None
     try:
-        start, end = text.split(":")
-        return int(start), int(end)
+        start, end = map(int, text.split(":"))
     except ValueError:
         raise UsageError(f"window '{text}': expected START:END cycles") from None
+    if end < max(1, start):
+        raise UsageError(f"--window: empty window {text}, END must be >= max(1, START)")
+    return start, end
 
 
 def cmd_analyze(args) -> int:
@@ -133,12 +135,12 @@ def cmd_analyze(args) -> int:
         raise UsageError(f"--floor-shuffles: must be >= 0, got {args.floor_shuffles}")
     if args.threads < 1:
         raise UsageError(f"--threads: must be >= 1, got {args.threads}")
+    window = _parse_window(args.window)
     paths = read_manifest(args.runs)
     if len(paths) < 2:
         raise UsageError(f"run manifest {args.runs}: need at least 2 runs")
     runs = load_run_set(paths, args.clock)
     oracles = metrics.read_oracle_csv(args.oracle)
-    window = _parse_window(args.window)
     report = metrics.svf_all(runs, oracles, window=window,
                              noise_floor_shuffles=args.floor_shuffles,
                              threads=args.threads)

@@ -13,10 +13,13 @@ computed in full at the window's first cycle and then updated only at the
 (cycle, word) samples that change, and each distinct cycle is scored once.
 
 A permutation test (shuffling the oracle) provides a self-calibrating noise
-floor for reports. ``svf_all`` draws the permutations once and calls
+floor for reports, from the same exact moments, so no report depends on how
+BLAS splits a sum. ``svf_all`` draws the permutations once and calls
 ``permutation_floor`` once per winning oracle, which scores every module that
 oracle won against one block of its shuffles at a time, so memory stays
-bounded however many runs there are.
+bounded however many runs there are. The moments must fit int64: for n run
+pairs, n²·max(module distance)·max(oracle distance) < 2^63, which a 4096-bit
+module against an 8-bit oracle reaches at about 5800 runs.
 """
 
 from __future__ import annotations
@@ -315,33 +318,44 @@ def _normalize_window(window, d):
     return start - 1, end
 
 
-def _oracle_moments(oracles):
-    """Pair distances of each oracle, with their sums and sums of squares."""
-    d_o = np.stack([pairwise_distances(o.values) for o in oracles])
-    return d_o, d_o.sum(axis=1).astype(object), (d_o * d_o).sum(axis=1).astype(object)
+def _moments(d):
+    """The int64 distance rows ``d`` (rows, n pairs) as float64 (exact, for
+    products), with their int64 sums, sums of squares and maxima."""
+    return d.astype(np.float64), d.sum(axis=1), np.einsum("ij,ij->i", d, d), d.max(axis=1)
+
+
+def _abs_pearson(sxy, ys, xs):
+    """|Pearson| (rows, columns) of module rows against oracle columns from
+    their products' sums ``sxy``, float64 sums of integers (exact in any order
+    below 2^53), and each side's ``_moments``: ``ys`` of the rows, ``xs`` per
+    column or of one oracle for all columns. The int64 numerator n·Σxy − Σy·Σx
+    and the Python-int denominator are each rounded to float64 once; sqrt,
+    divide, 0 where the denominator is 0 and clip at 1 follow, so the scores
+    are bit-exact. Raises ValueError when n²·max(y)·max(x) reaches 2^63 (or
+    n·max(y)·max(x) 2^53)."""
+    (rows, sy, syy, y_top), (_, sx, sxx, x_top) = ys, xs
+    n = rows.shape[1]
+    top = int(y_top.max()) * int(x_top.max())
+    if n * n * top >= 1 << 63 or n * top >= 1 << 53:
+        raise ValueError(f"{n} run pairs are too many for exact moments of distances "
+                         f"up to {y_top.max()} and {x_top.max()}")
+    num = n * sxy.astype(np.int64) - sy[:, None] * sx
+    b = n * syy.astype(object) - sy.astype(object) ** 2
+    ab = (b[:, None] * (n * sxx.astype(object) - sx.astype(object) ** 2)).astype(np.float64)
+    scores = np.zeros(num.shape, dtype=np.float64)
+    np.divide(np.abs(num).astype(np.float64), np.sqrt(ab), out=scores, where=ab > 0)
+    return np.minimum(scores, 1.0)
 
 
 def _score(runs, path, node, oracles, moments, start, end):
     """Score the module ``node`` at ``path`` against the oracle it matches
-    best (the first on ties).
-
-    Returns (result, ds, index of that oracle), ``ds`` as
-    ``_module_distance_matrix`` gives it. Only the distinct cycles are
-    scored; the per-cycle scores are expanded from them. The Pearson moments
-    are exact Python ints, and each float step (int to float, sqrt, divide,
-    clip at 1) is the IEEE operation a per-cycle scalar evaluation would
-    make, so the scores are bit-exact.
+    best (the first on ties); return (result, the ``_moments`` of its
+    distinct rows, index of that oracle). Only the distinct cycles are
+    scored, by ``_abs_pearson``; the per-cycle scores are expanded from them.
     """
     ds, cycle_rows, xz_ratio = _module_distance_matrix(runs, node, (start, end))
-    d_o, sx, sxx = moments
-    n = ds.shape[1]
-    sy = ds.sum(axis=1).astype(object)
-    b = n * (ds * ds).sum(axis=1).astype(object) - sy * sy
-    num = n * (ds @ d_o.T).astype(object) - sy[:, None] * sx[None, :]
-    ab = (b[:, None] * (n * sxx - sx * sx)[None, :]).astype(np.float64)
-    scores = np.zeros(ab.shape, dtype=np.float64)
-    np.divide(np.abs(num).astype(np.float64), np.sqrt(ab), out=scores, where=ab > 0)
-    scores = np.minimum(scores, 1.0).T  # (n_oracles, n_rows)
+    ys = _moments(ds)
+    scores = _abs_pearson(ys[0] @ moments[0].T, ys, moments).T  # (n_oracles, n_rows)
     best = int(np.argmax(scores.max(axis=1)))
     per_cycle = scores[best][cycle_rows]
     peak = int(np.argmax(per_cycle))
@@ -352,18 +366,7 @@ def _score(runs, path, node, oracles, moments, start, end):
         per_cycle_scores=per_cycle,
         oracle_label=oracles[best].label,
         xz_ratio=xz_ratio,
-    ), ds, best
-
-
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """Rows centred and scaled to unit norm (all-equal rows become 0), as float64."""
-    x = x.astype(np.float64)
-    x -= x.mean(axis=1, keepdims=True)
-    norms = np.sqrt((x * x).sum(axis=1))
-    good = norms > 0
-    x[good] /= norms[good, None]
-    x[~good] = 0.0
-    return x
+    ), ys, best
 
 
 _FLOOR_PERCENTILE = 99.0
@@ -376,33 +379,29 @@ def _permutations(n_runs: int, shuffles: int) -> np.ndarray:
     return np.stack([rng.permutation(n_runs) for _ in range(shuffles)])
 
 
-def permutation_floor(oracle: OracleTrace, units, perms) -> list[float]:
+def permutation_floor(moments, module_moments, perms) -> list[float]:
     """Noise floors of the modules that share one winning oracle: the
     ``_FLOOR_PERCENTILE`` percentile of each module's best |Pearson| under
     the oracle shuffles ``perms`` (shuffles, n_runs).
 
-    ``units`` holds each module's ``_unit_rows`` distances; any set of a
-    module's rows that holds every distinct cycle gives the same floor. A
-    shuffle permutes the oracle's pair distances, which keeps their mean and
-    norm, so they are normalised once and each shuffle only gathers them.
-    Each block of shuffles is gathered once and scored against every module;
-    the block is sized by ``_PAIR_BLOCK_WORDS``, so one (shuffles, pairs)
-    block is live at a time however many runs there are.
+    ``moments`` are the winner's ``_moments`` and ``module_moments`` each
+    module's (any set of rows holding every distinct cycle gives the same
+    floor). A shuffle keeps Σx, Σx² and the maximum, so a block of shuffles
+    only gathers its distances ``po``, and each module scores them with
+    ``_abs_pearson`` on Σxy = ``rows @ po.T``. Blocks are sized by
+    ``_PAIR_BLOCK_WORDS``, so memory is bounded however many runs there are.
     """
     n = perms.shape[1]
     i_idx, j_idx = pair_order(n)
-    unit = np.zeros((n, n), dtype=np.float64)
-    d_o = _unit_rows(pairwise_distances(oracle.values)[None, :])[0]
-    unit[i_idx, j_idx] = d_o
-    unit[j_idx, i_idx] = d_o
-
-    maxima = np.empty((len(units), len(perms)), dtype=np.float64)
+    table = np.zeros((n, n), dtype=np.float64)
+    table[i_idx, j_idx] = table[j_idx, i_idx] = moments[0][0]
+    maxima = np.empty((len(module_moments), len(perms)), dtype=np.float64)
     step = max(1, _PAIR_BLOCK_WORDS // len(i_idx))
     for lo in range(0, len(perms), step):
         p = perms[lo:lo + step]
-        po = unit[p[:, i_idx], p[:, j_idx]]  # (block, n_pairs)
-        for out, u in zip(maxima, units):
-            out[lo:lo + step] = np.abs(po @ u.T).max(axis=1)
+        po = table[p[:, i_idx], p[:, j_idx]]  # (block, n_pairs)
+        for out, ys in zip(maxima, module_moments):
+            out[lo:lo + step] = _abs_pearson(ys[0] @ po.T, ys, moments).max(axis=0)
     return [float(np.percentile(m, _FLOOR_PERCENTILE)) for m in maxima]
 
 
@@ -440,16 +439,16 @@ def svf_all(runs: RunSet, oracles, window=None, noise_floor_shuffles: int = 1000
                 f"oracle '{o.label}' has {len(o)} values but run set has {runs.n_runs} runs")
     nodes = [(path, node) for path, node in runs.hierarchy.walk() if node.signals]
     start, end = _normalize_window(window, runs.n_cycles)
-    moments = _oracle_moments(oracles)
+    moments = _moments(np.stack([pairwise_distances(o.values) for o in oracles]))
 
     def score(module):
-        result, ds, best = _score(runs, *module, oracles, moments, start, end)
-        return result, (_unit_rows(ds) if noise_floor_shuffles else None), best
+        result, ys, best = _score(runs, *module, oracles, moments, start, end)
+        return result, (ys if noise_floor_shuffles else None), best
 
     def floors(group):
         best, members = group
-        return members, permutation_floor(oracles[best], [scored[k][1] for k in members],
-                                          perms)
+        return members, permutation_floor(tuple(m[best:best + 1] for m in moments),
+                                          [scored[k][1] for k in members], perms)
 
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run = pool.map if pool else map

@@ -16,8 +16,9 @@ The objects in ``src/`` hold their data as arrays only. ``change_tuples``,
 a ``ChangeList``, a ``CycleMatrix`` or a ``CycleLog`` back as Python ints, for
 comparisons.
 ``naive_permutation_floor`` is the per-module floor with every shuffle in one
-array, the oracle for ``leakscope.metrics.permutation_floor``, which scores
-the modules of one oracle one block of shuffles at a time. ``two_pass_cpa`` is the
+array, scored one shuffle and cycle at a time from Python-int moments, the
+exact oracle for ``leakscope.metrics.permutation_floor``, which scores the
+modules of one oracle one block of shuffles at a time. ``two_pass_cpa`` is the
 textbook CPA with one hypothesis per guess and trace, the oracle for the
 class-sum ``leakscope.cpa.cpa_attack``. ``DenseMachine`` is the simulator with
 one dense payload per cache entry and a per-lane copy of every backing line,
@@ -36,6 +37,8 @@ helpers that only tests use.
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -373,33 +376,30 @@ def naive_permutation_floor(ds, oracle_values, shuffles: int, percentile: float 
                             seed: int = 0xF100D) -> float:
     """Noise floor of one module's (d, n_pairs) distances: the percentile of
     its best |Pearson| under ``shuffles`` run permutations of the oracle,
-    every shuffled oracle held at once."""
+    every shuffled oracle held at once. Each shuffle and cycle is scored from
+    Python-int Σx, Σx², Σy, Σy² and Σxy, then int to float, sqrt, divide, 0
+    where the denominator is 0 and clip at 1."""
     n_runs = len(oracle_values)
     i_idx, j_idx = np.triu_indices(n_runs, k=1)[::-1]
-
-    ds = np.asarray(ds).astype(np.float64)
-    ds -= ds.mean(axis=1, keepdims=True)
-    norms = np.sqrt((ds * ds).sum(axis=1))
-    good = norms > 0
-    ds[good] /= norms[good, None]
-    ds[~good] = 0.0
-
-    dist = np.zeros((n_runs, n_runs), dtype=np.float64)
-    d_o = np.array([bin(oracle_values[i] ^ oracle_values[j]).count("1")
-                    for i, j in zip(i_idx, j_idx)], dtype=np.int64)
+    dist = np.zeros((n_runs, n_runs), dtype=np.int64)
+    d_o = [bin(oracle_values[i] ^ oracle_values[j]).count("1") for i, j in zip(i_idx, j_idx)]
     dist[i_idx, j_idx] = d_o
     dist[j_idx, i_idx] = d_o
 
     rng = np.random.default_rng(seed)
     perms = np.stack([rng.permutation(n_runs) for _ in range(shuffles)])
-    po = dist[perms[:, i_idx], perms[:, j_idx]]  # (shuffles, n_pairs)
-    po -= po.mean(axis=1, keepdims=True)
-    pnorms = np.sqrt((po * po).sum(axis=1))
-    pgood = pnorms > 0
-    po[pgood] /= pnorms[pgood, None]
-    po[~pgood] = 0.0
-
-    maxima = np.abs(po @ ds.T).max(axis=1)
+    rows = [(row, sum(row), sum(y * y for y in row)) for row in np.asarray(ds).tolist()]
+    n = len(d_o)
+    maxima = []
+    for po in dist[perms[:, i_idx], perms[:, j_idx]].tolist():  # one shuffle's pairs
+        sx, sxx = sum(po), sum(x * x for x in po)
+        best = 0.0
+        for row, sy, syy in rows:
+            num = n * sum(map(operator.mul, po, row)) - sy * sx
+            den = (n * syy - sy * sy) * (n * sxx - sx * sx)
+            if den > 0:
+                best = max(best, min(float(abs(num)) / math.sqrt(float(den)), 1.0))
+        maxima.append(best)
     return float(np.percentile(maxima, percentile))
 
 

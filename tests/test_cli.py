@@ -1,6 +1,9 @@
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
 import zipfile
 
 import numpy as np
@@ -254,6 +257,21 @@ def test_analyze_negative_floor_shuffles_fails_before_loading(tmp_path, capsys, 
                    "--floor-shuffles", "-5", "--out", str(tmp_path / "x.json"))
     assert code == 2
     assert "--floor-shuffles: must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("window", ["5:2", "0:0", "3:0"])
+def test_analyze_empty_window_fails_before_loading(tmp_path, capsys, monkeypatch, window):
+    def no_load(*args, **kwargs):
+        raise AssertionError("runs loaded with an empty --window")
+
+    manifest = tmp_path / "runs.txt"
+    manifest.write_text("r0.vcd\nr1.vcd\n")
+    monkeypatch.setattr(cli, "load_run_set", no_load)
+    code = run_cli("analyze", "--runs", str(manifest), "--oracle", str(tmp_path / "oracle.csv"),
+                   "--window", window, "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert f"--window: empty window {window}" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 
@@ -763,6 +781,33 @@ def test_analyze_threads_write_identical_reports(tmp_path):
         assert run_cli("analyze", "--runs", str(sim / "runs.txt"), "--oracle",
                        str(tmp_path / "oracle.csv"), "--floor-shuffles", "40",
                        "--window", "3:40", "--threads", threads, "--out", str(out)) == 0
+        reports.append(out.read_bytes())
+    assert len(json.loads(reports[0])["modules"]) > 10
+    assert reports[0] == reports[1]
+
+
+def test_analyze_report_does_not_depend_on_blas_threads(tmp_path):
+    """``report.json`` has the same bytes under 1 and 2 BLAS threads: every
+    score and floor comes from exact integer moments, whatever order BLAS
+    sums a product in. On a 1-CPU host OpenBLAS may cap itself at one
+    thread, and then this test cannot fail."""
+    cfg = tmp_path / "config"
+    cfg.write_text("mode = baseline\nnoise_sigma = 0.0\nrounds = 1\nseed = 7\n")
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--key", KEY_HEX, "--gen", "40", "--config", str(cfg),
+                   "--vcd", "--out", str(sim)) == 0
+    pts = aes.read_blocks_hex(sim / "plaintexts.txt")
+    metrics.write_oracle_csv(tmp_path / "oracle.csv", aes.all_first_round_oracles(
+        pts, bytes.fromhex(KEY_HEX)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "leakscope.cli", "analyze", "--runs",
+                        str(sim / "runs.txt"), "--oracle", str(tmp_path / "oracle.csv"),
+                        "--floor-shuffles", "1000", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
         reports.append(out.read_bytes())
     assert len(json.loads(reports[0])["modules"]) > 10
     assert reports[0] == reports[1]

@@ -330,7 +330,7 @@ def test_independent_oracle_below_permutation_floor():
     assert res.svf < res.noise_floor
     want_ds, _ = naive_distance_matrix(_as_tuples([{"!": w} for w in words]),
                                        rs.declarations, (0, d))
-    assert abs(res.noise_floor - naive_permutation_floor(want_ds, values, 1000)) <= 1e-12
+    assert res.noise_floor == naive_permutation_floor(want_ds, values, 1000)
 
 
 def test_svf_all_single_module_score_holds_with_the_floor_on():
@@ -544,7 +544,8 @@ def test_svf_all_picks_each_modules_worst_oracle_exactly():
 @given(st.data())
 def test_shared_floor_matches_the_per_module_oracle(data):
     """Floors of modules scored one shuffle block at a time, several on one
-    oracle and some all-constant, against the per-module floor."""
+    oracle and some all-constant, against the per-module floor; under the
+    identity shuffle alone the floor is the module's own score."""
     n = data.draw(st.integers(3, 9))
     d = data.draw(st.integers(1, 5))
     kinds = data.draw(st.lists(st.sampled_from(["const", "vary", "vary"]), min_size=3,
@@ -570,9 +571,38 @@ def test_shared_floor_matches_the_per_module_oracle(data):
         want_ds, _ = naive_distance_matrix(_as_tuples(runs), node.signals, (0, d))
         oracle = by_label[res.oracle_label]
         want = naive_permutation_floor(want_ds, oracle.values, shuffles)
-        assert abs(res.noise_floor - want) <= 1e-12
+        assert res.noise_floor == want
         if not want_ds.any():
             assert res.noise_floor == 0.0
+        identity = np.arange(n)[None, :]
+        moments = metrics._moments(np.array([metrics.pairwise_distances(oracle.values)]))
+        assert metrics.permutation_floor(moments, [metrics._moments(want_ds)],
+                                         identity) == [res.svf]
+
+
+@pytest.mark.parametrize("n, y_top, x_top, fits", [
+    (1 << 12, 1 << 20, (1 << 19) - 1, True),
+    (1 << 12, 1 << 20, 1 << 19, False),  # n² · max · max = 2^63: past int64
+    (4, 1 << 26, 1 << 26, False),  # n · max · max = 2^54: Σxy past exact float64
+])
+def test_exact_moments_range_is_checked(n, y_top, x_top, fits):
+    # One row of n pairs against one oracle. Where the moments fit, the score
+    # is still the exact one.
+    ds = np.full((1, n), y_top, dtype=np.int64)
+    ds[0, 0] = 0
+    d_o = np.full((1, n), x_top, dtype=np.int64)
+    d_o[0, 1] = 0
+    ys, xs = metrics._moments(ds), metrics._moments(d_o)
+    if not fits:
+        with pytest.raises(ValueError, match=f"{n} run pairs"):
+            metrics._abs_pearson(ys[0] @ xs[0].T, ys, xs)
+        return
+    x, y = d_o[0].tolist(), ds[0].tolist()
+    num = n * sum(a * b for a, b in zip(x, y)) - sum(x) * sum(y)
+    den = ((n * sum(a * a for a in x) - sum(x) ** 2)
+           * (n * sum(b * b for b in y) - sum(y) ** 2))
+    want = min(float(abs(num)) / math.sqrt(float(den)), 1.0)
+    assert metrics._abs_pearson(ys[0] @ xs[0].T, ys, xs).tolist() == [[want]]
 
 
 _MEMORY_PROBE = """
@@ -605,10 +635,11 @@ def _memory_probe(n, d, words, shuffles):
 
 
 # 200 runs give 19 900 pairs. Their distance matrix (pairs x 64 cycles, int64)
-# is 10 MB, and the scoring moments need one more array of that size. XORing
-# all pairs at once would take 19 900 x 64 x 8 words = 81 MB per temporary,
-# and several such temporaries are live at the same time. The permutation
-# floor is off here; the next bound covers it.
+# is 10 MB, and the scoring moments need one more array of that size, its
+# float64 copy for the products. XORing all pairs at once would take
+# 19 900 x 64 x 8 words = 81 MB per temporary, and several such temporaries
+# are live at the same time. The permutation floor is off here; the next
+# bound covers it.
 SCORING_RSS_GROWTH_MB = 48
 
 
@@ -619,13 +650,13 @@ def test_scoring_memory_is_bounded():
 
 
 # 1000 runs give 499 500 pairs, so one (8 cycles x pairs) matrix is 32 MB.
-# Scoring holds the int64 distances, their square and the unit-norm float
-# rows the floor keeps: 3 x 32 MB. The floor adds the 1000 x 1000 oracle
-# distance table and the two pair index arrays (8 MB each) and one block of
-# shuffled oracle distances with its two index arrays (one shuffle here, since
-# a shuffle is more than the block's word budget: 12 MB). Indexing every
-# shuffle at once, as one (shuffles x pairs) array with two int64 index arrays,
-# would take 100 x 499 500 x 24 bytes = 1.2 GB on top.
+# Scoring holds the int64 distances and the float64 copy the floor keeps:
+# 2 x 32 MB. The floor adds the 1000 x 1000 oracle distance table and the two
+# pair index arrays (8 MB each) and one block of shuffled oracle distances
+# with its two index arrays (one shuffle here, since a shuffle is more than
+# the block's word budget: 12 MB). Indexing every shuffle at once, as one
+# (shuffles x pairs) array with two int64 index arrays, would take
+# 100 x 499 500 x 24 bytes = 1.2 GB on top.
 FLOOR_RSS_GROWTH_MB = 160
 
 
