@@ -470,18 +470,28 @@ def svf_all(runs: RunSet, oracles, window=None, noise_floor_shuffles: int = 1000
 
 # --- Welch t-tests -------------------------------------------------------------
 
-def welch_t(group_a, group_b) -> float:
-    """Welch's unequal-variance t statistic."""
-    a = np.asarray(group_a, dtype=np.float64)
-    b = np.asarray(group_b, dtype=np.float64)
-    if a.size < 2 or b.size < 2:
-        raise ValueError(f"each group needs >= 2 samples, got {a.size} and {b.size}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+@dataclass(frozen=True)
+class GroupMoments:
+    """One class's sample count, mean and unbiased (ddof=1) variance."""
+    n: int
+    mean: float
+    var: float
+
+
+def group_moments(samples) -> GroupMoments:
+    """Moments of one class's samples: at least 2, all finite."""
+    a = np.asarray(samples, dtype=np.float64)
+    if a.size < 2:
+        raise ValueError(f"each group needs >= 2 samples, got {a.size}")
+    if not np.isfinite(a).all():
         raise ValueError("samples must be finite")
-    va = float(a.var(ddof=1))
-    vb = float(b.var(ddof=1))
-    delta = float(a.mean() - b.mean())
-    denom = va / a.size + vb / b.size
+    return GroupMoments(a.size, float(a.mean()), float(a.var(ddof=1)))
+
+
+def welch_t(a: GroupMoments, b: GroupMoments) -> float:
+    """Welch's unequal-variance t statistic from two groups' moments."""
+    delta = a.mean - b.mean
+    denom = a.var / a.n + b.var / b.n
     if denom == 0.0:
         if delta == 0.0:
             return 0.0
@@ -491,17 +501,27 @@ def welch_t(group_a, group_b) -> float:
 
 def pairwise_ttest_matrix(classes: dict) -> tuple[list[str], np.ndarray]:
     """|t| between every pair of trace classes (label -> 1-d samples);
-    diagonal zero."""
+    diagonal zero. Each class's moments are taken once; an error names the
+    class, or both classes of a degenerate pair."""
     items = list(classes.items())
     if len(items) < 2:
         raise ValueError(f"need >= 2 classes, got {len(items)}")
     labels = [str(k) for k, _ in items]
-    groups = [np.asarray(v, dtype=np.float64) for _, v in items]
-    n = len(groups)
+    moments = []
+    for label, (_, samples) in zip(labels, items):
+        try:
+            moments.append(group_moments(samples))
+        except ValueError as exc:
+            raise ValueError(f"class {label!r}: {exc}") from None
+    n = len(moments)
     mat = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):
-            t = abs(welch_t(groups[i], groups[j]))
+            try:
+                t = abs(welch_t(moments[i], moments[j]))
+            except DegenerateInputError as exc:
+                raise DegenerateInputError(
+                    f"classes {labels[i]!r} and {labels[j]!r}: {exc}") from None
             mat[i, j] = mat[j, i] = t
     return labels, mat
 

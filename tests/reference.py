@@ -20,7 +20,10 @@ array, scored one shuffle and cycle at a time from Python-int moments, the
 exact oracle for ``leakscope.metrics.permutation_floor``, which scores the
 modules of one oracle one block of shuffles at a time. ``two_pass_cpa`` is the
 textbook CPA with one hypothesis per guess and trace, the oracle for the
-class-sum ``leakscope.cpa.cpa_attack``. ``DenseMachine`` is the simulator with
+class-sum ``leakscope.cpa.cpa_attack``. ``welch_t_samples`` is Welch's t
+computed from two groups' samples, both groups' moments taken per call, the
+oracle for ``leakscope.metrics.pairwise_ttest_matrix``, which takes each
+class's moments once. ``DenseMachine`` is the simulator with
 one dense payload per cache entry and a per-lane copy of every backing line,
 the oracle for the line pool and the shared backing lines of
 ``leakscope.sim.Machine``. ``synth_power`` recomputes a power trace from a
@@ -45,7 +48,7 @@ import numpy as np
 
 from leakscope.aes import POINT_FUNCTIONS
 from leakscope.feistel import AFFINE_VERSION, KeyConstant, lfsr_from_seed, next_round_keys
-from leakscope.metrics import hamming_distance
+from leakscope.metrics import DegenerateInputError, hamming_distance
 from leakscope.sim import CycleLog, Machine, SimError, element_catalog
 from leakscope.sim.cyclelog import _Rows, _vcd_header, _vcd_id
 from leakscope.sim.machine import ADDR, REG_ROWS, BatchLog
@@ -589,6 +592,25 @@ def two_pass_cpa(traces, plaintexts, target_byte: int, point: str = "sbox_out"):
     corr[hnorm == 0, :] = 0.0
     scores = np.abs(corr).max(axis=1)
     return corr, np.lexsort((np.arange(256), -scores))
+
+
+def welch_t_samples(group_a, group_b) -> float:
+    """Welch's unequal-variance t statistic."""
+    a = np.asarray(group_a, dtype=np.float64)
+    b = np.asarray(group_b, dtype=np.float64)
+    if a.size < 2 or b.size < 2:
+        raise ValueError(f"each group needs >= 2 samples, got {a.size} and {b.size}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("samples must be finite")
+    va = float(a.var(ddof=1))
+    vb = float(b.var(ddof=1))
+    delta = float(a.mean() - b.mean())
+    denom = va / a.size + vb / b.size
+    if denom == 0.0:
+        if delta == 0.0:
+            return 0.0
+        raise DegenerateInputError("both groups have zero variance and different means")
+    return delta / math.sqrt(denom)
 
 
 class DenseMachine(Machine):

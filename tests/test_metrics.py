@@ -12,6 +12,7 @@ from leakscope import metrics
 from leakscope.metrics import (
     DegenerateInputError,
     OracleTrace,
+    group_moments,
     hamming_distance,
     hamming_weight,
     pairwise_distances,
@@ -24,6 +25,7 @@ from leakscope.metrics import (
     write_oracle_csv,
     write_tmatrix_csv,
 )
+from leakscope.sim import SimConfig, cache_set_experiment
 from leakscope.vcd import ModuleNode, RunSet, SignalDecl
 from peak_rss import run_probe
 from reference import (
@@ -32,6 +34,7 @@ from reference import (
     naive_distance_matrix,
     naive_permutation_floor,
     to_columns,
+    welch_t_samples,
 )
 
 
@@ -668,14 +671,18 @@ def test_floor_memory_is_bounded():
 
 # --- Welch t ---------------------------------------------------------------------
 
+def welch(a, b):
+    return welch_t(group_moments(a), group_moments(b))
+
+
 def test_welch_identical_groups():
-    assert welch_t([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+    assert welch([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
 
 
 def test_welch_separated_tiny_variance():
     a = [0 - 1e-6, 0 + 1e-6, 0 - 1e-6, 0 + 1e-6]
     b = [1 - 1e-6, 1 + 1e-6, 1 + 1e-6, 1 - 1e-6]
-    assert abs(welch_t(a, b)) > 1e5
+    assert abs(welch(a, b)) > 1e5
 
 
 def test_welch_against_scipy():
@@ -686,7 +693,7 @@ def test_welch_against_scipy():
         a = rng.normal(0, 1, size=rng.integers(5, 50))
         b = rng.normal(0.3, 2, size=rng.integers(5, 50))
         want = stats.ttest_ind(a, b, equal_var=False).statistic
-        assert welch_t(a, b) == pytest.approx(want, rel=1e-10)
+        assert welch(a, b) == pytest.approx(want, rel=1e-10)
 
 
 def test_welch_monte_carlo_threshold():
@@ -694,7 +701,7 @@ def test_welch_monte_carlo_threshold():
     rng = np.random.default_rng(1717)
     trials = 300
     exceed = sum(
-        abs(welch_t(rng.normal(0, 1, 10_000), rng.normal(0, 1, 10_000))) >= 4.5
+        abs(welch(rng.normal(0, 1, 10_000), rng.normal(0, 1, 10_000))) >= 4.5
         for _ in range(trials)
     )
     assert exceed / trials <= 0.01
@@ -702,12 +709,12 @@ def test_welch_monte_carlo_threshold():
 
 def test_welch_errors():
     with pytest.raises(ValueError, match=">= 2"):
-        welch_t([1.0], [1.0, 2.0])
+        welch([1.0], [1.0, 2.0])
     with pytest.raises(DegenerateInputError):
-        welch_t([1.0, 1.0], [2.0, 2.0])
-    assert welch_t([3.0, 3.0], [3.0, 3.0]) == 0.0
+        welch([1.0, 1.0], [2.0, 2.0])
+    assert welch([3.0, 3.0], [3.0, 3.0]) == 0.0
     with pytest.raises(ValueError, match="finite"):
-        welch_t([1.0, float("nan")], [1.0, 2.0])
+        welch([1.0, float("nan")], [1.0, 2.0])
 
 
 def test_ttest_matrix_identical_classes():
@@ -731,6 +738,56 @@ def test_ttest_matrix_monotone_in_mean_gap():
 def test_ttest_matrix_needs_two_classes():
     with pytest.raises(ValueError, match=">= 2 classes"):
         pairwise_ttest_matrix({"a": [1.0, 2.0]})
+
+
+def per_pair_oracle(classes):
+    """|t| matrix from the sample-taking oracle, one pair at a time."""
+    groups = list(classes.values())
+    mat = np.zeros((len(groups), len(groups)))
+    for i in range(len(groups)):
+        for j in range(i + 1, len(groups)):
+            mat[i, j] = mat[j, i] = abs(welch_t_samples(groups[i], groups[j]))
+    return mat
+
+
+def test_ttest_matrix_equals_the_per_pair_oracle_bit_for_bit():
+    rng = np.random.default_rng(23)
+    classes = {f"c{k}": rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 40),
+                                   rng.integers(2, 300))
+               for k in range(12)}
+    classes["flat_a"] = np.full(3, 7.25)    # zero variance, equal means
+    classes["flat_b"] = np.full(11, 7.25)
+    labels, mat = pairwise_ttest_matrix(classes)
+    assert labels == list(classes)
+    assert mat[labels.index("flat_a"), labels.index("flat_b")] == 0.0
+    assert np.array_equal(mat, per_pair_oracle(classes))
+
+
+@pytest.mark.parametrize("mode", ["baseline", "param"])
+def test_ttest_matrix_equals_the_oracle_on_a_sweep(mode):
+    cfg = SimConfig(mode=mode, seed=0x17, noise_sigma=80.0)
+    classes = cache_set_experiment(cfg, reps=6, rekey_every=1)
+    _, mat = pairwise_ttest_matrix(classes)
+    assert np.array_equal(mat, per_pair_oracle(classes))
+
+
+@pytest.mark.parametrize("samples, what", [
+    ([1.0, float("nan"), 2.0], "samples must be finite"),
+    ([4.0], "each group needs >= 2 samples, got 1"),
+])
+def test_ttest_matrix_error_names_the_bad_class(samples, what):
+    classes = {f"set{s:02d}": [float(s), s + 1.0, s + 3.0] for s in range(10)}
+    classes["set07"] = samples
+    with pytest.raises(ValueError, match=re.escape(f"class 'set07': {what}")):
+        pairwise_ttest_matrix(classes)
+
+
+def test_ttest_matrix_degenerate_pair_names_both_classes():
+    classes = {"set00": [1.0, 2.0, 4.0], "set03": [5.0, 5.0], "set05": [6.0, 6.0, 6.0]}
+    with pytest.raises(DegenerateInputError,
+                       match="classes 'set03' and 'set05': both groups have zero "
+                             "variance and different means"):
+        pairwise_ttest_matrix(classes)
 
 
 # --- file formats -----------------------------------------------------------------
