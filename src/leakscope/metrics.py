@@ -14,12 +14,12 @@ computed in full at the window's first cycle and then updated only at the
 
 A permutation test (shuffling the oracle) provides a self-calibrating noise
 floor for reports, from the same exact moments, so no report depends on how
-BLAS splits a sum. ``svf_all`` draws the permutations once and calls
-``permutation_floor`` once per winning oracle, which scores every module that
-oracle won against one block of its shuffles at a time, so memory stays
-bounded however many runs there are. The moments must fit int64: for n run
-pairs, n²·max(module distance)·max(oracle distance) < 2^63, which a 4096-bit
-module against an 8-bit oracle reaches at about 5800 runs.
+BLAS splits a sum. One kernel, ``_pair_popcounts``, gives the pair distances
+of modules, oracles and shuffled oracles. ``svf_all`` takes each module's
+floor as soon as the module is scored, from its winning oracle's shuffled
+words, so one module's rows are live at a time. The moments must fit int64:
+for n run pairs, n²·max(module distance)·max(oracle distance) < 2^63, which a
+4096-bit module against an 8-bit oracle reaches at about 5800 runs.
 """
 
 from __future__ import annotations
@@ -67,14 +67,11 @@ def pair_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i_idx, j_idx
 
 
-def pairwise_distances(items) -> np.ndarray:
-    """Hamming distance for every unordered pair, canonical order."""
-    values = list(items)
-    n = len(values)
-    if n < 2:
-        raise ValueError(f"need at least 2 items, got {n}")
-    return np.array([(values[i] ^ values[j]).bit_count()
-                     for j in range(n) for i in range(j + 1, n)], dtype=np.int64)
+def _pair_popcounts(words: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
+    """The pair-distance kernel: popcount of ``words[i] ^ words[j]`` for each
+    pair (i, j), word by word. ``words`` (n, ...) gives (n_pairs, ...).
+    ``np.take`` gathers rows of a few bytes many times faster than indexing."""
+    return np.bitwise_count(np.take(words, i_idx, axis=0) ^ np.take(words, j_idx, axis=0))
 
 
 # --- Pearson -----------------------------------------------------------------
@@ -113,6 +110,15 @@ class OracleTrace:
 
     def __len__(self):
         return len(self.values)
+
+
+def _oracle_words(oracle: OracleTrace) -> np.ndarray:
+    """(n_runs, k) words of the narrowest unsigned type that holds the
+    values; past 64 bits, k uint64 words, low word first."""
+    size = next(s for s in (1, 2, 4, 8) if 8 * s >= oracle.width or s == 8)
+    k = max(1, -(-oracle.width // (8 * size)))
+    raw = b"".join(v.to_bytes(k * size, "little") for v in oracle.values)
+    return np.frombuffer(raw, dtype=f"<u{size}").reshape(len(oracle), k)
 
 
 def write_oracle_csv(path, oracles) -> None:
@@ -297,7 +303,7 @@ def _pair_distances(samples: np.ndarray, prev: np.ndarray, starts: np.ndarray) -
     step = max(1, _PAIR_BLOCK_WORDS // max(1, width))
     for lo in range(0, len(i_idx), step):
         hi = lo + step
-        pc = np.bitwise_count(samples[i_idx[lo:hi]] ^ samples[j_idx[lo:hi]])
+        pc = _pair_popcounts(samples, i_idx[lo:hi], j_idx[lo:hi])
         block = ds[:, lo:hi]
         block[0] = pc[:, :k].sum(axis=1, dtype=np.int64)
         if len(starts):
@@ -379,30 +385,26 @@ def _permutations(n_runs: int, shuffles: int) -> np.ndarray:
     return np.stack([rng.permutation(n_runs) for _ in range(shuffles)])
 
 
-def permutation_floor(moments, module_moments, perms) -> list[float]:
-    """Noise floors of the modules that share one winning oracle: the
-    ``_FLOOR_PERCENTILE`` percentile of each module's best |Pearson| under
-    the oracle shuffles ``perms`` (shuffles, n_runs).
+def permutation_floor(words, moments, ys, perms) -> float:
+    """Noise floor of one module: the ``_FLOOR_PERCENTILE`` percentile of
+    its best |Pearson| under the shuffles ``perms`` (shuffles, n_runs) of
+    its winning oracle.
 
-    ``moments`` are the winner's ``_moments`` and ``module_moments`` each
-    module's (any set of rows holding every distinct cycle gives the same
-    floor). A shuffle keeps Σx, Σx² and the maximum, so a block of shuffles
-    only gathers its distances ``po``, and each module scores them with
-    ``_abs_pearson`` on Σxy = ``rows @ po.T``. Blocks are sized by
-    ``_PAIR_BLOCK_WORDS``, so memory is bounded however many runs there are.
+    ``words`` are that oracle's ``_oracle_words`` and ``moments`` its
+    ``_moments`` (one row); ``ys`` are the module's (any set of rows holding
+    every distinct cycle gives the same floor). A shuffle keeps Σx, Σx² and
+    the maximum, so a block of shuffles only needs its pair distances ``po``
+    from the shuffled words, scored by ``_abs_pearson`` on Σxy =
+    ``rows @ po``. Blocks are sized by ``_PAIR_BLOCK_WORDS``.
     """
-    n = perms.shape[1]
-    i_idx, j_idx = pair_order(n)
-    table = np.zeros((n, n), dtype=np.float64)
-    table[i_idx, j_idx] = table[j_idx, i_idx] = moments[0][0]
-    maxima = np.empty((len(module_moments), len(perms)), dtype=np.float64)
-    step = max(1, _PAIR_BLOCK_WORDS // len(i_idx))
+    i_idx, j_idx = pair_order(perms.shape[1])
+    maxima = np.empty(len(perms), dtype=np.float64)
+    step = max(1, _PAIR_BLOCK_WORDS // (len(i_idx) * words.shape[1]))
     for lo in range(0, len(perms), step):
-        p = perms[lo:lo + step]
-        po = table[p[:, i_idx], p[:, j_idx]]  # (block, n_pairs)
-        for out, ys in zip(maxima, module_moments):
-            out[lo:lo + step] = _abs_pearson(ys[0] @ po.T, ys, moments).max(axis=0)
-    return [float(np.percentile(m, _FLOOR_PERCENTILE)) for m in maxima]
+        po = _pair_popcounts(words[perms[lo:lo + step].T], i_idx, j_idx).sum(
+            axis=-1, dtype=np.float64)  # (n_pairs, block)
+        maxima[lo:lo + step] = _abs_pearson(ys[0] @ po, ys, moments).max(axis=0)
+    return float(np.percentile(maxima, _FLOOR_PERCENTILE))
 
 
 @dataclass
@@ -430,6 +432,8 @@ def svf_all(runs: RunSet, oracles, window=None, noise_floor_shuffles: int = 1000
     """
     if noise_floor_shuffles < 0:
         raise ValueError(f"noise_floor_shuffles must be >= 0, got {noise_floor_shuffles}")
+    if runs.n_runs < 2:
+        raise ValueError(f"need at least 2 runs to form a pair, got {runs.n_runs}")
     oracles = list(oracles)
     if not oracles:
         raise ValueError("need at least one oracle")
@@ -439,31 +443,22 @@ def svf_all(runs: RunSet, oracles, window=None, noise_floor_shuffles: int = 1000
                 f"oracle '{o.label}' has {len(o)} values but run set has {runs.n_runs} runs")
     nodes = [(path, node) for path, node in runs.hierarchy.walk() if node.signals]
     start, end = _normalize_window(window, runs.n_cycles)
-    moments = _moments(np.stack([pairwise_distances(o.values) for o in oracles]))
+    i_idx, j_idx = pair_order(runs.n_runs)
+    words = [_oracle_words(o) for o in oracles]
+    moments = _moments(np.stack([_pair_popcounts(w, i_idx, j_idx).sum(axis=-1, dtype=np.int64)
+                                 for w in words]))
+    # one permutation draw per call, shared by every module's floor
+    perms = _permutations(runs.n_runs, noise_floor_shuffles) if noise_floor_shuffles else None
 
-    def score(module):
+    def score(module):  # the module's rows are freed once its floor is taken
         result, ys, best = _score(runs, *module, oracles, moments, start, end)
-        return result, (ys if noise_floor_shuffles else None), best
-
-    def floors(group):
-        best, members = group
-        return members, permutation_floor(tuple(m[best:best + 1] for m in moments),
-                                          [scored[k][1] for k in members], perms)
+        if perms is not None:
+            result.noise_floor = permutation_floor(
+                words[best], tuple(m[best:best + 1] for m in moments), ys, perms)
+        return result
 
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        scored = list(run(score, nodes))
-        if noise_floor_shuffles:
-            # one permutation draw per call; one shuffled oracle per winning oracle
-            perms = _permutations(runs.n_runs, noise_floor_shuffles)
-            groups: dict[int, list[int]] = {}
-            for k, (_, _, best) in enumerate(scored):
-                groups.setdefault(best, []).append(k)
-            for members, values in run(floors, groups.items()):
-                for k, value in zip(members, values):
-                    scored[k][0].noise_floor = value
-
-    results = [result for result, _, _ in scored]
+        results = list((pool.map if pool else map)(score, nodes))
     results.sort(key=lambda r: (-r.svf, r.module_path))
     return SvfReport(results=results)
 

@@ -78,6 +78,8 @@ class SimConfig:
             raise ConfigError(
                 f"rekey_interval_runs: must be >= 1 or 'never', got {self.rekey_interval_runs}"
             )
+        if not -(1 << 127) <= self.seed < 1 << 127:
+            raise ConfigError(f"seed: must fit signed 128 bits, got {self.seed}")
         if not 1 <= self.rounds <= 10:
             raise ConfigError(f"rounds: must be in 1..10, got {self.rounds}")
 

@@ -248,8 +248,11 @@ def run_aes_batch(cfg: SimConfig, plaintexts, key: bytes, *,
         del machine, toggles, blog
 
     rekeys = []
-    if cfg.param_mode and cfg.rekey_interval_runs is not None:
-        rekeys = list(range(cfg.rekey_interval_runs, n_total, cfg.rekey_interval_runs))
+    if cfg.param_mode and interval is not None:
+        # batch index i begins an epoch when global run run_offset + i is a
+        # positive multiple of interval (run 0 begins none)
+        first = max(interval, -(-run_offset // interval) * interval) - run_offset
+        rekeys = list(range(first, n_total, interval))
     return BatchResult(traces=traces, n_cycles=d, ciphertexts=cts, logs=logs,
                        rekey_runs=rekeys)
 

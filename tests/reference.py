@@ -15,10 +15,12 @@ The objects in ``src/`` hold their data as arrays only. ``change_tuples``,
 ``cell_values``, ``log_initial``, ``log_changes`` and ``value_columns`` read
 a ``ChangeList``, a ``CycleMatrix`` or a ``CycleLog`` back as Python ints, for
 comparisons.
+``pairwise_distances`` is the Python-int pair loop, the oracle for the pair
+kernel ``leakscope.metrics._pair_popcounts`` on oracle words.
 ``naive_permutation_floor`` is the per-module floor with every shuffle in one
 array, scored one shuffle and cycle at a time from Python-int moments, the
-exact oracle for ``leakscope.metrics.permutation_floor``, which scores the
-modules of one oracle one block of shuffles at a time. ``two_pass_cpa`` is the
+exact oracle for ``leakscope.metrics.permutation_floor``, which scores one
+module one block of shuffled oracle words at a time. ``two_pass_cpa`` is the
 textbook CPA with one hypothesis per guess and trace, the oracle for the
 class-sum ``leakscope.cpa.cpa_attack``. ``welch_t_samples`` is Welch's t
 computed from two groups' samples, both groups' moments taken per call, the
@@ -373,6 +375,16 @@ def naive_distance_matrix(cells_per_run, signals, window):
             for p, (i, j) in enumerate(pairs):
                 ds[c - start, p] += bin(cols[i][c][0] ^ cols[j][c][0]).count("1")
     return ds, xz / (width * (end - start) * n)
+
+
+def pairwise_distances(items) -> np.ndarray:
+    """Hamming distance for every unordered pair, canonical order."""
+    values = list(items)
+    n = len(values)
+    if n < 2:
+        raise ValueError(f"need at least 2 items, got {n}")
+    return np.array([(values[i] ^ values[j]).bit_count()
+                     for j in range(n) for i in range(j + 1, n)], dtype=np.int64)
 
 
 def naive_permutation_floor(ds, oracle_values, shuffles: int, percentile: float = 99.0,

@@ -760,6 +760,27 @@ def test_bad_config_names_field(tmp_path, capsys):
     assert "noise_sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "ttest"])
+@pytest.mark.parametrize("seed", [1 << 127, -(1 << 127) - 1], ids=["2^127", "-2^127-1"])
+def test_seed_past_128_bits_exits_2_before_writing(tmp_path, capsys, command, seed):
+    cfg = tmp_path / "config"
+    cfg.write_text("mode = param\nrounds = 1\n")
+    args = {"simulate": ["--key", KEY_HEX, "--gen", "3", "--out", str(tmp_path / "o")],
+            "ttest": ["--reps", "2", "--out", str(tmp_path / "t.csv")]}[command]
+    assert run_cli(command, "--config", str(cfg), "--seed", str(seed), *args) == 2
+    assert "seed: must fit signed 128 bits" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config"]
+
+
+def test_config_file_seed_past_128_bits_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "config"
+    cfg.write_text(f"mode = param\nrounds = 1\nseed = {1 << 127}\n")
+    assert run_cli("simulate", "--key", KEY_HEX, "--gen", "3", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_key_is_usage_error(tmp_path, capsys):
     code = run_cli("simulate", "--key", "abc", "--out", str(tmp_path / "o"))
     assert code == 2

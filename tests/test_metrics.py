@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,6 @@ from leakscope.metrics import (
     group_moments,
     hamming_distance,
     hamming_weight,
-    pairwise_distances,
     pairwise_ttest_matrix,
     pearson,
     read_class_samples_csv,
@@ -33,6 +33,7 @@ from reference import (
     from_samples,
     naive_distance_matrix,
     naive_permutation_floor,
+    pairwise_distances,
     to_columns,
     welch_t_samples,
 )
@@ -547,8 +548,9 @@ def test_svf_all_picks_each_modules_worst_oracle_exactly():
 @given(st.data())
 def test_shared_floor_matches_the_per_module_oracle(data):
     """Floors of modules scored one shuffle block at a time, several on one
-    oracle and some all-constant, against the per-module floor; under the
-    identity shuffle alone the floor is the module's own score."""
+    oracle (all from one permutation draw) and some all-constant, against
+    the per-module floor; under the identity shuffle alone the floor is the
+    module's own score."""
     n = data.draw(st.integers(3, 9))
     d = data.draw(st.integers(1, 5))
     kinds = data.draw(st.lists(st.sampled_from(["const", "vary", "vary"]), min_size=3,
@@ -578,9 +580,85 @@ def test_shared_floor_matches_the_per_module_oracle(data):
         if not want_ds.any():
             assert res.noise_floor == 0.0
         identity = np.arange(n)[None, :]
-        moments = metrics._moments(np.array([metrics.pairwise_distances(oracle.values)]))
-        assert metrics.permutation_floor(moments, [metrics._moments(want_ds)],
-                                         identity) == [res.svf]
+        moments = metrics._moments(np.array([pairwise_distances(oracle.values)]))
+        assert metrics.permutation_floor(metrics._oracle_words(oracle), moments,
+                                         metrics._moments(want_ds), identity) == res.svf
+
+
+@pytest.mark.parametrize("width, dtype, k", [
+    (1, np.uint8, 1), (8, np.uint8, 1), (9, np.uint16, 1), (16, np.uint16, 1),
+    (31, np.uint32, 1), (33, np.uint64, 1), (64, np.uint64, 1), (65, np.uint64, 2),
+    (130, np.uint64, 3)])
+def test_oracle_pair_kernel_matches_the_pair_loop(width, dtype, k):
+    rng = random.Random(width)
+    values = [rng.getrandbits(width) for _ in range(11)]
+    values[3] = (1 << width) - 1
+    words = metrics._oracle_words(OracleTrace(values=tuple(values), width=width))
+    assert words.dtype == dtype and words.shape == (11, k)
+    i_idx, j_idx = metrics.pair_order(len(values))
+    got = metrics._pair_popcounts(words, i_idx, j_idx).sum(axis=-1)
+    assert got.tolist() == pairwise_distances(values).tolist()
+
+
+@pytest.mark.parametrize("width, dtype, k", [(12, np.uint16, 1), (64, np.uint64, 1),
+                                             (72, np.uint64, 2)])
+def test_wide_oracles_score_and_floor_as_the_naive_references(width, dtype, k):
+    rng = random.Random(width)
+    n, d, shuffles = 9, 4, 13
+    values = [rng.getrandbits(width) for _ in range(n)]
+    # cycle 2 carries the oracle with one bit flipped per run; the rest is random
+    words = [[rng.getrandbits(width) for _ in range(d)] for _ in range(n)]
+    for run, v in zip(words, values):
+        run[1] = v ^ (1 << rng.randrange(width))
+    rs = make_runset(words, width=width)
+    oracle = OracleTrace(values=tuple(values), width=width)
+    oracle_words = metrics._oracle_words(oracle)
+    assert oracle_words.dtype == dtype and oracle_words.shape == (n, k)
+    n_pairs = n * (n - 1) // 2
+    with mock.patch.object(metrics, "_PAIR_BLOCK_WORDS", 2 * n_pairs * k):  # 2 shuffles a block
+        res = svf_all(rs, [oracle], noise_floor_shuffles=shuffles).results[0]
+    assert list(res.per_cycle_scores) == naive_svf(words, values)
+    assert res.peak_cycle == 2
+    want_ds, _ = naive_distance_matrix(_as_tuples([{"!": w} for w in words]),
+                                       rs.declarations, (0, d))
+    assert res.noise_floor == naive_permutation_floor(want_ds, values, shuffles)
+
+
+def test_svf_all_needs_two_runs():
+    rs = make_runset([[1, 2]], width=4)
+    with pytest.raises(ValueError, match="at least 2 runs .*got 1"):
+        svf_all(rs, [OracleTrace(values=(1,), width=4)])
+
+
+def test_floors_add_little_to_the_traced_peak():
+    """Each module's floor is taken as soon as the module is scored, so the
+    traced allocation peak of eight equal modules is about one module's
+    scoring, floor or no floor. Holding every module's rows until all are
+    scored would take about 3x the peak without floors."""
+    rng = random.Random(88)
+    n, d, codes = 40, 64, "abcdefgh"
+    cells = [[rng.getrandbits(64) for _ in range(d)] for _ in range(n)]
+    rs = make_runset([{c: row for c in codes} for row in cells], width=None,
+                     signal_specs=[(c, 64) for c in codes])
+    rs.hierarchy.children = [ModuleNode(name=f"m{k}", signals=[decl])
+                             for k, decl in enumerate(rs.declarations)]
+    rs.hierarchy.signals = []
+    oracle = OracleTrace(values=tuple(rng.getrandbits(8) for _ in range(n)), width=8)
+    svf_all(rs, [oracle], noise_floor_shuffles=50)  # first-call allocations, untraced
+
+    def traced_peak(shuffles):
+        tracemalloc.start()
+        try:
+            report = svf_all(rs, [oracle], noise_floor_shuffles=shuffles)
+            return tracemalloc.get_traced_memory()[1], report
+        finally:
+            tracemalloc.stop()
+
+    bare, without = traced_peak(0)
+    floored, report = traced_peak(50)
+    assert [r.svf for r in report.results] == [r.svf for r in without.results]
+    assert len({r.noise_floor for r in report.results}) == 1
+    assert floored < 1.5 * bare, (floored, bare)
 
 
 @pytest.mark.parametrize("n, y_top, x_top, fits", [
@@ -653,13 +731,13 @@ def test_scoring_memory_is_bounded():
 
 
 # 1000 runs give 499 500 pairs, so one (8 cycles x pairs) matrix is 32 MB.
-# Scoring holds the int64 distances and the float64 copy the floor keeps:
-# 2 x 32 MB. The floor adds the 1000 x 1000 oracle distance table and the two
-# pair index arrays (8 MB each) and one block of shuffled oracle distances
-# with its two index arrays (one shuffle here, since a shuffle is more than
-# the block's word budget: 12 MB). Indexing every shuffle at once, as one
-# (shuffles x pairs) array with two int64 index arrays, would take
-# 100 x 499 500 x 24 bytes = 1.2 GB on top.
+# Scoring holds the int64 distances and their float64 copy: 2 x 32 MB. The
+# floor keeps only the copy and adds its two int64 pair index arrays (4 MB
+# each) and one block of shuffled oracle distances: one shuffle here, since
+# a shuffle is more than the block's word budget, as uint8 pair popcounts
+# (0.5 MB per temporary) and float64 distances (4 MB). Indexing every
+# shuffle at once, as one (shuffles x pairs) array with two int64 index
+# arrays, would take 100 x 499 500 x 24 bytes = 1.2 GB on top.
 FLOOR_RSS_GROWTH_MB = 160
 
 

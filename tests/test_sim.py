@@ -14,6 +14,7 @@ from leakscope.feistel import (
     RoundKeys,
     deobfuscate64_vec,
     deobfuscate_address,
+    lfsr_from_seed,
     obfuscate32_vec,
     obfuscate64,
     obfuscate64_vec,
@@ -100,6 +101,11 @@ def test_config_validation_names_fields():
         SimConfig(noise_sigma=-1)
     with pytest.raises(ConfigError, match="rounds"):
         SimConfig(rounds=11)
+    for seed in (1 << 127, -(1 << 127) - 1):
+        with pytest.raises(ConfigError, match="seed: must fit signed 128 bits"):
+            SimConfig(seed=seed)
+    for seed in ((1 << 127) - 1, -(1 << 127)):  # the bounds lfsr_from_seed takes
+        lfsr_from_seed(SimConfig(mode="param", seed=seed).seed)
     with pytest.raises(ConfigError, match="sets"):
         SimConfig(cache=__import__("leakscope.sim.config", fromlist=["CacheGeometry"])
                   .CacheGeometry(sets=48))
@@ -118,6 +124,9 @@ def test_config_file_and_env(tmp_path):
         parse_config_file(path, env={})
     path.write_text("rounds = soon\n")
     with pytest.raises(ConfigError, match="rounds"):
+        parse_config_file(path, env={})
+    path.write_text(f"mode = param\nseed = {1 << 127}\n")
+    with pytest.raises(ConfigError, match="seed"):
         parse_config_file(path, env={})
 
 
@@ -149,16 +158,18 @@ def test_determinism_across_batching():
     assert np.array_equal(whole.traces, split.traces)
 
 
-@pytest.mark.parametrize("interval", [2, None])
+@pytest.mark.parametrize("interval", [2, 5, None])
 def test_run_offset_continues_the_whole_batch(interval):
     # run r is in key epoch r // interval (epoch 0 throughout when never
-    # re-keyed) and draws noise by r, wherever its batch starts
+    # re-keyed) and draws noise by r, wherever its batch starts; the batch
+    # reports its epochs' first runs by its own index (run 5 is index 0)
     cfg = SimConfig(mode="param", noise_sigma=1.5, seed=23, rounds=1,
                     rekey_interval_runs=interval)
     pts = random_plaintexts(cfg, 9)
     whole = run_aes_batch(cfg, pts, KEY, max_lanes=4)
     tail = run_aes_batch(cfg, pts[5:], KEY, run_offset=5, max_lanes=3)
     assert np.array_equal(tail.traces, whole.traces[5:])
+    assert tail.rekey_runs == [r - 5 for r in whole.rekey_runs if r >= 5]
 
 
 def test_cycle_count_mode_invariance():
