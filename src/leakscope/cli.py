@@ -195,8 +195,10 @@ def cmd_dpa(args) -> int:
             f"traces {args.traces}: {traces.shape[0]} rows but "
             f"{0 if pts is None else pts.shape[0]} plaintexts"
         )
+    # reads and checks every row, so a bad archive fails before --out exists
+    state = cpa.class_sums(traces, pts, args.target_byte)
     os.makedirs(args.out, exist_ok=True)
-    result = cpa.cpa_attack(traces, pts, args.target_byte, point=args.point)
+    result = cpa.cpa_attack(state, point=args.point)
 
     curve = None
     key_bytes = _parse_key(args.key) if args.key else key

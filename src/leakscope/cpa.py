@@ -3,15 +3,17 @@
 For every key-byte guess the hypothesis is the Hamming weight of a chosen
 first-round intermediate (S-box output by default), and guesses rank by their
 best absolute Pearson correlation with any trace sample column. A hypothesis
-depends only on the target plaintext byte, so an attack reads the traces once,
-in cache-sized row blocks, into per-byte counts, (256, d) sums of the
-mean-centred traces and the columns' sums of squares; every
-guess's covariance is then one row of a (256 guesses x 256 bytes) product
-with those sums. Hypotheses are centred exactly in integers
-(``n*H - H @ counts``), so mirrored guesses (``xor_key`` g and g ^ 0xFF)
-score bit-identically and ties go to the lower guess. Traces-to-disclosure
-re-runs the attack on growing prefixes and reports the earliest checkpoint
-from which the true byte stays rank 1.
+depends only on the target plaintext byte, so the traces are read once, in
+cache-sized row blocks, into a ``ClassSums`` state: per-byte counts, (256, d)
+class sums of the traces minus a fixed shift and the columns' sums of
+squares. An attack only scores a state: every guess's covariance is one row
+of a (256 guesses x 256 bytes) product with the class sums. Hypotheses are
+centred exactly in integers (``n*H - H @ counts``), so the shift cancels,
+mirrored guesses (``xor_key`` g and g ^ 0xFF) score bit-identically and ties
+go to the lower guess. Traces-to-disclosure and the correlation evolution
+carry one state from checkpoint to checkpoint, adding only the rows since
+the last one; MTD is the earliest checkpoint from which the true byte stays
+rank 1.
 """
 
 from __future__ import annotations
@@ -73,70 +75,103 @@ class AttackResult:
         }
 
 
-def cpa_attack(traces, plaintexts, target_byte: int,
-               point: str = "sbox_out") -> AttackResult:
-    """Correlate keyed hypotheses against every sample column.
-
-    Degenerate columns (constant traces) and degenerate hypothesis rows
-    (constant plaintext byte) score 0 rather than raising; a non-finite
-    sample is an error naming its trace row and cycle.
-    """
+def _checked(traces, plaintexts, target_byte: int):
+    """(traces, plaintexts) as arrays, or the ValueError that names the fault."""
     traces = np.asarray(traces)
     if traces.dtype.kind not in "biuf":
         traces = traces.astype(np.float64)
     plaintexts = np.asarray(plaintexts, dtype=np.uint8)
-    if traces.ndim != 2:
-        raise ValueError(f"traces must be (N, d), got {traces.shape}")
-    n, d = traces.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 traces, got {n}")
-    if plaintexts.shape[0] != n:
-        raise ValueError(f"{n} traces but {plaintexts.shape[0]} plaintexts")
+    if traces.ndim != 2 or traces.shape[1] == 0:
+        raise ValueError(f"traces must be (N, d) with d >= 1, got {traces.shape}")
+    if plaintexts.shape[0] != traces.shape[0]:
+        raise ValueError(f"{traces.shape[0]} traces but {plaintexts.shape[0]} plaintexts")
     if not 0 <= target_byte < 16:
         raise ValueError(f"target_byte {target_byte} out of range")
+    return traces, plaintexts
 
-    table = _hw_table(point)
-    pbytes = plaintexts[:, target_byte].astype(np.intp)
-    counts = np.bincount(pbytes, minlength=256)                  # (256,)
-    # one pass over row blocks: each block is cast to float64 as it is
-    # centred on the column means, and adds its column sums of squares and
-    # its class sums, so no (N, d) temporary is built; a NaN or infinite
-    # sample makes its column's norm NaN, while a finite overflow (an
-    # infinite norm of finite samples) is no error. The float64 mean of
-    # float32 traces is the mean of their float64 cast, bit for bit: both
-    # add the rows in order.
-    mean = traces.mean(axis=0, dtype=np.float64)
-    m2 = np.zeros(d)
-    sums = np.zeros(256 * d)
-    cols = np.arange(d)
-    step = max(1, _BLOCK_WORDS // d)
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, n, step):
-            tc = traces[lo:lo + step] - mean
-            m2 += np.einsum("ij,ij->j", tc, tc)
+
+class ClassSums:
+    """Everything an attack reads of the traces seen so far: their count
+    ``n``, the per-byte ``counts`` of the target plaintext byte, the (256, d)
+    class ``sums`` of ``rows - shift`` and the column sums of squares ``sq``
+    of ``rows - shift``, where ``shift`` is the float64 column mean of the
+    first row block and stays fixed after it."""
+
+    def __init__(self, d: int, target_byte: int):
+        self.target_byte = target_byte
+        self.n = 0
+        self.counts = np.zeros(256, dtype=np.int64)
+        self.shift = None
+        self.sums = np.zeros((256, d))
+        self.sq = np.zeros(d)
+
+    def update(self, traces, plaintexts) -> None:
+        """Add (rows, d) traces and their (rows, 16) plaintexts, one row block
+        at a time, each cast to float64 as the shift is taken off; a NaN or
+        infinite sample is an error naming its row among all rows added."""
+        d = self.sq.size
+        pbytes = plaintexts[:, self.target_byte].astype(np.intp)
+        self.counts += np.bincount(pbytes, minlength=256)
+        flat = self.sums.reshape(-1)
+        cols = np.arange(d)
+        step = max(1, _BLOCK_WORDS // d)
+        for lo in range(0, traces.shape[0], step):
+            block = traces[lo:lo + step]
+            if self.shift is None:
+                self.shift = block.mean(axis=0, dtype=np.float64)
+            with np.errstate(invalid="ignore"):
+                tc = np.subtract(block, self.shift, dtype=np.float64)
+                sq = np.einsum("ij,ij->j", tc, tc)
+            # a finite overflow (an infinite square of finite samples) is no error
+            if not np.isfinite(sq).all():
+                bad = np.argwhere(~np.isfinite(block))
+                if len(bad):
+                    row, col = bad[0]
+                    raise ValueError(f"trace row {self.n + lo + row}, cycle {col + 1}: "
+                                     f"sample is {block[row, col]}")
+            self.sq += sq
             cells = (pbytes[lo:lo + step, None] * d + cols).ravel()
-            sums += np.bincount(cells, weights=tc.ravel(), minlength=256 * d)
-        tnorm = np.sqrt(m2)                                      # (d,)
-    if not np.isfinite(tnorm).all():
-        bad = np.argwhere(~np.isfinite(traces))
-        if len(bad):
-            row, col = bad[0]
-            raise ValueError(f"trace row {row}, cycle {col + 1}: sample is {traces[row, col]}")
-    sums = sums.reshape(256, d)
+            flat += np.bincount(cells, weights=tc.ravel(), minlength=256 * d)
+        self.n += traces.shape[0]
 
+
+def class_sums(traces, plaintexts, target_byte: int) -> ClassSums:
+    """The ClassSums of a whole trace set of at least 2 traces."""
+    traces, plaintexts = _checked(traces, plaintexts, target_byte)
+    if traces.shape[0] < 2:
+        raise ValueError(f"need at least 2 traces, got {traces.shape[0]}")
+    state = ClassSums(traces.shape[1], target_byte)
+    state.update(traces, plaintexts)
+    return state
+
+
+def cpa_attack(state: ClassSums, point: str = "sbox_out") -> AttackResult:
+    """Correlate keyed hypotheses against every sample column of a state.
+
+    The centred hypotheses ``hc`` sum to exactly 0 over ``counts``, so
+    ``hc @ state.sums`` is the covariance numerator whatever the shift.
+    Degenerate columns (constant traces, or a norm that overflowed) and
+    degenerate hypothesis rows (constant plaintext byte) score 0 rather than
+    raising.
+    """
+    table = _hw_table(point)
+    n, counts = state.n, state.counts
     hc = (n * table - (table @ counts)[:, None]).astype(np.float64)   # n * centred, exact
     hnorm = np.sqrt((hc * hc) @ counts)                          # (256,)
-    denom = hnorm[:, None] * tnorm[None, :]
-    corr = hc @ sums
-    np.divide(corr, denom, out=corr, where=denom > 0)
-    corr[:, tnorm == 0] = 0.0
+    col = state.sums.sum(axis=0)
+    with np.errstate(invalid="ignore"):    # inf - inf where squares overflowed
+        tnorm = np.sqrt(np.maximum(state.sq - col * col / n, 0.0))   # (d,)
+        corr = hc @ state.sums
+        denom = hnorm[:, None] * tnorm[None, :]
+        np.divide(corr, denom, out=corr, where=denom > 0)
+    corr[:, (tnorm == 0) | ~np.isfinite(tnorm)] = 0.0
     corr[hnorm == 0, :] = 0.0
 
     scores = np.abs(corr).max(axis=1)
     order = np.lexsort((np.arange(256), -scores))
     best_guess = int(order[0])
     best_sample = int(np.abs(corr[best_guess]).argmax()) + 1
-    return AttackResult(target_byte=target_byte, point=point, correlations=corr,
+    return AttackResult(target_byte=state.target_byte, point=point, correlations=corr,
                         best_guess=best_guess, best_sample=best_sample,
                         ranks=order, n_traces=n)
 
@@ -163,16 +198,20 @@ class MtdCurve:
 
 
 def _prefix_attacks(traces, plaintexts, target_byte, checkpoint_step, point):
-    """Yield (checkpoint, attack on the first checkpoint traces) per checkpoint."""
-    traces = np.asarray(traces)
+    """Yield (checkpoint, attack on the first checkpoint traces) per checkpoint;
+    one ClassSums is carried from each checkpoint to the next, so every row
+    is read once."""
+    traces, plaintexts = _checked(traces, plaintexts, target_byte)
+    state = ClassSums(traces.shape[1], target_byte)
     for cp in _checkpoints(traces.shape[0], checkpoint_step):
-        yield cp, cpa_attack(traces[:cp], plaintexts[:cp], target_byte, point=point)
+        state.update(traces[state.n:cp], plaintexts[state.n:cp])
+        yield cp, cpa_attack(state, point=point)
 
 
 def mtd(traces, plaintexts, target_byte: int, true_key_byte: int,
         checkpoint_step: int, point: str = "sbox_out") -> MtdCurve:
     """Stabilized traces-to-disclosure: rank 1 at a checkpoint and at every
-    later checkpoint within the budget; re-runs the attack on each prefix."""
+    later checkpoint within the budget; scores the attack at each checkpoint."""
     if not 0 <= true_key_byte <= 0xFF:
         raise ValueError(f"true_key_byte {true_key_byte} out of range")
     points = [(cp, res.rank_of(true_key_byte)) for cp, res in

@@ -448,8 +448,8 @@ def load_traces_npz(path):
     def bad(name, arr, want):
         return ValueError(f"{path}: '{name}' array must be {want}, got {arr.shape} {arr.dtype}")
 
-    if samples.ndim != 2 or samples.dtype.kind not in "biuf":
-        raise bad("samples", samples, "(N, d) numbers")
+    if samples.ndim != 2 or samples.shape[1] == 0 or samples.dtype.kind not in "biuf":
+        raise bad("samples", samples, "(N, d) numbers with d >= 1")
     if plaintexts.dtype != np.uint8 or plaintexts.ndim != 2 or plaintexts.shape[1] != 16:
         raise bad("plaintexts", plaintexts, "(N, 16) uint8")
     if key is not None and (key.dtype != np.uint8 or key.shape != (16,)):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from leakscope import aes, feistel, metrics
-from leakscope.cpa import cpa_attack, mtd
+from leakscope.cpa import mtd
 from leakscope.feistel import (
     AddressGeometry,
     KeyConstant,

@@ -461,8 +461,10 @@ _GOOD_ARCHIVE = {"samples": np.arange(40, dtype=np.float32).reshape(10, 4),
     ("samples", np.full((10, 4), 0.5, dtype=object), "0"),
     ("samples", np.full((10, 4), "0.5"), "0"),
     ("plaintexts", np.zeros((10, 16), dtype=object), "0"),
+    ("samples", np.zeros((10, 0), np.float32), "0"),
 ], ids=["key-5-bytes", "key-5-bytes-byte-7", "plaintexts-10x8", "plaintexts-10x8-byte-10",
-        "samples-1d", "samples-objects", "samples-strings", "plaintexts-objects"])
+        "samples-1d", "samples-objects", "samples-strings", "plaintexts-objects",
+        "samples-no-cycles"])
 def test_dpa_npz_with_a_malformed_array_names_the_file_and_array(tmp_path, capsys,
                                                                  name, value, byte):
     path = tmp_path / "bad.npz"
@@ -529,6 +531,30 @@ def test_dpa_npz_that_is_not_an_archive_names_the_file(tmp_path, capsys, write):
     assert not (tmp_path / "o").exists()
 
 
+def _one_trace_archive():
+    return {**_GOOD_ARCHIVE, "samples": _GOOD_ARCHIVE["samples"][:1],
+            "plaintexts": _GOOD_ARCHIVE["plaintexts"][:1]}
+
+
+def _nan_sample_archive():
+    samples = _GOOD_ARCHIVE["samples"].copy()
+    samples[7, 2] = np.nan
+    return {**_GOOD_ARCHIVE, "samples": samples}
+
+
+@pytest.mark.parametrize("arrays, message", [
+    (_one_trace_archive, "need at least 2 traces, got 1"),
+    (_nan_sample_archive, "trace row 7, cycle 3: sample is nan"),
+], ids=["one-trace", "nan-sample"])
+def test_dpa_on_traces_it_cannot_attack_writes_nothing(tmp_path, capsys, arrays, message):
+    path = tmp_path / "traces.npz"
+    np.savez(path, **arrays())
+    assert run_cli("dpa", "--traces", str(path), "--checkpoint", "5",
+                   "--out", str(tmp_path / "o")) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_dpa_malformed_csv_names_row(tmp_path, capsys):
     bad = tmp_path / "traces.csv"
     bad.write_text("run_index,cycle,sample\n0,1,3.0\n0,two,4\n")
@@ -554,7 +580,7 @@ def test_dpa_non_finite_trace_names_row_and_cycle(tmp_path, capsys):
     code = run_cli("dpa", *_dpa_csv_inputs(tmp_path, traces), "--out", str(tmp_path / "o"))
     assert code == 2
     assert "trace row 4, cycle 2: sample is nan" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "attack.json").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("with_key", [False, True])
