@@ -25,6 +25,7 @@ reference the first time a spec is used. They take the key only as a
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ import numpy as np
 
 MASK16 = 0xFFFF
 MASK32 = 0xFFFFFFFF
+MASK64 = (1 << 64) - 1
 
 #: Fibonacci right-shift taps for x^64 + x^63 + x^61 + x^60 + 1
 #: (feedback = parity of state bits {0, 1, 3, 4}).
@@ -238,22 +240,46 @@ def remap(d_prime: int, old: RoundKeys, new: RoundKeys,
     return obfuscate32(deobfuscate32(d_prime, old, spec), new, spec)
 
 
+@functools.cache
+def _draw_tables() -> tuple[list[int], ...]:
+    """Byte tables of one epoch's draw: entry v of table j is ``keys << 64 |
+    next state`` for the state whose byte j is v and every other byte 0.
+
+    Draw t of an epoch is state bit t (the bits shifted in reach bit 0 only
+    after 64 steps), so the keys are the state's 16-bit slices bit-reversed,
+    and the state 64 steps on is linear over GF(2) in the state: both are
+    XORs of the single-bit images, and one epoch is eight lookups.
+    """
+    images = []
+    for j in range(64):
+        state = 1 << j
+        for _ in range(64):
+            fb = (state & DEFAULT_TAPS).bit_count() & 1
+            state = (state >> 1) | (fb << 63)
+        # draw j is bit 15 - j % 16 of key j // 16; key 0 is the top slice
+        images.append(1 << (64 + 16 * (3 - j // 16) + 15 - j % 16) | state)
+    tables = []
+    for j in range(8):
+        table = [0]
+        for col in images[8 * j:8 * j + 8]:
+            table += [v ^ col for v in table]
+        tables.append(table)
+    return tuple(tables)
+
+
 def next_round_keys(lfsr: Lfsr) -> tuple[RoundKeys, Lfsr]:
     """Draw 64 bits and split them into four 16-bit round keys.
 
     Bits go into each key MSB-first in draw order; the returned LFSR is the
-    state after the 64 draws.
+    state after the 64 draws. ``tests/reference.py`` steps the LFSR one bit
+    at a time as the oracle of this 64-step jump.
     """
-    state = lfsr.state
-    keys = []
-    for _ in range(4):
-        k = 0
-        for _ in range(16):
-            k = (k << 1) | (state & 1)
-            fb = (state & DEFAULT_TAPS).bit_count() & 1
-            state = (state >> 1) | (fb << 63)
-        keys.append(k)
-    return RoundKeys(keys=tuple(keys)), Lfsr(state=state)
+    state, drawn = lfsr.state, 0
+    for j, table in enumerate(_draw_tables()):
+        drawn ^= table[state >> 8 * j & 0xFF]
+    keys = drawn >> 64
+    return (RoundKeys((keys >> 48, keys >> 32 & MASK16, keys >> 16 & MASK16, keys & MASK16)),
+            Lfsr(state=drawn & MASK64))
 
 
 def lfsr_from_seed(seed: int) -> Lfsr:

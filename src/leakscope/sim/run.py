@@ -5,12 +5,15 @@ config seed through labeled substreams, so any artifact is reproducible from
 its manifest. Most of it is also independent of batch sizes (``max_lanes``)
 and evaluation order, with two exceptions:
 
-- the cache-set sweep draws its noise per chunk (substream keyed by the
-  chunk's first lane), so with ``noise_sigma > 0`` its samples change with
-  ``max_lanes``;
+- the cache-set sweep draws its noise per ``max_lanes`` chunk of its
+  ``reps * sets`` samples (substream keyed by the chunk's first sample), so
+  with ``noise_sigma > 0`` its samples change with ``max_lanes``. Only the
+  noise does: each sample before noise is simulated once per (key epoch,
+  set), whatever the chunking;
 - ``Machine`` draws its replacement counters with shape (sets, n_lanes), so
   which way a miss evicts, and with it the cycle logs and VCD bytes, can
-  change with ``max_lanes``.
+  change with ``max_lanes``. A cold lane's single load toggles the same bits
+  whichever way it fills, so the sweep's samples do not.
 
 Run ``r``'s trace noise is its own substream, ``sub_rng(seed, "noise", r)``.
 Each block of up to ``_ROW_BLOCK`` runs derives the seeds of all its runs'
@@ -268,27 +271,39 @@ def cache_set_experiment(cfg: SimConfig, reps: int, rekey_every: int = 1,
     mode the epoch advances every ``rekey_every`` reps, so the same
     architectural set lands on fresh cache locations and freshly-mixed data
     over the course of the experiment.
+
+    Before noise a sample depends on its set and key epoch only: a cold lane
+    holds zero tags, flags and payload rows, so a fill toggles the same bits
+    whichever way it takes, and the poke and preset depend on the set alone.
+    So each (epoch, set) pair is simulated once, on one lane, in
+    ``max_lanes`` chunks of pairs: ``sets`` lanes in baseline mode and
+    ``sets * ceil(reps / rekey_every)`` in param mode, whatever ``reps`` is.
+    Every rep of an epoch repeats its pairs' samples; then each ``max_lanes``
+    chunk of the ``reps * sets`` samples, rep-major, adds the noise of the
+    substream keyed by its first sample.
     """
     if rekey_every < 1:
         raise ValueError(f"rekey_every must be >= 1, got {rekey_every}")
     g = cfg.cache
     program = build_single_access_program()
-    d = len(program) + 3
     total = reps * g.sets
     mem_rng = sub_rng(cfg.seed, "sweep-memory")
     # set s's line sits at SWEEP_ADDR + 64*s, so the region is one contiguous poke
     sweep_image = b"".join(mem_rng.integers(0, 256, size=64, dtype=np.uint8).tobytes()
                            for _ in range(g.sets))
 
-    samples = np.empty(total, dtype=np.float64)
-    if cfg.param_mode and total:
-        table = _epoch_constants(cfg, (reps - 1) // rekey_every + 1)
-    for base in range(0, total, max_lanes):
-        lanes = min(max_lanes, total - base)
-        lane_idx = np.arange(base, base + lanes)
-        set_of = lane_idx % g.sets
-        rep_of = lane_idx // g.sets
-        kc = table[rep_of // rekey_every] if cfg.param_mode else None
+    # baseline mode has one key epoch, which holds every rep
+    epoch_reps = rekey_every if cfg.param_mode else max(reps, 1)
+    n_epochs = -(-reps // epoch_reps)
+    pairs = n_epochs * g.sets
+    cols = np.empty(pairs, dtype=np.float64)
+    if cfg.param_mode and pairs:
+        table = _epoch_constants(cfg, n_epochs)
+    for base in range(0, pairs, max_lanes):
+        lanes = min(max_lanes, pairs - base)
+        pair_idx = np.arange(base, base + lanes)
+        set_of = pair_idx % g.sets
+        kc = table[pair_idx // g.sets] if cfg.param_mode else None
         # the last chunk's machine lives until this rebinding: freeing it first
         # measured slower on a 2-vCPU host (ttest flow medians 0.778/0.610 ->
         # 0.963/0.773 s, items_per_s about -25 %) though peak RSS fell 108 -> 75 MB
@@ -297,15 +312,20 @@ def cache_set_experiment(cfg: SimConfig, reps: int, rekey_every: int = 1,
         machine.preset_register(1, (np.uint64(SWEEP_ADDR)
                                     + set_of.astype(np.uint64) * np.uint64(g.line_bytes)))
         toggles, _ = machine.run_program(program)
-        col = toggles[:, SINGLE_ACCESS_SAMPLE_CYCLE - 1].astype(np.float64)
-        if cfg.noise_sigma > 0:
-            col = col + sub_rng(cfg.seed, "sweep-noise", base).normal(
+        cols[base:base + lanes] = toggles[:, SINGLE_ACCESS_SAMPLE_CYCLE - 1]
+
+    # row r is rep r: epoch r // epoch_reps's samples, set by set
+    samples = np.repeat(cols.reshape(n_epochs, g.sets), epoch_reps, axis=0)[:reps]
+    if cfg.noise_sigma > 0:
+        flat = samples.reshape(-1)
+        for base in range(0, total, max_lanes):
+            lanes = min(max_lanes, total - base)
+            flat[base:base + lanes] += sub_rng(cfg.seed, "sweep-noise", base).normal(
                 0.0, cfg.noise_sigma, lanes
             )
-        samples[base:base + lanes] = col
 
-    # lane i samples set i % sets, so set s's samples are column s, rep by rep
-    by_set = np.ascontiguousarray(samples.reshape(reps, g.sets).T)
+    # set s's samples are column s, rep by rep
+    by_set = np.ascontiguousarray(samples.T)
     return {f"set{s:02d}": by_set[s] for s in range(g.sets)}
 
 

@@ -25,7 +25,12 @@ textbook CPA with one hypothesis per guess and trace, the oracle for the
 class-sum ``leakscope.cpa.cpa_attack``. ``welch_t_samples`` is Welch's t
 computed from two groups' samples, both groups' moments taken per call, the
 oracle for ``leakscope.metrics.pairwise_ttest_matrix``, which takes each
-class's moments once. ``DenseMachine`` is the simulator with
+class's moments once. ``bitwise_next_round_keys`` steps the LFSR one bit
+at a time, the oracle of the 64-step jump
+``leakscope.feistel.next_round_keys``. ``per_lane_cache_set_experiment``
+simulates every (rep, set) sample of the cache-set sweep on a lane of its
+own, the oracle of ``leakscope.sim.cache_set_experiment``, which simulates
+each (key epoch, set) once. ``DenseMachine`` is the simulator with
 one dense payload per cache entry and a per-lane copy of every backing line,
 the oracle for the line pool and the shared backing lines of
 ``leakscope.sim.Machine``. ``synth_power`` recomputes a power trace from a
@@ -49,19 +54,31 @@ from typing import NamedTuple
 import numpy as np
 
 from leakscope.aes import POINT_FUNCTIONS
-from leakscope.feistel import AFFINE_VERSION, KeyConstant, lfsr_from_seed, next_round_keys
+from leakscope.feistel import (
+    AFFINE_VERSION,
+    DEFAULT_TAPS,
+    KeyConstant,
+    Lfsr,
+    RoundKeys,
+    lfsr_from_seed,
+    next_round_keys,
+)
 from leakscope.metrics import DegenerateInputError, hamming_distance
 from leakscope.sim import CycleLog, Machine, SimError, element_catalog
 from leakscope.sim.cyclelog import _Rows, _vcd_header, _vcd_id
 from leakscope.sim.machine import ADDR, REG_ROWS, BatchLog
+from leakscope.sim.run import _epoch_constants, sub_rng
 from leakscope.sim.program import (
     ALU_OPS,
     CT_ADDR,
     PT_ADDR,
+    SINGLE_ACCESS_SAMPLE_CYCLE,
     STATE_ADDR,
+    SWEEP_ADDR,
     aes_workload_memory,
     alu,
     build_aes_program,
+    build_single_access_program,
     load,
     store,
 )
@@ -671,6 +688,56 @@ class DenseMachine(Machine):
             if warm:
                 self._invalidate_line(line_addr)
             pos += take
+
+
+# --- key epochs and the cache-set sweep -------------------------------------------
+
+def bitwise_next_round_keys(lfsr: Lfsr) -> tuple[RoundKeys, Lfsr]:
+    """One epoch's draw stepping the LFSR one bit at a time: 64 steps, each
+    draw taken into its key MSB-first."""
+    state = lfsr.state
+    keys = []
+    for _ in range(4):
+        k = 0
+        for _ in range(16):
+            k = (k << 1) | (state & 1)
+            fb = (state & DEFAULT_TAPS).bit_count() & 1
+            state = (state >> 1) | (fb << 63)
+        keys.append(k)
+    return RoundKeys(keys=tuple(keys)), Lfsr(state=state)
+
+
+def per_lane_cache_set_experiment(cfg, reps: int, rekey_every: int = 1,
+                                  max_lanes: int = 8192) -> dict[str, np.ndarray]:
+    """The cache-set sweep with every (rep, set) sample simulated on a lane
+    of its own, rep-major in ``max_lanes`` chunks, and each chunk's noise
+    drawn from the substream of its first lane."""
+    g = cfg.cache
+    program = build_single_access_program()
+    total = reps * g.sets
+    mem_rng = sub_rng(cfg.seed, "sweep-memory")
+    sweep_image = b"".join(mem_rng.integers(0, 256, size=64, dtype=np.uint8).tobytes()
+                           for _ in range(g.sets))
+    samples = np.empty(total, dtype=np.float64)
+    if cfg.param_mode and total:
+        table = _epoch_constants(cfg, (reps - 1) // rekey_every + 1)
+    for base in range(0, total, max_lanes):
+        lanes = min(max_lanes, total - base)
+        lane_idx = np.arange(base, base + lanes)
+        set_of = lane_idx % g.sets
+        kc = table[lane_idx // g.sets // rekey_every] if cfg.param_mode else None
+        machine = Machine(cfg, lanes, kc)
+        machine.poke_bytes(SWEEP_ADDR, sweep_image)
+        machine.preset_register(1, (np.uint64(SWEEP_ADDR)
+                                    + set_of.astype(np.uint64) * np.uint64(g.line_bytes)))
+        toggles, _ = machine.run_program(program)
+        col = toggles[:, SINGLE_ACCESS_SAMPLE_CYCLE - 1].astype(np.float64)
+        if cfg.noise_sigma > 0:
+            col = col + sub_rng(cfg.seed, "sweep-noise", base).normal(
+                0.0, cfg.noise_sigma, lanes)
+        samples[base:base + lanes] = col
+    by_set = samples.reshape(reps, g.sets).T
+    return {f"set{s:02d}": by_set[s].copy() for s in range(g.sets)}
 
 
 # --- re-keying persistent state ---------------------------------------------------

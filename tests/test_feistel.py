@@ -14,6 +14,7 @@ from leakscope.feistel import (
     ObfuscationError,
     RoundKeys,
     default_spec,
+    lfsr_from_seed,
     deobfuscate32,
     deobfuscate32_vec,
     deobfuscate64,
@@ -26,7 +27,7 @@ from leakscope.feistel import (
     obfuscate_address,
     remap,
 )
-from reference import generate_affine_v1
+from reference import bitwise_next_round_keys, generate_affine_v1
 
 
 # --- independent reference implementations (kept naive on purpose) ---------
@@ -276,6 +277,16 @@ def test_lfsr_matches_bit_reference():
         want.append(k)
     assert list(keys.keys) == want
     assert lfsr.state == end_state
+
+
+@pytest.mark.parametrize("seed", [0, 1, -7, 2**100, -2**127])
+def test_round_keys_match_the_bitwise_oracle(seed):
+    # the 64-step jump against 64 single steps, over 3000 consecutive epochs
+    fast = slow = lfsr_from_seed(seed)
+    for epoch in range(3000):
+        want, slow = bitwise_next_round_keys(slow)
+        keys, fast = next_round_keys(fast)
+        assert (keys, fast) == (want, slow), epoch
 
 
 def test_lfsr_no_short_cycle():

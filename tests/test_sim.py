@@ -65,6 +65,7 @@ from reference import (
     memory_image,
     naive_emit_vcd,
     naive_extract_cycle_log,
+    per_lane_cache_set_experiment,
     rekey_flush,
     synth_power,
     value_columns,
@@ -1398,6 +1399,44 @@ def test_sweep_samples_do_not_depend_on_chunk_size(mode, rekey_every):
         assert list(other) == list(runs[0])
         for label, samples in runs[0].items():
             assert np.array_equal(other[label], samples), label
+
+
+@pytest.mark.parametrize("mode", ["baseline", "param"])
+@pytest.mark.parametrize("sigma", [0.0, 80.0])
+@pytest.mark.parametrize("rekey_every", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(64, 4), (4, 1), (4, 2)])
+def test_sweep_matches_the_per_lane_oracle(mode, sigma, rekey_every, shape):
+    # 5 reps, so with rekey_every 2 or 3 the last epoch is partial; chunks of
+    # one rep, chunks that cut reps apart and one chunk
+    cfg = SimConfig(mode=mode, noise_sigma=sigma, seed=11, cache=CacheGeometry(*shape))
+    for lanes in (64, 100, 8192):
+        got = cache_set_experiment(cfg, reps=5, rekey_every=rekey_every, max_lanes=lanes)
+        want = per_lane_cache_set_experiment(cfg, reps=5, rekey_every=rekey_every,
+                                             max_lanes=lanes)
+        assert list(got) == list(want)
+        for label, samples in want.items():
+            assert got[label].dtype == samples.dtype
+            assert np.array_equal(got[label], samples), (lanes, label)
+
+
+@pytest.mark.parametrize("mode, reps, rekey_every, lanes", [
+    ("baseline", 1500, 1, [64]),   # one epoch, whatever the reps
+    ("param", 10, 4, [192]),       # ceil(10 / 4) = 3 epochs of 64 sets
+])
+def test_sweep_simulates_each_epoch_and_set_once(monkeypatch, mode, reps, rekey_every,
+                                                 lanes):
+    built = []
+    init = Machine.__init__
+
+    def counting_init(self, cfg, n_lanes, *args, **kwargs):
+        built.append(n_lanes)
+        init(self, cfg, n_lanes, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "__init__", counting_init)
+    cfg = SimConfig(mode=mode, noise_sigma=80.0, seed=11)
+    out = cache_set_experiment(cfg, reps=reps, rekey_every=rekey_every)
+    assert built == lanes
+    assert [len(v) for v in out.values()] == [reps] * cfg.cache.sets
 
 
 @pytest.mark.parametrize("mode", ["baseline", "param"])
