@@ -241,7 +241,7 @@ def remap(d_prime: int, old: RoundKeys, new: RoundKeys,
 
 
 @functools.cache
-def _draw_tables() -> tuple[list[int], ...]:
+def _draw_tables() -> tuple[tuple[int, ...], ...]:
     """Byte tables of one epoch's draw: entry v of table j is ``keys << 64 |
     next state`` for the state whose byte j is v and every other byte 0.
 
@@ -263,7 +263,7 @@ def _draw_tables() -> tuple[list[int], ...]:
         table = [0]
         for col in images[8 * j:8 * j + 8]:
             table += [v ^ col for v in table]
-        tables.append(table)
+        tables.append(tuple(table))
     return tuple(tables)
 
 

@@ -14,11 +14,11 @@ from leakscope.feistel import (
     ObfuscationError,
     RoundKeys,
     default_spec,
-    lfsr_from_seed,
     deobfuscate32,
     deobfuscate32_vec,
     deobfuscate64,
     deobfuscate64_vec,
+    lfsr_from_seed,
     next_round_keys,
     obfuscate32,
     obfuscate32_vec,
