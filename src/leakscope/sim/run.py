@@ -292,8 +292,9 @@ def cache_set_experiment(cfg: SimConfig, reps: int, rekey_every: int = 1,
     sweep_image = b"".join(mem_rng.integers(0, 256, size=64, dtype=np.uint8).tobytes()
                            for _ in range(g.sets))
 
-    # baseline mode has one key epoch, which holds every rep
-    epoch_reps = rekey_every if cfg.param_mode else max(reps, 1)
+    # baseline mode has one key epoch, which holds every rep; an epoch never
+    # repeats its samples more than reps times, however long it is
+    epoch_reps = max(min(rekey_every if cfg.param_mode else reps, reps), 1)
     n_epochs = -(-reps // epoch_reps)
     pairs = n_epochs * g.sets
     cols = np.empty(pairs, dtype=np.float64)

@@ -1403,11 +1403,12 @@ def test_sweep_samples_do_not_depend_on_chunk_size(mode, rekey_every):
 
 @pytest.mark.parametrize("mode", ["baseline", "param"])
 @pytest.mark.parametrize("sigma", [0.0, 80.0])
-@pytest.mark.parametrize("rekey_every", [1, 2, 3])
+@pytest.mark.parametrize("rekey_every", [1, 2, 3, 10**12])
 @pytest.mark.parametrize("shape", [(64, 4), (4, 1), (4, 2)])
 def test_sweep_matches_the_per_lane_oracle(mode, sigma, rekey_every, shape):
-    # 5 reps, so with rekey_every 2 or 3 the last epoch is partial; chunks of
-    # one rep, chunks that cut reps apart and one chunk
+    # 5 reps, so with rekey_every 2 or 3 the last epoch is partial, and with
+    # 10**12 one epoch holds them all; chunks of one rep, chunks that cut reps
+    # apart and one chunk
     cfg = SimConfig(mode=mode, noise_sigma=sigma, seed=11, cache=CacheGeometry(*shape))
     for lanes in (64, 100, 8192):
         got = cache_set_experiment(cfg, reps=5, rekey_every=rekey_every, max_lanes=lanes)
@@ -1422,6 +1423,7 @@ def test_sweep_matches_the_per_lane_oracle(mode, sigma, rekey_every, shape):
 @pytest.mark.parametrize("mode, reps, rekey_every, lanes", [
     ("baseline", 1500, 1, [64]),   # one epoch, whatever the reps
     ("param", 10, 4, [192]),       # ceil(10 / 4) = 3 epochs of 64 sets
+    ("param", 10, 10**12, [64]),   # one epoch, however long it is
 ])
 def test_sweep_simulates_each_epoch_and_set_once(monkeypatch, mode, reps, rekey_every,
                                                  lanes):
