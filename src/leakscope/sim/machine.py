@@ -30,21 +30,29 @@ lookups use the obfuscated address; deobfuscation happens only where an
 operation consumes the value, which in this model is the functional
 evaluation inside the execute/memory stages.
 
-Each (set, way, lane) cache entry is one element of three flat arrays, at
-the index ``Machine._cells`` gives it, ``(set * ways + way) * n_lanes +
-lane``: ``tags`` (uint32), ``flags`` (uint8, bit 0 valid and bit 1 dirty:
-the value of the entry's 2-bit ``f{s}_{w}`` element) and ``slots`` (int32).
-Payload state grows with what the lanes touch, not with the lane count times
-the cache size: an entry's 512-bit payload is row ``slots[cell]`` of a line
-pool. Row 0 is the all-zero line of every entry that has never been written,
-and an entry keeps its row for the life of the machine, so an invalidated
-line's stale payload stays in place for the next refill to toggle against.
-Backing memory holds a line poked with the same bytes on every lane once, as
-a shared (1, 8) line, and gives it a per-lane (n_lanes, 8) copy on its first
-per-lane write.
+The cache costs a lane only the sets it fills. Each (set, lane) pair takes
+a set row on the lane's first fill in that set, ``row_of[set * n_lanes +
+lane]``, and keeps it for the life of the machine; entry (row, way) is cell
+``row * ways + way`` of three compact arrays, ``tags`` (uint32), ``flags`` (uint8, bit 0
+valid and bit 1 dirty: the value of the entry's 2-bit ``f{s}_{w}`` element)
+and ``slots`` (int32), which grow by doubling as rows are handed out. Row 0
+is the empty set that every (set, lane) starts on: its ways are never
+written, so a lookup in a set the lane has not filled misses like any other.
+An entry's 512-bit payload is row ``slots[cell]`` of a line pool that grows
+the same way. Pool row 0 is the all-zero line of every entry that has never
+been written, and an entry keeps its pool row for the life of the machine,
+so an invalidated line's stale payload stays in place for the next refill to
+toggle against. Backing memory holds a line poked with the same bytes on
+every lane once, as a shared (1, 8) line, and gives it a per-lane (n_lanes,
+8) copy on its first per-lane write.
+
+The replacement counters start from one read-only draw per (seed, sets,
+ways, n_lanes), made once per process; each machine copies it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -123,8 +131,8 @@ class BatchLog:
         self.n_cycles = n_cycles
         self.initial_regs = machine.regs.copy()
         self.initial_lb = machine.lb.copy()
-        # (tags, flags, slots, rows) copies: the entry at cell c held the
-        # payload rows[slots[c]] at run start
+        # (row_of, tags, flags, slots, lines) copies: the entry at cell c held
+        # the payload lines[slots[c]] at run start
         self.initial_cache = machine._cache_snapshot()
         self.writes = ([], [])
         self.n_writes = 0
@@ -144,9 +152,11 @@ class BatchLog:
         """((elements, words) narrow, (elements, lines) wide) of one lane's
         state at run start: the regs rows, each cache entry's tag and flags;
         the line buffer and each entry's data."""
-        tags, flags, slots, pool = self.initial_cache
-        at = slice(lane, None, self.n_lanes)   # the lane's entries, in (set, way) order
-        cells = CELL_ELEM + 3 * np.arange(len(tags) // self.n_lanes)
+        row_of, tags, flags, slots, pool = self.initial_cache
+        ways = self.cfg.cache.ways
+        # the lane's entries, in (set, way) order
+        at = (row_of[lane::self.n_lanes, None] * ways + np.arange(ways)).reshape(-1)
+        cells = CELL_ELEM + 3 * np.arange(len(at))
         words = np.r_[self.initial_regs[:, lane], tags[at], flags[at]]
         lines = np.concatenate((self.initial_lb[lane:lane + 1], pool[slots[at]]))
         return ((np.r_[REG_ELEMS, cells, cells + 1], words[:, None]),
@@ -177,27 +187,30 @@ class Machine:
         self._datapath_rows = np.array(
             [r for r in range(ADDR) if not (cfg.eda_fix_on and r in SHADOWS)])
         self.lb = np.zeros((n, 8), dtype=np.uint64)
-        # one element per cache entry, indexed by ``_cells``; a tag has
-        # 32 - set_bits bits, and flags are valid | dirty << 1
-        entries = g.sets * g.ways * n
-        self.tags = np.zeros(entries, dtype=np.uint32)
-        self.flags = np.zeros(entries, dtype=np.uint8)
-        # payload of the entry at cell c: pool[slots[c]]. Rows are handed
-        # out on an entry's first write and never freed, so at most one row
-        # per entry plus the zero row is ever needed.
-        self._max_rows = entries + 1
-        if self._max_rows > np.iinfo(np.int32).max:
-            raise SimError(f"{n} lanes need more line-pool rows than int32 slots address")
-        self.slots = np.zeros(entries, dtype=np.int32)
+        # (set, lane) -> its set row, 0 until its first fill; the set row r
+        # holds cells r * ways .. r * ways + ways - 1 of tags, flags and
+        # slots, and _row_key[r] = set * n_lanes + lane. A tag has 32 -
+        # set_bits bits, and flags are valid | dirty << 1.
+        self._max_set_rows = g.sets * n + 1
+        # pool rows are handed out on an entry's first write and never
+        # freed, so at most one per entry plus the zero row is ever needed
+        self._max_lines = g.sets * g.ways * n + 1
+        if self._max_set_rows * g.ways > np.iinfo(np.int32).max:
+            raise SimError(f"{n} lanes need more cache cells than int32 indexes address")
+        self.row_of = np.zeros(g.sets * n, dtype=np.int32)
+        self._row_key = np.zeros(n + 1, dtype=np.int32)
+        self.tags = np.zeros((n + 1) * g.ways, dtype=np.uint32)
+        self.flags = np.zeros((n + 1) * g.ways, dtype=np.uint8)
+        self.slots = np.zeros((n + 1) * g.ways, dtype=np.int32)   # payload: pool[slots[c]]
+        self._set_rows = 1   # set rows in use; row 0 stays empty
         self.pool = np.zeros((n + 1, 8), dtype=np.uint64)
-        self._rows = 1  # rows in use; row 0 stays all zero
+        self._lines = 1   # pool rows in use; row 0 stays all zero
         # line address -> raw line: (1, 8) when every lane holds the same
         # bytes, else (n_lanes, 8)
         self.backing: dict[int, np.ndarray] = {}
-        rng = np.random.default_rng(abs(cfg.seed) + 0x5EED)
         # way the next miss in (set, lane) fills, always < ways, at
         # set * n_lanes + lane
-        self.repl = rng.integers(0, g.ways, size=(g.sets, n), dtype=np.uint8).reshape(-1)
+        self.repl = _repl_draw(cfg.seed, g.sets, g.ways, n).copy()
 
         self._pw = None   # (d+1, n) toggle accumulator while a program runs
         self._log = None
@@ -378,44 +391,50 @@ class Machine:
     # --- the data cache ----------------------------------------------------------
 
     def _cells(self, set_idx, way, lanes=None):
-        """Index of each lane's (set, way) entry in the flat ``tags``,
-        ``flags`` and ``slots``. ``lanes`` defaults to every lane."""
-        return set_idx * (self.geom.ways * self.n) + \
-            (self._lanes if lanes is None else lanes) + way * self.n
+        """Cell of each lane's (set, way) entry in ``tags``, ``flags`` and
+        ``slots``: in the empty row 0 where the lane has not filled the set.
+        ``lanes`` defaults to every lane."""
+        lanes = self._lanes if lanes is None else lanes
+        return self.row_of.take(set_idx * self.n + lanes) * self.geom.ways + way
+
+    def _claim_rows(self, at) -> None:
+        """Give every (set, lane) key in ``at`` (distinct, ``set * n_lanes
+        + lane``) that is still on the empty row 0 a set row of its own."""
+        fresh = at[self.row_of.take(at) == 0]
+        if not fresh.size:
+            return
+        start, end = self._set_rows, self._set_rows + fresh.size
+        ways, cap = self.geom.ways, self._max_set_rows
+        self.tags, self.flags, self.slots = (_grown(a, start * ways, end * ways, cap * ways)
+                                             for a in (self.tags, self.flags, self.slots))
+        self._row_key = _grown(self._row_key, start, end, cap)
+        self._row_key[start:end] = fresh
+        self.row_of[fresh] = np.arange(start, end, dtype=np.int32)
+        self._set_rows = end
 
     def _payload(self, cells):
-        """The (k, 8) payloads of the entries at flat indices ``cells``."""
+        """The (k, 8) payloads of the entries at ``cells``."""
         return self.pool.take(self.slots.take(cells), axis=0)
 
     def _set_payload(self, cells, lines, word=slice(None)):
         """Store (k, 8) payloads, or (k,) words ``word`` of them, at distinct
-        entries ``cells``; an entry still on the zero row gets a fresh pool
+        entries ``cells``; an entry still on the zero line gets a fresh pool
         row first."""
         slot = self.slots.take(cells)
         fresh = np.flatnonzero(slot == 0)
         if fresh.size:
-            slot[fresh] = self._new_rows(fresh.size)
+            start = self._lines
+            self._lines += fresh.size
+            self.pool = _grown(self.pool, start, self._lines, self._max_lines)
+            slot[fresh] = np.arange(start, self._lines, dtype=np.int32)
             self.slots[cells] = slot
         self.pool[slot, word] = lines
 
-    def _new_rows(self, k: int) -> np.ndarray:
-        """Indices of k unused pool rows; the pool doubles, capped at one row
-        per entry plus the zero row, when they do not fit."""
-        start, end = self._rows, self._rows + k
-        cap = len(self.pool)
-        if end > cap:
-            while cap < end:
-                cap *= 2
-            grown = np.zeros((min(cap, self._max_rows), 8), dtype=np.uint64)
-            grown[:start] = self.pool[:start]
-            self.pool = grown
-        self._rows = end
-        return np.arange(start, end, dtype=np.int32)
-
     def _cache_snapshot(self):
         """Copies of the cache state a ``BatchLog`` starts from."""
-        return (self.tags.copy(), self.flags.copy(), self.slots.copy(),
-                self.pool[:self._rows].copy())
+        used = self._set_rows * self.geom.ways
+        return (self.row_of.copy(), self.tags[:used].copy(), self.flags[:used].copy(),
+                self.slots[:used].copy(), self.pool[:self._lines].copy())
 
     def _lookup(self, tagset):
         """Per-lane lookup of architectural tag/set values.
@@ -439,8 +458,9 @@ class Machine:
         image, at the line address their tag and set bits deobfuscate to."""
         if not cells.size:
             return
-        lanes = cells % self.n
-        s = (cells // (self.geom.ways * self.n)).astype(np.uint32)
+        key = self._row_key.take(cells // self.geom.ways)   # set * n_lanes + lane
+        lanes = key % self.n
+        s = (key // self.n).astype(np.uint32)
         tagset = (self.tags[cells] << np.uint32(self.geom.set_bits)) | s
         if self.kc is not None:
             tagset = deobfuscate32_vec(tagset, self.kc[lanes])
@@ -494,6 +514,7 @@ class Machine:
             ctr = self.repl[at]
             way[filled] = ctr
             self.repl[at] = (ctr + 1) % g.ways
+            self._claim_rows(at)
         cells = self._cells(set_idx, way)
         old_flags = self.flags.take(cells)
         same = np.array_equal(cells, self._lb_cells)
@@ -712,6 +733,30 @@ class Machine:
             out[name] = np.where(written if out[name].ndim == 1 else written[:, None],
                                  out[name], np.uint64(0))
         return out
+
+
+@functools.lru_cache(maxsize=4)
+def _repl_draw(seed: int, sets: int, ways: int, n_lanes: int) -> np.ndarray:
+    """The replacement counters every machine of one shape starts from: a
+    read-only (sets * n_lanes,) uint8 draw, drawn once and copied by each."""
+    draw = np.random.default_rng(abs(seed) + 0x5EED).integers(
+        0, ways, size=(sets, n_lanes), dtype=np.uint8).reshape(-1)
+    draw.flags.writeable = False
+    return draw
+
+
+def _grown(arr, used, need, cap):
+    """``arr`` if it has ``need`` rows, else a zeroed array holding a copy
+    of its first ``used`` rows, its row count doubled until ``need`` fit
+    and capped at ``cap``."""
+    if need <= len(arr):
+        return arr
+    size = max(len(arr), 1)
+    while size < need:
+        size *= 2
+    out = np.zeros((min(size, cap), *arr.shape[1:]), dtype=arr.dtype)
+    out[:used] = arr[:used]
+    return out
 
 
 def _row_toggles(old, new):

@@ -59,6 +59,18 @@ def _tag(seed: int, *labels) -> bytes:
     ).digest()
 
 
+def _noise_tags(seed: int, run_indices) -> bytes:
+    """``_tag(seed, "noise", r)`` of every run ``r``, joined: the
+    ``seed|noise|`` prefix is hashed once and its hasher copied per run."""
+    prefix = hashlib.sha256(f"{seed}|noise|".encode())
+    tags = []
+    for r in run_indices:
+        h = prefix.copy()
+        h.update(str(r).encode())
+        tags.append(h.digest())
+    return b"".join(tags)
+
+
 def sub_rng(seed: int, *labels) -> np.random.Generator:
     """Deterministic labeled substream of the master seed."""
     tag = _tag(seed, *labels)
@@ -147,7 +159,7 @@ def _noise_rows(cfg: SimConfig, run_indices, out: np.ndarray) -> None:
     d = out.shape[1]
     if not run_indices:
         return
-    tags = b"".join(_tag(cfg.seed, "noise", r) for r in run_indices)
+    tags = _noise_tags(cfg.seed, run_indices)
     # each big-endian 64-bit word is two uint32 entropy words, low word first
     words = np.frombuffer(tags, dtype=">u4").reshape(-1, 4, 2)[:, :, ::-1]
     short = (words[:, :, 1] == 0).any(axis=1).tolist()
@@ -306,8 +318,9 @@ def cache_set_experiment(cfg: SimConfig, reps: int, rekey_every: int = 1,
         set_of = pair_idx % g.sets
         kc = table[pair_idx // g.sets] if cfg.param_mode else None
         # the last chunk's machine lives until this rebinding: freeing it first
-        # measured slower on a 2-vCPU host (ttest flow medians 0.778/0.610 ->
-        # 0.963/0.773 s, items_per_s about -25 %) though peak RSS fell 108 -> 75 MB
+        # measured slower on a 2-vCPU host (perfbench ttest-sweep seed 1, five
+        # alternated 20 s pairs: items_per_s median 1.98 M -> 1.77 M, slower in
+        # 5 of 5) though peak RSS fell 66.2 -> 56.7 MB
         machine = Machine(cfg, lanes, kc)
         machine.poke_bytes(SWEEP_ADDR, sweep_image)
         machine.preset_register(1, (np.uint64(SWEEP_ADDR)

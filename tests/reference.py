@@ -33,9 +33,10 @@ own, the oracle of ``leakscope.sim.cache_set_experiment``, which simulates
 each (key epoch, set) once. ``DenseMachine`` is the simulator with
 one dense payload per cache entry and a per-lane copy of every backing line,
 the oracle for the line pool and the shared backing lines of
-``leakscope.sim.Machine``. ``synth_power`` recomputes a power trace from a
-``CycleLog`` one change at a time, the oracle for the machine's toggle
-accumulation. ``rekey_flush``, ``memory_image`` and ``SequentialSession``
+``leakscope.sim.Machine``; ``dense_cache`` reads a machine's set rows back
+as the (set, way, lane) arrays of tags, flags and payload slots.
+``synth_power`` recomputes a power trace from a ``CycleLog`` one change at a
+time, the oracle for the machine's toggle accumulation. ``rekey_flush``, ``memory_image`` and ``SequentialSession``
 keep one machine's state across key changes and remap it in place, the
 oracle that re-keying stored state is one XOR per lane; the batch drivers
 instead give every run a fresh cold lane in its own key epoch.
@@ -544,7 +545,8 @@ def naive_extract_cycle_log(batch: RawWriteLog, lane: int) -> CycleLog:
     change table."""
     initial = dict(zip(REG_ROWS, batch.initial_regs[:, lane].tolist()))
     initial["dcache.lb.line"] = _words_to_int(batch.initial_lb[lane])
-    tags, flags, slots, rows = batch.initial_cache
+    tags, flags, slots = dense_cache(batch)
+    rows = batch.initial_cache[-1]
     g = batch.cfg.cache
     for s in range(g.sets):
         for w in range(g.ways):
@@ -642,14 +644,29 @@ def welch_t_samples(group_a, group_b) -> float:
     return delta / math.sqrt(denom)
 
 
+def dense_cache(source):
+    """(tags, flags, slots) of a ``Machine``'s cache, or of a ``BatchLog``'s
+    cache at run start, as flat arrays in the dense order: the entry (set,
+    way) of lane l at ``(set * ways + way) * n_lanes + l``. An entry of a set
+    the lane never filled reads as the empty row's 0, 0, 0."""
+    if isinstance(source, BatchLog):
+        row_of, tags, flags, slots, _ = source.initial_cache
+        g, n = source.cfg.cache, source.n_lanes
+    else:
+        row_of, tags, flags, slots = source.row_of, source.tags, source.flags, source.slots
+        g, n = source.geom, source.n
+    cells = row_of.reshape(g.sets, 1, n) * g.ways + np.arange(g.ways)[:, None]
+    return tuple(a[cells].reshape(-1) for a in (tags, flags, slots))
+
+
 class DenseMachine(Machine):
-    """``Machine`` with a dense (entries, 8) payload array, row c the payload
-    of the entry at cell c, and an (n_lanes, 8) backing line for every poked
-    line, broadcast or not."""
+    """``Machine`` with a dense payload array, one (8,) row per cache cell
+    any set row can hold, row c the payload of the entry at cell c, and an
+    (n_lanes, 8) backing line for every poked line, broadcast or not."""
 
     def __init__(self, cfg, n_lanes, kc=None):
         super().__init__(cfg, n_lanes, kc)
-        self.data = np.zeros((self.tags.size, 8), dtype=np.uint64)
+        self.data = np.zeros((self._max_set_rows * cfg.cache.ways, 8), dtype=np.uint64)
 
     def _payload(self, cells):
         return self.data.take(cells, axis=0)
@@ -658,8 +675,8 @@ class DenseMachine(Machine):
         self.data[cells, word] = lines
 
     def _cache_snapshot(self):
-        return (self.tags.copy(), self.flags.copy(), np.arange(self.tags.size),
-                self.data.copy())
+        row_of, tags, flags, _, _ = super()._cache_snapshot()
+        return row_of, tags, flags, np.arange(len(tags)), self.data[:len(tags)].copy()
 
     def _backing_lines(self, line_addr, lanes):
         out = np.zeros((len(lanes), 8), dtype=np.uint64)

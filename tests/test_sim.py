@@ -12,6 +12,7 @@ from leakscope import aes
 from leakscope.feistel import (
     KeyConstant,
     RoundKeys,
+    deobfuscate32,
     deobfuscate64_vec,
     deobfuscate_address,
     lfsr_from_seed,
@@ -52,6 +53,7 @@ from leakscope.sim import run as sim_run
 from leakscope.sim.run import TraceArchive, load_traces_npz, read_trace_csv, save_traces_npz
 from leakscope.vcd import parse_vcd, resample_per_cycle
 from peak_rss import run_probe
+from reference_cache import OneLaneCache
 from reference import (
     DenseMachine,
     RawWriteLog,
@@ -59,6 +61,7 @@ from reference import (
     build_fuzz_program,
     cell_values,
     change_tuples,
+    dense_cache,
     dict_log,
     log_changes,
     log_initial,
@@ -223,7 +226,8 @@ def test_baseline_equal_set_index_shares_set():
     m.cache_access(np.uint64(0x2040), "load")
     m.cache_access(np.uint64(0x2040 + set_stride), "load")
     s = (0x2040 >> cfg.cache.offset_bits) & (cfg.cache.sets - 1)
-    valid = (m.flags & 1).reshape(cfg.cache.sets, cfg.cache.ways, 1)
+    _, flags, _ = dense_cache(m)
+    valid = (flags & 1).reshape(cfg.cache.sets, cfg.cache.ways, 1)
     assert int(valid[s].sum()) == 2
     assert int(valid.sum()) == 2
 
@@ -234,7 +238,8 @@ def test_param_set_mapping_matches_offline_obfuscation():
     m.cache_access(np.uint64(addr), "load")
     keys_arr = epoch0_keys(cfg, 3)
     geom = cfg.cache
-    flags, tags = (a.reshape(geom.sets, geom.ways, 3) for a in (m.flags, m.tags))
+    tags, flags, _ = dense_cache(m)
+    flags, tags = (a.reshape(geom.sets, geom.ways, 3) for a in (flags, tags))
     for lane in range(3):
         rk = RoundKeys(tuple(int(k[lane]) for k in keys_arr))
         a_prime = obfuscate_address(addr, geom.address_geometry, rk)
@@ -464,6 +469,36 @@ def test_poke_on_a_cold_cache_looks_nothing_up(monkeypatch):
         assert np.array_equal(before, after)
 
 
+def test_a_cold_machine_holds_no_array_of_every_cache_entry():
+    # set rows are handed out on first fill: a cold machine's largest arrays
+    # are per (set, lane), not per (set, way, lane)
+    cfg = SimConfig(noise_sigma=0.0, cache=CacheGeometry(sets=64, ways=4))
+    m = Machine(cfg, 1000)
+    sizes = {name: a.size for name, a in vars(m).items() if isinstance(a, np.ndarray)}
+    assert sizes["row_of"] == sizes["repl"] == 64 * 1000
+    assert max(sizes.values()) < 64 * 4 * 1000, sizes
+
+
+def test_machines_of_one_shape_start_from_one_read_only_counter_draw():
+    cfg = SimConfig(mode="baseline", noise_sigma=0.0, seed=3,
+                    cache=CacheGeometry(sets=4, ways=3))
+    first, second = Machine(cfg, 5), Machine(cfg, 5)
+    drawn = second.repl.copy()
+    assert np.array_equal(first.repl, drawn)
+    for i in range(6):   # cold misses in sets 0, 1, 2, 3, 0, 1 of every lane
+        first.cache_access(np.uint64(64 * i), "load")
+    assert not np.array_equal(first.repl, drawn)
+    assert np.array_equal(second.repl, drawn)
+    assert np.array_equal(Machine(cfg, 5).repl, drawn)
+    shared = machine_module._repl_draw(cfg.seed, 4, 3, 5)
+    assert not shared.flags.writeable and np.array_equal(shared, drawn)
+    # another lane count takes a draw of its own shape
+    other = Machine(cfg, 6).repl
+    assert np.array_equal(other, np.random.default_rng(3 + 0x5EED).integers(
+        0, 3, size=(4, 6), dtype=np.uint8).reshape(-1))
+    assert machine_module._repl_draw(cfg.seed, 4, 3, 6) is not shared
+
+
 # --- line pool and shared backing lines -------------------------------------------------
 
 SCRATCH = STATE_ADDR + 0x100         # the line build_fuzz_program reads and writes
@@ -558,7 +593,75 @@ def test_line_pool_holds_at_most_one_row_per_entry_plus_the_zero_row():
         m.cache_access(addrs, "store", data=rng.integers(0, 1 << 63, lanes, dtype=np.uint64))
     # every entry has been written, each into a row of its own
     assert len(m.pool) == 2 * 2 * lanes + 1
-    assert sorted(m.slots.tolist()) == list(range(1, 2 * 2 * lanes + 1))
+    _, _, slots = dense_cache(m)
+    assert sorted(slots.tolist()) == list(range(1, 2 * 2 * lanes + 1))
+
+
+def _colliding_lines(geom, keys, rng, n_sets, per_set):
+    """Addresses of ``per_set`` lines in each of ``n_sets`` sets of one lane
+    whose round keys are ``keys`` (None: baseline), distinct tags each."""
+    lines = []
+    for s in rng.sample(range(geom.sets), n_sets):
+        for tag in rng.sample(range(1, 1 << 12), per_set):
+            tagset = tag << geom.set_bits | s
+            lines.append((tagset if keys is None else deobfuscate32(tagset, keys)) << 6)
+    return lines
+
+
+def _assert_cache_matches(m, oracles):
+    g = m.geom
+    tags, flags, slots = (a.reshape(g.sets, g.ways, m.n) for a in dense_cache(m))
+    assert np.array_equal(tags, np.array([o.tags for o in oracles]).transpose(1, 2, 0))
+    assert np.array_equal(flags, np.array([o.flags for o in oracles]).transpose(1, 2, 0))
+    want_lines = np.array([o.lines for o in oracles], dtype=np.uint64).transpose(1, 2, 0, 3)
+    assert np.array_equal(m.pool[slots], want_lines)
+    assert np.array_equal(m.repl.reshape(g.sets, m.n), np.array([o.counters for o in oracles]).T)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["baseline", "param"]),
+       st.sampled_from([(4, 1), (4, 2), (64, 4)]), st.sampled_from([1, 7]))
+def test_cache_access_matches_the_one_lane_oracle(seed, mode, shape, lanes):
+    # every lane uses two more lines than ways in each of two of its sets,
+    # so misses evict and stores leave dirty victims to write back. After
+    # every access the hits, the loaded values, the replacement counters and
+    # each lane's (set, way) tag, flags and stored payload equal those of
+    # one oracle cache per lane
+    rng = random.Random(seed)
+    geom = CacheGeometry(*shape)
+    cfg = SimConfig(mode=mode, noise_sigma=0.0, seed=seed, cache=geom)
+    keys = [None] * lanes
+    kc = None
+    if cfg.param_mode:
+        keys = [RoundKeys(tuple(rng.getrandbits(16) for _ in range(4))) for _ in range(lanes)]
+        kc = KeyConstant.of([np.array([k.keys[i] for k in keys], dtype=np.uint32)
+                             for i in range(4)])
+    m = Machine(cfg, lanes, kc)
+    counters = m.repl.reshape(geom.sets, lanes)
+    oracles = [OneLaneCache(geom, counters[:, lane], keys[lane]) for lane in range(lanes)]
+    pools = [_colliding_lines(geom, k, rng, 2, geom.ways + 2) for k in keys]
+    for line in sorted({a for pool in pools for a in pool}):
+        data = np.array([[rng.getrandbits(8) for _ in range(64)] for _ in range(lanes)],
+                        dtype=np.uint8)
+        m.poke_bytes(line, data)
+        for lane, o in enumerate(oracles):
+            o.memory[line] = data[lane].view("<u8").tolist()
+    _assert_cache_matches(m, oracles)
+    for _ in range(40):
+        op, size = rng.choice(["load", "store"]), rng.choice([1, 8])
+        if rng.random() < 0.2:   # one address for every lane
+            addrs = [rng.choice(pools[0]) + rng.randrange(0, 64, size)] * lanes
+            addr = np.uint64(addrs[0])
+        else:
+            addrs = [rng.choice(pool) + rng.randrange(0, 64, size) for pool in pools]
+            addr = np.array(addrs, dtype=np.uint64)
+        data = [rng.getrandbits(64) for _ in range(lanes)]
+        hit, value = m.cache_access(addr, op, data=np.array(data, dtype=np.uint64)
+                                    if op == "store" else None, size=size)
+        want = [o.access(a, op, d, size) for o, a, d in zip(oracles, addrs, data)]
+        assert hit.tolist() == [h for h, _ in want]
+        assert op == "store" or value.tolist() == [v for _, v in want]
+        _assert_cache_matches(m, oracles)
 
 
 _SWEEP_MEMORY_PROBE = """
@@ -572,12 +675,14 @@ cache_set_experiment(cfg, reps=128)  # 128 reps x 64 sets: one 8192-lane chunk
 print(json.dumps({"before": before, "peak": peak_mb()}))
 """
 
-# An 8192-lane machine keeps tags (uint32), flags (uint8) and slots (int32)
-# per (set, way, lane) entry: 64 x 4 x 8192 x 9 bytes = 18 MiB. Its
-# register banks and latches add about 6 MiB, and a one-load lane writes one
-# 64-byte pool row. One dense (64, 4, 8192, 8) payload array would be 128 MiB
-# on its own.
-SWEEP_CHUNK_RSS_GROWTH_MB = 64
+# An 8192-lane machine keeps an int32 set row and a uint8 replacement counter
+# per (set, lane): 64 x 8192 x 5 bytes = 2.5 MiB. A one-load lane fills one
+# set row, 4 ways x 9 bytes of tag (uint32), flags (uint8) and slot (int32),
+# and writes one 64-byte pool row: about 100 bytes, 0.8 MiB in all. Its
+# register banks and latches add about 6 MiB. Dense (set, way, lane) tags,
+# flags and slots would take 18 MiB, and one dense (64, 4, 8192, 8) payload
+# array 128 MiB on its own.
+SWEEP_CHUNK_RSS_GROWTH_MB = 16
 
 
 def test_sweep_chunk_memory_is_bounded():
@@ -884,8 +989,8 @@ def test_warm_machine_log_matches_the_raw_write_walk(monkeypatch, mode):
         prog = ([load(1, 0, STATE_ADDR + 0x100)] + build_fuzz_program(rng, n_ops=30)
                 + [store(2, 0, STATE_ADDR + 0x108)])
         logs.append(m.run_program(prog, collect_log=True)[1])
-    _, flags, _, _ = logs[1].initial_cache
-    tags, _, _, _ = logs[2].initial_cache
+    _, flags, _ = dense_cache(logs[1])
+    tags, _, _ = dense_cache(logs[2])
     assert (flags & 2).any() and tags.any()
     for blog in logs[1:]:
         for lane in range(3):
@@ -1342,6 +1447,14 @@ def test_noise_rows_are_each_runs_own_substream(seed, sigma, d):
     assert _bulk_rows(cfg, [], d).shape == (0, d)
 
 
+@pytest.mark.parametrize("seed", [0, -7, 2**100])
+def test_noise_tags_hash_each_runs_own_label(seed):
+    runs = [0, 1, 1023, 1024, 10**6]
+    assert sim_run._noise_tags(seed, runs) == b"".join(sim_run._tag(seed, "noise", r)
+                                                       for r in runs)
+    assert sim_run._noise_tags(seed, []) == b""
+
+
 def test_bulk_seed_states_match_seed_sequence():
     rng = np.random.default_rng(11)
     crafted = [rng.integers(0, 2**32, size=8, dtype=np.uint32) for _ in range(20)]
@@ -1364,6 +1477,8 @@ def test_tag_with_a_short_word_takes_sub_rng(monkeypatch):
     short = real_tag(1, "x")[:16] + bytes(4) + real_tag(1, "x")[20:]
     monkeypatch.setattr(sim_run, "_tag", lambda seed, *labels: (
         short if labels == ("noise", 5) else real_tag(seed, *labels)))
+    monkeypatch.setattr(sim_run, "_noise_tags", lambda seed, runs: b"".join(
+        sim_run._tag(seed, "noise", r) for r in runs))
     entropy = np.frombuffer(short, ">u4").reshape(4, 2)[:, ::-1].reshape(1, 8)
     seeded = np.random.SeedSequence(
         tuple(int.from_bytes(short[i:i + 8], "big") for i in range(0, 32, 8)))
