@@ -11,6 +11,9 @@ User-defined points can be registered in ``POINT_FUNCTIONS``.
 
 from __future__ import annotations
 
+import io
+import os
+
 import numpy as np
 
 from .metrics import OracleTrace
@@ -152,33 +155,72 @@ def all_first_round_oracles(plaintexts, key: bytes) -> list[OracleTrace]:
 # --- block files ---------------------------------------------------------------
 
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+# the value of each ASCII hex digit, either case; 16 for any other byte
+_HEX_VALUE = np.full(256, 16, dtype=np.uint8)
+for _digits in (b"0123456789abcdef", b"0123456789ABCDEF"):
+    _HEX_VALUE[np.frombuffer(_digits, dtype=np.uint8)] = np.arange(16)
+_LINE_BYTES = 33        # a block line as written: 32 hex digits and "\n"
+_READ_LINES = 1 << 12   # lines read and decoded at a time
 _PIECE_BYTES = 1 << 16  # decoded bytes moved from the line buffer at a time
 
 
 def read_blocks_hex(path) -> np.ndarray:
     """Hex block file as a (blocks, 16) uint8 array: one 32-hex-char block
-    per line, blank/# lines skipped. Decoded lines go to a small buffer that
-    is moved to a piece every 64 KiB, and the pieces are joined once: no
-    per-line object outlives its line, and no buffer grows with the file
-    (one that did read up to 4 MB more peak RSS in `simulate --plaintexts`)."""
+    per line, blank/# lines skipped.
+
+    The file is read ``_READ_LINES`` lines at a time. While every line is
+    32 hex digits (either case) and "\n", as ``write_blocks_hex`` writes
+    them, a read is decoded as one array; from the first other line on
+    (padding, CRLF, comments, no final newline, an error) the rest is read
+    line by line, so an error names its line. Decoded blocks are kept as
+    pieces joined once: no per-line object outlives its line, and no buffer
+    grows with the file (one that did read up to 4 MB more peak RSS in
+    `simulate --plaintexts`)."""
+    pieces = [np.empty((0, 16), dtype=np.uint8)]
+    with open(path, "rb") as f:
+        while chunk := f.read(_READ_LINES * _LINE_BYTES):
+            pieces.append(_hex_lines_prefix(chunk))
+            rest = len(chunk) - len(pieces[-1]) * _LINE_BYTES
+            if rest:
+                f.seek(-rest, os.SEEK_CUR)
+                lines = sum(map(len, pieces))
+                pieces += _read_hex_lines(io.TextIOWrapper(f), path, lines + 1)
+                break
+    return np.concatenate(pieces)
+
+
+def _hex_lines_prefix(chunk: bytes) -> np.ndarray:
+    """(k, 16) blocks of the leading lines of ``chunk`` that are 32 hex
+    digits and "\n" each."""
+    k = len(chunk) // _LINE_BYTES
+    text = np.frombuffer(chunk, dtype=np.uint8, count=k * _LINE_BYTES).reshape(k, _LINE_BYTES)
+    nibbles = _HEX_VALUE[text[:, :32]]
+    bad = (text[:, 32] != ord("\n")) | (nibbles > 15).any(axis=1)
+    if bad.any():
+        nibbles = nibbles[:int(bad.argmax())]
+    return (nibbles[:, 0::2] << 4) | nibbles[:, 1::2]
+
+
+def _read_hex_lines(lines, path, start: int) -> list[np.ndarray]:
+    """(k, 16) pieces of the blocks of ``lines``, the first of which is
+    line ``start`` of ``path``."""
     pieces, buf = [], bytearray()
-    with open(path) as f:
-        for i, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                block = bytes.fromhex(line)
-            except ValueError:
-                raise ValueError(f"{path}: bad hex at line {i}") from None
-            if len(block) != 16:
-                raise ValueError(f"{path}: line {i} is {len(block)} bytes, expected 16")
-            buf += block
-            if len(buf) >= _PIECE_BYTES:
-                pieces.append(bytes(buf))
-                buf.clear()
-    pieces.append(bytes(buf))
-    return np.frombuffer(bytearray().join(pieces), dtype=np.uint8).reshape(-1, 16)
+    for i, line in enumerate(lines, start=start):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            block = bytes.fromhex(line)
+        except ValueError:
+            raise ValueError(f"{path}: bad hex at line {i}") from None
+        if len(block) != 16:
+            raise ValueError(f"{path}: line {i} is {len(block)} bytes, expected 16")
+        buf += block
+        if len(buf) >= _PIECE_BYTES:
+            pieces.append(np.frombuffer(bytes(buf), dtype=np.uint8).reshape(-1, 16))
+            buf.clear()
+    pieces.append(np.frombuffer(bytes(buf), dtype=np.uint8).reshape(-1, 16))
+    return pieces
 
 
 def write_blocks_hex(path, blocks) -> None:

@@ -86,6 +86,10 @@ SCALAR_ELEMENTS = (
 
 N_PRF = 8
 
+# 0-d tag/set lookups a machine remembers; the AES program reads 4 to 7 lines
+# at fixed addresses
+_MAX_PROBES = 8
+
 # names of the rows of ``Machine.regs``, in catalog order
 REG_ROWS = (tuple(f"core.rf.r{i}" for i in range(32))
             + tuple(f"core.prf.p{i}" for i in range(N_PRF))
@@ -212,9 +216,14 @@ class Machine:
         # set * n_lanes + lane
         self.repl = _repl_draw(cfg.seed, g.sets, g.ways, n).copy()
 
-        self._pw = None   # (d+1, n) toggle accumulator while a program runs
+        # while a program runs, the toggles of the four cycles in flight,
+        # cycle c in row c % 4 of a (4, n) uint16 ring
+        self._ring = None
         self._log = None
         self._lb_cells = np.full(n, -1, dtype=np.intp)  # entries whose lines lb holds, -1: none
+        # 0-d tag/set -> (key constant, address latch bits above the offset,
+        # tag, cells, first element of each lane's entry) of its last lookup
+        self._probes: dict[int, tuple] = {}
 
     def _lane_constant(self, kc):
         if not isinstance(kc, KeyConstant) or np.shape(kc.k32) != (self.n,):
@@ -247,8 +256,9 @@ class Machine:
     def _count(self, cycle, elem, toggles, new):
         """Add per-lane ``toggles`` to ``cycle`` and log the lanes they mark
         as changed, with their values in ``new``, as writes to ``elem``."""
-        if self._pw is not None:
-            self._pw[cycle] += toggles
+        if self._ring is not None:
+            row = self._ring[cycle & 3]
+            np.add(row, toggles, out=row, casting="unsafe")
         if self._log is not None:
             self._log.record(cycle, elem, toggles.astype(bool), new)
 
@@ -343,9 +353,9 @@ class Machine:
                 self._invalidate_line(line_addr)
 
     def _invalidate_line(self, line_addr: int) -> None:
-        _, set_idx, _, way = self._lookup(np.uint32(line_addr >> 6))
+        *_, way, row = self._lookup(np.uint32(line_addr >> 6))
         hit = np.flatnonzero(way >= 0)
-        self.flags[self._cells(set_idx[hit], way[hit], hit)] = 0
+        self.flags[row[hit] * self.geom.ways + way[hit]] = 0
 
     def preset_register(self, idx: int, values) -> None:
         """Boot-time register preset: no power or log event is recorded."""
@@ -368,12 +378,11 @@ class Machine:
 
     def _peek_line(self, line_addr: int) -> np.ndarray:
         raw = self._backing_lines(np.full(self.n, line_addr, dtype=np.uint64), self._lanes)
-        _, set_idx, _, way = self._lookup(np.uint32(line_addr >> 6))
+        *_, way, row = self._lookup(np.uint32(line_addr >> 6))
         hit = way >= 0
         if hit.any():
-            lanes = self._lanes[hit]
-            raw[hit] = self._raw_lines(self._payload(self._cells(set_idx[hit], way[hit], lanes)),
-                                       lanes)
+            raw[hit] = self._raw_lines(self._payload(row[hit] * self.geom.ways + way[hit]),
+                                       self._lanes[hit])
         return raw
 
     def _raw_lines(self, lines, lanes):
@@ -390,27 +399,23 @@ class Machine:
 
     # --- the data cache ----------------------------------------------------------
 
-    def _cells(self, set_idx, way, lanes=None):
-        """Cell of each lane's (set, way) entry in ``tags``, ``flags`` and
-        ``slots``: in the empty row 0 where the lane has not filled the set.
-        ``lanes`` defaults to every lane."""
-        lanes = self._lanes if lanes is None else lanes
-        return self.row_of.take(set_idx * self.n + lanes) * self.geom.ways + way
-
-    def _claim_rows(self, at) -> None:
+    def _claim_rows(self, at, rows):
         """Give every (set, lane) key in ``at`` (distinct, ``set * n_lanes
-        + lane``) that is still on the empty row 0 a set row of its own."""
-        fresh = at[self.row_of.take(at) == 0]
+        + lane``) whose set row in ``rows`` is the empty row 0 a set row of
+        its own; returns ``rows`` with those filled in."""
+        fresh = np.flatnonzero(rows == 0)
         if not fresh.size:
-            return
+            return rows
         start, end = self._set_rows, self._set_rows + fresh.size
         ways, cap = self.geom.ways, self._max_set_rows
         self.tags, self.flags, self.slots = (_grown(a, start * ways, end * ways, cap * ways)
                                              for a in (self.tags, self.flags, self.slots))
         self._row_key = _grown(self._row_key, start, end, cap)
-        self._row_key[start:end] = fresh
-        self.row_of[fresh] = np.arange(start, end, dtype=np.int32)
+        self._row_key[start:end] = at[fresh]
+        rows[fresh] = np.arange(start, end, dtype=np.int32)
+        self.row_of[at[fresh]] = rows[fresh]
         self._set_rows = end
+        return rows
 
     def _payload(self, cells):
         """The (k, 8) payloads of the entries at ``cells``."""
@@ -440,18 +445,36 @@ class Machine:
         """Per-lane lookup of architectural tag/set values.
 
         ``tagset`` is per lane or one 0-d value for every lane. Returns
-        (lookup tag/set, set index, tag, way); way is -1 on a miss.
+        (lookup tag/set, set index, tag, way, set row); way is -1 on a miss,
+        and the entry (row, way) is cell ``row * ways + way``. The set row is
+        the empty row 0 where the lane has not filled the set.
         """
         g = self.geom
         tdp = np.broadcast_to(self.dp_tagset(tagset), (self.n,))
         set_idx = (tdp & np.uint32(g.sets - 1)).astype(np.intp)
         tag = tdp >> np.uint32(g.set_bits)
-        cells = self._cells(set_idx, np.arange(g.ways)[:, None])  # (ways, n)
+        row = self.row_of.take(set_idx * self.n + self._lanes)
+        cells = row * g.ways + np.arange(g.ways)[:, None]  # (ways, n)
         match = ((self.flags.take(cells) & 1) != 0) & (self.tags.take(cells) == tag)
         # the first matching way has the largest rank; argmax over the way
         # axis takes about four times as long
         rank = (match * np.arange(g.ways, 0, -1)[:, None]).max(axis=0)
-        return tdp, set_idx, tag, np.where(rank > 0, g.ways - rank, -1)
+        return tdp, set_idx, tag, np.where(rank > 0, g.ways - rank, -1), row
+
+    def _recall(self, key):
+        """The remembered lookup of the 0-d tag/set ``key``: (address latch
+        bits, tag, cells, elements, the cells' flags) if it was made under
+        the current key constant and every lane's entry is still valid and
+        holds its tag, else None. A tag/set is in at most one valid way of
+        a set, since only a miss fills one, so such an entry is the hit."""
+        probe = self._probes.get(key)
+        if probe is None or probe[0] is not self.kc:
+            return None
+        _, addr_hi, tag, cells, elem = probe
+        flags = self.flags.take(cells)
+        if (flags & 1).all() and np.array_equal(self.tags.take(cells), tag):
+            return addr_hi, tag, cells, elem, flags
+        return None
 
     def _scatter_lines(self, cells, image: dict) -> None:
         """Write the raw lines cached at entries ``cells`` into a memory
@@ -480,10 +503,19 @@ class Machine:
         the hit buffer.
 
         Writes that cannot change a value are skipped: a hit keeps its entry's
-        tag, flags and line but for the word and dirty flag a store sets, and
-        only missing lanes read and advance a replacement counter. Only
-        accesses write payloads or the line buffer, so after an access to the
-        same entries the line buffer holds their lines and toggles with them.
+        tag, flags and line but for the word and dirty flag a store sets (an
+        entry already valid and dirty keeps its flags too), and only missing
+        lanes read and advance a replacement counter. Only accesses write
+        payloads or the line buffer, so after an access to the same entries
+        the line buffer holds their lines and toggles with them.
+
+        A 0-d address (one for every lane) remembers its lookup, keyed by
+        its tag/set and the key constant: the latched tag/set, the tag, each
+        lane's cell and element. The next access to that tag/set reuses it
+        when one gather of the cells' flags and one of their tags show every
+        lane's entry still valid with that tag; a fill, a poke or re-keying
+        that moved or dropped the line fails that check and the access looks
+        the line up again.
         """
         g = self.geom
         lanes = self._lanes
@@ -497,27 +529,38 @@ class Machine:
         if size == 8 and (addr & np.uint64(7)).any():
             raise SimError("unaligned 8-byte access")
 
-        # a 0-d address (one for every lane) is obfuscated with one lookup
-        tdp, set_idx, tag, way = self._lookup((addr >> np.uint64(g.offset_bits)).astype(np.uint32))
+        tagset = (addr >> np.uint64(g.offset_bits)).astype(np.uint32)
+        # a 0-d address (one for every lane) reuses its last lookup while
+        # every lane still holds the line there
+        probe = self._recall(int(tagset)) if addr.ndim == 0 else None
+        if probe is not None:
+            addr_hi, tag, cells, elem, old_flags = probe
+            miss, any_miss = np.zeros(self.n, dtype=bool), False
+        else:
+            tdp, set_idx, tag, way, row = self._lookup(tagset)
+            addr_hi = tdp.astype(np.uint64) << np.uint64(g.offset_bits)
+            miss = way < 0
+            any_miss = bool(miss.any())
+            if any_miss:
+                # the missing lanes take, and advance, their set's counter
+                filled = np.flatnonzero(miss)
+                at = set_idx[filled] * self.n + filled
+                ctr = self.repl[at]
+                way[filled] = ctr
+                self.repl[at] = (ctr + 1) % g.ways
+                row[filled] = self._claim_rows(at, row[filled])
+            cells = row * g.ways + way
+            elem = CELL_ELEM + 3 * (set_idx * g.ways + way)
+            old_flags = self.flags.take(cells)
+            if addr.ndim == 0:
+                if len(self._probes) >= _MAX_PROBES:
+                    del self._probes[next(iter(self._probes))]
+                self._probes[int(tagset)] = (self.kc, addr_hi, tag, cells, elem)
 
         # the request-address latch holds the (possibly obfuscated) lookup
         # address; offset bits pass through unprotected by construction
-        addr_latched = ((tdp.astype(np.uint64) << np.uint64(g.offset_bits))
-                        | (addr & np.uint64(g.line_bytes - 1)))
-        self._latch(ADDR, addr_latched, cycle)
-        miss = way < 0
-        any_miss = bool(miss.any())
-        if any_miss:
-            # the missing lanes take, and advance, their set's counter
-            filled = np.flatnonzero(miss)
-            at = set_idx[filled] * self.n + filled
-            ctr = self.repl[at]
-            way[filled] = ctr
-            self.repl[at] = (ctr + 1) % g.ways
-            self._claim_rows(at)
-        cells = self._cells(set_idx, way)
-        old_flags = self.flags.take(cells)
-        same = np.array_equal(cells, self._lb_cells)
+        self._latch(ADDR, addr_hi | (addr & np.uint64(g.line_bytes - 1)), cycle)
+        same = cells is self._lb_cells or np.array_equal(cells, self._lb_cells)
         line = self.lb if same else self._payload(cells)   # changed in place
         if any_miss:
             # the victim's dirty flag is rewritten by the fill path; clearing it
@@ -551,7 +594,6 @@ class Machine:
             crit = line[word]
 
         if any_miss or op == "store":
-            elem = CELL_ELEM + 3 * (set_idx * g.ways + way)
             if any_miss:   # hits keep their tag and payload row
                 line_toggles[rows] = _row_toggles(old_filled, line[rows])
                 fill_cells = cells[rows]
@@ -561,17 +603,19 @@ class Machine:
                 self._set_payload(fill_cells, line[rows])
                 self._count(cycle, elem, tag_toggles, tag)
             # a fill is valid and clean, a hit load keeps its flags, a store
-            # leaves the entry valid and dirty
-            new_flags = (np.where(miss, np.uint8(1), old_flags) if op == "load"
-                         else np.full(self.n, 3, dtype=np.uint8))
-            self.flags[cells] = new_flags
-            self._count(cycle, elem + 1, np.bitwise_count(old_flags ^ new_flags), new_flags)
+            # leaves the entry valid and dirty: a store that hits only valid
+            # dirty entries rewrites none
+            if any_miss or not (old_flags == 3).all():
+                new_flags = (np.where(miss, np.uint8(1), old_flags) if op == "load"
+                             else np.full(self.n, 3, dtype=np.uint8))
+                self.flags[cells] = new_flags
+                self._count(cycle, elem + 1, np.bitwise_count(old_flags ^ new_flags), new_flags)
             if op == "store":
                 self._set_payload(cells, crit, word[1])
             self._count(cycle, elem + 2, line_toggles, line)
 
         self._latch_lb(line, cycle, line_toggles if same else None)
-        self._lb_cells[:] = cells
+        self._lb_cells = cells   # never written in place
         self._latch(HB, crit, cycle)
 
         if op == "load":
@@ -597,6 +641,12 @@ class Machine:
         transposed view of the run's (d + 1, n_lanes) per-cycle accumulator,
         not a contiguous copy; each run allocates its own accumulator.
 
+        Op ``i`` writes only cycles ``i+1`` to ``i+4``, so toggles are added
+        into a (4, n_lanes) uint16 ring of the cycles in flight, and each
+        cycle is copied into the accumulator once, when no op can write it
+        any more. A cycle takes at most one write per element of each
+        stage, well below 2^16 toggles.
+
         Writes that cannot change a value are skipped, with or without a log:
         the EDA fix's constant into shadows that hold it, PRF fills when no
         lane misses, and the cache writes ``cache_access`` names. Each would
@@ -604,13 +654,20 @@ class Machine:
         """
         n_ops = len(program)
         d = n_ops + 3
-        self._pw = np.zeros((d + 1, self.n), dtype=np.int64)
+        acc = np.empty((d + 1, self.n), dtype=np.int64)
+        ring = np.zeros((4, self.n), dtype=np.uint16)
+        self._ring = tuple(ring)
         self._log = log = BatchLog(self, d) if collect_log else None
+
+        def settle(cycle):   # no op writes ``cycle`` any more
+            acc[cycle] = ring[cycle & 3]
+            ring[cycle & 3] = 0
 
         eda_on = self.cfg.eda_fix_on
         last_writer = [-10] * 32  # static producer index per register
 
         for i, mop in enumerate(program):
+            settle(i)
             t_id, t_ex, t_mem, t_wb = i + 1, i + 2, i + 3, i + 4
             kind = mop.kind
 
@@ -680,10 +737,11 @@ class Machine:
                 self._latch(mop.rd, wb_dp, t_wb)
                 last_writer[mop.rd] = i
 
-        toggles = self._pw[1:].T
-        self._pw = None
+        for cycle in range(n_ops, d + 1):
+            settle(cycle)
+        self._ring = None
         self._log = None
-        return toggles, log
+        return acc[1:].T, log
 
     def _dp_operand(self, rs):
         """Datapath form of register ``rs``; r0 reads the constant 0.

@@ -7,9 +7,12 @@ line of eight payload words per way, plus a round-robin replacement counter
 that the caller starts from the machine's initial draw. Lookups take the
 first valid way whose tag matches; a miss fills the way its set's counter
 names and advances the counter, after writing a dirty victim's line back to
-memory. In param mode the tag/set bits of every address and every payload
-word go through the scalar Feistel reference, one word at a time: payloads
-are stored obfuscated, and memory holds raw words.
+memory. A poke writes a raw line to memory and drops the lane's cached copy,
+valid or dirty, without writing it back; re-keying writes every dirty line
+back under the old keys, then drops every line. In param mode the tag/set
+bits of every address and every payload word go through the scalar Feistel
+reference, one word at a time: payloads are stored obfuscated, and memory
+holds raw words.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ class OneLaneCache:
     def _raw(self, word: int) -> int:
         return word if self.keys is None else deobfuscate64(word, self.keys)
 
-    def access(self, addr: int, op: str, data: int | None = None, size: int = 8):
-        """(hit, loaded raw value) of one load, (hit, None) of one store."""
+    def _find(self, addr: int):
+        """(set, tag, way holding the line at ``addr`` or None)."""
         g = self.geom
         tagset = addr >> 6
         if self.keys is not None:
@@ -47,16 +50,41 @@ class OneLaneCache:
         s, tag = tagset & (g.sets - 1), tagset >> g.set_bits
         way = next((w for w in range(g.ways)
                     if self.flags[s][w] & 1 and self.tags[s][w] == tag), None)
+        return s, tag, way
+
+    def _write_back(self, s: int, way: int) -> None:
+        victim = self.tags[s][way] << self.geom.set_bits | s
+        if self.keys is not None:
+            victim = deobfuscate32(victim, self.keys)
+        self.memory[victim << 6] = [self._raw(w) for w in self.lines[s][way]]
+        self.write_backs += 1
+
+    def poke(self, line_addr: int, words) -> None:
+        """Write eight raw words at ``line_addr``; a cached copy is dropped."""
+        self.memory[line_addr] = list(words)
+        s, _, way = self._find(line_addr)
+        if way is not None:
+            self.flags[s][way] = 0
+
+    def rekey(self, keys) -> None:
+        """Write dirty lines back, drop every line, then take ``keys``."""
+        for s in range(self.geom.sets):
+            for way in range(self.geom.ways):
+                if self.flags[s][way] == 3:
+                    self._write_back(s, way)
+                self.flags[s][way] = 0
+        self.keys = keys
+
+    def access(self, addr: int, op: str, data: int | None = None, size: int = 8):
+        """(hit, loaded raw value) of one load, (hit, None) of one store."""
+        g = self.geom
+        s, tag, way = self._find(addr)
         hit = way is not None
         if not hit:
             way = self.counters[s]
             self.counters[s] = (way + 1) % g.ways
             if self.flags[s][way] == 3:   # valid and dirty: write the victim back
-                victim = self.tags[s][way] << g.set_bits | s
-                if self.keys is not None:
-                    victim = deobfuscate32(victim, self.keys)
-                self.memory[victim << 6] = [self._raw(w) for w in self.lines[s][way]]
-                self.write_backs += 1
+                self._write_back(s, way)
             fill = self.memory.get(addr >> 6 << 6, [0] * 8)
             self.lines[s][way] = [self._stored(w) for w in fill]
             self.tags[s][way] = tag

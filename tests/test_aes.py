@@ -191,6 +191,44 @@ def test_block_file_reader_skips_blank_and_comment_lines(tmp_path):
         aes.read_blocks_hex(path)
 
 
+def _block_lines(blocks, upper=()):
+    return [b.hex().upper() if i in upper else b.hex() for i, b in enumerate(blocks)]
+
+
+def test_block_file_reader_decodes_whole_reads_and_falls_back_line_by_line(tmp_path):
+    # more lines than one read holds, so later reads and a switch to the
+    # line loop inside a read are both taken
+    rng = random.Random(8)
+    n = aes._READ_LINES + 1000
+    blocks = [rng.randbytes(16) for _ in range(n)]
+    want = b"".join(blocks)
+    path = tmp_path / "blocks.txt"
+    mixed = _block_lines(blocks, upper=range(0, n, 3))
+    cases = {
+        "mixed case": "\n".join(mixed) + "\n",
+        "no final newline": "\n".join(mixed),
+        "comment and blank lines in a later read": "\n".join(
+            mixed[:n - 10] + ["# mid", ""] + mixed[n - 10:]) + "\n",
+    }
+    for name, text in cases.items():
+        path.write_text(text)
+        assert bytes(aes.read_blocks_hex(path)) == want, name
+    path.write_bytes(("\r\n".join(mixed) + "\r\n").encode())
+    assert bytes(aes.read_blocks_hex(path)) == want
+
+
+def test_block_file_errors_in_a_later_read_name_their_line(tmp_path):
+    rng = random.Random(9)
+    lines = _block_lines([rng.randbytes(16) for _ in range(aes._READ_LINES + 50)])
+    path = tmp_path / "bad.txt"
+    for at, bad, message in ((aes._READ_LINES + 7, "0g" * 16, "bad hex at line {}$"),
+                             (aes._READ_LINES, "zz" * 16, "bad hex at line {}$"),
+                             (aes._READ_LINES + 30, "00" * 17, "line {} is 17 bytes")):
+        path.write_text("\n".join(lines[:at - 1] + [bad] + lines[at:]) + "\n")
+        with pytest.raises(ValueError, match=message.format(at)):
+            aes.read_blocks_hex(path)
+
+
 def test_block_file_reading_holds_about_the_array(tmp_path):
     # 16 bytes a block, twice while the pieces are joined; a list of 49-byte
     # bytes objects alone takes about 5.7 MB for 100 000 blocks

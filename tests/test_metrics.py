@@ -585,6 +585,27 @@ def test_shared_floor_matches_the_per_module_oracle(data):
                                          metrics._moments(want_ds), identity) == res.svf
 
 
+def test_floors_are_bit_identical_across_shuffle_block_sizes():
+    # a shuffle block holds a quarter as many pair words as the module's
+    # rows, and at least _PAIR_BLOCK_WORDS. Repeating the rows keeps every
+    # distinct cycle, so the floor stays, while the blocks grow from 1
+    # shuffle to all 60
+    rng = np.random.default_rng(11)
+    n, shuffles = 24, 60
+    n_pairs = n * (n - 1) // 2
+    values = tuple(int(v) for v in rng.integers(0, 256, n))
+    words = metrics._oracle_words(OracleTrace(values=values, width=8))
+    moments = metrics._moments(np.array([pairwise_distances(values)]))
+    ds = np.array([pairwise_distances(rng.integers(0, 1 << 12, n).tolist()) for _ in range(3)])
+    perms = metrics._permutations(n, shuffles)
+    want = naive_permutation_floor(ds, values, shuffles)
+    for copies in (1, 7, 30):
+        ys = metrics._moments(np.tile(ds, (copies, 1)))
+        for block_words in (1, n_pairs, 5 * n_pairs, 1 << 40):
+            with mock.patch.object(metrics, "_PAIR_BLOCK_WORDS", block_words):
+                assert metrics.permutation_floor(words, moments, ys, perms) == want
+
+
 @pytest.mark.parametrize("width, dtype, k", [
     (1, np.uint8, 1), (8, np.uint8, 1), (9, np.uint16, 1), (16, np.uint16, 1),
     (31, np.uint32, 1), (33, np.uint64, 1), (64, np.uint64, 1), (65, np.uint64, 2),
@@ -733,9 +754,9 @@ def test_scoring_memory_is_bounded():
 # 1000 runs give 499 500 pairs, so one (8 cycles x pairs) matrix is 32 MB.
 # Scoring holds the int64 distances and their float64 copy: 2 x 32 MB. The
 # floor keeps only the copy and adds its two int64 pair index arrays (4 MB
-# each) and one block of shuffled oracle distances: one shuffle here, since
-# a shuffle is more than the block's word budget, as uint8 pair popcounts
-# (0.5 MB per temporary) and float64 distances (4 MB). Indexing every
+# each) and one block of shuffled oracle distances, a quarter of the
+# copy's words: two shuffles here, as uint8 pair popcounts (1 MB per
+# temporary) and float64 distances (8 MB). Indexing every
 # shuffle at once, as one (shuffles x pairs) array with two int64 index
 # arrays, would take 100 x 499 500 x 24 bytes = 1.2 GB on top.
 FLOOR_RSS_GROWTH_MB = 160

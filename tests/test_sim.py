@@ -16,6 +16,7 @@ from leakscope.feistel import (
     deobfuscate64_vec,
     deobfuscate_address,
     lfsr_from_seed,
+    obfuscate32,
     obfuscate32_vec,
     obfuscate64,
     obfuscate64_vec,
@@ -38,12 +39,13 @@ from leakscope.sim import (
 )
 from leakscope.sim.config import CacheGeometry, ConfigError, parse_config_file
 from leakscope.sim.cyclelog import CycleLog
-from leakscope.sim.machine import OP_A, OP_B, REG_ROWS
+from leakscope.sim.machine import OP_A, OP_B, REG_ROWS, element_catalog
 from leakscope.sim.program import (
     STATE_ADDR,
     SWEEP_ADDR,
     MicroOp,
     alu,
+    aes_workload_memory,
     build_aes_program,
     load,
     store,
@@ -422,9 +424,9 @@ def test_poke_drops_exactly_the_lanes_that_cached_the_line(mode):
     # cached lanes hold `line` dirty; the rest hold `other`, which must survive
     m.cache_access(np.where(cached, line, other).astype(np.uint64), "store",
                    data=np.full(lanes, 0xDEAD, dtype=np.uint64))
-    _, set_idx, _, way = m._lookup(np.full(lanes, line >> 6, dtype=np.uint32))
+    *_, way, row = m._lookup(np.full(lanes, line >> 6, dtype=np.uint32))
     assert np.array_equal(way >= 0, cached)
-    at = m._cells(set_idx[cached], way[cached], np.nonzero(cached)[0])
+    at = row[cached] * m.geom.ways + way[cached]
     assert (m.flags[at] & 1).all() and (m.flags[at] & 2).all()   # valid, dirty
 
     new = bytes(range(100, 164))
@@ -630,12 +632,7 @@ def test_cache_access_matches_the_one_lane_oracle(seed, mode, shape, lanes):
     rng = random.Random(seed)
     geom = CacheGeometry(*shape)
     cfg = SimConfig(mode=mode, noise_sigma=0.0, seed=seed, cache=geom)
-    keys = [None] * lanes
-    kc = None
-    if cfg.param_mode:
-        keys = [RoundKeys(tuple(rng.getrandbits(16) for _ in range(4))) for _ in range(lanes)]
-        kc = KeyConstant.of([np.array([k.keys[i] for k in keys], dtype=np.uint32)
-                             for i in range(4)])
+    keys, kc = _lane_keys(rng, lanes) if cfg.param_mode else ([None] * lanes, None)
     m = Machine(cfg, lanes, kc)
     counters = m.repl.reshape(geom.sets, lanes)
     oracles = [OneLaneCache(geom, counters[:, lane], keys[lane]) for lane in range(lanes)]
@@ -662,6 +659,137 @@ def test_cache_access_matches_the_one_lane_oracle(seed, mode, shape, lanes):
         assert hit.tolist() == [h for h, _ in want]
         assert op == "store" or value.tolist() == [v for _, v in want]
         _assert_cache_matches(m, oracles)
+
+
+def _lane_keys(rng, lanes):
+    """Random round keys per lane and their ``KeyConstant``."""
+    keys = [RoundKeys(tuple(rng.getrandbits(16) for _ in range(4))) for _ in range(lanes)]
+    return keys, KeyConstant.of([np.array([k.keys[i] for k in keys], dtype=np.uint32)
+                                 for i in range(4)])
+
+
+def _same_set_lines(geom, keys, line, count, rng):
+    """``count`` lines other than ``line`` in the set that ``line`` takes in
+    one lane whose round keys are ``keys`` (None: baseline)."""
+    tagset = line >> 6 if keys is None else obfuscate32(line >> 6, keys)
+    s, tag = tagset & (geom.sets - 1), tagset >> geom.set_bits
+    out = []
+    for t in rng.sample([t for t in range(1, 1 << 12) if t != tag], count):
+        other = t << geom.set_bits | s
+        out.append((other if keys is None else deobfuscate32(other, keys)) << 6)
+    return out
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["baseline", "param"]),
+       st.sampled_from([(4, 1), (4, 2), (64, 4)]), st.sampled_from([1, 7]))
+def test_repeated_shared_address_accesses_match_the_one_lane_oracle(seed, mode, shape, lanes):
+    # runs of loads and stores of bytes and words at one address for every
+    # lane reuse the machine's last lookup of that line. Between runs,
+    # per-lane fills of the line's set (which may evict it), pokes of whole
+    # lines into the warm cache and, in param mode, re-keying move or drop
+    # the remembered line. After every access the machine's hits, loaded
+    # values and cache state equal those of one oracle cache per lane
+    rng = random.Random(seed)
+    geom = CacheGeometry(*shape)
+    cfg = SimConfig(mode=mode, noise_sigma=0.0, seed=seed, cache=geom)
+    keys, kc = _lane_keys(rng, lanes) if cfg.param_mode else ([None] * lanes, None)
+    m = Machine(cfg, lanes, kc)
+    counters = m.repl.reshape(geom.sets, lanes)
+    oracles = [OneLaneCache(geom, counters[:, lane], keys[lane]) for lane in range(lanes)]
+    shared = [rng.randrange(1, 1 << 14) << 6 for _ in range(2)]
+    lookups = []
+    m._lookup = lambda tagset, look=m._lookup: lookups.append(tagset) or look(tagset)
+    reused = 0
+
+    def access(addr, addrs, op, size):
+        data = [rng.getrandbits(64) for _ in range(lanes)]
+        hit, value = m.cache_access(addr, op, data=np.array(data, dtype=np.uint64)
+                                    if op == "store" else None, size=size)
+        want = [o.access(a, op, d, size) for o, a, d in zip(oracles, addrs, data)]
+        assert hit.tolist() == [h for h, _ in want]
+        assert op == "store" or value.tolist() == [v for _, v in want]
+        _assert_cache_matches(m, oracles)
+
+    for _ in range(12):
+        line = rng.choice(shared)
+        for _ in range(rng.randrange(2, 7)):
+            op, size = rng.choice(["load", "store"]), rng.choice([1, 8])
+            addr = line + rng.randrange(0, 64, size)
+            before = len(lookups)
+            access(np.uint64(addr), [addr] * lanes, op, size)
+            reused += len(lookups) == before
+        event = rng.choice(["fill", "poke", "rekey"] if cfg.param_mode else ["fill", "poke"])
+        if event == "fill":
+            count = rng.randrange(1, geom.ways + 2)
+            others = [_same_set_lines(geom, k, line, count, rng) for k in keys]
+            for step in zip(*others):
+                size = rng.choice([1, 8])
+                addrs = [a + rng.randrange(0, 64, size) for a in step]
+                access(np.array(addrs, dtype=np.uint64), addrs, rng.choice(["load", "store"]),
+                       size)
+        elif event == "poke":
+            target = rng.choice(shared)
+            data = np.array([[rng.getrandbits(8) for _ in range(64)]] * lanes, dtype=np.uint8)
+            if rng.random() < 0.5:
+                m.poke_bytes(target, data[0].tobytes())
+            else:
+                data[:, rng.randrange(64)] ^= np.arange(lanes, dtype=np.uint8)
+                m.poke_bytes(target, data)
+            for o, row in zip(oracles, data):
+                o.poke(target, row.view("<u8").tolist())
+        else:
+            keys, kc = _lane_keys(rng, lanes)
+            rekey_flush(m, kc)
+            for o, k in zip(oracles, keys):
+                o.rekey(k)
+        _assert_cache_matches(m, oracles)
+    assert reused > 0
+
+
+# The elements one stage of one op writes, by catalog-name prefix: an op
+# forwards at most two operands through the PRF in ID and fills one PRF slot
+# in MEM, and its MEM access writes one cache entry's tag, flags and data.
+_STAGE_WRITES = {
+    "ID": ("core.id_exe.payload", "core.prf.p", "core.prf.p"),
+    "EX": ("core.alu.op_a", "core.alu.op_b", "core.alu.res", "core.fpu.shadow",
+           "core.muldiv.shadow", "core.bpu.shadow", "core.csr.status", "core.exe_mem.payload"),
+    "MEM": ("dcache.arrays.addr", "dcache.arrays.t", "dcache.arrays.f", "dcache.arrays.d",
+            "dcache.lb.line", "dcache.hb.word", "core.prf.p", "core.mem_wb.payload"),
+    "WB": ("core.rf.r",),
+}
+
+
+def _cycle_toggle_bound(cfg):
+    """The most toggles one cycle can take: each of the four ops in flight
+    writes each element of its stage at most once, by at most its width."""
+    catalog = element_catalog(cfg)
+
+    def width(prefix):
+        return max(w for name, w in catalog if name.startswith(prefix))
+
+    return sum(width(prefix) for names in _STAGE_WRITES.values() for prefix in names)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "param"])
+def test_one_cycle_takes_fewer_toggles_than_the_ring_holds(mode):
+    # run_program adds toggles into a uint16 ring of the cycles in flight,
+    # so a cycle's total must stay below 2^16; a wider element fails here
+    # rather than wrapping silently
+    cfg, m = mk(mode, lanes=5, seed=3, eda_fix="off")
+    bound = _cycle_toggle_bound(cfg)
+    assert bound < 1 << 16
+    # the stage table covers every write: the widths of the elements a
+    # logged run writes in one cycle add up to at most the bound
+    widths = np.array([w for _, w in element_catalog(cfg)])
+    for addr, blob in aes_workload_memory(KEY).items():
+        m.poke_bytes(addr, blob)
+    prog = build_aes_program(1) + build_fuzz_program(random.Random(3), n_ops=60)
+    _, blog = m.run_program(prog, collect_log=True)
+    written = np.zeros(blog.n_cycles + 1, dtype=np.int64)
+    for cycle, _, elem, _, _ in blog.writes[0] + blog.writes[1]:
+        written[cycle] += np.max(widths[elem], initial=0)
+    assert 0 < written.max() <= bound
 
 
 _SWEEP_MEMORY_PROBE = """
