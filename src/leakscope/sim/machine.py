@@ -216,13 +216,13 @@ class Machine:
         # set * n_lanes + lane
         self.repl = _repl_draw(cfg.seed, g.sets, g.ways, n).copy()
 
-        # while a program runs, the toggles of the four cycles in flight,
-        # cycle c in row c % 4 of a (4, n) uint16 ring
-        self._ring = None
+        # while a program runs, the rows of its (cycles, n) uint16 toggle
+        # accumulator, row c taking cycle c
+        self._acc = None
         self._log = None
         self._lb_cells = np.full(n, -1, dtype=np.intp)  # entries whose lines lb holds, -1: none
-        # 0-d tag/set -> (key constant, address latch bits above the offset,
-        # tag, cells, first element of each lane's entry) of its last lookup
+        # 0-d tag/set -> (key constant, latched uint32 tag/set, int32 cells,
+        # int32 first element of each lane's entry) of its last lookup
         self._probes: dict[int, tuple] = {}
 
     def _lane_constant(self, kc):
@@ -256,8 +256,8 @@ class Machine:
     def _count(self, cycle, elem, toggles, new):
         """Add per-lane ``toggles`` to ``cycle`` and log the lanes they mark
         as changed, with their values in ``new``, as writes to ``elem``."""
-        if self._ring is not None:
-            row = self._ring[cycle & 3]
+        if self._acc is not None:
+            row = self._acc[cycle]
             np.add(row, toggles, out=row, casting="unsafe")
         if self._log is not None:
             self._log.record(cycle, elem, toggles.astype(bool), new)
@@ -462,18 +462,19 @@ class Machine:
         return tdp, set_idx, tag, np.where(rank > 0, g.ways - rank, -1), row
 
     def _recall(self, key):
-        """The remembered lookup of the 0-d tag/set ``key``: (address latch
-        bits, tag, cells, elements, the cells' flags) if it was made under
-        the current key constant and every lane's entry is still valid and
-        holds its tag, else None. A tag/set is in at most one valid way of
-        a set, since only a miss fills one, so such an entry is the hit."""
+        """The remembered lookup of the 0-d tag/set ``key``: (latched
+        tag/set, cells, elements, the cells' flags) if it was made under the
+        current key constant and every lane's entry is still valid and holds
+        its tag, else None. A tag/set is in at most one valid way of a set,
+        since only a miss fills one, so such an entry is the hit."""
         probe = self._probes.get(key)
         if probe is None or probe[0] is not self.kc:
             return None
-        _, addr_hi, tag, cells, elem = probe
+        _, tdp, cells, elem = probe
         flags = self.flags.take(cells)
+        tag = tdp >> np.uint32(self.geom.set_bits)
         if (flags & 1).all() and np.array_equal(self.tags.take(cells), tag):
-            return addr_hi, tag, cells, elem, flags
+            return tdp, cells, elem, flags
         return None
 
     def _scatter_lines(self, cells, image: dict) -> None:
@@ -510,12 +511,12 @@ class Machine:
         the line buffer holds their lines and toggles with them.
 
         A 0-d address (one for every lane) remembers its lookup, keyed by
-        its tag/set and the key constant: the latched tag/set, the tag, each
-        lane's cell and element. The next access to that tag/set reuses it
-        when one gather of the cells' flags and one of their tags show every
-        lane's entry still valid with that tag; a fill, a poke or re-keying
-        that moved or dropped the line fails that check and the access looks
-        the line up again.
+        its tag/set and the key constant: the latched tag/set (uint32), each
+        lane's cell and element (int32). The next access to that tag/set
+        reuses it when one gather of the cells' flags and one of their tags
+        show every lane's entry still valid with that tag; a fill, a poke or
+        re-keying that moved or dropped the line fails that check and the
+        access looks the line up again.
         """
         g = self.geom
         lanes = self._lanes
@@ -534,11 +535,10 @@ class Machine:
         # every lane still holds the line there
         probe = self._recall(int(tagset)) if addr.ndim == 0 else None
         if probe is not None:
-            addr_hi, tag, cells, elem, old_flags = probe
+            tdp, cells, elem, old_flags = probe
             miss, any_miss = np.zeros(self.n, dtype=bool), False
         else:
             tdp, set_idx, tag, way, row = self._lookup(tagset)
-            addr_hi = tdp.astype(np.uint64) << np.uint64(g.offset_bits)
             miss = way < 0
             any_miss = bool(miss.any())
             if any_miss:
@@ -555,10 +555,12 @@ class Machine:
             if addr.ndim == 0:
                 if len(self._probes) >= _MAX_PROBES:
                     del self._probes[next(iter(self._probes))]
-                self._probes[int(tagset)] = (self.kc, addr_hi, tag, cells, elem)
+                cells, elem = cells.astype(np.int32), elem.astype(np.int32)
+                self._probes[int(tagset)] = (self.kc, tdp, cells, elem)
 
         # the request-address latch holds the (possibly obfuscated) lookup
         # address; offset bits pass through unprotected by construction
+        addr_hi = tdp.astype(np.uint64) << np.uint64(g.offset_bits)
         self._latch(ADDR, addr_hi | (addr & np.uint64(g.line_bytes - 1)), cycle)
         same = cells is self._lb_cells or np.array_equal(cells, self._lb_cells)
         line = self.lb if same else self._payload(cells)   # changed in place
@@ -636,38 +638,28 @@ class Machine:
     def run_program(self, program: list[MicroOp], collect_log: bool = False):
         """Execute a straight-line program on every lane.
 
-        Returns (toggle_counts (n_lanes, d) int64, BatchLog | None); the cycle
-        count d is len(program) + 3 in every mode. The toggle counts are a
-        transposed view of the run's (d + 1, n_lanes) per-cycle accumulator,
-        not a contiguous copy; each run allocates its own accumulator.
-
-        Op ``i`` writes only cycles ``i+1`` to ``i+4``, so toggles are added
-        into a (4, n_lanes) uint16 ring of the cycles in flight, and each
-        cycle is copied into the accumulator once, when no op can write it
-        any more. A cycle takes at most one write per element of each
-        stage, well below 2^16 toggles.
+        Returns (toggle_counts (n_lanes, d) uint16, BatchLog | None); the
+        cycle count d is len(program) + 3 in every mode. The toggle counts
+        are a transposed view of the run's (d + 1, n_lanes) uint16 per-cycle
+        accumulator, not a contiguous copy; each run allocates its own
+        accumulator, and every write adds its toggles straight into its
+        cycle's row. Op ``i`` writes only cycles ``i+1`` to ``i+4``, so the
+        rows being added to are four adjacent ones. A cycle takes at most one
+        write per element of each stage, well below 2^16 toggles.
 
         Writes that cannot change a value are skipped, with or without a log:
         the EDA fix's constant into shadows that hold it, PRF fills when no
         lane misses, and the cache writes ``cache_access`` names. Each would
         count 0 toggles and log no change, so the result is exact.
         """
-        n_ops = len(program)
-        d = n_ops + 3
-        acc = np.empty((d + 1, self.n), dtype=np.int64)
-        ring = np.zeros((4, self.n), dtype=np.uint16)
-        self._ring = tuple(ring)
+        d = len(program) + 3
+        acc = np.zeros((d + 1, self.n), dtype=np.uint16)
+        self._acc = tuple(acc)
         self._log = log = BatchLog(self, d) if collect_log else None
-
-        def settle(cycle):   # no op writes ``cycle`` any more
-            acc[cycle] = ring[cycle & 3]
-            ring[cycle & 3] = 0
-
         eda_on = self.cfg.eda_fix_on
         last_writer = [-10] * 32  # static producer index per register
 
         for i, mop in enumerate(program):
-            settle(i)
             t_id, t_ex, t_mem, t_wb = i + 1, i + 2, i + 3, i + 4
             kind = mop.kind
 
@@ -737,9 +729,7 @@ class Machine:
                 self._latch(mop.rd, wb_dp, t_wb)
                 last_writer[mop.rd] = i
 
-        for cycle in range(n_ops, d + 1):
-            settle(cycle)
-        self._ring = None
+        self._acc = None
         self._log = None
         return acc[1:].T, log
 

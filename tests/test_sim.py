@@ -772,10 +772,10 @@ def _cycle_toggle_bound(cfg):
 
 
 @pytest.mark.parametrize("mode", ["baseline", "param"])
-def test_one_cycle_takes_fewer_toggles_than_the_ring_holds(mode):
-    # run_program adds toggles into a uint16 ring of the cycles in flight,
-    # so a cycle's total must stay below 2^16; a wider element fails here
-    # rather than wrapping silently
+def test_one_cycle_takes_fewer_toggles_than_the_accumulator_holds(mode):
+    # run_program adds toggles into a uint16 per-cycle accumulator, so a
+    # cycle's total must stay below 2^16; a wider element fails here rather
+    # than wrapping silently
     cfg, m = mk(mode, lanes=5, seed=3, eda_fix="off")
     bound = _cycle_toggle_bound(cfg)
     assert bound < 1 << 16
@@ -785,11 +785,15 @@ def test_one_cycle_takes_fewer_toggles_than_the_ring_holds(mode):
     for addr, blob in aes_workload_memory(KEY).items():
         m.poke_bytes(addr, blob)
     prog = build_aes_program(1) + build_fuzz_program(random.Random(3), n_ops=60)
-    _, blog = m.run_program(prog, collect_log=True)
+    toggles, blog = m.run_program(prog, collect_log=True)
     written = np.zeros(blog.n_cycles + 1, dtype=np.int64)
     for cycle, _, elem, _, _ in blog.writes[0] + blog.writes[1]:
         written[cycle] += np.max(widths[elem], initial=0)
     assert 0 < written.max() <= bound
+    # the uint16 sums are the log's exact per-cycle toggles
+    assert toggles.dtype == np.uint16
+    for lane in range(5):
+        assert np.array_equal(synth_power(extract_cycle_log(blog, lane)), toggles[lane])
 
 
 _SWEEP_MEMORY_PROBE = """
@@ -816,6 +820,37 @@ SWEEP_CHUNK_RSS_GROWTH_MB = 16
 def test_sweep_chunk_memory_is_bounded():
     probe = run_probe(_SWEEP_MEMORY_PROBE)
     assert probe["peak"] - probe["before"] <= SWEEP_CHUNK_RSS_GROWTH_MB, probe
+
+
+_AES_MEMORY_PROBE = """
+import json, os, sys
+import numpy as np
+from leakscope.sim import SimConfig, run_aes_batch
+from leakscope.sim.run import TraceArchive
+from peak_rss import peak_mb
+
+cfg = SimConfig(mode="param", noise_sigma=80.0, seed=1, rounds=1)
+pts = np.random.default_rng(1).integers(0, 256, (8192, 16), dtype=np.uint8)
+before = peak_mb()
+with TraceArchive(os.path.join(sys.argv[1], "traces.npz"), len(pts)) as archive:
+    run_aes_batch(cfg, pts, bytes(range(16)), out=archive)   # one 8192-lane chunk
+print(json.dumps({"before": before, "peak": peak_mb()}))
+"""
+
+# One 8192-lane param chunk of the rounds-1 AES program (d = 207) holds:
+# the (208, 8192) uint16 toggle accumulator, 3.3 MiB; regs, arch_rf,
+# _written and the line buffer, 6.2 MiB; row_of and the replacement
+# counters with the draw they copy, 3 MiB; 65 k set rows of tags, flags,
+# slots and row keys, 2.5 MiB, and their 64-byte pool lines, 4 MiB, each
+# held twice for a moment while it doubles; a 1024-row float64 noise block
+# and its float32 copy, 2.4 MiB; four remembered lookups, 0.4 MiB. About
+# 25 MiB in all. An int64 accumulator alone would take 13.3 MiB.
+AES_CHUNK_RSS_GROWTH_MB = 30
+
+
+def test_aes_chunk_memory_is_bounded(tmp_path):
+    probe = run_probe(_AES_MEMORY_PROBE, tmp_path)
+    assert probe["peak"] - probe["before"] <= AES_CHUNK_RSS_GROWTH_MB, probe
 
 
 # --- re-keying -------------------------------------------------------------------------
@@ -1494,7 +1529,8 @@ def test_warm_machines_match_golden_hashes(mode, eda_fix):
         for _ in range(2):
             _preset_warm_registers(rng, [m], lanes)
             toggles, blog = m.run_program(_warm_program(rng), collect_log=True)
-            h.update(_digest(toggles).encode())
+            # hashed as int64, the dtype the goldens were recorded with
+            h.update(_digest(toggles.astype(np.int64)).encode())
             for lane in range(lanes):
                 log = extract_cycle_log(blog, lane)
                 h.update(repr((sorted(log_initial(log).items()), log_changes(log))).encode())
