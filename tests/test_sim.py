@@ -838,13 +838,13 @@ print(json.dumps({"before": before, "peak": peak_mb()}))
 """
 
 # One 8192-lane param chunk of the rounds-1 AES program (d = 207) holds:
-# the (208, 8192) uint16 toggle accumulator, 3.3 MiB; regs, arch_rf,
+# the (208, 8192) uint16 toggle accumulator, 3.25 MiB; regs, arch_rf,
 # _written and the line buffer, 6.2 MiB; row_of and the replacement
 # counters with the draw they copy, 3 MiB; 65 k set rows of tags, flags,
 # slots and row keys, 2.5 MiB, and their 64-byte pool lines, 4 MiB, each
 # held twice for a moment while it doubles; a 1024-row float64 noise block
 # and its float32 copy, 2.4 MiB; four remembered lookups, 0.4 MiB. About
-# 25 MiB in all. An int64 accumulator alone would take 13.3 MiB.
+# 25 MiB in all. An int64 accumulator alone would take 13 MiB.
 AES_CHUNK_RSS_GROWTH_MB = 30
 
 
