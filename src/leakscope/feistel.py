@@ -361,7 +361,7 @@ def _apply(tables, words):
     words = np.asarray(words, dtype=f"<u{len(tables)}")
     by = np.ascontiguousarray(words).view(np.uint8).reshape(words.shape + (len(tables),))
     present = int(np.bitwise_or.reduce(words, axis=None))
-    # ndarray.take is about twice as fast as fancy indexing by uint8 arrays
+    # ndarray.take is faster than fancy indexing by uint8 arrays
     out = tables[0].take(by[..., 0])
     for j in range(1, len(tables)):
         if present >> 8 * j & 0xFF:

@@ -398,9 +398,7 @@ def permutation_floor(words, moments, ys, perms) -> float:
     ``rows @ po``. Every block's product reads all the rows, so a block
     holds a quarter as many pair words as the rows, and at least
     ``_PAIR_BLOCK_WORDS``: its ``po`` takes a quarter of the rows' float64
-    copy, within what scoring the module took. (On 480 runs and 100 rows,
-    100 shuffles took 0.33–0.54 s in 2-shuffle blocks and 0.10–0.12 s in
-    25-shuffle blocks on a 2-vCPU x86-64 host.) Each floor is a sum of
+    copy, within what scoring the module took. Each floor is a sum of
     exact integers, so the block size does not change it.
     """
     i_idx, j_idx = pair_order(perms.shape[1])

@@ -269,7 +269,7 @@ class Machine:
         reg = self.regs[row]
         toggles = np.bitwise_count(reg ^ new)
         reg[:] = new
-        # a fill when every lane takes ``new``: ``|= True`` costs ten times more
+        # a fill when every lane takes ``new``, cheaper than ``|= True``
         self._written[row] = True if written is True else self._written[row] | written
         self._count(cycle, REG_ELEMS[row], toggles, reg)
 
@@ -456,10 +456,7 @@ class Machine:
         row = self.row_of.take(set_idx * self.n + self._lanes)
         cells = row * g.ways + np.arange(g.ways)[:, None]  # (ways, n)
         match = ((self.flags.take(cells) & 1) != 0) & (self.tags.take(cells) == tag)
-        # the first matching way has the largest rank; argmax over the way
-        # axis takes about four times as long
-        rank = (match * np.arange(g.ways, 0, -1)[:, None]).max(axis=0)
-        return tdp, set_idx, tag, np.where(rank > 0, g.ways - rank, -1), row
+        return tdp, set_idx, tag, np.where(match.any(axis=0), match.argmax(axis=0), -1), row
 
     def _recall(self, key):
         """The remembered lookup of the 0-d tag/set ``key``: (latched
@@ -647,10 +644,9 @@ class Machine:
         rows being added to are four adjacent ones. A cycle takes at most one
         write per element of each stage, well below 2^16 toggles.
 
-        Writes that cannot change a value are skipped, with or without a log:
-        the EDA fix's constant into shadows that hold it, PRF fills when no
-        lane misses, and the cache writes ``cache_access`` names. Each would
-        count 0 toggles and log no change, so the result is exact.
+        The cache writes that ``cache_access`` names are skipped, with or
+        without a log: each would count 0 toggles and log no change, so the
+        result is exact.
         """
         d = len(program) + 3
         acc = np.zeros((d + 1, self.n), dtype=np.uint16)
@@ -694,12 +690,9 @@ class Machine:
             self._latch(OP_B, op_b, t_ex)
             self._latch(RES, res_dp, t_ex)
             if kind == "alu":
-                # the EDA fix only ever writes the shadows the constant 1, so
-                # once written they hold it and a rewrite toggles nothing
-                if not (eda_on and self._written[FPU_SHADOW].all()):
-                    shadows = (np.uint64(1),) * 3 if eda_on else (a_dp, b_dp, res_dp)
-                    for row, value in zip(SHADOWS, shadows):
-                        self._latch(row, value, t_ex)
+                shadows = (np.uint64(1),) * 3 if eda_on else (a_dp, b_dp, res_dp)
+                for row, value in zip(SHADOWS, shadows):
+                    self._latch(row, value, t_ex)
                 flags = ((result == 0).astype(np.uint64) << np.uint64(8)) \
                     | ((result >> np.uint64(63)) << np.uint64(9)) | (result & np.uint64(0xFF))
                 self._latch(STATUS, self.dp64(flags), t_ex)
@@ -717,8 +710,7 @@ class Machine:
                 # load consumes a slot so the schedule stays data-independent
                 # (hit lanes keep the slot's old value, which is no toggle)
                 slot = PRF + self._prf_ptr
-                if not hit.all():
-                    self._latch(slot, np.where(hit, self.regs[slot], wb_dp), t_mem, ~hit)
+                self._latch(slot, np.where(hit, self.regs[slot], wb_dp), t_mem, ~hit)
                 self._prf_ptr = (self._prf_ptr + 1) % N_PRF
             else:
                 self.cache_access(addr, "store", data=b, size=mop.size, cycle=t_mem)

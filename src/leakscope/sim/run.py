@@ -318,9 +318,9 @@ def cache_set_experiment(cfg: SimConfig, reps: int, rekey_every: int = 1,
         set_of = pair_idx % g.sets
         kc = table[pair_idx // g.sets] if cfg.param_mode else None
         # the last chunk's machine lives until this rebinding: freeing it first
-        # measured slower on a 2-vCPU host (perfbench ttest-sweep seed 1, five
-        # alternated 20 s pairs: items_per_s median 1.98 M -> 1.77 M, slower in
-        # 5 of 5) though peak RSS fell 66.2 -> 56.7 MB
+        # measured slower on a 2-vCPU host (perfbench ttest-sweep seeds 1000
+        # and 1-9, ten alternated 36 s pairs: items_per_s median 2.19 M ->
+        # 2.05 M, slower in 9 of 10) though peak RSS fell 64.3 -> 56.5 MB
         machine = Machine(cfg, lanes, kc)
         machine.poke_bytes(SWEEP_ADDR, sweep_image)
         machine.preset_register(1, (np.uint64(SWEEP_ADDR)
@@ -357,9 +357,8 @@ class TraceArchive:
     row and member is written. Leaving the ``with`` block before that, by an
     exception or otherwise, removes the partial file.
 
-    The archive is not compressed: noisy float samples deflate by only about
-    9 %, and compressing 20 000 one-round param traces takes about 30 times
-    as long as writing them plain.
+    The archive is not compressed: noisy float samples hardly deflate, and
+    compressing them takes far longer than writing them plain.
     """
 
     def __init__(self, path, n_rows: int):
