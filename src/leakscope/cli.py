@@ -189,6 +189,7 @@ def cmd_dpa(args) -> int:
         raise UsageError(f"--checkpoint: checkpoint_step must be >= 1, got {args.checkpoint}")
     if not 0 <= args.target_byte < 16:
         raise UsageError(f"--target-byte: must be in 0..15, got {args.target_byte}")
+    key_arg = _parse_key(args.key) if args.key else None
     traces, pts, key = _load_traces(args)
     if pts is None or pts.shape[0] != traces.shape[0]:
         raise UsageError(
@@ -201,7 +202,7 @@ def cmd_dpa(args) -> int:
     result = cpa.cpa_attack(state, point=args.point)
 
     curve = None
-    key_bytes = _parse_key(args.key) if args.key else key
+    key_bytes = key if key_arg is None else key_arg
     if key_bytes is not None:
         curve = cpa.mtd(traces, pts, args.target_byte,
                         key_bytes[args.target_byte], args.checkpoint,

@@ -409,9 +409,16 @@ def deobfuscate32_vec(y, kc: KeyConstant):
     return _apply(kc.cf.inv32, np.asarray(y, dtype=np.uint32) ^ kc.k32)
 
 
+def linear64_vec(x, kc: KeyConstant):
+    """``L·x`` on both halves of a uint64 array, the key-free part of
+    ``obfuscate64_vec(x, kc) = linear64_vec(x, kc) ⊕ kc.k64``; only the
+    tables of ``kc``'s spec are read, so one result serves every key."""
+    return _apply(kc.cf.fwd64, x)
+
+
 def obfuscate64_vec(x, kc: KeyConstant):
     """obfuscate64 (two independent 32-bit halves) on a uint64 array."""
-    return _apply(kc.cf.fwd64, x) ^ kc.k64
+    return linear64_vec(x, kc) ^ kc.k64
 
 
 def deobfuscate64_vec(y, kc: KeyConstant):

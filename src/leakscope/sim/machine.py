@@ -60,6 +60,7 @@ from ..feistel import (
     KeyConstant,
     deobfuscate32_vec,
     deobfuscate64_vec,
+    linear64_vec,
     obfuscate32_vec,
     obfuscate64_vec,
 )
@@ -294,10 +295,11 @@ class Machine:
             arr = image[line_addr] = np.repeat(arr, self.n, axis=0)
         return arr
 
-    def _backing_lines(self, line_addr, lanes) -> np.ndarray:
-        """Raw (k, 8) backing lines, row i at ``line_addr[i]`` as lane
-        ``lanes[i]`` sees it: one gather over the distinct addresses' shared
-        lines, then one masked copy per per-lane line."""
+    def _backing_entries(self, line_addr):
+        """The backing of the distinct addresses in ``line_addr``: (the
+        inverse index into them, their (u, 8) shared lines, zero where a
+        line is per-lane or was never poked, and (i, entry) per per-lane
+        line ``i``)."""
         uniq, inv = np.unique(line_addr, return_inverse=True)
         shared = np.zeros((len(uniq), 8), dtype=np.uint64)
         per_lane = []
@@ -309,10 +311,32 @@ class Machine:
                 shared[i] = entry[0]
             else:
                 per_lane.append((i, entry))
+        return inv, shared, per_lane
+
+    def _backing_lines(self, line_addr, lanes) -> np.ndarray:
+        """Raw (k, 8) backing lines, row i at ``line_addr[i]`` as lane
+        ``lanes[i]`` sees it: one gather over the distinct addresses' shared
+        lines, then one masked copy per per-lane line."""
+        inv, shared, per_lane = self._backing_entries(line_addr)
         out = shared[inv]
         for i, entry in per_lane:
             mask = inv == i
             out[mask] = entry[lanes[mask]]
+        return out
+
+    def _fill_lines(self, line_addr, lanes) -> np.ndarray:
+        """The datapath form of ``_backing_lines``: the (k, 8) lines a miss
+        fills. A shared line ``x`` is ``L·x ⊕ K(k)``, so ``L·x`` is taken
+        once per distinct line and each row XORs in its lane's key
+        constant; a per-lane line goes through ``_dp_lines``."""
+        if self.kc is None:
+            return self._backing_lines(line_addr, lanes)
+        inv, shared, per_lane = self._backing_entries(line_addr)
+        out = linear64_vec(shared, self.kc)[inv]
+        out ^= self.kc.k64[lanes, None]
+        for i, entry in per_lane:
+            mask = inv == i
+            out[mask] = self._dp_lines(entry[lanes[mask]], lanes[mask])
         return out
 
     def _check_span(self, addr: int, k: int) -> None:
@@ -496,7 +520,10 @@ class Machine:
 
         In param mode the lookup uses the obfuscated address and all stored
         payloads are obfuscated per 32-bit word. On a miss the 64-byte line is
-        staged through the line buffer; every access (hit or miss) latches the
+        filled in its datapath form ``L·x ⊕ K(k)`` and staged through the line
+        buffer: a line shared by every lane takes ``L·x`` once per access and
+        one XOR of each missing lane's key constant, a per-lane line the full
+        transform per lane. Every access (hit or miss) latches the
         post-access line image into the line buffer and the critical word into
         the hit buffer.
 
@@ -566,7 +593,7 @@ class Machine:
             # here would hide the flag toggle from the power/log sampling
             self._scatter_lines(cells[miss & (old_flags == 3)], self.backing)
             line_addr = np.broadcast_to(addr >> np.uint64(6) << np.uint64(6), (self.n,))
-            fill = self._dp_lines(self._backing_lines(line_addr[filled], filled), filled)
+            fill = self._fill_lines(line_addr[filled], filled)
             if filled.size == self.n:   # every lane misses: slices, not gathers
                 rows, old_filled, line = slice(None), line, fill
             else:

@@ -113,6 +113,15 @@ def test_xor_key_symmetric_in_arguments():
         assert aes.first_round_value(p, k, "xor_key") == aes.first_round_value(k, p, "xor_key")
 
 
+@pytest.mark.parametrize("point", sorted(aes.POINT_FUNCTIONS))
+def test_every_point_function_depends_only_on_plaintext_xor_guess(point):
+    # f(p, g) = f(p ^ g, 0): a CPA hypothesis is a function of p ^ g alone,
+    # which a Walsh-Hadamard correlation over the 256 guesses rests on
+    fn = aes.POINT_FUNCTIONS[point]
+    for p in range(256):
+        assert [fn(p, g) for g in range(256)] == [fn(p ^ g, 0) for g in range(256)], p
+
+
 def test_sbox_out_bijective_in_plaintext():
     for k in (0x00, 0x5A, 0xFF):
         seen = {aes.first_round_value(p, k, "sbox_out") for p in range(256)}

@@ -634,6 +634,19 @@ def test_dpa_target_byte_out_of_range_fails_before_reading_traces(tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+def test_dpa_bad_key_fails_before_reading_traces(tmp_path, capsys, monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("traces read with an invalid --key")
+
+    path = tmp_path / "traces.npz"
+    np.savez(path, **_GOOD_ARCHIVE)
+    monkeypatch.setattr(cli, "load_traces_npz", no_read)
+    code = run_cli("dpa", "--traces", str(path), "--key", "zz", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "key 'zz'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_dpa_non_finite_csv_sample_names_file_and_line(tmp_path, capsys):
     traces = np.random.default_rng(2).normal(0, 1, size=(3, 2))
     args = _dpa_csv_inputs(tmp_path, traces)

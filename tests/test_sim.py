@@ -586,6 +586,48 @@ def test_line_pool_and_shared_lines_match_the_dense_machine(seed, lanes, mode, s
         _assert_same_state(*machines, lanes)
 
 
+@pytest.mark.parametrize("seed, shape", [(1, (1, 2)), (2, (2, 3)), (3, (4, 1)), (4, (64, 4))])
+def test_shared_line_fills_match_per_lane_pokes_of_the_same_bytes(seed, shape):
+    # a miss fills a shared line as L·x, taken once per line, xor each lane's
+    # K(k), and a per-lane line through the full transform; the lanes span
+    # three key epochs, per-lane addresses make some lanes miss and not
+    # others, and small caches force dirty evictions
+    rng = random.Random(seed)
+    lanes = 7
+    cfg = SimConfig(mode="param", noise_sigma=0.0, seed=seed, cache=CacheGeometry(*shape))
+    epochs = KeyConstant.of(np.array(epoch_keys(cfg, 3), dtype=np.uint32).T)
+    kc = epochs[np.arange(lanes) % 3]
+    shared, per_lane = Machine(cfg, lanes, kc), Machine(cfg, lanes, kc)
+    for r in range(1, 32):
+        # r29-r31 hold per-lane line addresses in REGION, the rest data
+        values = ([REGION[0] + 64 * rng.randrange(6) for _ in range(lanes)] if r >= 29
+                  else [rng.getrandbits(64) for _ in range(lanes)])
+        for m in (shared, per_lane):
+            m.preset_register(r, values)
+    for _ in range(3):
+        k = rng.randint(1, REGION[1] - REGION[0])
+        addr = rng.randrange(REGION[0], REGION[1] - k + 1)
+        data = bytes(rng.getrandbits(8) for _ in range(k))
+        shared.poke_bytes(addr, data)
+        per_lane.poke_bytes(addr, np.tile(np.frombuffer(data, dtype=np.uint8), (lanes, 1)))
+        prog = []
+        for _ in range(30):
+            size = rng.choice([1, 8])
+            base, imm = ((0, rng.randrange(*REGION, size)) if rng.random() < 0.5
+                         else (rng.randint(29, 31), rng.randrange(0, 64, size)))
+            reg = rng.randint(1, 28)
+            prog.append(load(reg, base, imm, size=size) if rng.random() < 0.5
+                        else store(reg, base, imm, size=size))
+        (toggles, log), (want_toggles, want_log) = (m.run_program(prog, collect_log=True)
+                                                    for m in (shared, per_lane))
+        assert np.array_equal(toggles, want_toggles)
+        for lane in range(lanes):
+            got, want = extract_cycle_log(log, lane), extract_cycle_log(want_log, lane)
+            assert log_changes(got) == log_changes(want), lane
+        assert np.array_equal(shared.peek_bytes(REGION[0], REGION[1] - REGION[0]),
+                              per_lane.peek_bytes(REGION[0], REGION[1] - REGION[0]))
+
+
 def test_line_pool_holds_at_most_one_row_per_entry_plus_the_zero_row():
     lanes = 3
     _, m = mk(lanes=lanes, cache=CacheGeometry(sets=2, ways=2))
